@@ -2,7 +2,9 @@
 
 Format: ``L2GROWTH_CAPS="bfs=20,order=100000,eig=2000"``.  Keys:
 
-* ``bfs``     - maximum word length explored by BFS in matrix groups
+* ``bfs``     - maximum word length in matrix groups: of BFS word lengths, and
+  of the kernel words the shortest-element search certifies (its BFS walks
+  about half of that length)
 * ``visited`` - maximum number of BFS-visited elements
 * ``order``   - maximum order of a realized finite quotient / cover instantiation
 * ``eig``     - maximum matrix size handed to the dense eigensolver

@@ -26,6 +26,7 @@ subgroups of matrix groups.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Union
 
@@ -85,9 +86,13 @@ def _parse_term(group, term, where: str) -> GroupRingElement:
 def parse_complex(doc: Union[dict, str, Path]) -> EquivariantChainComplex:
     """Parse and validate a complex document (dict, JSON text, or file path)."""
     if isinstance(doc, (str, Path)):
-        path = Path(doc)
-        if path.exists():
-            text = path.read_text()
+        # isfile is False, not an error, for text no file name can be (too
+        # long for the OS, or holding a NUL byte): such text is parsed as JSON
+        if os.path.isfile(doc):
+            try:
+                text = Path(doc).read_text()
+            except (OSError, UnicodeDecodeError) as e:
+                raise DocumentError(f"cannot read {doc}: {e}")
         else:
             text = str(doc)
         try:

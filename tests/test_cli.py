@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from l2growth.cli import main
+from l2growth.document import parse_complex
+from l2growth.errors import DocumentError
 from conftest import COMPLEXES
 
 
@@ -189,3 +191,16 @@ def test_missing_document(capsys):
     code, _, err = run(capsys, "betti", "/nonexistent.json",
                        "--subgroup", "2", "--dim", "0")
     assert code == 1
+
+
+def test_parse_complex_text_longer_than_a_file_name(tmp_path):
+    path = COMPLEXES / "stripe_t2_q3.json"
+    text = path.read_text()
+    assert len(text) > 255
+    assert parse_complex(text).cells == parse_complex(path).cells
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for bad in ("x" * 4096, "{\0}", "", "/nonexistent.json", str(COMPLEXES), COMPLEXES,
+                binary):
+        with pytest.raises(DocumentError):
+            parse_complex(bad)

@@ -8,6 +8,31 @@ from l2growth import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
                       quotient_diameter, short_length, uniformity_check)
 from l2growth.errors import NotFiniteIndex, SearchCapExceeded
 from l2growth.caps import Caps
+from l2growth.groups import FiniteQuotient
+
+SL2Z = IntegralMatrixGroup(2, [[[0, -1], [1, 0]], [[1, 1], [0, 1]]])  # S, T: has torsion
+
+
+def sanov(k):
+    return IntegralMatrixGroup(2, [[[1, k], [0, 1]], [[1, 0], [k, 1]]])
+
+
+def short_length_full_ball(group, sub, l_max=None, caps=Caps()):
+    """Reference: breadth-first search over the whole ball of radius short."""
+    cap = l_max if l_max is not None else caps.bfs_length
+    identity = group.identity
+    exhausted = True
+    last = 0
+    for el, dist in group.iter_ball(cap, caps.bfs_visited):
+        last = dist
+        if el != identity and sub.contains(el):
+            return dist
+        if dist == cap:
+            exhausted = False
+    if exhausted and last < cap:
+        return math.inf  # the whole (finite) group was enumerated
+    raise SearchCapExceeded(
+        f"no kernel element of word length <= {cap}", lower_bound=cap + 1)
 
 
 def test_short_length_examples(z_one, z_two):
@@ -19,6 +44,50 @@ def test_short_length_congruence(sanov_group):
     s = short_length(sanov_group, CongruenceSubgroup(5))
     assert s >= math.log(5, 2)
     assert s == 5  # frozen from the BFS oracle
+
+
+@pytest.mark.parametrize("group, levels", [
+    (sanov(2), (3, 5, 7, 9, 11, 13)),
+    (sanov(3), (3, 5, 7, 9, 11, 13)),
+    (SL2Z, (3, 4, 5, 7)),
+])
+def test_short_length_matches_full_ball(group, levels):
+    for m in levels:
+        sub = CongruenceSubgroup(m)
+        assert short_length(group, sub) == short_length_full_ball(group, sub)
+
+
+@pytest.mark.parametrize("m, short", [(5, 5), (7, 6)])  # one odd, one even
+def test_short_length_matrix_cap(sanov_group, m, short):
+    sub = CongruenceSubgroup(m)
+    assert short_length_full_ball(sanov_group, sub) == short
+    for search in (short_length, short_length_full_ball):
+        assert search(sanov_group, sub, l_max=short) == short
+        with pytest.raises(SearchCapExceeded) as err:
+            search(sanov_group, sub, l_max=short - 1)
+        assert err.value.lower_bound == short
+
+
+def test_short_length_visited_cap(sanov_group):
+    with pytest.raises(SearchCapExceeded):
+        short_length(sanov_group, CongruenceSubgroup(13), caps=Caps(bfs_visited=20))
+
+
+def test_short_length_walks_half_the_ball(monkeypatch):
+    group = sanov(2)
+    walk = group.iter_ball
+    count = 0
+
+    def counting(*args):
+        nonlocal count
+        for item in walk(*args):
+            count += 1
+            yield item
+
+    monkeypatch.setattr(group, "iter_ball", counting)
+    assert short_length(group, CongruenceSubgroup(13)) == 10
+    # the full ball of radius 10 has 118,097 elements
+    assert count <= 2000
 
 
 def test_short_length_singular_matrix(z_two):
@@ -136,6 +205,25 @@ def test_quotient_diameter_examples(z_one, z_two):
     assert quotient_diameter(q) == 2
 
 
+def test_congruence_inverse_is_adjugate(sanov_group):
+    for m in (3, 5, 7):
+        q = quotient(sanov_group, CongruenceSubgroup(m))
+        for el in q.elements:
+            power = q.identity  # el^(order - 1) by repeated multiplication
+            for _ in range(q.order_of(el) - 1):
+                power = q.mul(power, el)
+            assert q.inv(el) == power
+            assert q.mul(el, q.inv(el)) == q.identity
+
+
+def test_congruence_diameter_from_construction(sanov_group):
+    rot = IntegralMatrixGroup(2, [[[0, -1], [1, 0]]])
+    cases = [(sanov_group, m) for m in range(3, 14)] + [(rot, 5)]
+    for group, m in cases:
+        q = quotient(group, CongruenceSubgroup(m))
+        assert quotient_diameter(q) == FiniteQuotient.diameter(q)
+
+
 def test_short_against_diameter(z_one, z_two, sanov_group):
     # short <= 2*diam + 1: an element one longer than the diameter shares its
     # image with a not-longer word, and their quotient lands in the subgroup.
@@ -173,6 +261,7 @@ def test_short_infinite_for_trivial_kernel():
     # a finite rotation group embeds faithfully mod 5: the kernel is trivial
     rot = IntegralMatrixGroup(2, [[[0, -1], [1, 0]]])
     assert short_length(rot, CongruenceSubgroup(5)) == math.inf
+    assert short_length_full_ball(rot, CongruenceSubgroup(5)) == math.inf
     assert quotient(rot, CongruenceSubgroup(5)).order == 4
 
 
