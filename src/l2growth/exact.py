@@ -5,15 +5,20 @@ matrices are computed over the rationals with a certificate:
 
 1. reduce mod a large prime and compute a reduced row echelon form (fast,
    vectorized dense path, or a dict-based sparse path for large structured
-   matrices);
+   matrices, whose back-substitution touches only the rows that hold each
+   pivot);
 2. lift the mod-p kernel basis to rational vectors by rational reconstruction
    (CRT over several primes if needed), clear denominators, and verify
-   ``A @ v == 0`` in exact integer arithmetic.
+   ``A @ v == 0`` in exact integer arithmetic: a blocked int64 product
+   wherever ``max_i sum_j |a_ij| * max |v_j| < 2**62`` certifies that no
+   partial sum overflows, Python integers otherwise.
 
 Since rank mod p never exceeds the rational rank, exhibiting
 ``ncols - rank_p`` verified independent integer kernel vectors certifies the
 rational nullity exactly.  A dense Fraction-based elimination remains as the
-final fallback (and as the test oracle).
+final fallback (and as the test oracle).  The dense path refuses, with
+``SizeCapExceeded`` and before allocating, any matrix whose int64 array would
+exceed ``_DENSE_BYTES`` (1 GiB).
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from math import gcd, isqrt
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from .errors import SizeCapExceeded
 
 _PRIMES = (
     2147483647,
@@ -35,6 +42,11 @@ _PRIMES = (
 
 _SPARSE_THRESHOLD = 200      # min(ncols) above which sparsity is considered
 _SPARSE_DENSITY = 0.02       # fraction of nonzeros below which sparse path is used
+_DENSE_BYTES = 2 ** 30       # largest int64 array the dense path may allocate
+
+_PRODUCT_BOUND = 2 ** 62     # row sums of |a_ij * v_j| below this fit in int64
+_ENTRY_BOUND = 2 ** 31       # entries this small keep int64 row sums of |a_ij| exact
+_BLOCK_ENTRIES = 2 ** 17     # entries per dense block of candidate kernel vectors
 
 
 class _FillIn(Exception):
@@ -229,7 +241,17 @@ def _rref_modp_dense(a: np.ndarray, p: int):
 
 def _rref_modp_sparse(rows: List[Dict[int, int]], ncols: int, p: int,
                       fill_cap: int):
-    """Sparse full RREF mod p over dict rows.  Raises _FillIn when it densifies."""
+    """Sparse full RREF mod p over dict rows.  Raises _FillIn when it densifies.
+
+    Forward elimination reduces each row by the pivots met at its leading
+    column.  Back-substitution then runs over the pivots from the last one
+    down and reduces only the rows that hold each pivot: a row whose later
+    pivots are already cleared holds only its own pivot and free columns, so
+    subtracting it never brings a pivot column into another row, and the
+    holders found before back-substitution stay exact throughout.  The kernel
+    basis is scattered from the RREF rows into the free columns' vectors.
+    Returns (rank, free_cols, kernel_basis mod p).
+    """
     echelon: List[Dict[int, int]] = []
     pivot_of: Dict[int, int] = {}
     stored = 0
@@ -257,16 +279,19 @@ def _rref_modp_sparse(rows: List[Dict[int, int]], ncols: int, p: int,
                 if stored > fill_cap:
                     raise _FillIn
                 break
-    # back-substitution to full RREF
+    # back-substitution to full RREF; a row's entries lie at or after its
+    # pivot, so each pivot's holders have earlier pivots (listed in pivot order)
     order = sorted(pivot_of)
-    for pos in range(len(order) - 1, -1, -1):
-        pc = order[pos]
+    holders: Dict[int, List[Dict[int, int]]] = {c: [] for c in order}
+    for pc in order:
+        row = echelon[pivot_of[pc]]
+        for cc in row:
+            if cc != pc and cc in holders:
+                holders[cc].append(row)
+    for pc in reversed(order):
         src = echelon[pivot_of[pc]]
-        for prev in range(pos):
-            row = echelon[pivot_of[order[prev]]]
-            f = row.pop(pc, 0)
-            if not f:
-                continue
+        for row in holders[pc]:
+            f = row.pop(pc)
             stored -= len(row) + 1
             for cc, vv in src.items():
                 if cc == pc:
@@ -279,16 +304,13 @@ def _rref_modp_sparse(rows: List[Dict[int, int]], ncols: int, p: int,
             stored += len(row)
             if stored > fill_cap:
                 raise _FillIn
-    pivot_set = set(pivot_of)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = {fc: 1}
-        for pc, idx in pivot_of.items():
-            val = echelon[idx].get(fc)
-            if val:
-                vec[pc] = (-val) % p
-        basis.append(vec)
+    free_cols = [c for c in range(ncols) if c not in pivot_of]
+    basis = [{fc: 1} for fc in free_cols]
+    slot = {fc: i for i, fc in enumerate(free_cols)}
+    for pc, idx in pivot_of.items():
+        for cc, vv in echelon[idx].items():
+            if cc != pc:
+                basis[slot[cc]][pc] = (-vv) % p
     return len(pivot_of), free_cols, basis
 
 
@@ -319,30 +341,61 @@ def _crt_pair(a1: int, m1: int, a2: int, m2: int) -> Tuple[int, int]:
     return x, m
 
 
-def _as_sparse_rows(a) -> Tuple[List[Dict[int, int]], int, int]:
-    """Normalize input to (rows-as-dicts with python ints, nrows, ncols)."""
+def _as_sparse_rows(a) -> List[Dict[int, int]]:
+    """Normalize a numpy or scipy sparse matrix to rows-as-dicts with python ints."""
     if isinstance(a, np.ndarray):
-        nr, nc = a.shape
         rows = []
-        for i in range(nr):
+        for i in range(a.shape[0]):
             nz = np.nonzero(a[i])[0]
             rows.append({int(j): int(a[i, j]) for j in nz})
-        return rows, nr, nc
-    # scipy sparse
-    if hasattr(a, "tocoo"):
-        coo = a.tocoo()
-        nr, nc = coo.shape
-        rows = [dict() for _ in range(nr)]
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            if v:
-                rows[int(i)][int(j)] = int(v)
-        return rows, nr, nc
-    raise TypeError(f"unsupported matrix type {type(a)!r}")
+        return rows
+    coo = a.tocoo()
+    rows = [dict() for _ in range(coo.shape[0])]
+    for i, j, v in zip(coo.row, coo.col, coo.data):
+        if v:
+            rows[int(i)][int(j)] = int(v)
+    return rows
 
 
-def _verify_kernel_exact(rows: List[Dict[int, int]], vecs: List[Dict[int, int]],
-                         ncols: int) -> bool:
-    """Check A @ v == 0 for every candidate, in exact integer arithmetic."""
+def _int64_matrix(a):
+    """``a`` as an int64 array or CSR matrix if no |entry| exceeds 2**31, else None."""
+    if not np.issubdtype(a.dtype, np.integer):
+        return None
+    if hasattr(a, "tocsr"):
+        a = a.tocsr()
+        data = a.data
+    else:
+        data = a
+    if data.size and (data.min() < -_ENTRY_BOUND or data.max() > _ENTRY_BOUND):
+        return None
+    return a.astype(np.int64, copy=False)
+
+
+def _verify_kernel_exact(a, rows: List[Dict[int, int]],
+                         vecs: List[Dict[int, int]]) -> bool:
+    """Check A @ v == 0 for every candidate, in exact integer arithmetic.
+
+    ``a`` is the matrix (dense or scipy sparse) and ``rows`` the same matrix
+    as dict rows.  When ``max_i sum_j |a_ij| * max_j |v_j| < 2**62`` no
+    partial sum of ``A @ v`` can leave int64, so the check is one int64
+    product ``A @ V`` per block of candidates, each block a dense array of
+    at most ``_BLOCK_ENTRIES`` entries; otherwise it runs over Python ints.
+    """
+    ncols = a.shape[1]
+    a64 = _int64_matrix(a)
+    if a64 is not None:
+        row_l1 = int(abs(a64).sum(axis=1).max())
+        vmax = max((abs(x) for vec in vecs for x in vec.values()), default=0)
+        if row_l1 * vmax < _PRODUCT_BOUND:
+            width = max(1, _BLOCK_ENTRIES // ncols)
+            for start in range(0, len(vecs), width):
+                block = vecs[start:start + width]
+                v = np.zeros((ncols, len(block)), dtype=np.int64)
+                for j, vec in enumerate(block):
+                    v[list(vec), j] = list(vec.values())
+                if np.any(a64 @ v):
+                    return False
+            return True
     for vec in vecs:
         for row in rows:
             if len(row) < len(vec):
@@ -412,15 +465,24 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     The returned vectors are linearly independent over Q and satisfy
     A @ v == 0 exactly; their count equals the rational nullity.
     """
-    rows, nrows, ncols = _as_sparse_rows(a)
+    if isinstance(a, np.ndarray):
+        nnz = int(np.count_nonzero(a))
+    elif hasattr(a, "tocoo"):
+        nnz = a.count_nonzero()
+    else:
+        raise TypeError(f"unsupported matrix type {type(a)!r}")
+    nrows, ncols = a.shape
     if ncols == 0:
         return 0, []
-    nnz = sum(len(r) for r in rows)
     if nnz == 0:
         return ncols, [{c: 1} for c in range(ncols)]
 
     use_sparse = (min(nrows, ncols) > _SPARSE_THRESHOLD
                   and nnz < _SPARSE_DENSITY * nrows * ncols)
+    if not use_sparse:
+        # ahead of the dict rows, which cost memory in proportion to nrows
+        _check_dense_budget(nrows, ncols)
+    rows = _as_sparse_rows(a)
     fill_cap = max(4 * nnz + 4096, int(0.25 * nrows * ncols))
 
     attempts = []  # (p, free_cols, basis)
@@ -443,14 +505,22 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
         candidates = _combine_and_reconstruct(group, ncols)
         if candidates is None:
             continue
-        if _verify_kernel_exact(rows, candidates, ncols):
+        if _verify_kernel_exact(a, rows, candidates):
             return len(candidates), candidates
     # all primes exhausted without a certificate: exact fallback
     rank, basis = _kernel_exact_fractions(rows, nrows, ncols)
     return ncols - rank, basis
 
 
+def _check_dense_budget(nrows: int, ncols: int) -> None:
+    if 8 * nrows * ncols > _DENSE_BYTES:
+        raise SizeCapExceeded(
+            f"dense elimination of a {nrows}x{ncols} matrix needs {8 * nrows * ncols} "
+            f"bytes, above the {_DENSE_BYTES}-byte budget")
+
+
 def _densify(rows: List[Dict[int, int]], nrows: int, ncols: int, p: int) -> np.ndarray:
+    _check_dense_budget(nrows, ncols)
     out = np.zeros((nrows, ncols), dtype=np.int64)
     for i, row in enumerate(rows):
         for j, v in row.items():

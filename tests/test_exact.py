@@ -1,9 +1,81 @@
+import tracemalloc
+from math import gcd
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from fractions import Fraction
 
-from l2growth import exact
+from l2growth import (CongruenceSubgroup, CoverInstance,
+                      EquivariantChainComplex, GroupRingElement,
+                      GroupRingMatrix, IntegralMatrixGroup, LatticeSubgroup,
+                      exact, quotient, torus_complex)
+from l2growth.errors import SizeCapExceeded
+
+
+def _rref_modp_sparse_quadratic(rows, ncols, p, fill_cap):
+    """The sparse RREF before holder lists: back-substitution visits every
+    earlier pivot row for each pivot, and the kernel basis looks up every
+    pivot row for each free column.  Kept as the oracle for the new one."""
+    echelon = []
+    pivot_of = {}
+    stored = 0
+    for row in rows:
+        r = {c: v % p for c, v in row.items() if v % p}
+        while r:
+            c = min(r)
+            idx = pivot_of.get(c)
+            if idx is not None:
+                f = r.pop(c)
+                for cc, vv in echelon[idx].items():
+                    if cc == c:
+                        continue
+                    nv = (r.get(cc, 0) - f * vv) % p
+                    if nv:
+                        r[cc] = nv
+                    elif cc in r:
+                        del r[cc]
+            else:
+                inv = pow(r[c], p - 2, p)
+                r = {cc: (vv * inv) % p for cc, vv in r.items()}
+                pivot_of[c] = len(echelon)
+                echelon.append(r)
+                stored += len(r)
+                if stored > fill_cap:
+                    raise exact._FillIn
+                break
+    order = sorted(pivot_of)
+    for pos in range(len(order) - 1, -1, -1):
+        pc = order[pos]
+        src = echelon[pivot_of[pc]]
+        for prev in range(pos):
+            row = echelon[pivot_of[order[prev]]]
+            f = row.pop(pc, 0)
+            if not f:
+                continue
+            stored -= len(row) + 1
+            for cc, vv in src.items():
+                if cc == pc:
+                    continue
+                nv = (row.get(cc, 0) - f * vv) % p
+                if nv:
+                    row[cc] = nv
+                elif cc in row:
+                    del row[cc]
+            stored += len(row)
+            if stored > fill_cap:
+                raise exact._FillIn
+    pivot_set = set(pivot_of)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free_cols:
+        vec = {fc: 1}
+        for pc, idx in pivot_of.items():
+            val = echelon[idx].get(fc)
+            if val:
+                vec[pc] = (-val) % p
+        basis.append(vec)
+    return len(pivot_of), free_cols, basis
 
 
 def _oracle_nullity(a: np.ndarray) -> int:
@@ -28,7 +100,7 @@ def test_certified_nullity_matches_fraction_oracle():
             assert not any(prod)
 
 
-def test_sparse_and_dense_paths_agree():
+def _random_sparse_400():
     rng = np.random.default_rng(11)
     n = 400
     density = 0.004
@@ -36,22 +108,110 @@ def test_sparse_and_dense_paths_agree():
     rows = rng.integers(0, n, size=nnz)
     cols = rng.integers(0, n, size=nnz)
     vals = rng.integers(-3, 4, size=nnz)
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int64).tocsr()
-    k_sparse, _ = exact.kernel_certified(m)
-    k_dense, _ = exact.kernel_certified(m.toarray())
-    assert k_sparse == k_dense
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int64).tocsr()
+
+
+def test_sparse_and_dense_paths_agree():
+    m = _random_sparse_400()
+    k_sparse, v_sparse = exact.kernel_certified(m)
+    k_dense, v_dense = exact.kernel_certified(m.toarray())
+    assert k_sparse == k_dense > 0
+    assert v_sparse == v_dense
+
+
+def _shift_minus_identity(n, s):
+    perm = (np.arange(n) + s) % n
+    p = sp.coo_matrix((np.ones(n, dtype=np.int64), (np.arange(n), perm)),
+                      shape=(n, n)).tocsr()
+    return (p - sp.identity(n, dtype=np.int64, format="csr")).astype(np.int64)
+
+
+_PERMUTATION_CASES = [(300, 5), (500, 7), (1000, 250)]
 
 
 def test_permutation_difference_rank():
     # right shift by s on N points: nullity of P - I is gcd(N, s) cycles
-    from math import gcd
-    for n, s in [(300, 5), (500, 7), (1000, 250)]:
-        perm = (np.arange(n) + s) % n
-        p = sp.coo_matrix((np.ones(n, dtype=np.int64), (np.arange(n), perm)),
-                          shape=(n, n)).tocsr()
-        m = (p - sp.identity(n, dtype=np.int64, format="csr")).astype(np.int64)
-        k, _ = exact.kernel_certified(m)
+    for n, s in _PERMUTATION_CASES:
+        k, _ = exact.kernel_certified(_shift_minus_identity(n, s))
         assert k == gcd(n, s)
+
+
+def _torus_d1_transposed(lattice):
+    cx = torus_complex(2)
+    return CoverInstance(cx, quotient(cx.group, LatticeSubgroup(lattice))).boundary(1).T
+
+
+def _sanov_incidence(k, m):
+    # presentation complex of <[[1,k],[0,1]], [[1,0],[k,1]]>: d_1 = (g1 - e, g2 - e)
+    group = IntegralMatrixGroup(2, [[[1, k], [0, 1]], [[1, 0], [k, 1]]])
+    g1, g2 = group.generators
+    e = group.identity
+    d1 = GroupRingMatrix(group, [[GroupRingElement(group, {g1: 1, e: -1}),
+                                  GroupRingElement(group, {g2: 1, e: -1})]], shape=(1, 2))
+    cx = EquivariantChainComplex(group, [1, 2], {1: d1})
+    return CoverInstance(cx, quotient(group, CongruenceSubgroup(m))).boundary(1).T
+
+
+_RREF_FAMILIES = {
+    # non-diagonal Hermite normal form lattices [[a, b], [0, d]], index 200-1000
+    **{f"torus2_d1T_{a}_{b}_{d}": (lambda a=a, b=b, d=d: _torus_d1_transposed([[a, b], [0, d]]))
+       for a, b, d in [(8, 3, 25), (20, 7, 30), (4, 1, 150), (25, 11, 40)]},
+    "sanov_k2_mod7_incidence": lambda: _sanov_incidence(2, 7),
+    **{f"shift_{n}_{s}": (lambda n=n, s=s: _shift_minus_identity(n, s))
+       for n, s in _PERMUTATION_CASES},
+    "random_400": _random_sparse_400,
+}
+
+
+@pytest.mark.parametrize("family", sorted(_RREF_FAMILIES))
+def test_sparse_rref_matches_quadratic_back_substitution(family):
+    m = _RREF_FAMILIES[family]()
+    rows, ncols = exact._as_sparse_rows(m), m.shape[1]
+    p = exact._PRIMES[0]
+    cap = 10 ** 12
+    got = exact._rref_modp_sparse(rows, ncols, p, cap)
+    want = _rref_modp_sparse_quadratic(rows, ncols, p, cap)
+    assert got == want
+    assert got[0] < ncols  # every family has a kernel for the basis to cover
+
+
+def test_kernel_check_rejects_what_int64_would_wrap():
+    # 2 * 2**62 + 2 * 2**62 wraps to 0 in int64
+    a = np.array([[2, 2]], dtype=np.int64)
+    assert not exact._verify_kernel_exact(a, [{0: 2, 1: 2}], [{0: 2 ** 62, 1: 2 ** 62}])
+    # a true kernel vector past int64 passes through the Python-int check
+    a = np.array([[1, -1], [3, -3]], dtype=np.int64)
+    rows = [{0: 1, 1: -1}, {0: 3, 1: -3}]
+    assert exact._verify_kernel_exact(a, rows, [{0: 2 ** 63 + 5, 1: 2 ** 63 + 5}])
+    assert exact._verify_kernel_exact(sp.csr_matrix(a), rows, [{0: 1, 1: 1}])
+    assert not exact._verify_kernel_exact(sp.csr_matrix(a), rows, [{0: 1, 1: 1}, {0: 1}])
+
+
+def test_kernel_check_blocks_one_candidate_per_block_on_wide_matrices():
+    ncols = 2 ** 17 + 3
+    assert exact._BLOCK_ENTRIES // ncols == 0
+    a = sp.csr_matrix((np.array([1, -1], dtype=np.int64), ([0, 0], [0, 1])), shape=(1, ncols))
+    rows = [{0: 1, 1: -1}]
+    good = [{0: 1, 1: 1}, {2: 1}, {ncols - 1: 7}]
+    assert exact._verify_kernel_exact(a, rows, good)
+    assert not exact._verify_kernel_exact(a, rows, good + [{0: 1}])
+
+
+def test_dense_path_refuses_past_byte_budget_before_allocating():
+    # 200 x 10**6 with 200 nonzeros: min(dims) <= 200 sends it to the dense
+    # path, whose 10**6 x 200 int64 array would take 1.6 GB
+    n = 200
+    m = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), 5000 * np.arange(n))),
+                      shape=(n, 10 ** 6))
+    assert 8 * n * 10 ** 6 > exact._DENSE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded):
+            exact.rank_certified(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_zero_and_empty_matrices():
