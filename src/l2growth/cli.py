@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
     p_bounds.add_argument("--beta", type=float, default=None,
                           help="ns regime: density decay exponent")
     p_bounds.add_argument("--c-density", type=float, default=None, dest="c_density",
-                          help="ns regime: density constant (estimated when omitted)")
+                          help="ns regime: density constant (fitted from the "
+                               "density when omitted, reported as fitted)")
     p_bounds.add_argument("--z", type=float, default=0.25,
                           help="raw regime: comparison window")
     p_bounds.add_argument("--samples", type=int, default=65536)
@@ -173,14 +174,14 @@ def _one_bound(args, cx, quot, density, caps: Caps):
     if args.regime == "ns":
         if args.beta is None:
             raise DocumentError("ns regime requires --beta")
-        c_density = args.c_density
+        c_density, mode = args.c_density, "given"
         if c_density is None:
             grid = np.geomspace(density.K * 1e-6, density.K, 200)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = density.to_grid(grid) / grid ** args.beta
-            c_density = float(np.nanmax(ratios)) * 1.05 + 1e-12
+            c_density, mode = float(np.nanmax(ratios)) * 1.05 + 1e-12, "fitted"
         return ns_bound(cx, quot, args.dim, args.beta, c_density, density,
-                        caps=caps)
+                        caps=caps, c_density_mode=mode)
     if args.regime == "sublog":
         return sublog_bound(cx, quot, args.dim, density, caps=caps)
     return betti_bound_general(cx, quot, args.dim, density, args.z, caps=caps)

@@ -20,13 +20,13 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from .caps import DEFAULT_CAPS, Caps
 from .covers import CoverInstance
 from .errors import (DegenerateZ, FamilyNotLogUniform, GapNotVerified,
                      HypothesisUnverified, InsufficientGrid, LambdaAboveGap,
-                     NotAbelian, ShortTooSmall)
+                     NotAbelian, ShortTooSmall, SizeCapExceeded)
+from .exact import _DENSE_BYTES
 from .group_ring import EquivariantChainComplex, laplacian, norm_bound, support_radius
 from .groups import FreeAbelian, quotient as make_quotient, short_length
 from .pattern import determinant, evaluate_matrix_at_characters
@@ -143,11 +143,119 @@ def cosine_density_closed_form(diag: float, off: float) -> DensityEstimate:
     return DensityEstimate.from_function(fn, K=k, a=1)
 
 
+# Scrambled Halton points (Owen, "A randomized Halton algorithm in R",
+# arXiv:1706.02808), reproducing scipy.stats.qmc.Halton(d, scramble=True,
+# seed=seed).random(n) bit for bit: the same permutation draws, and every
+# point's digit terms summed in the same order from 0.0.
+_HALTON_HEAD = 4096     # largest lookup table of leading-digit partial sums
+
+
+def _first_primes(d: int) -> List[int]:
+    primes: List[int] = []
+    c = 2
+    while len(primes) < d:
+        if all(c % p for p in primes):
+            primes.append(c)
+        c += 1
+    return primes
+
+
+def _scrambled_van_der_corput(n: int, base: int, perms: np.ndarray) -> np.ndarray:
+    """Points 0..n-1 of the base-``base`` sequence scrambled by ``perms``.
+
+    Point i is sum_j perms[j, digit_j(i)] * base^-(j+1), accumulated over j
+    in order.  The first k digits come from one table of partial sums over
+    i mod base^k; each later varying digit is constant along a row of
+    base^k consecutive points; past the last digit of n - 1 every digit is
+    0, so each further term is one constant added to all points.
+    """
+    count = perms.shape[0]
+    b2r = np.empty(count)
+    r = 1.0 / base
+    for j in range(count):
+        b2r[j] = r
+        r /= base
+    terms = perms * b2r[:, None]     # terms[j, digit]
+    digits = 0
+    while base ** digits < n:
+        digits += 1
+    k = 0
+    while k < digits and base ** (k + 1) <= _HALTON_HEAD:
+        k += 1
+    width = base ** k
+    lo = np.arange(width)
+    head = np.zeros(width)
+    for j in range(k):
+        head += terms[j, (lo // base ** j) % base]
+    hi = np.arange(-(-n // width))
+    acc = np.empty((hi.size, width))
+    acc[:] = head
+    for j in range(k, digits):
+        acc += terms[j, (hi // base ** (j - k)) % base][:, None]
+    tail = terms[digits:, 0]
+    if base == 2:
+        # every partial sum is a multiple of 2^-53 below 1: exact in any order
+        tail = [tail.sum()]
+    for t in tail:
+        acc += t
+    return acc.ravel()[:n]
+
+
+def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
+    """(n, d) Owen-scrambled Halton points, equal to scipy's for the seed."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((d, n))
+    for i, base in enumerate(_first_primes(d)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1,
+                          axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        out[i] = _scrambled_van_der_corput(n, base, perms)
+    return out.T
+
+
+def _check_quadrature_budget(count: int, n: int, a: int) -> None:
+    """Raise before allocating when the quadrature arrays would pass the budget.
+
+    Counts the character points (count x n floats), the samples (count x a)
+    and, for a > 1, the complex symbol blocks (count x a x a).
+    """
+    need = 8 * count * (n + a) + (16 * count * a * a if a > 1 else 0)
+    if need > _DENSE_BYTES:
+        raise SizeCapExceeded(
+            f"quadrature over {count} characters with {a} cells needs {need} "
+            f"bytes, above the {_DENSE_BYTES}-byte budget")
+
+
+def _cos_symbol(entry, points: np.ndarray) -> np.ndarray:
+    """Values of a scalar symbol sum_e c_e cos(2 pi <x, e>) at the points.
+
+    Terms are added in ``entry.terms`` order; the e = 0 term adds c, and
+    cos(2 pi <x, -e>) is reused from the term at e, which is bit-exact.
+    """
+    vals = np.zeros(points.shape[0])
+    unpaired = {}
+    for e, c in entry.terms.items():
+        if not any(e):
+            vals += float(c)
+            continue
+        cos_e = unpaired.pop(tuple(-v for v in e), None)
+        if cos_e is None:
+            cos_e = np.cos(2 * np.pi * (points @ np.asarray(e, dtype=float)))
+            unpaired[e] = cos_e
+        vals += float(c) * cos_e
+    return vals
+
+
 def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
                seed: int = 0, caps: Caps = DEFAULT_CAPS) -> DensityEstimate:
     """Quasi-random character quadrature for the density of a Z^n complex.
 
-    Deterministic for a fixed seed (scrambled Halton points).
+    The characters are Owen-scrambled Halton points generated in-house,
+    bit-identical to ``scipy.stats.qmc.Halton(n, scramble=True, seed=seed)``,
+    so the estimate is deterministic for a fixed seed.  Raises
+    ``SizeCapExceeded`` before allocating when the points, samples or symbol
+    blocks would exceed the 1 GiB byte budget of ``exact._DENSE_BYTES``.
     """
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("torus quadrature requires a free abelian deck group")
@@ -155,19 +263,15 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
         raise ValueError("sample_count must be at least 1000")
     lap = laplacian(cx, q)
     a = cx.cells[q]
-    k = float(norm_bound(lap)) if a else 2.0
     n = cx.group.rank
-    sampler = qmc.Halton(d=n, scramble=True, seed=seed)
-    points = sampler.random(sample_count)
+    _check_quadrature_budget(sample_count, n, a)
+    k = float(norm_bound(lap)) if a else 2.0
     if a == 0:
         return DensityEstimate.from_samples(np.zeros(0), sample_count, k, 0,
                                             Provenance("torus_quadrature", sample_count))
+    points = _scrambled_halton(n, sample_count, seed)
     if a == 1:
-        entry = lap.entries[0][0]
-        vals = np.zeros(sample_count)
-        for e, c in entry.terms.items():
-            vals += float(c) * np.cos(2 * np.pi * (points @ np.asarray(e, dtype=float)))
-        eigs = vals
+        eigs = _cos_symbol(lap.entries[0][0], points)
     else:
         blocks = evaluate_matrix_at_characters(lap, points)
         eigs = np.linalg.eigvalsh(blocks).ravel()
@@ -330,7 +434,8 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096,
     Minimizes the smallest eigenvalue of the evaluated symbol over a uniform
     character grid and subtracts a Lipschitz slack derived from the
     coefficient l1 norms, so the returned level is a true lower bound for
-    the whole torus.
+    the whole torus.  Raises ``SizeCapExceeded`` before allocating when the
+    grid arrays would exceed the byte budget of ``exact._DENSE_BYTES``.
     """
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("gap certification requires a free abelian deck group")
@@ -340,15 +445,12 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096,
     if a == 0:
         return GapCertificate(math.inf, math.inf, 0.0, grid_per_dim)
     per_dim = grid_per_dim if n == 1 else max(8, int(round(grid_per_dim ** (1.0 / n))))
+    _check_quadrature_budget(per_dim ** n, n, a)
     axes = [np.arange(per_dim) / per_dim] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     if a == 1:
-        entry = lap.entries[0][0]
-        vals = np.zeros(points.shape[0])
-        for e, c in entry.terms.items():
-            vals += float(c) * np.cos(2 * np.pi * (points @ np.asarray(e, dtype=float)))
-        grid_min = float(vals.min())
+        grid_min = float(_cos_symbol(lap.entries[0][0], points).min())
     else:
         blocks = evaluate_matrix_at_characters(lap, points)
         grid_min = float(np.linalg.eigvalsh(blocks)[:, 0].min())
@@ -521,15 +623,20 @@ def _verify_power_hypothesis(density: DensityEstimate, beta: float,
 def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
              c_density: float, density: DensityEstimate,
              caps: Caps = DEFAULT_CAPS, cutoff: Optional[float] = None,
-             cover: Optional[CoverInstance] = None) -> BoundReport:
+             cover: Optional[CoverInstance] = None,
+             c_density_mode: str = "given") -> BoundReport:
     """Power-decay bound C1 * index * (log(short)/short)^(2 beta).
 
     Requires the verified density hypothesis F(lambda) < C * lambda^beta on
     a grid up to the cutoff; the constant C1 is assembled from the explicit
-    inequality chain, never fitted.
+    inequality chain, never fitted.  ``c_density_mode`` is reported as
+    ``C_density_mode``: "given" when C came from the caller, "fitted" when it
+    was fitted from the same density it is checked against.
     """
     if beta <= 0 or c_density <= 0:
         raise HypothesisUnverified("beta and C must be positive")
+    if c_density_mode not in ("given", "fitted"):
+        raise ValueError(f"c_density_mode must be 'given' or 'fitted', not {c_density_mode!r}")
     _lap, a, k, r, s = _base_constants(cx, quot, q, caps)
     n = _chain_degree(s, r)
     if n / beta <= 1.0:
@@ -556,7 +663,8 @@ def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
     return BoundReport(
         regime="ns",
         constants={"a": a, "index": quot.order, "short": s, "R": r, "K": k,
-                   "beta": beta, "C_density": c_density, "n": n, "z": z,
+                   "beta": beta, "C_density": c_density,
+                   "C_density_mode": c_density_mode, "n": n, "z": z,
                    "C1": c1},
         bound=bound, betti=b, satisfied=b <= bound)
 

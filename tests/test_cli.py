@@ -137,6 +137,22 @@ def test_bounds_ns_with_estimated_constant(capsys):
                        "--subgroup", "50", "--dim", "1", "--regime", "ns",
                        "--beta", "0.5", "--samples", "16384")
     assert code == 0 and "SATISFIED" in out
+    assert "C_density_mode=fitted" in out.split()
+
+
+def test_bounds_ns_with_given_constant(capsys):
+    code, out, _ = run(capsys, "bounds", str(COMPLEXES / "circle.json"),
+                       "--subgroup", "50", "--dim", "1", "--regime", "ns",
+                       "--beta", "0.5", "--c-density", "0.5", "--samples", "16384")
+    assert code == 0 and "SATISFIED" in out
+    assert {"C_density=0.5", "C_density_mode=given"} <= set(out.split())
+
+
+def test_density_past_byte_budget_exits_1(capsys):
+    code, out, err = run(capsys, "density", str(COMPLEXES / "circle.json"),
+                         "--dim", "0", "--samples", "10000000000")
+    assert code == 1 and out == ""
+    assert "byte budget" in err
 
 
 def test_bounds_gap_unverified_exit_1(capsys):

@@ -1,19 +1,29 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+import l2growth
 from l2growth import (CongruenceSubgroup, DensityEstimate, GroupRingElement,
                       LatticeSubgroup, betti_bound_general,
                       certify_gap, chebyshev, cosine_density_closed_form,
                       density_by_quotients, density_zn, eig_count_bound,
-                      estimate_ns, gap_bound, j_bound, luck_polynomial,
-                      ns_bound, quotient, sublog_bound, two_cell_complex,
-                      uniform_gap_exponent)
+                      estimate_ns, gap_bound, j_bound, laplacian,
+                      luck_polynomial, ns_bound, quotient, sublog_bound,
+                      two_cell_complex, uniform_gap_exponent)
+from l2growth import exact, spectral
 from l2growth.errors import (DegenerateZ, FamilyNotLogUniform, GapNotVerified,
                              HypothesisUnverified, InsufficientGrid,
-                             LambdaAboveGap, NotAbelian, ShortTooSmall)
+                             LambdaAboveGap, NotAbelian, ShortTooSmall,
+                             SizeCapExceeded)
+from l2growth.pattern import evaluate_matrix_at_characters
 from l2growth.polynomials import Poly, chebyshev_coefficients
 from conftest import cyclic_quotient, diag_quotient
 
@@ -142,6 +152,88 @@ def test_density_zn_deterministic(circle):
     d2 = density_zn(circle, 0, sample_count=2048, seed=9)
     grid = np.linspace(0, 4, 17)
     assert np.array_equal(d1.to_grid(grid), d2.to_grid(grid))
+
+
+# -- quadrature points and samples against scipy and the per-term loop ---------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scrambled_halton_matches_scipy_bit_for_bit(d):
+    # 2187 = 3^7 and 4096 = 2^12 are the lookup-table widths; one past
+    # each adds the first row-constant digit
+    for n in (1000, 2187, 2188, 4096, 4097, 65536, 200000, 1_200_000):
+        for seed in (0, 7, 123456789):
+            expected = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            got = spectral._scrambled_halton(d, n, seed)
+            assert got.strides == expected.strides
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (d, n, seed)
+
+
+def _cos_loop(entry, points):
+    """One cos evaluation per term, in term order: the reference for _cos_symbol."""
+    vals = np.zeros(points.shape[0])
+    for e, c in entry.terms.items():
+        vals += float(c) * np.cos(2 * np.pi * (points @ np.asarray(e, dtype=float)))
+    return vals
+
+
+def _density_samples_reference(cx, q, sample_count, seed):
+    """The quadrature with scipy's points and the per-term cos loop."""
+    lap = laplacian(cx, q)
+    points = qmc.Halton(d=cx.group.rank, scramble=True, seed=seed).random(sample_count)
+    if cx.cells[q] == 1:
+        return np.sort(_cos_loop(lap.entries[0][0], points))
+    blocks = evaluate_matrix_at_characters(lap, points)
+    return np.sort(np.linalg.eigvalsh(blocks).ravel())
+
+
+def test_density_zn_samples_match_reference(torus2, circle, gap_complex, stripe_complex):
+    cases = [(torus2, 0), (torus2, 1), (circle, 0), (circle, 1), (gap_complex, 1),
+             (stripe_complex, 3)]
+    for cx, q in cases:
+        for sample_count, seed in ((4096, 1), (65536, 3), (200000, 123456789)):
+            got = density_zn(cx, q, sample_count, seed=seed)._samples
+            expected = _density_samples_reference(cx, q, sample_count, seed)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (q, seed)
+
+
+def test_cos_symbol_unpaired_terms_and_constant_mid_order(z_two):
+    # e = 0 after other terms, (2, 1) without its negative, (-1, 0) after (1, 0)
+    entry = GroupRingElement(z_two, {(1, 0): 3, (0, 0): 2, (2, 1): 5, (-1, 0): -1,
+                                     (0, -1): Fraction(1, 3)})
+    points = spectral._scrambled_halton(2, 5000, 11)
+    got = spectral._cos_symbol(entry, points)
+    assert np.array_equal(got.view(np.int64), _cos_loop(entry, points).view(np.int64))
+
+
+def _peak_bytes_while_raising(fn):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded):
+            fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_quadrature_refuses_past_byte_budget_before_allocating(circle, torus2):
+    # 10^10 points of one coordinate (80 GB), 10^8 2x2 complex symbol blocks
+    # (6.4 GB), and a 10^6 x 10^6 certification grid
+    assert 8 * 10 ** 10 > exact._DENSE_BYTES
+    for fn in (lambda: density_zn(circle, 0, sample_count=10 ** 10),
+               lambda: density_zn(torus2, 1, sample_count=10 ** 8),
+               lambda: certify_gap(torus2, 0, grid_per_dim=10 ** 12),
+               lambda: certify_gap(circle, 0, grid_per_dim=10 ** 10)):
+        assert _peak_bytes_while_raising(fn) < 4 * 2 ** 20
+
+
+def test_import_does_not_load_scipy_stats():
+    src = pathlib.Path(l2growth.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, l2growth; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_density_by_quotients_examples(circle, gap_complex, zero_complex):
