@@ -174,14 +174,8 @@ def _one_bound(args, cx, quot, density, caps: Caps):
     if args.regime == "ns":
         if args.beta is None:
             raise DocumentError("ns regime requires --beta")
-        c_density, mode = args.c_density, "given"
-        if c_density is None:
-            grid = np.geomspace(density.K * 1e-6, density.K, 200)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = density.to_grid(grid) / grid ** args.beta
-            c_density, mode = float(np.nanmax(ratios)) * 1.05 + 1e-12, "fitted"
-        return ns_bound(cx, quot, args.dim, args.beta, c_density, density,
-                        caps=caps, c_density_mode=mode)
+        return ns_bound(cx, quot, args.dim, args.beta, args.c_density, density,
+                        caps=caps)
     if args.regime == "sublog":
         return sublog_bound(cx, quot, args.dim, density, caps=caps)
     return betti_bound_general(cx, quot, args.dim, density, args.z, caps=caps)

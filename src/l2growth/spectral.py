@@ -331,6 +331,11 @@ def _log_t_plus_1(n: int, y):
     return t + 2.0 * np.log1p(np.exp(-t)) - math.log(2.0)
 
 
+def _tail(n: int, z: float) -> float:
+    """4 exp(-2 n sqrt(z)): the degree-n comparison polynomial's bound on [z, 1]."""
+    return 4.0 * math.exp(-2.0 * n * math.sqrt(z))
+
+
 class LuckPolynomial:
     """The degree-n comparison polynomial p(x) = (T_n(l(x)) + 1)/(T_n(l(0)) + 1).
 
@@ -385,7 +390,7 @@ class LuckPolynomial:
 
     def tail_bound(self) -> float:
         """p(z) <= 2/(T_n(l(0)) + 1) <= 4 exp(-2 n sqrt(z))."""
-        return 4.0 * math.exp(-2.0 * self.n * math.sqrt(self.z))
+        return _tail(self.n, self.z)
 
 
 def luck_polynomial(n: int, z) -> LuckPolynomial:
@@ -406,7 +411,7 @@ def j_bound(n: int, density: DensityEstimate, z: float) -> JBound:
     if not 0.0 < float(z) < 1.0:
         raise DegenerateZ(f"z={z} outside (0, 1)")
     mu_z = float(density.mu(z))
-    tail = 4.0 * math.exp(-2.0 * n * math.sqrt(float(z)))
+    tail = _tail(n, float(z))
     if n >= 1:
         p = LuckPolynomial(n, z)
         direct = density.integrate(p.value)
@@ -433,9 +438,10 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096,
 
     Minimizes the smallest eigenvalue of the evaluated symbol over a uniform
     character grid and subtracts a Lipschitz slack derived from the
-    coefficient l1 norms, so the returned level is a true lower bound for
-    the whole torus.  Raises ``SizeCapExceeded`` before allocating when the
-    grid arrays would exceed the byte budget of ``exact._DENSE_BYTES``.
+    coefficient l1 norms and a float64 rounding term, so the returned level
+    is a true lower bound for the whole torus.  Raises ``SizeCapExceeded``
+    before allocating when the grid arrays would exceed the byte budget of
+    ``exact._DENSE_BYTES``.
     """
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("gap certification requires a free abelian deck group")
@@ -460,7 +466,13 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096,
             s = sum(abs(c) * sum(abs(v) for v in g) for g, c in e.terms.items())
             sq_sum += float(s) ** 2
     lipschitz = 2 * math.pi * math.sqrt(sq_sum)
-    level = grid_min - lipschitz * 0.5 / per_dim
+    # float64 rounding as a backward error: eigvalsh returns the eigenvalues
+    # of a block within p(a) * eps * ||B||_2 of the block B it is given
+    # (LAPACK Users' Guide, 3rd ed., sec. 4.7, with p(a) = a and eps the
+    # float64 machine epsilon), ||B||_2 <= K, and forming B from its cosine
+    # sums is charged as much again.
+    rounding = 2 * a * math.ulp(1.0) * float(norm_bound(lap))
+    level = grid_min - lipschitz * 0.5 / per_dim - rounding
     return GapCertificate(certified_level=level, grid_minimum=grid_min,
                           lipschitz=lipschitz, grid_per_dim=per_dim)
 
@@ -506,22 +518,65 @@ class BoundReport:
         return parts
 
 
+_UNBOUNDED_DEGREE = 50
+"""Usable degree when the trace identity holds in every degree.
+
+That is the case for a scalar symbol (R = 0) and for a cover whose kernel
+has no nontrivial element (short = inf).  Any degree is then valid; a fixed
+one keeps the reported constants finite and reproducible.
+"""
+
+
 def _chain_degree(short: float, radius: int) -> int:
     """Largest integer strictly below short/radius (the usable degree)."""
-    if radius == 0:
-        return 50  # scalar symbol: the trace identity holds in every degree
-    ratio = short / radius
-    n = math.ceil(ratio) - 1
-    return max(n, 0)
+    if radius == 0 or math.isinf(short):
+        return _UNBOUNDED_DEGREE
+    return max(math.ceil(short / radius) - 1, 0)
 
 
-def _base_constants(cx, quot, q, caps):
+def _symbol_constants(cx: EquivariantChainComplex, q: int, caps: Caps):
+    """(a, K, R): cell count, norm bound and support radius of the q-Laplacian."""
     lap = laplacian(cx, q)
-    a = cx.cells[q]
-    k = float(norm_bound(lap))
-    r = support_radius(lap, caps)
+    return cx.cells[q], float(norm_bound(lap)), support_radius(lap, caps)
+
+
+def _constants(cx: EquivariantChainComplex, quot, q: int, caps: Caps) -> dict:
+    """The constants every bound report starts with, in report order."""
+    a, k, r = _symbol_constants(cx, q, caps)
     s = short_length(cx.group, quot.subgroup, caps=caps)
-    return lap, a, k, r, s
+    return {"a": a, "index": quot.order, "short": s, "R": r, "K": k}
+
+
+def _gap_rate(lambda0: float, k: float, r: int) -> float:
+    """M = (2/R) sqrt(lambda0/K): the decay rate in short under a spectral gap."""
+    return (2.0 / r) * math.sqrt(lambda0 / k) if r else math.inf
+
+
+def _check_density(density: DensityEstimate, limit: Callable, hi: float,
+                   window: float, label: str) -> None:
+    """Verify F <= limit on a log grid up to ``hi`` and at the window point."""
+    grid = np.sort(np.append(np.geomspace(max(1e-9, hi * 1e-7), hi, 200), window))
+    vals = np.asarray(density.F(grid), dtype=float)
+    lim = limit(grid)
+    bad = vals > lim  # non-strict domination is all the bound chain needs
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise HypothesisUnverified(
+            f"F({grid[i]:.6g}) = {vals[i]:.6g} is not below {label} = {lim[i]:.6g}")
+
+
+def _report(regime: str, cx: EquivariantChainComplex, quot, q: int, caps: Caps,
+            cover: Optional[CoverInstance], constants: dict, bound: float,
+            lam: Optional[float] = None) -> BoundReport:
+    """Compare a bound with the exact value on the cover (built when not given).
+
+    The exact value is b_q, or with ``lam`` the number of eigenvalues <= lam.
+    """
+    if cover is None:
+        cover = CoverInstance(cx, quot, caps)
+    b = cover.betti(q) if lam is None else cover.count_eigs_below(q, lam)
+    return BoundReport(regime=regime, constants=constants, bound=bound, betti=b,
+                       satisfied=b <= bound)
 
 
 def betti_bound_general(cx: EquivariantChainComplex, quot, q: int,
@@ -529,19 +584,14 @@ def betti_bound_general(cx: EquivariantChainComplex, quot, q: int,
                         caps: Caps = DEFAULT_CAPS,
                         cover: Optional[CoverInstance] = None) -> BoundReport:
     """Raw comparison-polynomial bound b_q <= a * index * J(n, mu) at window z."""
-    _lap, a, k, r, s = _base_constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps)
+    a, index, s, r, _k = c.values()
     n = _chain_degree(s, r)
     jb = j_bound(n, density, z)
-    bound = a * quot.order * jb.bound
-    if cover is None:
-        cover = CoverInstance(cx, quot, caps)
-    b = cover.betti(q)
-    return BoundReport(
-        regime="raw",
-        constants={"a": a, "index": quot.order, "short": s, "R": r, "K": k,
-                   "n": n, "z": float(z), "mu_z": jb.mu_z, "tail": jb.tail,
-                   "direct_integral": jb.direct_integral},
-        bound=bound, betti=b, satisfied=b <= bound)
+    return _report("raw", cx, quot, q, caps, cover,
+                   {**c, "n": n, "z": float(z), "mu_z": jb.mu_z, "tail": jb.tail,
+                    "direct_integral": jb.direct_integral},
+                   a * index * jb.bound)
 
 
 def gap_bound(cx: EquivariantChainComplex, quot, q: int, lambda0: float,
@@ -550,22 +600,13 @@ def gap_bound(cx: EquivariantChainComplex, quot, q: int, lambda0: float,
               caps: Caps = DEFAULT_CAPS,
               cover: Optional[CoverInstance] = None) -> BoundReport:
     """Exponential bound 4a * index * exp(-M short), M = (2/R) sqrt(lambda0/K)."""
-    _lap, a, k, r, s = _base_constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps)
+    a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
-    if r == 0:
-        m = math.inf
-        bound = 0.0
-    else:
-        m = (2.0 / r) * math.sqrt(lambda0 / k)
-        bound = 4.0 * a * quot.order * math.exp(-m * s)
-    if cover is None:
-        cover = CoverInstance(cx, quot, caps)
-    b = cover.betti(q)
-    return BoundReport(
-        regime="gap",
-        constants={"a": a, "index": quot.order, "short": s, "R": r, "K": k,
-                   "lambda0": lambda0, "M": m, "gap_mode": mode},
-        bound=bound, betti=b, satisfied=b <= bound)
+    m = _gap_rate(lambda0, k, r)
+    return _report("gap", cx, quot, q, caps, cover,
+                   {**c, "lambda0": lambda0, "M": m, "gap_mode": mode},
+                   4.0 * a * index * math.exp(-m * s))
 
 
 def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
@@ -580,7 +621,8 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
     there); larger lam still yields a finite comparison value, reported with
     ``lambda_below_gap`` False.
     """
-    _lap, a, k, r, s = _base_constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps)
+    _a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
     if lam >= k:
         raise LambdaAboveGap(f"lam={lam} is not below the spectral bound K={k}")
@@ -592,52 +634,36 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
     z = lambda0 / k
     p = LuckPolynomial(n, z)
     log_ratio = p.log_value(z) - p.log_value(lam / k)
-    bound = quot.order * float(np.exp(log_ratio))
-    if cover is None:
-        cover = CoverInstance(cx, quot, caps)
-    count = cover.count_eigs_below(q, lam)
-    return BoundReport(
-        regime="eig_count",
-        constants={"a": a, "index": quot.order, "short": s, "R": r, "K": k,
-                   "lambda": lam, "lambda0": lambda0, "n": n, "z": z,
-                   "gap_mode": mode, "lambda_below_gap": lam < lambda0},
-        bound=bound, betti=count, satisfied=count <= bound)
-
-
-def _verify_power_hypothesis(density: DensityEstimate, beta: float,
-                             c_density: float, cutoff: float,
-                             extra_points=()) -> None:
-    grid = np.geomspace(max(1e-9, cutoff * 1e-7), cutoff, 200)
-    if extra_points:
-        grid = np.sort(np.concatenate([grid, np.asarray(extra_points, dtype=float)]))
-    vals = np.asarray(density.F(grid), dtype=float)
-    limit = c_density * grid ** beta
-    bad = vals > limit  # non-strict domination is all the bound chain needs
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise HypothesisUnverified(
-            f"F({grid[i]:.6g}) = {vals[i]:.6g} is not below "
-            f"C*lambda^beta = {limit[i]:.6g}")
+    return _report("eig_count", cx, quot, q, caps, cover,
+                   {**c, "lambda": lam, "lambda0": lambda0, "n": n, "z": z,
+                    "gap_mode": mode, "lambda_below_gap": lam < lambda0},
+                   index * float(np.exp(log_ratio)), lam=lam)
 
 
 def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
-             c_density: float, density: DensityEstimate,
+             c_density: Optional[float], density: DensityEstimate,
              caps: Caps = DEFAULT_CAPS, cutoff: Optional[float] = None,
-             cover: Optional[CoverInstance] = None,
-             c_density_mode: str = "given") -> BoundReport:
+             cover: Optional[CoverInstance] = None) -> BoundReport:
     """Power-decay bound C1 * index * (log(short)/short)^(2 beta).
 
-    Requires the verified density hypothesis F(lambda) < C * lambda^beta on
-    a grid up to the cutoff; the constant C1 is assembled from the explicit
-    inequality chain, never fitted.  ``c_density_mode`` is reported as
-    ``C_density_mode``: "given" when C came from the caller, "fitted" when it
-    was fitted from the same density it is checked against.
+    Requires the verified density hypothesis F(lambda) <= C * lambda^beta on
+    a grid up to the cutoff (K by default) and at the window K*z; the
+    constant C1 is assembled from the explicit inequality chain, never
+    fitted.  With ``c_density=None`` the density constant C is fitted as
+    1.05 * max F(lambda)/lambda^beta over [1e-6 K, K] and reported as
+    ``C_density_mode=fitted``; that check is circular, since C comes from
+    the density it is checked against.  A given C is reported as ``given``.
     """
+    mode = "given"
+    if c_density is None:
+        grid = np.geomspace(density.K * 1e-6, density.K, 200)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = density.to_grid(grid) / grid ** beta
+        c_density, mode = float(np.nanmax(ratios)) * 1.05 + 1e-12, "fitted"
     if beta <= 0 or c_density <= 0:
         raise HypothesisUnverified("beta and C must be positive")
-    if c_density_mode not in ("given", "fitted"):
-        raise ValueError(f"c_density_mode must be 'given' or 'fitted', not {c_density_mode!r}")
-    _lap, a, k, r, s = _base_constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps)
+    a, index, s, r, k = c.values()
     n = _chain_degree(s, r)
     if n / beta <= 1.0:
         raise ShortTooSmall(
@@ -649,24 +675,15 @@ def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
     if kz > cut:
         raise HypothesisUnverified(
             f"window K*z = {kz:.6g} lies beyond the verified cutoff {cut:.6g}")
-    _verify_power_hypothesis(density, beta, c_density, cut, extra_points=[kz])
+    _check_density(density, lambda g: c_density * g ** beta, cut, kz, "C*lambda^beta")
     c_mu = c_density * (k ** beta) / a
-    j_val = c_mu * z ** beta + 4.0 * math.exp(-2.0 * n * math.sqrt(z))
-    bound = a * quot.order * j_val
-    if s <= 1:
-        c1 = math.inf
-    else:
-        c1 = a * j_val / ((math.log(s) / s) ** (2 * beta))
-    if cover is None:
-        cover = CoverInstance(cx, quot, caps)
-    b = cover.betti(q)
-    return BoundReport(
-        regime="ns",
-        constants={"a": a, "index": quot.order, "short": s, "R": r, "K": k,
-                   "beta": beta, "C_density": c_density,
-                   "C_density_mode": c_density_mode, "n": n, "z": z,
-                   "C1": c1},
-        bound=bound, betti=b, satisfied=b <= bound)
+    j_val = c_mu * z ** beta + _tail(n, z)
+    # C1 * (log(short)/short)^(2 beta) = a * J; that factor is 0 at short = inf
+    c1 = a * j_val / ((math.log(s) / s) ** (2 * beta)) if 1 < s < math.inf else math.inf
+    return _report("ns", cx, quot, q, caps, cover,
+                   {**c, "beta": beta, "C_density": c_density,
+                    "C_density_mode": mode, "n": n, "z": z, "C1": c1},
+                   a * index * j_val)
 
 
 def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
@@ -679,7 +696,8 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
     mass at zero; for abelian groups the latter is certified by a nonzero
     symbol determinant.
     """
-    _lap, a, k, r, s = _base_constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps)
+    a, index, s, r, k = c.values()
     if s < 3:
         raise ShortTooSmall(f"short={s} must be at least 3")
     n = _chain_degree(s, r)
@@ -697,31 +715,13 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
     if kz >= 1.0:
         raise ShortTooSmall(f"window K*z = {kz:.6g} is not below 1")
     log_k = math.log(k)
-    # verify F(lambda) < a log(K)/(-log lambda) on a grid through K*z
-    hi = min(0.9, max(0.5, 1.05 * kz))
-    grid = np.geomspace(max(1e-9, hi * 1e-7), hi, 200)
-    grid = np.sort(np.append(grid, kz))
-    vals = np.asarray(density.F(grid), dtype=float)
-    limit = a * log_k / (-np.log(grid))
-    bad = vals > limit
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise HypothesisUnverified(
-            f"F({grid[i]:.6g}) = {vals[i]:.6g} is not below a*log(K)/(-log lambda)"
-            f" = {limit[i]:.6g}")
-    mu_z_bound = log_k / (-math.log(kz))
-    tail = 4.0 * math.exp(-2.0 * n * math.sqrt(z))
-    j_val = mu_z_bound + tail
-    bound = a * quot.order * j_val
-    if cover is None:
-        cover = CoverInstance(cx, quot, caps)
-    b = cover.betti(q)
-    return BoundReport(
-        regime="sublog",
-        constants={"a": a, "index": quot.order, "short": s, "R": r, "K": k,
-                   "n": n, "z": z, "C_prime": j_val * math.log(n),
-                   "C": a * j_val * math.log(s)},
-        bound=bound, betti=b, satisfied=b <= bound)
+    _check_density(density, lambda g: a * log_k / (-np.log(g)),
+                   min(0.9, max(0.5, 1.05 * kz)), kz, "a*log(K)/(-log lambda)")
+    j_val = log_k / (-math.log(kz)) + _tail(n, z)
+    return _report("sublog", cx, quot, q, caps, cover,
+                   {**c, "n": n, "z": z, "C_prime": j_val * math.log(n),
+                    "C": a * j_val * math.log(s)},
+                   a * index * j_val)
 
 
 # ---------------------------------------------------------------------------
@@ -820,21 +820,16 @@ def uniform_gap_exponent(group, family: Sequence, lambda0: float,
             "family does not track logarithmic growth")
     d_fit = min(ratios)
     mode = _verify_gap(lambda0, density, certificate)
-    lap = laplacian(cx, q)
-    a = cx.cells[q]
-    k = float(norm_bound(lap))
-    r = support_radius(lap, caps)
-    m_const = (2.0 / r) * math.sqrt(lambda0 / k) if r else math.inf
+    a, k, r = _symbol_constants(cx, q, caps)
+    m_const = _gap_rate(lambda0, k, r)
     exponent = 1.0 - m_const * d_fit
     c_fit = 4.0 * a
     report = UniformGapReport(exponent=exponent, d_fit=d_fit, c_fit=c_fit,
                               m_const=m_const, spread=spread, members=[])
     for sub, quot, s in data:
-        cover = CoverInstance(cx, quot, caps)
-        b = cover.betti(q)
-        bound = c_fit * quot.order ** exponent
+        rep = _report("gap", cx, quot, q, caps, None, {}, c_fit * quot.order ** exponent)
         report.members.append({
-            "index": quot.order, "short": s, "betti": b,
-            "bound": bound, "satisfied": b <= bound, "gap_mode": mode,
+            "index": quot.order, "short": s, "betti": rep.betti,
+            "bound": rep.bound, "satisfied": rep.satisfied, "gap_mode": mode,
         })
     return report

@@ -290,6 +290,14 @@ def test_certify_gap(gap_complex, circle):
     assert cert_c.certified_level <= 0.0
 
 
+def test_certify_gap_charges_float_rounding(gap_complex, torus2):
+    # below the Lipschitz level by at least a * eps * K: a = 1, K = 9 and a = 2, K = 8
+    for cx, q, a, k in ((gap_complex, 1, 1, 9.0), (torus2, 1, 2, 8.0)):
+        cert = certify_gap(cx, q, grid_per_dim=4096)
+        lipschitz_level = cert.grid_minimum - cert.lipschitz * 0.5 / cert.grid_per_dim
+        assert lipschitz_level - cert.certified_level >= a * math.ulp(1.0) * k
+
+
 def test_eig_count_bound(gap_complex):
     dg = cosine_density_closed_form(5, 2)
     rep = eig_count_bound(gap_complex, cyclic_quotient(12), 1, 2.0, 1.0, density=dg)
