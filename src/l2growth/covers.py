@@ -6,8 +6,9 @@ homomorphism, so instantiated boundaries still compose to zero and the
 instantiated Laplacian is the Laplacian of the cover.
 
 Betti numbers come from certified rational ranks of the integer boundary
-matrices; floating eigensolvers serve spectral statistics only, and the
-near-zero eigenvalue count is cross-validated against the exact nullity.
+matrices; floating eigensolvers serve spectral statistics only, run on each
+connected component of the Laplacian, and the near-zero eigenvalue count is
+cross-validated against the exact nullity.
 """
 
 from __future__ import annotations
@@ -65,12 +66,15 @@ class CoverInstance:
         quot = self.quotient
         rows, cols, vals = [], [], []
         base = np.arange(n, dtype=np.intp)
+        perms = {}  # one permutation per distinct element of the matrix
         for i in range(m.nrows):
             for j in range(m.ncols):
                 for el, coeff in m.entries[i][j].terms.items():
                     if coeff != int(coeff):
                         raise ValueError("cover instantiation requires integer coefficients")
-                    perm = quot.right_mult_indices(el)
+                    if el not in perms:
+                        perms[el] = quot.right_mult_indices(el)
+                    perm = perms[el]
                     rows.append(i * n + base)
                     cols.append(j * n + perm)
                     vals.append(np.full(n, int(coeff), dtype=np.int64))
@@ -126,18 +130,18 @@ class CoverInstance:
     def eigenvalues(self, q: int) -> np.ndarray:
         """All eigenvalues of the instantiated Laplacian, ascending.
 
-        The count of near-zero eigenvalues is cross-validated against the
-        exact Betti number; a mismatch raises instead of being accepted.
+        The ``eig`` cap bounds the whole Laplacian; the solver runs per
+        connected component.  The count of near-zero eigenvalues is checked
+        against the exact Betti number; a mismatch raises.
         """
         if q not in self._eigs:
             lap = self.laplacian(q)
             if lap.shape[0] > self.caps.eig:
                 raise SizeCapExceeded(
                     f"matrix size {lap.shape[0]} exceeds eigensolver cap {self.caps.eig}")
-            if lap.shape[0] == 0:
-                eigs = np.zeros(0)
-            else:
-                eigs = np.sort(np.linalg.eigvalsh(lap.toarray().astype(float)))
+            labels = _components(lap)
+            eigs = np.sort(_block_eigenvalues(lap, labels) if labels.any()
+                           else np.linalg.eigvalsh(lap.toarray().astype(float)))
             near_zero = int(np.count_nonzero(np.abs(eigs) < _ZERO_TOL))
             if near_zero != self.betti(q):
                 raise CrossCheckMismatch(
@@ -157,6 +161,47 @@ class CoverInstance:
         traces = _power_traces(lap, poly.degree)
         total = sum(Fraction(c) * traces[k] for k, c in enumerate(poly.coeffs))
         return Fraction(total, self.order)
+
+
+def _components(m: sp.csr_matrix):
+    """Connected-component label (0, 1, ...) of each row of a symmetric matrix."""
+    indptr, indices = m.indptr.tolist(), m.indices.tolist()
+    labels = [-1] * m.shape[0]
+    count = 0
+    for root in range(m.shape[0]):
+        if labels[root] < 0:
+            labels[root], stack = count, [root]
+            while stack:
+                v = stack.pop()
+                for w in indices[indptr[v]:indptr[v + 1]]:
+                    if labels[w] < 0:
+                        labels[w] = count
+                        stack.append(w)
+            count += 1
+    return np.array(labels, dtype=np.intp)
+
+
+def _block_eigenvalues(m: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, one connected component at a time.
+
+    Ordering the rows by component is a permutation similarity to a block
+    diagonal matrix.  Blocks of one size go to the eigensolver as one stack.
+    """
+    sizes = np.bincount(labels)
+    pos = np.empty_like(labels)  # position of each row inside its component
+    pos[np.argsort(labels, kind="stable")] = (
+        np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+    coo = m.tocoo()
+    comp = labels[coo.row]
+    parts = []
+    for size in np.unique(sizes):
+        slot = np.cumsum(sizes == size) - 1  # index among the blocks of this size
+        keep = sizes[comp] == size
+        stack = np.zeros((slot[-1] + 1, size, size))
+        np.add.at(stack, (slot[comp[keep]], pos[coo.row[keep]], pos[coo.col[keep]]),
+                  coo.data[keep])
+        parts.append(np.linalg.eigvalsh(stack).ravel())
+    return np.concatenate(parts)
 
 
 def _power_traces(m: sp.csr_matrix, deg: int):

@@ -8,7 +8,8 @@ Two kinds of group are supported:
   generators.  Elements are (immutable) integer matrices; the representation
   is faithful, so identity testing is exact.  The supported finite-index
   subgroups are congruence subgroups (kernels of entrywise reduction mod m),
-  which are automatically normal.
+  which are automatically normal.  Their quotients are built and acted on as
+  numpy tables of integer-coded matrices mod m.
 
 All constants produced downstream (shortest subgroup elements, ball volumes,
 support radii) depend on these pinned generating sets.
@@ -24,7 +25,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import NotFiniteIndex, OrderCapExceeded, SearchCapExceeded
+from .errors import (NotFiniteIndex, OrderCapExceeded, SearchCapExceeded,
+                     SizeCapExceeded)
 from . import exact
 
 Element = Tuple  # integer tuple (abelian) or tuple of integer tuples (matrix)
@@ -245,8 +247,8 @@ class FiniteQuotient:
     """A concretely realized finite quotient Gamma/Gamma'.
 
     Provides element enumeration (identity first), multiplication, images of
-    parent elements, and the permutation of right multiplication, which is
-    what cover instantiation needs.
+    parent elements, and what cover instantiation needs: the permutation
+    ``right_mult_indices(g)[i]`` = index of ``elements[i] * image(g)``.
     """
 
     group = None
@@ -272,12 +274,6 @@ class FiniteQuotient:
 
     def generator_images(self) -> List:
         raise NotImplementedError
-
-    def right_mult_indices(self, parent_element) -> np.ndarray:
-        """perm[i] = index of elements[i] * image(parent_element)."""
-        g = self.image(parent_element)
-        return np.array([self._index[self.mul(el, g)] for el in self.elements],
-                        dtype=np.intp)
 
     def diameter(self) -> int:
         """Diameter of the Cayley graph under the symmetric generator images."""
@@ -317,29 +313,6 @@ class FiniteQuotient:
                 raise RuntimeError("element order exceeds group order; broken quotient")
         return k
 
-    def check_group_axioms(self) -> bool:
-        """Full associativity/inverse check; intended for small orders only."""
-        els = self.elements
-        index = self._index
-        for a in els:
-            if not any(self.mul(a, b) == self.identity for b in els):
-                return False
-        for a in els:
-            row = set()
-            for b in els:
-                ab = self.mul(a, b)
-                if ab not in index:
-                    return False
-                row.add(ab)
-            if len(row) != self.order:
-                return False
-        for a in els[: min(len(els), 20)]:
-            for b in els[: min(len(els), 20)]:
-                for c in els[: min(len(els), 20)]:
-                    if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                        return False
-        return True
-
 
 class AbelianQuotient(FiniteQuotient):
     """Z^n / (column span), realized through Smith normal form coordinates."""
@@ -353,9 +326,7 @@ class AbelianQuotient(FiniteQuotient):
         u, diag, _ = subgroup.snf()
         self.moduli = tuple(abs(d) for d in diag)
         self.u = [list(row) for row in u]
-        self.order = 1
-        for d in self.moduli:
-            self.order *= d
+        self.order = math.prod(self.moduli)
         if self.order > caps.order:
             raise OrderCapExceeded(
                 f"quotient order {self.order} exceeds cap {caps.order}")
@@ -367,6 +338,7 @@ class AbelianQuotient(FiniteQuotient):
         els = [tuple(t) for t in itertools.product(*[range(m) for m in self.moduli])]
         self.elements = els
         self._index = {el: i for i, el in enumerate(els)}
+        self._coords = np.indices(self.moduli).reshape(len(self.moduli), -1)  # els as columns
 
     def image(self, v: Sequence[int]) -> Tuple[int, ...]:
         return tuple(
@@ -380,13 +352,14 @@ class AbelianQuotient(FiniteQuotient):
     def inv(self, a):
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
+    def right_mult_indices(self, parent_element) -> np.ndarray:
+        # mixed radix, last coordinate fastest: the order of itertools.product
+        g = np.array(self.image(parent_element), dtype=np.intp)[:, None]
+        return np.ravel_multi_index(self._coords + g, self.moduli, mode="wrap")
+
     def generator_images(self) -> List:
-        out = []
-        for k in range(self.group.rank):
-            e = [0] * self.group.rank
-            e[k] = 1
-            out.append(self.image(tuple(e)))
-        return out
+        n = self.group.rank
+        return [self.image(tuple(int(i == k) for i in range(n))) for k in range(n)]
 
     def order_of(self, el) -> int:
         k = 1
@@ -397,54 +370,60 @@ class AbelianQuotient(FiniteQuotient):
 
 
 class CongruenceQuotient(FiniteQuotient):
-    """Image of an integral matrix group under entrywise reduction mod m."""
+    """Image of an integral matrix group under entrywise reduction mod m.
+
+    An element of GL_k(Z/m) is coded as the int64 ``sum a_ij m^(ik+j)``; the
+    quotient keeps its matrices in BFS order (``_mats``) and their sorted
+    codes (``_sorted``) with each one's element index (``_sorted_index``).
+    """
 
     def __init__(self, group: IntegralMatrixGroup, subgroup: CongruenceSubgroup,
                  caps: Caps = DEFAULT_CAPS):
-        self.group = group
-        self.subgroup = subgroup
-        m = subgroup.level
-        self.level = m
-        gens = [subgroup.reduce(g) for g in group.symmetric_generators()]
-        identity = subgroup.reduce(group.identity)
-        elements = [identity]
-        index = {identity: 0}
-        frontier = [identity]
-        # the Cayley graph is vertex-transitive, so the depth of this BFS from
-        # the identity is its diameter
+        self.group, self.subgroup = group, subgroup
+        self.level = m = subgroup.level
+        k = group.dimension
+        # int64 codes, and exact int64 products (below m^2 when k = 1)
+        if m ** max(k * k, 2) >= 2 ** 63:
+            raise SizeCapExceeded(
+                f"codes of {k}x{k} matrices mod {m} need m^(k^2) = {m}^{k * k} >= 2^63")
+        self._place = m ** np.arange(k * k, dtype=np.int64).reshape(k, k)
+        gens = np.array([subgroup.reduce(g) for g in group.symmetric_generators()],
+                        dtype=np.int64)
+        frontier = np.eye(k, dtype=np.int64)[None]
+        mats = [frontier]
+        seen = self._codes(frontier)  # sorted
+        # BFS a frontier at a time; products come frontier-major, generator-minor
+        # and new elements keep their first position, as element by element.
+        # The Cayley graph is vertex-transitive: the BFS depth is its diameter.
         depth = -1
-        while frontier:
+        while len(frontier):
             depth += 1
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    w = self._matmul_mod(el, g)
-                    if w not in index:
-                        index[w] = len(elements)
-                        elements.append(w)
-                        if len(elements) > caps.order:
-                            raise OrderCapExceeded(
-                                f"congruence quotient exceeds order cap {caps.order}")
-                        nxt.append(w)
-            frontier = nxt
-        self.elements = elements
-        self._index = index
-        self.order = len(elements)
+            prods = (frontier[:, None] @ gens[None] % m).reshape(-1, k, k)
+            codes, first = np.unique(self._codes(prods), return_index=True)
+            pos = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
+            new = seen[pos] != codes
+            if len(seen) + np.count_nonzero(new) > caps.order:
+                raise OrderCapExceeded(
+                    f"congruence quotient exceeds order cap {caps.order}")
+            frontier = prods[np.sort(first[new])]
+            mats.append(frontier)
+            seen = np.union1d(seen, codes[new])
+        self._mats = np.concatenate(mats)
+        self.order = len(self._mats)
+        self._sorted_index = np.argsort(self._codes(self._mats))
+        self._sorted = seen
+        self.elements = [tuple(map(tuple, a)) for a in self._mats.tolist()]
+        self._index = {el: i for i, el in enumerate(self.elements)}
         self._diameter = depth
 
-    def _matmul_mod(self, a, b):
-        m = self.level
-        n = len(a)
-        return tuple(
-            tuple(sum(a[i][t] * b[t][j] for t in range(n)) % m for j in range(n))
-            for i in range(n)
-        )
+    def _codes(self, mats: np.ndarray) -> np.ndarray:
+        return (mats * self._place).sum(axis=(-2, -1))
 
     def image(self, mat: Element) -> Element:
         return self.subgroup.reduce(mat)
 
     def mul(self, a, b):
-        return self._matmul_mod(a, b)
+        return self.subgroup.reduce(_matmul(a, b))
 
     def inv(self, a):
         # a^-1 = det(a)^-1 * adj(a), and det(a) = +-1 is its own inverse mod m
@@ -458,6 +437,14 @@ class CongruenceQuotient(FiniteQuotient):
 
         # adj(a)[i][j] is the (j, i) cofactor
         return tuple(tuple(det * cofactor(j, i) % m for j in range(n)) for i in range(n))
+
+    def right_mult_indices(self, parent_element) -> np.ndarray:
+        g = np.array(self.image(parent_element), dtype=np.int64)
+        codes = self._codes(self._mats @ g % self.level)
+        pos = np.minimum(np.searchsorted(self._sorted, codes), self.order - 1)
+        if np.any(self._sorted[pos] != codes):
+            raise KeyError(f"{parent_element!r} does not act on the quotient")
+        return self._sorted_index[pos]
 
     def generator_images(self) -> List:
         return [self.subgroup.reduce(g) for g in self.group.generators]
@@ -564,10 +551,7 @@ def ball_volume(group, r: int, caps: Caps = DEFAULT_CAPS) -> int:
     if isinstance(group, FreeAbelian):
         n = group.rank
         return sum((2 ** k) * comb(n, k) * comb(r, k) for k in range(0, min(n, r) + 1))
-    count = 0
-    for _el, _dist in group.iter_ball(r, caps.bfs_visited):
-        count += 1
-    return count
+    return sum(1 for _ in group.iter_ball(r, caps.bfs_visited))
 
 
 def quotient(group, sub, caps: Caps = DEFAULT_CAPS) -> FiniteQuotient:

@@ -315,11 +315,3 @@ SUITES = {
     "stripes": suite_stripes,
     "bounds": suite_bounds,
 }
-
-
-def run_suites(names, seed: int = DEFAULT_SEED,
-               caps: Caps = DEFAULT_CAPS) -> List[SuiteResult]:
-    out = []
-    for name in names:
-        out.append(SUITES[name](seed=seed, caps=caps))
-    return out

@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from l2growth import (CongruenceSubgroup, CoverInstance, GroupRingElement,
-                      LatticeSubgroup, betti, instantiate, quotient,
-                      two_cell_complex, verify_trace_equality)
+from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
+                      GroupRingElement, GroupRingMatrix, LatticeSubgroup, betti,
+                      instantiate, quotient, two_cell_complex, verify_trace_equality)
 from l2growth.caps import Caps
+from l2growth.covers import _components
 from l2growth.errors import SizeCapExceeded
 from l2growth.polynomials import Poly
 from conftest import cyclic_quotient, diag_quotient
@@ -173,3 +174,46 @@ def test_betti_equals_nullity_and_eigcount(z_two):
             assert b == null
             eigs = cover.eigenvalues(q)
             assert int(np.count_nonzero(np.abs(eigs) < 1e-7)) == b
+
+
+def _matrix_group_complexes(group):
+    """The presentation complex of <g1, g2> and the gap complex 2 - g1."""
+    g1, g2 = group.generators
+    e = group.identity
+    el = lambda terms: GroupRingElement(group, terms)  # noqa: E731
+    presentation = EquivariantChainComplex(group, [1, 2], {1: GroupRingMatrix(
+        group, [[el({g1: 1, e: -1}), el({g2: 1, e: -1})]], shape=(1, 2))})
+    gap = two_cell_complex(group, el({e: 2, g1: -1}))
+    return presentation, gap
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_component_eigenvalues_match_dense(sanov_group, m):
+    quot = quotient(sanov_group, CongruenceSubgroup(m))
+    presentation, gap = _matrix_group_complexes(sanov_group)
+    for cx in (presentation, gap):
+        cover = instantiate(cx, quot)
+        for q in range(2):
+            lap = cover.laplacian(q)
+            dense = np.linalg.eigvalsh(lap.toarray().astype(float))
+            assert np.allclose(cover.eigenvalues(q), dense)
+    # 2 - g1 only involves g1: one component per coset of <g1>
+    assert _components(instantiate(gap, quot).laplacian(1)).max() + 1 == quot.order // m
+
+
+def test_component_eigenvalues_zero_complex(zero_complex):
+    cover = instantiate(zero_complex, cyclic_quotient(7))
+    lap = cover.laplacian(1)
+    assert _components(lap).tolist() == list(range(7))
+    assert np.allclose(cover.eigenvalues(1), np.linalg.eigvalsh(lap.toarray().astype(float)))
+
+
+def test_instantiation_one_permutation_per_element(sanov_group, monkeypatch):
+    quot = quotient(sanov_group, CongruenceSubgroup(5))
+    presentation, _ = _matrix_group_complexes(sanov_group)
+    calls = []
+    act = quot.right_mult_indices
+    monkeypatch.setattr(quot, "right_mult_indices", lambda g: calls.append(g) or act(g))
+    instantiate(presentation, quot)
+    # d1 = [g1 - e, g2 - e]: e occurs twice but is acted out once
+    assert len(calls) == 3

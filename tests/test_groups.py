@@ -6,7 +6,8 @@ import pytest
 from l2growth import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
                       LatticeSubgroup, ball_volume, element_order, quotient,
                       quotient_diameter, short_length, uniformity_check)
-from l2growth.errors import NotFiniteIndex, SearchCapExceeded
+from l2growth.errors import (NotFiniteIndex, OrderCapExceeded, SearchCapExceeded,
+                             SizeCapExceeded)
 from l2growth.caps import Caps
 from l2growth.groups import FiniteQuotient
 
@@ -15,6 +16,99 @@ SL2Z = IntegralMatrixGroup(2, [[[0, -1], [1, 0]], [[1, 1], [0, 1]]])  # S, T: ha
 
 def sanov(k):
     return IntegralMatrixGroup(2, [[[1, k], [0, 1]], [[1, 0], [k, 1]]])
+
+
+def elementary3():
+    """SL(3, Z), generated by the elementary matrices E12, E23 and E31."""
+    gens = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        e = [[int(r == c) for c in range(3)] for r in range(3)]
+        e[i][j] = 1
+        gens.append(e)
+    return IntegralMatrixGroup(3, gens)
+
+
+def _matmul_mod(a, b, m):
+    n = len(a)
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(n)) % m for j in range(n))
+                 for i in range(n))
+
+
+def tuple_congruence_bfs(group, m):
+    """Reference: the element-by-element BFS over matrix tuples.
+
+    Returns (elements in discovery order, element -> index, BFS depth).
+    """
+    sub = CongruenceSubgroup(m)
+    gens = [sub.reduce(g) for g in group.symmetric_generators()]
+    identity = sub.reduce(group.identity)
+    elements, index = [identity], {identity: 0}
+    frontier, depth = [identity], -1
+    while frontier:
+        depth += 1
+        nxt = []
+        for el in frontier:
+            for g in gens:
+                w = _matmul_mod(el, g, m)
+                if w not in index:
+                    index[w] = len(elements)
+                    elements.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    return elements, index, depth
+
+
+def tuple_right_mult_indices(q, parent_element):
+    """Reference: perm[i] = index of elements[i] * image(g), one tuple product each."""
+    g = q.image(parent_element)
+    return [q.index_of(q.mul(el, g)) for el in q.elements]
+
+
+CONGRUENCE_CASES = (
+    [(f"sanov{k}", sanov(k), m) for k in (1, 2, 3) for m in (3, 5, 7, 11, 13)]
+    + [("SL2Z", SL2Z, m) for m in (3, 4, 5, 7)]
+    + [("rotation", IntegralMatrixGroup(2, [[[0, -1], [1, 0]]]), 5),
+       ("elementary3", elementary3(), 3)])
+
+
+@pytest.mark.parametrize("name, group, m", CONGRUENCE_CASES,
+                         ids=[f"{c[0]}-mod{c[2]}" for c in CONGRUENCE_CASES])
+def test_congruence_quotient_matches_tuple_bfs(name, group, m):
+    q = quotient(group, CongruenceSubgroup(m))
+    elements, index, depth = tuple_congruence_bfs(group, m)
+    assert q.elements == elements
+    assert q.order == len(elements)
+    assert all(q.index_of(el) == i for el, i in index.items())
+    assert q.diameter() == depth
+    gens = group.symmetric_generators()
+    # a longer word, with entries far outside [0, m)
+    word = group.identity
+    for g in gens + gens[:2]:
+        word = group.mul(word, g)
+    for g in gens + [word, group.identity]:
+        perm = q.right_mult_indices(g)
+        assert perm.tolist() == [index[_matmul_mod(el, q.image(g), m)] for el in elements]
+
+
+def test_congruence_code_size_refused():
+    # 128^9 = 2^63 integer codes do not fit int64; 127^9 do
+    group = elementary3()
+    with pytest.raises(SizeCapExceeded):
+        quotient(group, CongruenceSubgroup(128))
+    with pytest.raises(OrderCapExceeded):
+        quotient(group, CongruenceSubgroup(127), Caps(order=50))
+    # 1x1 matrices: the products (m-1)^2 must fit as well
+    sign = IntegralMatrixGroup(1, [[[-1]]])
+    assert quotient(sign, CongruenceSubgroup(2 ** 31)).elements == [((1,),), ((2 ** 31 - 1,),)]
+    with pytest.raises(SizeCapExceeded):
+        quotient(sign, CongruenceSubgroup(2 ** 32))
+
+
+@pytest.mark.parametrize("mat", [[[8, 3], [0, 25]], [[20, 7], [0, 30]], [[3, 1], [1, 4]]])
+def test_abelian_right_mult_matches_tuples(z_two, mat):
+    q = quotient(z_two, LatticeSubgroup(mat))
+    for g in [(1, 0), (0, 1), (-1, 0), (0, -1), (-3, 7), (0, 0), (41, -29)]:
+        assert q.right_mult_indices(g).tolist() == tuple_right_mult_indices(q, g)
 
 
 def short_length_full_ball(group, sub, l_max=None, caps=Caps()):
@@ -171,9 +265,24 @@ def test_congruence_quotient_orders(sanov_group):
     assert quotient(sanov_group, CongruenceSubgroup(2)).order == 1
 
 
+def check_group_axioms(q) -> bool:
+    """Inverses, Latin-square rows and associativity on the first 20 elements."""
+    els = q.elements
+    for a in els:
+        if not any(q.mul(a, b) == q.identity for b in els):
+            return False
+    for a in els:
+        row = {q.mul(a, b) for b in els}
+        if len(row) != q.order or not all(ab in q._index for ab in row):
+            return False
+    head = els[:20]
+    return all(q.mul(q.mul(a, b), c) == q.mul(a, q.mul(b, c))
+               for a in head for b in head for c in head)
+
+
 def test_group_axioms_on_quotients(z_two, sanov_group):
-    assert quotient(z_two, LatticeSubgroup([[3, 1], [1, 4]])).check_group_axioms()
-    assert quotient(sanov_group, CongruenceSubgroup(3)).check_group_axioms()
+    assert check_group_axioms(quotient(z_two, LatticeSubgroup([[3, 1], [1, 4]])))
+    assert check_group_axioms(quotient(sanov_group, CongruenceSubgroup(3)))
 
 
 def test_element_order_examples(z_two):
