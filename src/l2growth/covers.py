@@ -66,17 +66,15 @@ class CoverInstance:
         quot = self.quotient
         rows, cols, vals = [], [], []
         base = np.arange(n, dtype=np.intp)
-        perms = {}  # one permutation per distinct element of the matrix
+        distinct = {el for row in m.entries for entry in row for el in entry.terms}
+        perms = {el: quot.right_mult_indices(el) for el in distinct}  # one per element
         for i in range(m.nrows):
             for j in range(m.ncols):
                 for el, coeff in m.entries[i][j].terms.items():
                     if coeff != int(coeff):
                         raise ValueError("cover instantiation requires integer coefficients")
-                    if el not in perms:
-                        perms[el] = quot.right_mult_indices(el)
-                    perm = perms[el]
                     rows.append(i * n + base)
-                    cols.append(j * n + perm)
+                    cols.append(j * n + perms[el])
                     vals.append(np.full(n, int(coeff), dtype=np.int64))
         shape = (m.nrows * n, m.ncols * n)
         if not rows:
@@ -130,18 +128,15 @@ class CoverInstance:
     def eigenvalues(self, q: int) -> np.ndarray:
         """All eigenvalues of the instantiated Laplacian, ascending.
 
-        The ``eig`` cap bounds the whole Laplacian; the solver runs per
-        connected component.  The count of near-zero eigenvalues is checked
-        against the exact Betti number; a mismatch raises.
+        The ``eig`` cap bounds the whole Laplacian; the solver runs per connected component.
+        The count of near-zero eigenvalues must equal the exact Betti number, or it raises.
         """
         if q not in self._eigs:
             lap = self.laplacian(q)
             if lap.shape[0] > self.caps.eig:
                 raise SizeCapExceeded(
                     f"matrix size {lap.shape[0]} exceeds eigensolver cap {self.caps.eig}")
-            labels = _components(lap)
-            eigs = np.sort(_block_eigenvalues(lap, labels) if labels.any()
-                           else np.linalg.eigvalsh(lap.toarray().astype(float)))
+            eigs = np.sort(_block_eigenvalues(lap, _components(lap)))
             near_zero = int(np.count_nonzero(np.abs(eigs) < _ZERO_TOL))
             if near_zero != self.betti(q):
                 raise CrossCheckMismatch(
@@ -166,19 +161,17 @@ class CoverInstance:
 def _components(m: sp.csr_matrix):
     """Connected-component label (0, 1, ...) of each row of a symmetric matrix."""
     indptr, indices = m.indptr.tolist(), m.indices.tolist()
-    labels = [-1] * m.shape[0]
-    count = 0
+    root_of = [-1] * m.shape[0]  # the least row of each component
     for root in range(m.shape[0]):
-        if labels[root] < 0:
-            labels[root], stack = count, [root]
+        if root_of[root] < 0:
+            root_of[root], stack = root, [root]
             while stack:
                 v = stack.pop()
                 for w in indices[indptr[v]:indptr[v + 1]]:
-                    if labels[w] < 0:
-                        labels[w] = count
+                    if root_of[w] < 0:
+                        root_of[w] = root
                         stack.append(w)
-            count += 1
-    return np.array(labels, dtype=np.intp)
+    return np.unique(np.array(root_of, dtype=np.intp), return_inverse=True)[1]
 
 
 def _block_eigenvalues(m: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
@@ -193,14 +186,13 @@ def _block_eigenvalues(m: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
         np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes))
     coo = m.tocoo()
     comp = labels[coo.row]
-    parts = []
+    parts = [np.zeros(0)]
     for size in np.unique(sizes):
         slot = np.cumsum(sizes == size) - 1  # index among the blocks of this size
         keep = sizes[comp] == size
-        stack = np.zeros((slot[-1] + 1, size, size))
-        np.add.at(stack, (slot[comp[keep]], pos[coo.row[keep]], pos[coo.col[keep]]),
-                  coo.data[keep])
-        parts.append(np.linalg.eigvalsh(stack).ravel())
+        flat = (slot[comp[keep]] * size + pos[coo.row[keep]]) * size + pos[coo.col[keep]]
+        stack = np.bincount(flat, coo.data[keep], (slot[-1] + 1) * size * size)
+        parts.append(np.linalg.eigvalsh(stack.reshape(-1, size, size)).ravel())
     return np.concatenate(parts)
 
 

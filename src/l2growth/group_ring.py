@@ -90,6 +90,10 @@ class GroupRingElement:
     def l1_norm(self) -> Coefficient:
         return sum(abs(c) for c in self.terms.values())
 
+    def augmentation(self) -> Coefficient:
+        """Sum of coefficients (evaluation at the trivial character)."""
+        return sum(self.terms.values())
+
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupRingElement) and self.terms == other.terms
 
@@ -235,6 +239,9 @@ class EquivariantChainComplex:
     @property
     def top_dim(self) -> int:
         return len(self.cells) - 1
+
+    def cell_count(self, q: int) -> int:
+        return self.cells[q] if 0 <= q <= self.top_dim else 0
 
     def boundary(self, q: int) -> Optional[GroupRingMatrix]:
         return self.boundaries.get(q)

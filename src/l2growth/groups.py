@@ -25,8 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (NotFiniteIndex, OrderCapExceeded, SearchCapExceeded,
-                     SizeCapExceeded)
+from .errors import NotFiniteIndex, OrderCapExceeded, SearchCapExceeded, SizeCapExceeded
 from . import exact
 
 Element = Tuple  # integer tuple (abelian) or tuple of integer tuples (matrix)
@@ -326,7 +325,9 @@ class AbelianQuotient(FiniteQuotient):
         u, diag, _ = subgroup.snf()
         self.moduli = tuple(abs(d) for d in diag)
         self.u = [list(row) for row in u]
-        self.order = math.prod(self.moduli)
+        self.order = 1
+        for d in self.moduli:
+            self.order *= d
         if self.order > caps.order:
             raise OrderCapExceeded(
                 f"quotient order {self.order} exceeds cap {caps.order}")
@@ -358,8 +359,12 @@ class AbelianQuotient(FiniteQuotient):
         return np.ravel_multi_index(self._coords + g, self.moduli, mode="wrap")
 
     def generator_images(self) -> List:
-        n = self.group.rank
-        return [self.image(tuple(int(i == k) for i in range(n))) for k in range(n)]
+        out = []
+        for k in range(self.group.rank):
+            e = [0] * self.group.rank
+            e[k] = 1
+            out.append(self.image(tuple(e)))
+        return out
 
     def order_of(self, el) -> int:
         k = 1
@@ -372,9 +377,8 @@ class AbelianQuotient(FiniteQuotient):
 class CongruenceQuotient(FiniteQuotient):
     """Image of an integral matrix group under entrywise reduction mod m.
 
-    An element of GL_k(Z/m) is coded as the int64 ``sum a_ij m^(ik+j)``; the
-    quotient keeps its matrices in BFS order (``_mats``) and their sorted
-    codes (``_sorted``) with each one's element index (``_sorted_index``).
+    A matrix mod m is coded as the int64 ``sum a_ij m^(ik+j)``.  ``_mats`` keeps the
+    elements in BFS order, ``_sorted`` their sorted codes, ``_sorted_index`` their indices.
     """
 
     def __init__(self, group: IntegralMatrixGroup, subgroup: CongruenceSubgroup,
@@ -384,11 +388,9 @@ class CongruenceQuotient(FiniteQuotient):
         k = group.dimension
         # int64 codes, and exact int64 products (below m^2 when k = 1)
         if m ** max(k * k, 2) >= 2 ** 63:
-            raise SizeCapExceeded(
-                f"codes of {k}x{k} matrices mod {m} need m^(k^2) = {m}^{k * k} >= 2^63")
+            raise SizeCapExceeded(f"int64 codes of {k}x{k} matrices mod {m}: {m}^{k * k} >= 2^63")
         self._place = m ** np.arange(k * k, dtype=np.int64).reshape(k, k)
-        gens = np.array([subgroup.reduce(g) for g in group.symmetric_generators()],
-                        dtype=np.int64)
+        gens = np.array([subgroup.reduce(g) for g in group.symmetric_generators()], dtype=np.int64)
         frontier = np.eye(k, dtype=np.int64)[None]
         mats = [frontier]
         seen = self._codes(frontier)  # sorted
@@ -400,11 +402,9 @@ class CongruenceQuotient(FiniteQuotient):
             depth += 1
             prods = (frontier[:, None] @ gens[None] % m).reshape(-1, k, k)
             codes, first = np.unique(self._codes(prods), return_index=True)
-            pos = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
-            new = seen[pos] != codes
+            new = ~np.isin(codes, seen, assume_unique=True)
             if len(seen) + np.count_nonzero(new) > caps.order:
-                raise OrderCapExceeded(
-                    f"congruence quotient exceeds order cap {caps.order}")
+                raise OrderCapExceeded(f"congruence quotient exceeds order cap {caps.order}")
             frontier = prods[np.sort(first[new])]
             mats.append(frontier)
             seen = np.union1d(seen, codes[new])
@@ -551,7 +551,10 @@ def ball_volume(group, r: int, caps: Caps = DEFAULT_CAPS) -> int:
     if isinstance(group, FreeAbelian):
         n = group.rank
         return sum((2 ** k) * comb(n, k) * comb(r, k) for k in range(0, min(n, r) + 1))
-    return sum(1 for _ in group.iter_ball(r, caps.bfs_visited))
+    count = 0
+    for _el, _dist in group.iter_ball(r, caps.bfs_visited):
+        count += 1
+    return count
 
 
 def quotient(group, sub, caps: Caps = DEFAULT_CAPS) -> FiniteQuotient:

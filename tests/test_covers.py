@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
                       GroupRingElement, GroupRingMatrix, LatticeSubgroup, betti,
                       instantiate, quotient, two_cell_complex, verify_trace_equality)
 from l2growth.caps import Caps
-from l2growth.covers import _components
+from l2growth.covers import _block_eigenvalues, _components
 from l2growth.errors import SizeCapExceeded
 from l2growth.polynomials import Poly
 from conftest import cyclic_quotient, diag_quotient
@@ -206,6 +207,35 @@ def test_component_eigenvalues_zero_complex(zero_complex):
     lap = cover.laplacian(1)
     assert _components(lap).tolist() == list(range(7))
     assert np.allclose(cover.eigenvalues(1), np.linalg.eigvalsh(lap.toarray().astype(float)))
+
+
+def test_connected_laplacian_spectrum_is_the_dense_one(circle):
+    # one component: the same matrix reaches the same eigensolver, so the spectrum is
+    # bit for bit the dense eigvalsh of the whole Laplacian
+    for n in (1, 5, 300):
+        cover = instantiate(circle, cyclic_quotient(n))
+        for q in range(2):
+            lap = cover.laplacian(q)
+            assert not _components(lap).any()
+            assert np.array_equal(cover.eigenvalues(q),
+                                  np.linalg.eigvalsh(lap.toarray().astype(float)))
+
+
+def test_component_eigenvalues_mixed_block_sizes():
+    # components of sizes 3, 1 and 2, interleaved, with a duplicate entry
+    edges = [(0, 4), (4, 5), (2, 6), (1, 1)]
+    rows = [r for a, b in edges for r in (a, b)] + [0]
+    cols = [c for a, b in edges for c in (b, a)] + [4]
+    lap = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(7, 7))
+    lap = lap + sp.diags(np.arange(7.0))
+    assert _components(lap).tolist() == [0, 1, 2, 3, 0, 0, 2]
+    assert np.allclose(np.sort(_block_eigenvalues(lap, _components(lap))),
+                       np.linalg.eigvalsh(lap.toarray()))
+
+
+def test_component_eigenvalues_empty():
+    empty = sp.csr_matrix((0, 0), dtype=np.int64)
+    assert _block_eigenvalues(empty, _components(empty)).shape == (0,)
 
 
 def test_instantiation_one_permutation_per_element(sanov_group, monkeypatch):

@@ -102,6 +102,11 @@ def test_congruence_code_size_refused():
     assert quotient(sign, CongruenceSubgroup(2 ** 31)).elements == [((1,),), ((2 ** 31 - 1,),)]
     with pytest.raises(SizeCapExceeded):
         quotient(sign, CongruenceSubgroup(2 ** 32))
+    # refused even though the group is tiny (order 4): 60000^4 >= 2^63
+    rotation = IntegralMatrixGroup(2, [[[0, -1], [1, 0]]])
+    assert quotient(rotation, CongruenceSubgroup(55108)).order == 4
+    with pytest.raises(SizeCapExceeded):
+        quotient(rotation, CongruenceSubgroup(60000))
 
 
 @pytest.mark.parametrize("mat", [[[8, 3], [0, 25]], [[20, 7], [0, 30]], [[3, 1], [1, 4]]])
