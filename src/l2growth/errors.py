@@ -30,7 +30,11 @@ class SizeCapExceeded(L2GrowthError):
 
 
 class DimensionOutOfRange(L2GrowthError):
-    """Requested chain-complex dimension does not exist."""
+    """Requested chain-complex dimension does not exist, or has no cells where some are needed."""
+
+
+class NotSquare(L2GrowthError):
+    """Operation requires a square matrix."""
 
 
 class NotAbelian(L2GrowthError):

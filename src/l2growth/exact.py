@@ -239,6 +239,33 @@ def _rref_modp_dense(a: np.ndarray, p: int):
     return len(pivots), free_cols, basis
 
 
+def ranks_modp(stack: np.ndarray, p: int) -> np.ndarray:
+    """Ranks mod a prime p < 2**31 of a stack of matrices, shape (count, rows, cols).
+
+    Fraction-free elimination on all matrices at once: each column takes the
+    first unused row with a nonzero entry as its pivot, and every other unused
+    row becomes ``pivot * row - row[col] * pivot_row``.  Entries stay in
+    [0, p), every product below 2**62, and no modular inverse is needed.
+    """
+    m = np.asarray(stack, dtype=np.int64) % p
+    count, nrows, ncols = m.shape
+    unused = np.ones((count, nrows), dtype=bool)
+    ranks = np.zeros(count, dtype=np.int64)
+    at = np.arange(count)
+    for col in range(ncols):
+        cand = unused & (m[:, :, col] != 0)
+        found = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        unused[at[found], piv[found]] = False
+        ranks += found
+        prow = m[at, piv, col:]
+        reduce = (unused & found[:, None])[:, :, None]
+        rest = m[:, :, col:]
+        m[:, :, col:] = np.where(
+            reduce, (prow[:, None, :1] * rest - rest[:, :, :1] * prow[:, None, :]) % p, rest)
+    return ranks
+
+
 def _rref_modp_sparse(rows: List[Dict[int, int]], ncols: int, p: int,
                       fill_cap: int):
     """Sparse full RREF mod p over dict rows.  Raises _FillIn when it densifies.

@@ -2,10 +2,11 @@
 
 For Gamma = Z^n the cover Laplacian block-diagonalizes over the characters of
 the quotient: the Betti number is the sum over lattice characters of the
-kernel dimension of the evaluated symbol matrix.  Membership of a character
-in the zero set of det(Laplacian) is decided numerically and then confirmed
-exactly by realizing the character block as an integer matrix over the
-cyclotomic field and taking a certified rational rank.
+kernel dimension of the evaluated symbol matrix.  Each kernel dimension is
+exact: the symbols at all characters are evaluated modulo primes l = 1 (mod
+the quotient's exponent), where every character value is an integer, and the
+rank over the cyclotomic field is the largest modular rank over the
+character's Galois orbit once the primes multiply past a Hadamard bound.
 """
 
 from __future__ import annotations
@@ -13,21 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import lcm, prod
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .covers import CoverInstance
-from .errors import (CrossCheckMismatch, NotAbelian, NotRankOne,
-                     SizeCapExceeded)
+from .errors import (CrossCheckMismatch, DimensionOutOfRange, NotAbelian,
+                     NotRankOne, NotSquare, SizeCapExceeded)
+from .exact import ranks_modp
 from .group_ring import EquivariantChainComplex, GroupRingMatrix, laplacian
 from .groups import AbelianQuotient, FreeAbelian
-
-_KERNEL_TOL = 1e-8
-_AMBIG_LO = 1e-9
-_AMBIG_HI = 1e-7
 
 Character = Tuple[Fraction, ...]
 
@@ -115,7 +113,7 @@ def determinant(m: GroupRingMatrix, size_cap: int = 8) -> LaurentPolynomial:
     """Exact symbolic determinant of a square matrix over Z[Z^n]."""
     group = _require_abelian(m.group)
     if m.nrows != m.ncols:
-        raise ValueError("determinant requires a square matrix")
+        raise NotSquare("determinant requires a square matrix")
     n = m.nrows
     if n > size_cap:
         raise SizeCapExceeded(f"symbolic determinant capped at size {size_cap}")
@@ -148,28 +146,32 @@ def determinant(m: GroupRingMatrix, size_cap: int = 8) -> LaurentPolynomial:
 # Characters of finite abelian quotients
 # ---------------------------------------------------------------------------
 
-def character_lattice(quot: AbelianQuotient) -> List[Character]:
-    """All characters of Z^n trivial on the subgroup, as rational points."""
+def _character_numerators(quot: AbelianQuotient) -> Tuple[np.ndarray, int]:
+    """All characters of Z^n trivial on the subgroup as numerators X over the exponent e.
+
+    Row y (element order) sends generator k to exp(2 pi i X[y, k] / e), where
+    X[y, k] = sum_i y_i u_ik e / d_i over the Smith moduli d_i.
+    """
     if not isinstance(quot, AbelianQuotient):
         raise NotAbelian("character lattice requires an abelian quotient")
-    n = quot.group.rank
-    chars: List[Character] = []
-    for y in quot.elements:
-        x = tuple(
-            sum(Fraction(y[i] * quot.u[i][k], quot.moduli[i])
-                for i in range(len(quot.moduli))) % 1
-            for k in range(n)
-        )
-        chars.append(x)
-    if len(set(chars)) != quot.order:
+    e = max(quot.moduli)
+    u = (np.array(quot.u, dtype=object) % e).astype(np.int64)
+    chars = np.zeros((quot.order, quot.group.rank), dtype=np.int64)
+    for i, d in enumerate(quot.moduli):
+        chars = (chars + (quot._coords[i] * (e // d))[:, None] * u[i]) % e
+    if len(np.unique(chars, axis=0)) != quot.order:
         raise CrossCheckMismatch("characters are not distinct")  # pragma: no cover
     for col in quot.subgroup.columns():
-        for x in chars:
-            val = sum(xk * ck for xk, ck in zip(x, col))
-            if val.denominator != 1:
-                raise CrossCheckMismatch(
-                    "character does not kill a subgroup generator")  # pragma: no cover
-    return chars
+        if np.any(chars @ (np.array(col, dtype=object) % e).astype(np.int64) % e):
+            raise CrossCheckMismatch(
+                "character does not kill a subgroup generator")  # pragma: no cover
+    return chars, e
+
+
+def character_lattice(quot: AbelianQuotient) -> List[Character]:
+    """All characters of Z^n trivial on the subgroup, as rational points."""
+    chars, e = _character_numerators(quot)
+    return [tuple(Fraction(v, e) for v in row) for row in chars.tolist()]
 
 
 def evaluate_matrix_at_characters(m: GroupRingMatrix,
@@ -191,131 +193,107 @@ def evaluate_matrix_at_characters(m: GroupRingMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Exact kernel dimension at a rational character (cyclotomic realization)
+# Exact symbol ranks: modular ranks, one maximum per Galois orbit
 # ---------------------------------------------------------------------------
+# Gal(Q(zeta_d)/Q) = (Z/d)^* sends a character x of order d to k*x, so the
+# symbol has one rank over Q(zeta_d) on the orbit {k*x}.  For a prime
+# l = 1 (mod e), zeta_e -> omega reduces modulo one prime above l, and the
+# symbol at k*x there is the symbol at x modulo another; none of these ranks
+# exceeds the true one.  If all fell short, a nonzero minor mu of the true
+# size would lie in l*Z[zeta_d], so l^phi(d) <= |N(mu)| <= H^phi(d), where
+# Hadamard's H = prod_i max(1, |row_i|_2) over the rows of entry L1 norms.
+# Once the primes used multiply past H, the orbit's largest modular rank is
+# the exact rank.
 
-def _poly_mul(a: List[int], b: List[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_mod(a: List[int], mod: List[int]) -> List[int]:
-    """Remainder of a modulo a monic integer polynomial."""
-    a = list(a)
-    d = len(mod) - 1
-    while len(a) > d:
-        lead = a[-1]
-        if lead:
-            off = len(a) - 1 - d
-            for i, c in enumerate(mod):
-                a[off + i] -= lead * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.2e9 (bases 2, 3, 5, 7)."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in (2, 3, 5, 7))
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> Tuple[int, ...]:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    if m == 1:
-        return (-1, 1)
-    poly = [0] * m + [1]
-    poly[0] = -1  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            div = list(cyclotomic_polynomial(d))
-            # exact division of integer polynomials
-            q = [0] * (len(poly) - len(div) + 1)
-            rem = list(poly)
-            for k in range(len(q) - 1, -1, -1):
-                coef = rem[k + len(div) - 1] // div[-1]
-                q[k] = coef
-                if coef:
-                    for i, c in enumerate(div):
-                        rem[k + i] -= coef * c
-            if any(rem):
-                raise RuntimeError("cyclotomic division failed")  # pragma: no cover
-            poly = q
-    return tuple(poly)
+def _primes_one_mod(e: int) -> Iterator[int]:
+    """Primes l = 1 (mod e) below 2**31, largest first."""
+    return (ell for ell in range((2 ** 31 - 2) // e * e + 1, 1, -e) if _is_prime(ell))
+
+
+def _root_powers(e: int, ell: int) -> np.ndarray:
+    """omega^t mod ell for t < e, with omega a primitive e-th root of unity mod ell."""
+    for h in range(1, ell):
+        w, powers, step = pow(h, (ell - 1) // e, ell), np.ones(e, dtype=np.int64), 1
+        while step < e:
+            powers[step:2 * step] = powers[:min(step, e - step)] * pow(w, step, ell) % ell
+            step *= 2
+        if np.count_nonzero(powers == 1) == 1:
+            return powers
+    raise AssertionError(f"{ell} is not a prime = 1 (mod {e})")  # pragma: no cover
+
+
+def _orbit_ranks(m: GroupRingMatrix, chars: np.ndarray, e: int,
+                 labels: np.ndarray) -> np.ndarray:
+    """Exact symbol rank on each Galois orbit 0, 1, ...
+
+    ``chars`` holds numerators over e covering each orbit; ``labels`` is the
+    orbit of each row.
+    """
+    h_squared = prod(max(1, sum(sum(map(abs, el.terms.values())) ** 2 for el in row))
+                     for row in m.entries)
+    ranks, product, primes = np.zeros(labels.max() + 1, dtype=np.int64), 1, _primes_one_mod(e)
+    while product * product <= h_squared:
+        ell = next(primes, None)
+        if ell is None:
+            raise SizeCapExceeded(f"primes = 1 (mod {e}) below 2^31 stay under the Hadamard bound")
+        powers = _root_powers(e, ell)
+        stack = np.zeros((len(chars), m.nrows, m.ncols), dtype=np.int64)
+        for i, row in enumerate(m.entries):
+            for j, el in enumerate(row):
+                for g, c in el.terms.items():
+                    t = (chars * (np.array(g, dtype=np.int64) % e) % e).sum(axis=1) % e
+                    stack[:, i, j] = (stack[:, i, j] + int(c) % ell * powers[t]) % ell
+        np.maximum.at(ranks, labels, ranks_modp(stack, ell))
+        product *= ell
+    return ranks
+
+
+@lru_cache(maxsize=256)
+def _units(d: int) -> np.ndarray:
+    k = np.arange(1, max(d, 2))
+    return k[np.gcd(k, d) == 1]
+
+
+def _galois_orbits(quot: AbelianQuotient) -> np.ndarray:
+    """Label each element y, and so its character, by its orbit {k*y : k unit mod ord(y)}.
+
+    Each orbit is walked once, from its first element: O(order) work.
+    """
+    coords, moduli = quot._coords, np.array(quot.moduli)[:, None]
+    orders = np.ones(quot.order, dtype=np.int64)
+    for y, d in zip(coords, quot.moduli):
+        orders = np.lcm(orders, d // np.gcd(y, d))
+    labels, count = np.full(quot.order, -1, dtype=np.int64), 0
+    for j, d in enumerate(orders.tolist()):
+        if labels[j] < 0:
+            orbit = coords[:, j:j + 1] * _units(d) % moduli
+            labels[np.ravel_multi_index(orbit, quot.moduli)] = count
+            count += 1
+    return labels
 
 
 def exact_kernel_dimension(m: GroupRingMatrix, char: Character) -> int:
-    """Kernel dimension of the symbol matrix at a rational character, exactly.
+    """Rows minus the rank of the symbol at a rational character, exactly.
 
-    The character values generate the cyclotomic field of the character's
-    order; entries become integer polynomials modulo the cyclotomic
-    polynomial, and the rank over that field is the size of the largest
-    minor with nonzero determinant.  Everything stays in exact integer
-    arithmetic, so root-of-unity coincidences cannot be missed.
+    The rank over the cyclotomic field of the character's order is the
+    largest modular rank over its Galois orbit (see above).
     """
-    group = _require_abelian(m.group)
-    a = m.nrows
-    if a == 0:
+    _require_abelian(m.group)
+    if m.nrows == 0:
         return 0
-    order = 1
-    for x in char:
-        order = order * x.denominator // gcd(order, x.denominator)
-    phi_poly = list(cyclotomic_polynomial(order))
-    numerators = [int(x * order) for x in char]
-
-    entries: List[List[Tuple[int, ...]]] = []
-    for i in range(a):
-        row = []
-        for j in range(m.ncols):
-            coeffs = [0] * max(order, 1)
-            for e, c in m.entries[i][j].terms.items():
-                t = sum(v * numerators[k] for k, v in enumerate(e)) % order
-                coeffs[t] += int(c)
-            row.append(tuple(_poly_mod(coeffs, phi_poly)))
-        entries.append(row)
-
-    def mulmod(p, q):
-        if not p or not q:
-            return ()
-        return tuple(_poly_mod(_poly_mul(list(p), list(q)), phi_poly))
-
-    def accumulate(p, q, sign):
-        out = [0] * max(len(p), len(q))
-        for i, c in enumerate(p):
-            out[i] += c
-        for i, c in enumerate(q):
-            out[i] += sign * c
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    from itertools import combinations
-
-    dets: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...]] = {}
-
-    def det(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Tuple[int, ...]:
-        if not rows:
-            return (1,)
-        key = (rows, cols)
-        if key in dets:
-            return dets[key]
-        acc: Tuple[int, ...] = ()
-        r = rows[0]
-        for pos, c in enumerate(cols):
-            e = entries[r][c]
-            if e:
-                term = mulmod(e, det(rows[1:], cols[:pos] + cols[pos + 1:]))
-                acc = accumulate(acc, term, 1 if pos % 2 == 0 else -1)
-        dets[key] = acc
-        return acc
-
-    size = min(a, m.ncols)
-    for r in range(size, 0, -1):
-        for rows in combinations(range(a), r):
-            for cols in combinations(range(m.ncols), r):
-                if det(rows, cols):
-                    return a - r
-    return a
+    d = lcm(*(x.denominator for x in char))
+    orbit = _units(d)[:, None] * np.array([int(x * d) % d for x in char]) % d
+    return m.nrows - int(_orbit_ranks(m, orbit, d, np.zeros(len(orbit), dtype=np.int64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -345,34 +323,25 @@ def betti_by_characters(cx: EquivariantChainComplex, quot: AbelianQuotient,
                         ) -> Tuple[int, PatternReport]:
     """Betti number of the cover as a sum of character kernel dimensions.
 
-    Every character claiming a kernel (or with an ambiguous singular value)
-    is confirmed by the exact cyclotomic realization.  The total is
-    cross-checked against the rank-based Betti number; on mismatch the exact
-    rank value wins and a diagnostic is raised.
+    Each kernel dimension is exact: the symbol's rank at a character is the
+    largest of its modular ranks over the character's Galois orbit (see
+    ``_orbit_ranks``), and no floating-point value decides anything.  The
+    total is cross-checked against the rank-based Betti number; on mismatch
+    a diagnostic is raised.
     """
     _require_abelian(cx.group)
     lap = laplacian(cx, q)
     a = cx.cells[q]
-    chars = character_lattice(quot)
+    chars, e = _character_numerators(quot)
     report = PatternReport(a=a, lattice_size=len(chars))
-    if a == 0:
-        total = 0
-    else:
-        points = np.array([[float(x) for x in ch] for ch in chars])
-        blocks = evaluate_matrix_at_characters(lap, points)
-        sigma = np.linalg.svd(blocks, compute_uv=False)
-        total = 0
-        for idx, ch in enumerate(chars):
-            svals = sigma[idx]
-            numeric_dim = int(np.count_nonzero(svals < _KERNEL_TOL))
-            ambiguous = bool(np.any((svals >= _AMBIG_LO) & (svals <= _AMBIG_HI)))
-            if numeric_dim > 0 or ambiguous:
-                dim = exact_kernel_dimension(lap, ch)
-            else:
-                dim = 0
-            if dim > 0:
-                report.kernel_characters.append((ch, dim))
-            total += dim
+    total = 0
+    if a:
+        labels = _galois_orbits(quot)
+        dims = a - _orbit_ranks(lap, chars, e, labels)[labels]
+        for idx in np.flatnonzero(dims).tolist():
+            ch = tuple(Fraction(v, e) for v in chars[idx].tolist())
+            report.kernel_characters.append((ch, int(dims[idx])))
+        total = int(dims.sum())
     report.betti = total
     if cross_check:
         if cover is None:
@@ -398,7 +367,7 @@ def sandwich_check(cx: EquivariantChainComplex, quot: AbelianQuotient, q: int,
                    cover: Optional[CoverInstance] = None) -> SandwichReport:
     """Verify |Lambda cap K| <= b(X') <= a * |Lambda cap K|."""
     if cx.cells[q] < 1:
-        raise ValueError("sandwich check needs at least one cell in the dimension")
+        raise DimensionOutOfRange("sandwich check needs at least one cell in the dimension")
     total, report = betti_by_characters(cx, quot, q, caps, cover=cover)
     k = report.pattern_count
     holds = k <= total <= report.a * k

@@ -1,17 +1,23 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from l2growth import (FreeAbelian, GroupRingElement, GroupRingMatrix,
-                      LatticeSubgroup, betti_by_characters, character_lattice,
-                      determinant, element_order, exact_kernel_dimension,
-                      instantiate, laplacian, quotient, sandwich_check,
-                      short_length, two_cell_complex, z_dichotomy)
-from l2growth.errors import NotAbelian, NotRankOne, SizeCapExceeded
-from l2growth.pattern import LaurentPolynomial, as_laurent, cyclotomic_polynomial, \
+from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
+                      GroupRingMatrix, LatticeSubgroup, betti_by_characters,
+                      character_lattice, determinant, element_order,
+                      exact_kernel_dimension, instantiate, laplacian, quotient,
+                      sandwich_check, short_length, torus_complex,
+                      two_cell_complex, z_dichotomy)
+from l2growth import pattern
+from l2growth.errors import (DimensionOutOfRange, L2GrowthError, NotAbelian,
+                             NotRankOne, NotSquare, SizeCapExceeded)
+from l2growth.pattern import LaurentPolynomial, as_laurent, \
     evaluate_matrix_at_characters
+from l2growth.verify import _random_entry
 from conftest import cyclic_quotient, diag_quotient
+from cyclotomic_oracle import cyclotomic_polynomial, kernel_dimension_by_minors
 
 
 def test_laurent_basics():
@@ -184,3 +190,106 @@ def test_coset_count_bound(z_two):
                     if sum(xk * gk for xk, gk in zip(ch, g)).denominator == 1)
         assert count == quot.order // element_order(quot, g)
         assert count <= norm * quot.order / s
+
+
+def _random_lattice(rng, n):
+    """A finite-index subgroup of Z^n of index <= 64: a random integer basis,
+    or a diagonal one times a unimodular shear (non-cyclic quotients)."""
+    hi = (64, 9, 4)[n - 1]
+    while True:
+        if rng.random() < 0.5:
+            mat = rng.integers(-hi, hi + 1, size=(n, n))
+        else:
+            shear = np.eye(n, dtype=np.int64)
+            shear[np.triu_indices(n, 1)] = rng.integers(-3, 4, size=n * (n - 1) // 2)
+            mat = np.diag(rng.integers(1, hi + 1, size=n)) @ shear.T
+        sub = LatticeSubgroup(mat.tolist())
+        if sub.det != 0 and sub.index <= 64:
+            return sub
+
+
+def test_character_kernels_match_minor_oracle_and_cover_ranks():
+    rng = np.random.default_rng(2718)
+    cases = [(torus_complex(3), 1), (torus_complex(2), 1)]
+    for trial in range(45):
+        group = FreeAbelian(1 + trial % 3)
+        a0, a1 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        d1 = GroupRingMatrix(group, [[_random_entry(rng, group) for _ in range(a1)]
+                                     for _ in range(a0)], shape=(a0, a1))
+        cases.append((EquivariantChainComplex(group, [a0, a1], {1: d1}), trial % 2))
+    nonzero = 0
+    for cx, q in cases:
+        quot = quotient(cx.group, _random_lattice(rng, cx.group.rank))
+        lap = laplacian(cx, q)
+        want = {ch: kernel_dimension_by_minors(lap, ch) for ch in character_lattice(quot)}
+        # betti_by_characters cross-checks its total against the cover's rank
+        b, rep = betti_by_characters(cx, quot, q)
+        assert b == sum(want.values()) == rep.exact_betti
+        assert rep.kernel_characters == [(ch, d) for ch, d in want.items() if d]
+        for ch, d in want.items():
+            assert exact_kernel_dimension(lap, ch) == d
+        nonzero += b > 0
+    assert nonzero >= 15
+
+
+def test_hadamard_bound_past_one_prime(monkeypatch, z_one):
+    # Laplacian 10^10 (2 - g - g^-1): H = 4 * 10^10 > 2^31, so one prime is not enough
+    big = two_cell_complex(z_one, GroupRingElement(z_one, {(1,): 10 ** 5, (0,): -10 ** 5}))
+    drawn = []
+    source = pattern._primes_one_mod
+
+    def recording(e):
+        for ell in source(e):
+            drawn.append(ell)
+            yield ell
+
+    monkeypatch.setattr(pattern, "_primes_one_mod", recording)
+    for q in (0, 1):
+        b, rep = betti_by_characters(big, cyclic_quotient(7), q)
+        assert b == 1 and rep.kernel_characters == [((Fraction(0),), 1)]
+    assert len(drawn) == 4
+    assert exact_kernel_dimension(laplacian(big, 0), (Fraction(2, 7),)) == 0
+
+
+def test_prime_dividing_every_coefficient_is_outvoted(monkeypatch, z_one):
+    # boundary 29 (g - 1): every symbol vanishes mod 29 = 1 (mod 7); H = 3364
+    cx = two_cell_complex(z_one, GroupRingElement(z_one, {(1,): 29, (0,): -29}))
+    monkeypatch.setattr(pattern, "_primes_one_mod", lambda e: iter([29, 43, 71]))
+    b, rep = betti_by_characters(cx, cyclic_quotient(7), 0)
+    assert b == 1 and rep.pattern_count == 1
+    monkeypatch.setattr(pattern, "_primes_one_mod", lambda e: iter([29, 43]))
+    with pytest.raises(SizeCapExceeded):
+        betti_by_characters(cx, cyclic_quotient(7), 0, cross_check=False)
+
+
+def test_prime_source():
+    from sympy import isprime
+    assert [n for n in range(20000) if pattern._is_prime(n)] == \
+        [n for n in range(20000) if isprime(n)]
+    # strong pseudoprimes to base 2, to bases 2 and 3, to bases 2, 3 and 5
+    assert not any(pattern._is_prime(n) for n in (2047, 1373653, 25326001))
+    for n in (2 ** 31 - 1, 2 ** 31 - 19, 2 ** 31 - 21):
+        assert pattern._is_prime(n) == isprime(n)
+    for e in (1, 2, 45, 997, 30030):
+        first = list(itertools.islice(pattern._primes_one_mod(e), 3))
+        assert all(isprime(ell) and (ell - 1) % e == 0 and ell < 2 ** 31 for ell in first)
+        assert first == sorted(first, reverse=True)
+        assert not any(isprime(ell) for ell in range(first[0] + e, 2 ** 31, e))
+
+
+def test_rank_is_the_orbit_maximum(monkeypatch, torus2):
+    # At l = 181 the symbol at a single character can lose rank modulo one
+    # prime above l; summing per-character kernels would give 50, not 2.
+    monkeypatch.setattr(pattern, "_primes_one_mod", lambda e: iter([181]))
+    b, rep = betti_by_characters(torus2, diag_quotient(45, 45), 1, cross_check=False)
+    assert b == 2 and rep.kernel_characters == [((Fraction(0), Fraction(0)), 2)]
+
+
+def test_pattern_errors_are_library_errors(z_one):
+    one = GroupRingElement.one(z_one)
+    with pytest.raises(NotSquare):
+        determinant(GroupRingMatrix(z_one, [[one, one]], shape=(1, 2)))
+    no_edges = EquivariantChainComplex(z_one, [1, 0], {})
+    with pytest.raises(DimensionOutOfRange):
+        sandwich_check(no_edges, cyclic_quotient(3), 1)
+    assert issubclass(NotSquare, L2GrowthError) and issubclass(DimensionOutOfRange, L2GrowthError)
