@@ -7,42 +7,44 @@ matrices are computed over the rationals with a certificate:
    vectorized dense path, or a dict-based sparse path for large structured
    matrices, whose back-substitution touches only the rows that hold each
    pivot);
-2. lift the mod-p kernel basis to rational vectors by rational reconstruction
-   (CRT over several primes if needed), clear denominators, and verify
-   ``A @ v == 0`` in exact integer arithmetic: a blocked int64 product
-   wherever ``max_i sum_j |a_ij| * max |v_j| < 2**62`` certifies that no
-   partial sum overflows, Python integers otherwise.
+2. at each of the first ``_LIFTS`` primes, lift the mod-p kernel basis
+   to rational vectors by rational reconstruction (CRT over the primes so
+   far), clear denominators, and verify ``A @ v == 0`` in exact integer
+   arithmetic: a blocked int64 product wherever
+   ``max_i sum_j |a_ij| * max |v_j| < 2**62`` certifies that no partial sum
+   overflows, Python integers otherwise;
+3. if no lift verifies, take ranks only at further primes until their
+   product passes Hadamard's bound on the minors one size above the largest
+   modular rank s seen; then the rational rank is s.
 
 Since rank mod p never exceeds the rational rank, exhibiting
 ``ncols - rank_p`` verified independent integer kernel vectors certifies the
-rational nullity exactly.  A dense Fraction-based elimination remains as the
-final fallback (and as the test oracle).  The dense path refuses, with
-``SizeCapExceeded`` and before allocating, any matrix whose int64 array would
-exceed ``_DENSE_BYTES`` (1 GiB).
+rational nullity exactly, and so does step 3: a nonzero (s+1)-minor that
+every prime divides would exceed the bound.  Primes come from
+``_primes_one_mod``, the source the character path in ``pattern`` also
+draws from.  The dense path refuses, with ``SizeCapExceeded`` and before
+allocating, any matrix whose int64 array would exceed ``_DENSE_BYTES``
+(1 GiB); the sparse path bounds its stored entries by the same budget.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from heapq import nlargest
+from itertools import islice
+from math import gcd, isqrt, prod
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SizeCapExceeded
 
-_PRIMES = (
-    2147483647,
-    2147483629,
-    2147483587,
-    2147483579,
-    2147483563,
-    2147483549,
-)
-
+_LIFTS = 6                   # primes at which kernel vectors are lifted
 _SPARSE_THRESHOLD = 200      # min(ncols) above which sparsity is considered
 _SPARSE_DENSITY = 0.02       # fraction of nonzeros below which sparse path is used
 _DENSE_BYTES = 2 ** 30       # largest int64 array the dense path may allocate
+_DICT_ENTRY_BYTES = 96       # memory per stored sparse entry (about 93 B under tracemalloc)
 
 _PRODUCT_BOUND = 2 ** 62     # row sums of |a_ij * v_j| below this fit in int64
 _ENTRY_BOUND = 2 ** 31       # entries this small keep int64 row sums of |a_ij| exact
@@ -171,32 +173,31 @@ def det_int(a: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def inverse_unimodular(a: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
+def adjugate(a: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Adjugate of a small square integer matrix, so ``a @ adj(a) = det(a) * I``.
+
+    ``adj(a)[i][j]`` is the (j, i) cofactor.
+    """
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = aug[i][n + j]
-            if val.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(val))
-        out.append(row)
-    return out
+    return [[(-1) ** (i + j) * det_int([[a[r][c] for c in range(n) if c != i]
+                                        for r in range(n) if r != j])
+             for j in range(n)] for i in range(n)]
+
+
+@lru_cache(maxsize=4096)  # every rank certificate walks the same numbers below 2**31
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 3.2e9 (bases 2, 3, 5, 7)."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in (2, 3, 5, 7))
+
+
+def _primes_one_mod(e: int) -> Iterator[int]:
+    """Primes l = 1 (mod e) below 2**31, largest first."""
+    return (ell for ell in range((2 ** 31 - 2) // e * e + 1, 1, -e) if _is_prime(ell))
 
 
 # ---------------------------------------------------------------------------
@@ -434,42 +435,6 @@ def _verify_kernel_exact(a, rows: List[Dict[int, int]],
     return True
 
 
-def _kernel_exact_fractions(rows: List[Dict[int, int]], nrows: int, ncols: int):
-    """Fraction-based RREF; exact but slow.  Final fallback and test oracle."""
-    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
-    pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        entries = {fc: Fraction(1)}
-        for i, pc in enumerate(pivots):
-            if m[i][fc]:
-                entries[pc] = -m[i][fc]
-        denom = 1
-        for val in entries.values():
-            denom = denom * val.denominator // gcd(denom, val.denominator)
-        vec = {c: int(v * denom) for c, v in entries.items() if v}
-        basis.append(vec)
-    return len(pivots), basis
-
-
 def nullity_certified(a) -> int:
     """Exact nullity (rational kernel dimension) of an integer matrix."""
     return kernel_certified(a)[0]
@@ -487,10 +452,15 @@ def rank_certified(a) -> int:
 
 
 def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
-    """Exact nullity with verified integer kernel vectors (as sparse dicts).
+    """Exact rational nullity, with verified integer kernel vectors (as sparse dicts).
 
-    The returned vectors are linearly independent over Q and satisfy
-    A @ v == 0 exactly; their count equals the rational nullity.
+    At each of the first ``_LIFTS`` primes the mod-p kernel is lifted;
+    once the lift passes ``A @ v == 0`` exactly, the vectors are returned:
+    linearly independent over Q, as many as the nullity.  Otherwise the
+    nullity is ``ncols - s`` for the largest modular rank s, certified by
+    primes whose product passes Hadamard's bound on the (s+1)-minors (see the
+    module docstring).  The vector list is empty exactly when that bound
+    certified a positive nullity, or when the nullity is zero.
     """
     if isinstance(a, np.ndarray):
         nnz = int(np.count_nonzero(a))
@@ -510,19 +480,25 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
         # ahead of the dict rows, which cost memory in proportion to nrows
         _check_dense_budget(nrows, ncols)
     rows = _as_sparse_rows(a)
-    fill_cap = max(4 * nnz + 4096, int(0.25 * nrows * ncols))
+    # stored entries stay within the dense byte budget: past it, _FillIn sends
+    # the matrix to the dense path, whose budget check refuses it
+    fill_cap = min(max(4 * nnz + 4096, int(0.25 * nrows * ncols)),
+                   _DENSE_BYTES // _DICT_ENTRY_BYTES)
 
-    attempts = []  # (p, free_cols, basis)
-    for p in _PRIMES:
+    def rref(p: int):
+        nonlocal use_sparse
         if use_sparse:
             try:
-                rank, free_cols, basis = _rref_modp_sparse(rows, ncols, p, fill_cap)
+                return _rref_modp_sparse(rows, ncols, p, fill_cap)
             except _FillIn:
                 use_sparse = False
-                rank, free_cols, basis = _rref_modp_dense(_densify(rows, nrows, ncols, p), p)
-        else:
-            rank, free_cols, basis = _rref_modp_dense(_densify(rows, nrows, ncols, p), p)
-        if rank == min(nrows, ncols) and not free_cols:
+        return _rref_modp_dense(_densify(rows, nrows, ncols, p), p)
+
+    primes = _primes_one_mod(1)
+    attempts = []  # (p, free_cols, basis)
+    for p in islice(primes, _LIFTS):
+        _, free_cols, basis = rref(p)
+        if not free_cols:
             # full column rank mod p certifies full rank over Q
             return 0, []
         attempts.append((p, tuple(free_cols), basis))
@@ -534,9 +510,18 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
             continue
         if _verify_kernel_exact(a, rows, candidates):
             return len(candidates), candidates
-    # all primes exhausted without a certificate: exact fallback
-    rank, basis = _kernel_exact_fractions(rows, nrows, ncols)
-    return ncols - rank, basis
+
+    rank = ncols - min(len(t[1]) for t in attempts)
+    product = prod(t[0] for t in attempts)
+    norms = [[max(1, sum(v * v for v in line.values())) for line in lines]
+             for lines in (rows, _as_sparse_rows(a.T))]
+    while rank < min(nrows, ncols) and (
+            product ** 2 <= min(prod(nlargest(rank + 1, sq)) for sq in norms)):
+        p = next(primes, None)
+        if p is None:
+            raise SizeCapExceeded("primes below 2^31 stay under the Hadamard bound")
+        rank, product = max(rank, rref(p)[0]), product * p
+    return ncols - rank, []
 
 
 def _check_dense_budget(nrows: int, ncols: int) -> None:

@@ -109,7 +109,8 @@ class IntegralMatrixGroup:
         return _matmul(a, b)
 
     def inv(self, a: Element) -> Element:
-        return _freeze_matrix(exact.inverse_unimodular([list(r) for r in a]))
+        det = exact.det_int(a)  # +-1, its own inverse
+        return _freeze_matrix([[det * x for x in row] for row in exact.adjugate(a)])
 
     def symmetric_generators(self) -> List[Element]:
         out: List[Element] = []
@@ -428,15 +429,8 @@ class CongruenceQuotient(FiniteQuotient):
     def inv(self, a):
         # a^-1 = det(a)^-1 * adj(a), and det(a) = +-1 is its own inverse mod m
         m = self.level
-        n = len(a)
         det = exact.det_int(a) % m
-
-        def cofactor(i, j):
-            minor = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            return (-1) ** (i + j) * exact.det_int(minor)
-
-        # adj(a)[i][j] is the (j, i) cofactor
-        return tuple(tuple(det * cofactor(j, i) % m for j in range(n)) for i in range(n))
+        return tuple(tuple(det * x % m for x in row) for row in exact.adjugate(a))
 
     def right_mult_indices(self, parent_element) -> np.ndarray:
         g = np.array(self.image(parent_element), dtype=np.int64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .caps import DEFAULT_CAPS, Caps
 from .covers import CoverInstance
 from .errors import (CrossCheckMismatch, DimensionOutOfRange, NotAbelian,
                      NotRankOne, NotSquare, SizeCapExceeded)
-from .exact import ranks_modp
+from .exact import _primes_one_mod, ranks_modp
 from .group_ring import EquivariantChainComplex, GroupRingMatrix, laplacian
 from .groups import AbelianQuotient, FreeAbelian
 
@@ -204,21 +204,6 @@ def evaluate_matrix_at_characters(m: GroupRingMatrix,
 # Hadamard's H = prod_i max(1, |row_i|_2) over the rows of entry L1 norms.
 # Once the primes used multiply past H, the orbit's largest modular rank is
 # the exact rank.
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.2e9 (bases 2, 3, 5, 7)."""
-    if n < 11:
-        return n in (2, 3, 5, 7)
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    d = (n - 1) >> s
-    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
-               for b in (2, 3, 5, 7))
-
-
-def _primes_one_mod(e: int) -> Iterator[int]:
-    """Primes l = 1 (mod e) below 2**31, largest first."""
-    return (ell for ell in range((2 ** 31 - 2) // e * e + 1, 1, -e) if _is_prime(ell))
-
 
 def _root_powers(e: int, ell: int) -> np.ndarray:
     """omega^t mod ell for t < e, with omega a primitive e-th root of unity mod ell."""

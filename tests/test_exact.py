@@ -1,16 +1,21 @@
+import functools
+import itertools
 import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import sympy
 from fractions import Fraction
 
 from l2growth import (CongruenceSubgroup, CoverInstance,
                       EquivariantChainComplex, GroupRingElement,
                       GroupRingMatrix, IntegralMatrixGroup, LatticeSubgroup,
-                      exact, quotient, torus_complex)
+                      exact, quotient, torus_complex, verify)
 from l2growth.errors import SizeCapExceeded
+
+FIRST_PRIME = next(exact._primes_one_mod(1))
 
 
 def _rref_modp_sparse_quadratic(rows, ncols, p, fill_cap):
@@ -78,10 +83,47 @@ def _rref_modp_sparse_quadratic(rows, ncols, p, fill_cap):
     return len(pivot_of), free_cols, basis
 
 
-def _oracle_nullity(a: np.ndarray) -> int:
+def _kernel_exact_fractions(rows, nrows, ncols):
+    """Fraction-based RREF: exact, slow, and sharing no code with the library."""
+    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free_cols:
+        entries = {fc: Fraction(1)}
+        for i, pc in enumerate(pivots):
+            if m[i][fc]:
+                entries[pc] = -m[i][fc]
+        denom = 1
+        for val in entries.values():
+            denom = denom * val.denominator // gcd(denom, val.denominator)
+        vec = {c: int(v * denom) for c, v in entries.items() if v}
+        basis.append(vec)
+    return len(pivots), basis
+
+
+def _oracle_nullity(a) -> int:
+    a = a.toarray() if hasattr(a, "toarray") else np.asarray(a)
     rows = [{j: int(a[i, j]) for j in range(a.shape[1]) if a[i, j]}
             for i in range(a.shape[0])]
-    rank, _ = exact._kernel_exact_fractions(rows, a.shape[0], a.shape[1])
+    rank, _ = _kernel_exact_fractions(rows, a.shape[0], a.shape[1])
     return a.shape[1] - rank
 
 
@@ -167,7 +209,7 @@ _RREF_FAMILIES = {
 def test_sparse_rref_matches_quadratic_back_substitution(family):
     m = _RREF_FAMILIES[family]()
     rows, ncols = exact._as_sparse_rows(m), m.shape[1]
-    p = exact._PRIMES[0]
+    p = FIRST_PRIME
     cap = 10 ** 12
     got = exact._rref_modp_sparse(rows, ncols, p, cap)
     want = _rref_modp_sparse_quadratic(rows, ncols, p, cap)
@@ -247,10 +289,15 @@ def test_det_and_unimodular_inverse():
     assert exact.det_int([[2, 0], [0, 3]]) == 6
     assert exact.det_int([[1, 2], [3, 4]]) == -2
     b = [[3, 2], [7, 5]]
-    binv = exact.inverse_unimodular(b)
-    assert (np.array(b) @ np.array(binv) == np.eye(2, dtype=int)).all()
-    with pytest.raises(ValueError):
-        exact.inverse_unimodular([[2, 0], [0, 1]])
+    binv = exact.det_int(b) * np.array(exact.adjugate(b))
+    assert (np.array(b) @ binv == np.eye(2, dtype=int)).all()
+    assert exact.adjugate([[5]]) == [[1]]
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        a = rng.integers(-9, 10, size=(n, n))
+        det = exact.det_int(a.tolist())
+        assert (a @ np.array(exact.adjugate(a.tolist())) == det * np.eye(n, dtype=int)).all()
 
 
 def test_rational_reconstruction_roundtrip():
@@ -258,3 +305,140 @@ def test_rational_reconstruction_roundtrip():
     for num, den in [(3, 7), (-1234, 999), (0, 1), (12345, 1), (1, 30000)]:
         u = num * pow(den, -1, p) % p
         assert exact.rational_reconstruct(u, p) == Fraction(num, den)
+
+
+# ---------------------------------------------------------------------------
+# The shared prime source, the Hadamard certificate and a third rank oracle
+# ---------------------------------------------------------------------------
+
+def test_lift_primes_are_the_first_of_the_shared_source():
+    assert list(itertools.islice(exact._primes_one_mod(1), exact._LIFTS)) == [
+        2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549]
+
+
+def _rank_deficient(rng, nr, nc, rank, high):
+    """A random nr x nc integer matrix of rank at most ``rank``, entries up to ``high``."""
+    left = rng.integers(-high, high + 1, size=(nr, rank)).astype(object)
+    right = rng.integers(-3, 4, size=(rank, nc)).astype(object)
+    return np.array(left.dot(right), dtype=object)
+
+
+def _oracle_matrices():
+    rng = np.random.default_rng(23)
+    out = []
+    for trial in range(60):
+        nr, nc = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        if trial % 2:
+            out.append(rng.integers(-4, 5, size=(nr, nc)))
+        else:
+            r = int(rng.integers(1, min(nr, nc) + 1))
+            out.append(_rank_deficient(rng, nr, nc, r, 4).astype(np.int64))
+    for high in (2 ** 31 + 1, 2 ** 40, 2 ** 62):
+        for _ in range(4):
+            nr, nc = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+            r = int(rng.integers(1, min(nr, nc) + 1))
+            a = _rank_deficient(rng, nr, nc, r, high // 3)
+            a[0, 0] = high  # at least one entry past 2**31
+            out.append(a.astype(np.int64) if high < 2 ** 62 else a)
+    for n, density in ((220, 0.006), (240, 0.01)):
+        nnz = int(density * n * n)
+        out.append(sp.coo_matrix((rng.integers(-3, 4, size=nnz),
+                                  (rng.integers(0, n, size=nnz), rng.integers(0, n, size=nnz))),
+                                 shape=(n, n), dtype=np.int64).tocsr())
+    return out
+
+
+ORACLE_MATRICES = _oracle_matrices()
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_rank(i: int) -> int:
+    """sympy's rank of ``ORACLE_MATRICES[i]``, checked against the Fraction oracle."""
+    a = ORACLE_MATRICES[i]
+    dense = a.toarray() if hasattr(a, "toarray") else a
+    rank = sympy.Matrix([[int(x) for x in row] for row in dense]).rank()
+    assert a.shape[1] - rank == _oracle_nullity(a)
+    return rank
+
+
+@pytest.mark.parametrize("hadamard", [False, True])
+def test_rank_matches_sympy_and_fraction_oracles(monkeypatch, hadamard):
+    if hadamard:
+        # no lift ever verifies, so every rank comes from the Hadamard bound
+        monkeypatch.setattr(exact, "_combine_and_reconstruct", lambda group, ncols: None)
+    big = 0
+    for i, a in enumerate(ORACLE_MATRICES):
+        rank = _oracle_rank(i)
+        assert exact.rank_certified(a) == rank
+        nullity, vecs = exact.kernel_certified(a)
+        assert nullity == a.shape[1] - rank
+        if hadamard:
+            # only a zero matrix returns its unit vectors ahead of any prime
+            assert vecs == [] or not any(exact._as_sparse_rows(a))
+        elif exact._int64_matrix(a) is not None:
+            assert len(vecs) == nullity
+        else:
+            # entries past 2**31: kernel vectors, if they lift, pass the Python-int check
+            big += 1
+            assert len(vecs) in (0, nullity)
+            rows = exact._as_sparse_rows(a)
+            assert all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0
+                       for vec in vecs for row in rows)
+    assert big == (0 if hadamard else 12)
+
+
+def test_hadamard_bound_draws_primes_past_the_lifts(monkeypatch):
+    # rank 5 of 6 with entries below 2**43: Hadamard's bound on the 6 x 6
+    # minors has about 252 bits, more than the six lift primes' 186
+    rng = np.random.default_rng(2)
+    a = _rank_deficient(rng, 6, 6, 5, 2 ** 40).astype(np.int64)
+    drawn = []
+    source = exact._primes_one_mod
+
+    def recording(e):
+        for ell in source(e):
+            drawn.append(ell)
+            yield ell
+
+    monkeypatch.setattr(exact, "_primes_one_mod", recording)
+    monkeypatch.setattr(exact, "_combine_and_reconstruct", lambda group, ncols: None)
+    assert exact.kernel_certified(a) == (1, [])
+    assert len(drawn) > exact._LIFTS
+    monkeypatch.setattr(exact, "_primes_one_mod",
+                        lambda e: itertools.islice(source(e), exact._LIFTS))
+    with pytest.raises(SizeCapExceeded):
+        exact.kernel_certified(a)
+
+
+def test_sparse_fill_in_stays_within_the_byte_budget(monkeypatch):
+    # 1000 x 1000 with three entries a row fills in past 1 MiB of dict
+    # entries; with that budget, elimination must stop near it and refuse
+    rng = np.random.default_rng(4)
+    n = 1000
+    rows = np.repeat(np.arange(n), 3)
+    m = sp.csr_matrix((rng.integers(1, 9, size=3 * n), (rows, rng.integers(0, n, size=3 * n))),
+                      shape=(n, n), dtype=np.int64)
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded):
+            exact.kernel_certified(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20  # the budget plus the input rows
+
+
+def test_stripe_trial_past_six_primes_is_certified_by_the_bound(monkeypatch):
+    # seed 50299 draws a 572 x 572 stripe boundary of rank 286 whose kernel
+    # does not lift at the six lift primes; the stripe closed form checks it
+    results = []
+    certified = exact.kernel_certified
+
+    def recording(a):
+        results.append((a.shape, certified(a)))
+        return results[-1][1]
+
+    monkeypatch.setattr(exact, "kernel_certified", recording)
+    assert verify.suite_stripes(trials=1, seed=50299).ok
+    assert ((572, 572), (286, [])) in results

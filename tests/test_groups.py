@@ -330,6 +330,19 @@ def test_congruence_inverse_is_adjugate(sanov_group):
             assert q.mul(el, q.inv(el)) == q.identity
 
 
+def test_integral_inverse_round_trip_on_random_words():
+    rng = np.random.default_rng(17)
+    for group in (SL2Z, sanov(2), sanov(3), elementary3()):
+        gens = group.symmetric_generators()
+        for _ in range(40):
+            el = group.identity
+            for k in rng.integers(0, len(gens), size=int(rng.integers(1, 12))):
+                el = group.mul(el, gens[k])
+            inv = group.inv(el)
+            assert group.mul(el, inv) == group.mul(inv, el) == group.identity
+            assert group.inv(inv) == el
+
+
 def test_congruence_diameter_from_construction(sanov_group):
     rot = IntegralMatrixGroup(2, [[[0, -1], [1, 0]]])
     cases = [(sanov_group, m) for m in range(3, 14)] + [(rot, 5)]

@@ -10,7 +10,7 @@ from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
                       exact_kernel_dimension, instantiate, laplacian, quotient,
                       sandwich_check, short_length, torus_complex,
                       two_cell_complex, z_dichotomy)
-from l2growth import pattern
+from l2growth import exact, pattern
 from l2growth.errors import (DimensionOutOfRange, L2GrowthError, NotAbelian,
                              NotRankOne, NotSquare, SizeCapExceeded)
 from l2growth.pattern import LaurentPolynomial, as_laurent, \
@@ -264,14 +264,15 @@ def test_prime_dividing_every_coefficient_is_outvoted(monkeypatch, z_one):
 
 def test_prime_source():
     from sympy import isprime
-    assert [n for n in range(20000) if pattern._is_prime(n)] == \
+    assert [n for n in range(20000) if exact._is_prime(n)] == \
         [n for n in range(20000) if isprime(n)]
     # strong pseudoprimes to base 2, to bases 2 and 3, to bases 2, 3 and 5
-    assert not any(pattern._is_prime(n) for n in (2047, 1373653, 25326001))
+    assert not any(exact._is_prime(n) for n in (2047, 1373653, 25326001))
     for n in (2 ** 31 - 1, 2 ** 31 - 19, 2 ** 31 - 21):
-        assert pattern._is_prime(n) == isprime(n)
+        assert exact._is_prime(n) == isprime(n)
+    assert pattern._primes_one_mod is exact._primes_one_mod  # one source for both engines
     for e in (1, 2, 45, 997, 30030):
-        first = list(itertools.islice(pattern._primes_one_mod(e), 3))
+        first = list(itertools.islice(exact._primes_one_mod(e), 3))
         assert all(isprime(ell) and (ell - 1) % e == 0 and ell < 2 ** 31 for ell in first)
         assert first == sorted(first, reverse=True)
         assert not any(isprime(ell) for ell in range(first[0] + e, 2 ** 31, e))
