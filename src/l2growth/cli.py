@@ -99,19 +99,34 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_betti(args, caps: Caps) -> int:
+def _parse_with_dim(args):
+    """The complex at ``args.complex``, once ``--dim`` is checked against it."""
     cx = parse_complex(args.complex)
-    sub = parse_subgroup(cx.group, args.subgroup)
-    quot = quotient(cx.group, sub, caps)
-    cover = CoverInstance(cx, quot, caps)
     if not 0 <= args.dim <= cx.top_dim:
         raise DocumentError(f"--dim must be in [0, {cx.top_dim}]")
-    b = cover.betti(args.dim)
+    return cx
+
+
+def _write_lines(out: Optional[str], lines: List[str]) -> None:
+    """Write the lines to the file ``out``, or to stdout when it is None."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _cmd_betti(args, caps: Caps) -> int:
+    cx = _parse_with_dim(args)
+    sub = parse_subgroup(cx.group, args.subgroup)
+    quot = quotient(cx.group, sub, caps)
+    b = CoverInstance(cx, quot, caps).betti(args.dim)
     s = short_length(cx.group, sub, caps=caps)
     print(f"b={b} index={quot.order} short={s}")
     if isinstance(cx.group, FreeAbelian):
         b_char, _report = betti_by_characters(cx, quot, args.dim, caps,
-                                              cross_check=False, cover=cover)
+                                              cross_check=False)
         agree = b_char == b
         print(f"characters: b={b_char} agreement={'ok' if agree else 'MISMATCH'}")
         if not agree:
@@ -132,9 +147,7 @@ def _parse_grid(spec: Optional[str], k: float) -> np.ndarray:
 
 
 def _cmd_density(args, caps: Caps) -> int:
-    cx = parse_complex(args.complex)
-    if not 0 <= args.dim <= cx.top_dim:
-        raise DocumentError(f"--dim must be in [0, {cx.top_dim}]")
+    cx = _parse_with_dim(args)
     if args.quotients:
         if not (isinstance(cx.group, FreeAbelian) and cx.group.rank == 1):
             raise DocumentError("--quotients expects a rank-one deck group")
@@ -156,12 +169,7 @@ def _cmd_density(args, caps: Caps) -> int:
         est = estimate_ns(density)
         lines.append("alpha_hat,gap" if est.gap_detected
                      else f"alpha_hat,{est.alpha_hat:.10g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -182,9 +190,7 @@ def _one_bound(args, cx, quot, density, caps: Caps):
 
 
 def _cmd_bounds(args, caps: Caps) -> int:
-    cx = parse_complex(args.complex)
-    if not 0 <= args.dim <= cx.top_dim:
-        raise DocumentError(f"--dim must be in [0, {cx.top_dim}]")
+    cx = _parse_with_dim(args)
     density = density_zn(cx, args.dim, sample_count=args.samples,
                          seed=args.seed, caps=caps)
     if args.family:
@@ -197,12 +203,7 @@ def _cmd_bounds(args, caps: Caps) -> int:
             lines.append(f"{report.constants['index']},{report.constants['short']},"
                          f"{report.betti},{report.bound:.10g}")
             all_ok = all_ok and report.satisfied
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_lines(args.out, lines)
         return 0 if all_ok else 3
     if args.subgroup is None:
         raise DocumentError("bounds needs --subgroup or --family")

@@ -3,16 +3,16 @@
 Betti numbers must be exact integers, so ranks of the instantiated boundary
 matrices are computed over the rationals with a certificate:
 
-1. reduce mod a large prime and compute a reduced row echelon form (fast,
-   vectorized dense path, or a dict-based sparse path for large structured
-   matrices, whose back-substitution touches only the rows that hold each
-   pivot);
-2. at each of the first ``_LIFTS`` primes, lift the mod-p kernel basis
-   to rational vectors by rational reconstruction (CRT over the primes so
-   far), clear denominators, and verify ``A @ v == 0`` in exact integer
-   arithmetic: a blocked int64 product wherever
-   ``max_i sum_j |a_ij| * max |v_j| < 2**62`` certifies that no partial sum
-   overflows, Python integers otherwise;
+1. read the matrix once, in the form its elimination uses: dict rows for
+   large sparse matrices, whose back-substitution touches only the rows that
+   hold each pivot, and one array otherwise; then reduce mod a large prime
+   to a reduced row echelon form;
+2. at each of the first ``_LIFTS`` primes, fold the mod-p kernel basis into
+   the CRT residues of the lift (one modular inverse per prime), lift them
+   to rational vectors by rational reconstruction, clear denominators, and
+   verify ``A @ v == 0`` in exact integer arithmetic: a blocked int64
+   product wherever ``max_i sum_j |a_ij| * max |v_j| < 2**62`` certifies
+   that no partial sum overflows, Python integers otherwise;
 3. if no lift verifies, take ranks only at further primes until their
    product passes Hadamard's bound on the minors one size above the largest
    modular rank s seen; then the rational rank is s.
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import nlargest
 from itertools import islice
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -205,8 +205,11 @@ def _primes_one_mod(e: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 def _rref_modp_dense(a: np.ndarray, p: int):
-    """Full RREF mod p.  Returns (rank, pivot_cols, kernel_basis mod p)."""
-    m = np.array(a, dtype=np.int64) % p
+    """Full RREF mod p.  Returns (rank, pivot_cols, kernel_basis mod p).
+
+    ``a`` may hold entries past int64 as Python ints (an object array).
+    """
+    m = (np.asarray(a) % p).astype(np.int64, copy=False)
     nr, nc = m.shape
     pivots: List[int] = []
     r = 0
@@ -363,20 +366,10 @@ def rational_reconstruct(u: int, modulus: int) -> Fraction:
     return Fraction(r1, t1)
 
 
-def _crt_pair(a1: int, m1: int, a2: int, m2: int) -> Tuple[int, int]:
-    m = m1 * m2
-    x = (a1 + (a2 - a1) * pow(m1, -1, m2) % m2 * m1) % m
-    return x, m
-
-
 def _as_sparse_rows(a) -> List[Dict[int, int]]:
     """Normalize a numpy or scipy sparse matrix to rows-as-dicts with python ints."""
     if isinstance(a, np.ndarray):
-        rows = []
-        for i in range(a.shape[0]):
-            nz = np.nonzero(a[i])[0]
-            rows.append({int(j): int(a[i, j]) for j in nz})
-        return rows
+        return [{int(j): int(row[j]) for j in np.flatnonzero(row)} for row in a]
     coo = a.tocoo()
     rows = [dict() for _ in range(coo.shape[0])]
     for i, j, v in zip(coo.row, coo.col, coo.data):
@@ -399,15 +392,14 @@ def _int64_matrix(a):
     return a.astype(np.int64, copy=False)
 
 
-def _verify_kernel_exact(a, rows: List[Dict[int, int]],
-                         vecs: List[Dict[int, int]]) -> bool:
+def _verify_kernel_exact(a, vecs: List[Dict[int, int]]) -> bool:
     """Check A @ v == 0 for every candidate, in exact integer arithmetic.
 
-    ``a`` is the matrix (dense or scipy sparse) and ``rows`` the same matrix
-    as dict rows.  When ``max_i sum_j |a_ij| * max_j |v_j| < 2**62`` no
-    partial sum of ``A @ v`` can leave int64, so the check is one int64
-    product ``A @ V`` per block of candidates, each block a dense array of
-    at most ``_BLOCK_ENTRIES`` entries; otherwise it runs over Python ints.
+    ``a`` is the matrix, dense or scipy sparse.  When
+    ``max_i sum_j |a_ij| * max_j |v_j| < 2**62`` no partial sum of ``A @ v``
+    can leave int64, so the check is one int64 product ``A @ V`` per block of
+    candidates, each block a dense array of at most ``_BLOCK_ENTRIES``
+    entries; otherwise it runs over Python ints on the dict rows of ``a``.
     """
     ncols = a.shape[1]
     a64 = _int64_matrix(a)
@@ -424,6 +416,7 @@ def _verify_kernel_exact(a, rows: List[Dict[int, int]],
                 if np.any(a64 @ v):
                     return False
             return True
+    rows = _as_sparse_rows(a)
     for vec in vecs:
         for row in rows:
             if len(row) < len(vec):
@@ -447,20 +440,22 @@ def rank_certified(a) -> int:
         return 0
     if nr < nc:
         a = a.T  # rank is transpose-invariant; fewer columns is cheaper
-        nr, nc = nc, nr
-    return nc - kernel_certified(a)[0]
+    return min(nr, nc) - kernel_certified(a)[0]
 
 
 def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     """Exact rational nullity, with verified integer kernel vectors (as sparse dicts).
 
-    At each of the first ``_LIFTS`` primes the mod-p kernel is lifted;
-    once the lift passes ``A @ v == 0`` exactly, the vectors are returned:
-    linearly independent over Q, as many as the nullity.  Otherwise the
-    nullity is ``ncols - s`` for the largest modular rank s, certified by
-    primes whose product passes Hadamard's bound on the (s+1)-minors (see the
-    module docstring).  The vector list is empty exactly when that bound
-    certified a positive nullity, or when the nullity is zero.
+    The matrix is read once, in the form its elimination uses: dict rows for
+    the sparse path, one array for the dense path.  At each of the first
+    ``_LIFTS`` primes the mod-p kernel is folded into the CRT residues of the
+    lift, once per prime, and the lift is reconstructed; once it passes
+    ``A @ v == 0`` exactly, the vectors are returned: linearly independent
+    over Q, as many as the nullity.  Otherwise the nullity is ``ncols - s``
+    for the largest modular rank s, certified by primes whose product passes
+    Hadamard's bound on the (s+1)-minors (see the module docstring).  The
+    vector list is empty exactly when that bound certified a positive
+    nullity, or when the nullity is zero.
     """
     if isinstance(a, np.ndarray):
         nnz = int(np.count_nonzero(a))
@@ -476,45 +471,56 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
 
     use_sparse = (min(nrows, ncols) > _SPARSE_THRESHOLD
                   and nnz < _SPARSE_DENSITY * nrows * ncols)
-    if not use_sparse:
-        # ahead of the dict rows, which cost memory in proportion to nrows
-        _check_dense_budget(nrows, ncols)
-    rows = _as_sparse_rows(a)
-    # stored entries stay within the dense byte budget: past it, _FillIn sends
-    # the matrix to the dense path, whose budget check refuses it
-    fill_cap = min(max(4 * nnz + 4096, int(0.25 * nrows * ncols)),
-                   _DENSE_BYTES // _DICT_ENTRY_BYTES)
+    if use_sparse:
+        rows = _as_sparse_rows(a)
+        # stored entries stay within the dense byte budget: past it, _FillIn
+        # sends the matrix to the dense path, whose budget check refuses it
+        fill_cap = min(max(4 * nnz + 4096, int(0.25 * nrows * ncols)),
+                       _DENSE_BYTES // _DICT_ENTRY_BYTES)
+    dense = None
 
     def rref(p: int):
-        nonlocal use_sparse
+        nonlocal use_sparse, dense
         if use_sparse:
             try:
                 return _rref_modp_sparse(rows, ncols, p, fill_cap)
             except _FillIn:
                 use_sparse = False
-        return _rref_modp_dense(_densify(rows, nrows, ncols, p), p)
+        if dense is None:
+            if 8 * nrows * ncols > _DENSE_BYTES:
+                raise SizeCapExceeded(
+                    f"dense elimination of a {nrows}x{ncols} matrix needs "
+                    f"{8 * nrows * ncols} bytes, above the {_DENSE_BYTES}-byte budget")
+            dense = a.toarray() if hasattr(a, "toarray") else a
+        return _rref_modp_dense(dense, p)
 
     primes = _primes_one_mod(1)
-    attempts = []  # (p, free_cols, basis)
+    product = 1
+    # the lift of the first attempt with the most pivots: its free columns and
+    # the CRT residues of its kernel vectors modulo the primes that agree
+    lift_free, modulus, residues = None, 1, []
     for p in islice(primes, _LIFTS):
         _, free_cols, basis = rref(p)
         if not free_cols:
             # full column rank mod p certifies full rank over Q
             return 0, []
-        attempts.append((p, tuple(free_cols), basis))
-        # keep only attempts agreeing with the maximal-rank structure
-        best = min(attempts, key=lambda t: len(t[1]))
-        group = [t for t in attempts if t[1] == best[1]]
-        candidates = _combine_and_reconstruct(group, ncols)
-        if candidates is None:
-            continue
-        if _verify_kernel_exact(a, rows, candidates):
+        product *= p
+        if lift_free is None or len(free_cols) < len(lift_free):
+            lift_free, modulus, residues = free_cols, p, basis
+        elif free_cols == lift_free:
+            inv = pow(modulus, -1, p)
+            residues = [{c: r.get(c, 0) + (b.get(c, 0) - r.get(c, 0)) * inv % p * modulus
+                         for c in r.keys() | b.keys()} for r, b in zip(residues, basis)]
+            modulus *= p
+        else:
+            continue  # the lift is unchanged, so its candidates failed already
+        candidates = _reconstruct_vectors(residues, modulus)
+        if candidates is not None and _verify_kernel_exact(a, candidates):
             return len(candidates), candidates
 
-    rank = ncols - min(len(t[1]) for t in attempts)
-    product = prod(t[0] for t in attempts)
-    norms = [[max(1, sum(v * v for v in line.values())) for line in lines]
-             for lines in (rows, _as_sparse_rows(a.T))]
+    rank = ncols - len(lift_free)
+    norms = [[max(1, sum(v * v for v in line.values())) for line in _as_sparse_rows(m)]
+             for m in (a, a.T)]
     while rank < min(nrows, ncols) and (
             product ** 2 <= min(prod(nlargest(rank + 1, sq)) for sq in norms)):
         p = next(primes, None)
@@ -524,53 +530,18 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     return ncols - rank, []
 
 
-def _check_dense_budget(nrows: int, ncols: int) -> None:
-    if 8 * nrows * ncols > _DENSE_BYTES:
-        raise SizeCapExceeded(
-            f"dense elimination of a {nrows}x{ncols} matrix needs {8 * nrows * ncols} "
-            f"bytes, above the {_DENSE_BYTES}-byte budget")
-
-
-def _densify(rows: List[Dict[int, int]], nrows: int, ncols: int, p: int) -> np.ndarray:
-    _check_dense_budget(nrows, ncols)
-    out = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            out[i, j] = v % p
-    return out
-
-
-def _combine_and_reconstruct(group, ncols: int):
-    """CRT-combine matching mod-p kernels and lift to integer vectors."""
-    p0, free_cols, basis0 = group[0]
-    k = len(basis0)
-    combined = [dict(vec) for vec in basis0]
-    modulus = p0
-    for p, _, basis in group[1:]:
-        for i in range(k):
-            merged = {}
-            keys = set(combined[i]) | set(basis[i])
-            for c in keys:
-                x, m = _crt_pair(combined[i].get(c, 0), modulus, basis[i].get(c, 0), p)
-                merged[c] = x
-            combined[i] = merged
-        modulus *= p
+def _reconstruct_vectors(residues: List[Dict[int, int]], modulus: int):
+    """Primitive integer vectors whose entries reconstruct the residues, or None."""
     out = []
-    for vec in combined:
+    for vec in residues:
         try:
-            fracs = {c: rational_reconstruct(v, modulus) for c, v in vec.items()}
+            fracs = [(c, rational_reconstruct(v, modulus)) for c, v in vec.items()]
         except ValueError:
             return None
-        denom = 1
-        for f in fracs.values():
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        ints = {c: int(f * denom) for c, f in fracs.items() if f}
+        denom = lcm(*(f.denominator for _, f in fracs))
+        ints = {c: f.numerator * (denom // f.denominator) for c, f in fracs if f}
         if not ints:
             return None
-        g = 0
-        for v in ints.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out.append(ints)
+        g = gcd(*ints.values())
+        out.append({c: v // g for c, v in ints.items()})
     return out

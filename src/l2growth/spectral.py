@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from .covers import CoverInstance
 from .errors import (DegenerateZ, FamilyNotLogUniform, GapNotVerified,
                      HypothesisUnverified, InsufficientGrid, LambdaAboveGap,
                      NotAbelian, ShortTooSmall, SizeCapExceeded)
-from .exact import _DENSE_BYTES
+from .exact import _DENSE_BYTES, _is_prime
 from .group_ring import EquivariantChainComplex, laplacian, norm_bound, support_radius
 from .groups import FreeAbelian, quotient as make_quotient, short_length
 from .pattern import determinant, evaluate_matrix_at_characters
@@ -150,16 +151,6 @@ def cosine_density_closed_form(diag: float, off: float) -> DensityEstimate:
 _HALTON_HEAD = 4096     # largest lookup table of leading-digit partial sums
 
 
-def _first_primes(d: int) -> List[int]:
-    primes: List[int] = []
-    c = 2
-    while len(primes) < d:
-        if all(c % p for p in primes):
-            primes.append(c)
-        c += 1
-    return primes
-
-
 def _scrambled_van_der_corput(n: int, base: int, perms: np.ndarray) -> np.ndarray:
     """Points 0..n-1 of the base-``base`` sequence scrambled by ``perms``.
 
@@ -205,7 +196,7 @@ def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
     """(n, d) Owen-scrambled Halton points, equal to scipy's for the seed."""
     rng = np.random.default_rng(seed)
     out = np.empty((d, n))
-    for i, base in enumerate(_first_primes(d)):
+    for i, base in enumerate(islice(filter(_is_prime, count(2)), d)):
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1,
                           axis=0)
         for row in perms:
@@ -247,6 +238,17 @@ def _cos_symbol(entry, points: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _symbol_eigenvalues(lap, points: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symbol of ``lap`` at each point, shape (points, a).
+
+    A scalar symbol is its cosine sum (``_cos_symbol``); a matrix symbol is
+    evaluated at the characters and handed to ``eigvalsh``.
+    """
+    if len(lap.entries) == 1:
+        return _cos_symbol(lap.entries[0][0], points)[:, None]
+    return np.linalg.eigvalsh(evaluate_matrix_at_characters(lap, points))
+
+
 def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
                seed: int = 0, caps: Caps = DEFAULT_CAPS) -> DensityEstimate:
     """Quasi-random character quadrature for the density of a Z^n complex.
@@ -270,11 +272,7 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
         return DensityEstimate.from_samples(np.zeros(0), sample_count, k, 0,
                                             Provenance("torus_quadrature", sample_count))
     points = _scrambled_halton(n, sample_count, seed)
-    if a == 1:
-        eigs = _cos_symbol(lap.entries[0][0], points)
-    else:
-        blocks = evaluate_matrix_at_characters(lap, points)
-        eigs = np.linalg.eigvalsh(blocks).ravel()
+    eigs = _symbol_eigenvalues(lap, points).ravel()
     return DensityEstimate.from_samples(eigs, sample_count, k, a,
                                         Provenance("torus_quadrature", sample_count))
 
@@ -455,11 +453,7 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096,
     axes = [np.arange(per_dim) / per_dim] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    if a == 1:
-        grid_min = float(_cos_symbol(lap.entries[0][0], points).min())
-    else:
-        blocks = evaluate_matrix_at_characters(lap, points)
-        grid_min = float(np.linalg.eigvalsh(blocks)[:, 0].min())
+    grid_min = float(_symbol_eigenvalues(lap, points).min())
     sq_sum = 0.0
     for row in lap.entries:
         for e in row:

@@ -1,7 +1,7 @@
 import functools
 import itertools
 import tracemalloc
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -119,6 +119,64 @@ def _kernel_exact_fractions(rows, nrows, ncols):
     return len(pivots), basis
 
 
+def _crt_pair(a1, m1, a2, m2):
+    m = m1 * m2
+    x = (a1 + (a2 - a1) * pow(m1, -1, m2) % m2 * m1) % m
+    return x, m
+
+
+def _combine_and_reconstruct(group, ncols):
+    """The pairwise lift: CRT-combine every agreeing attempt from the first
+    prime, one modular inverse per entry, then clear denominators with a
+    Fraction lcm loop.  Kept as the oracle for the incremental lift."""
+    p0, free_cols, basis0 = group[0]
+    k = len(basis0)
+    combined = [dict(vec) for vec in basis0]
+    modulus = p0
+    for p, _, basis in group[1:]:
+        for i in range(k):
+            merged = {}
+            keys = set(combined[i]) | set(basis[i])
+            for c in keys:
+                x, m = _crt_pair(combined[i].get(c, 0), modulus, basis[i].get(c, 0), p)
+                merged[c] = x
+            combined[i] = merged
+        modulus *= p
+    out = []
+    for vec in combined:
+        try:
+            fracs = {c: exact.rational_reconstruct(v, modulus) for c, v in vec.items()}
+        except ValueError:
+            return None
+        denom = 1
+        for f in fracs.values():
+            denom = denom * f.denominator // gcd(denom, f.denominator)
+        ints = {c: int(f * denom) for c, f in fracs.items() if f}
+        if not ints:
+            return None
+        g = 0
+        for v in ints.values():
+            g = gcd(g, abs(v))
+        if g > 1:
+            ints = {c: v // g for c, v in ints.items()}
+        out.append(ints)
+    return out
+
+
+def _pairwise_lift(a):
+    """(primes combined, vectors) of the first lift the pairwise oracle verifies."""
+    attempts = []
+    for p in itertools.islice(exact._primes_one_mod(1), exact._LIFTS):
+        _, free_cols, basis = exact._rref_modp_dense(a, p)
+        attempts.append((p, tuple(free_cols), basis))
+        best = min(attempts, key=lambda t: len(t[1]))
+        group = [t for t in attempts if t[1] == best[1]]
+        vecs = _combine_and_reconstruct(group, a.shape[1])
+        if vecs is not None and exact._verify_kernel_exact(a, vecs):
+            return len(group), vecs
+    return None
+
+
 def _oracle_nullity(a) -> int:
     a = a.toarray() if hasattr(a, "toarray") else np.asarray(a)
     rows = [{j: int(a[i, j]) for j in range(a.shape[1]) if a[i, j]}
@@ -220,23 +278,58 @@ def test_sparse_rref_matches_quadratic_back_substitution(family):
 def test_kernel_check_rejects_what_int64_would_wrap():
     # 2 * 2**62 + 2 * 2**62 wraps to 0 in int64
     a = np.array([[2, 2]], dtype=np.int64)
-    assert not exact._verify_kernel_exact(a, [{0: 2, 1: 2}], [{0: 2 ** 62, 1: 2 ** 62}])
+    assert not exact._verify_kernel_exact(a, [{0: 2 ** 62, 1: 2 ** 62}])
     # a true kernel vector past int64 passes through the Python-int check
     a = np.array([[1, -1], [3, -3]], dtype=np.int64)
-    rows = [{0: 1, 1: -1}, {0: 3, 1: -3}]
-    assert exact._verify_kernel_exact(a, rows, [{0: 2 ** 63 + 5, 1: 2 ** 63 + 5}])
-    assert exact._verify_kernel_exact(sp.csr_matrix(a), rows, [{0: 1, 1: 1}])
-    assert not exact._verify_kernel_exact(sp.csr_matrix(a), rows, [{0: 1, 1: 1}, {0: 1}])
+    assert exact._verify_kernel_exact(a, [{0: 2 ** 63 + 5, 1: 2 ** 63 + 5}])
+    assert exact._verify_kernel_exact(sp.csr_matrix(a), [{0: 1, 1: 1}])
+    assert not exact._verify_kernel_exact(sp.csr_matrix(a), [{0: 1, 1: 1}, {0: 1}])
 
 
 def test_kernel_check_blocks_one_candidate_per_block_on_wide_matrices():
     ncols = 2 ** 17 + 3
     assert exact._BLOCK_ENTRIES // ncols == 0
     a = sp.csr_matrix((np.array([1, -1], dtype=np.int64), ([0, 0], [0, 1])), shape=(1, ncols))
-    rows = [{0: 1, 1: -1}]
     good = [{0: 1, 1: 1}, {2: 1}, {ncols - 1: 7}]
-    assert exact._verify_kernel_exact(a, rows, good)
-    assert not exact._verify_kernel_exact(a, rows, good + [{0: 1}])
+    assert exact._verify_kernel_exact(a, good)
+    assert not exact._verify_kernel_exact(a, good + [{0: 1}])
+
+
+_MULTI_PRIME_LIFTS = {
+    "row": np.array([[1000003, 999983]], dtype=np.int64),
+    "two_rows": np.array([[1000003, 999983, 7], [3, 5, 11]], dtype=np.int64),
+    "object_2e41": np.array([[2 ** 41 + 1, 2 ** 41 - 3, 5], [7, 11, 13]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_PRIME_LIFTS))
+def test_incremental_lift_matches_pairwise_recombination(monkeypatch, name):
+    a = _MULTI_PRIME_LIFTS[name]
+    moduli = []
+    reconstruct = exact._reconstruct_vectors
+
+    def recording(residues, modulus):
+        moduli.append(modulus)
+        return reconstruct(residues, modulus)
+
+    monkeypatch.setattr(exact, "_reconstruct_vectors", recording)
+    nullity, vecs = exact.kernel_certified(a)
+    primes, want = _pairwise_lift(a)
+    assert primes >= 2  # one prime is too small to reconstruct these kernels
+    assert (nullity, vecs) == (len(want), want)
+    assert moduli[-1] == prod(itertools.islice(exact._primes_one_mod(1), primes))
+    if name == "row":
+        assert (nullity, vecs) == (1, [{0: -999983, 1: 1000003}])
+
+
+def test_dense_path_reads_no_dict_rows(monkeypatch):
+    def refuse(a):
+        raise AssertionError("dict rows built on the dense path")
+
+    monkeypatch.setattr(exact, "_as_sparse_rows", refuse)
+    a = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+    assert exact.kernel_certified(a) == (1, [{0: 1, 1: -2, 2: 1}])
+    assert exact.rank_certified(a) == 2
 
 
 def test_dense_path_refuses_past_byte_budget_before_allocating():
@@ -365,7 +458,7 @@ def _oracle_rank(i: int) -> int:
 def test_rank_matches_sympy_and_fraction_oracles(monkeypatch, hadamard):
     if hadamard:
         # no lift ever verifies, so every rank comes from the Hadamard bound
-        monkeypatch.setattr(exact, "_combine_and_reconstruct", lambda group, ncols: None)
+        monkeypatch.setattr(exact, "_reconstruct_vectors", lambda residues, modulus: None)
     big = 0
     for i, a in enumerate(ORACLE_MATRICES):
         rank = _oracle_rank(i)
@@ -401,7 +494,7 @@ def test_hadamard_bound_draws_primes_past_the_lifts(monkeypatch):
             yield ell
 
     monkeypatch.setattr(exact, "_primes_one_mod", recording)
-    monkeypatch.setattr(exact, "_combine_and_reconstruct", lambda group, ncols: None)
+    monkeypatch.setattr(exact, "_reconstruct_vectors", lambda residues, modulus: None)
     assert exact.kernel_certified(a) == (1, [])
     assert len(drawn) > exact._LIFTS
     monkeypatch.setattr(exact, "_primes_one_mod",

@@ -1,14 +1,31 @@
 """Checks on the library's shape: the names the benchmark's span tracer wraps
-exist, and the runtime imports stay within the standard library, numpy and scipy."""
+exist, the runtime imports stay within the standard library, numpy and scipy,
+and every package the tests import is declared in the ``test`` extra."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 from l2growth.covers import CoverInstance
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _imports(path: Path):
+    """(line, top-level module) of every absolute import in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name.split(".")[0]
 
 
 def test_traced_layer_names_resolve(monkeypatch):
@@ -27,12 +44,19 @@ def test_runtime_imports_are_stdlib_numpy_scipy():
     sources = sorted((REPO / "src" / "l2growth").glob("*.py"))
     assert sources
     for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+        for line, name in _imports(path):
+            assert name in allowed, f"{path.name}:{line} imports {name}"
+
+
+def test_imports_under_tests_are_declared_in_the_test_extra():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+    sources = sorted((REPO / "tests").rglob("*.py"))
+    local = {path.stem for path in sources}  # conftest, cyclotomic_oracle, ...
+    allowed = set(sys.stdlib_module_names) | declared | local | {"l2growth"}
+    for path in sources:
+        for line, name in _imports(path):
+            assert name in allowed, f"{path.name}:{line} imports undeclared {name}"
