@@ -3,10 +3,12 @@
 Betti numbers must be exact integers, so ranks of the instantiated boundary
 matrices are computed over the rationals with a certificate:
 
-1. read the matrix once, in the form its elimination uses: dict rows for
-   large sparse matrices, whose back-substitution touches only the rows that
-   hold each pivot, and one array otherwise; then reduce mod a large prime
-   to a reduced row echelon form;
+1. read the matrix once, in the form its elimination uses, and reduce it
+   mod a large prime to a reduced row echelon form.  One fill budget B picks
+   the form: B is twice the nonzeros if the dense int64 array fits
+   ``_DENSE_BYTES``, else that budget in dict entries.  The matrix is read as
+   its nonempty dict rows if B entries take fewer bytes than the dense array,
+   and goes dense once they store more than B entries; otherwise as an array;
 2. at each of the first ``_LIFTS`` primes, fold the mod-p kernel basis into
    the CRT residues of the lift (one modular inverse per prime), lift them
    to rational vectors by rational reconstruction, clear denominators, and
@@ -24,7 +26,7 @@ every prime divides would exceed the bound.  Primes come from
 ``_primes_one_mod``, the source the character path in ``pattern`` also
 draws from.  The dense path refuses, with ``SizeCapExceeded`` and before
 allocating, any matrix whose int64 array would exceed ``_DENSE_BYTES``
-(1 GiB); the sparse path bounds its stored entries by the same budget.
+(1 GiB); such a matrix always starts sparse, with the same byte budget.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ import numpy as np
 from .errors import SizeCapExceeded
 
 _LIFTS = 6                   # primes at which kernel vectors are lifted
-_SPARSE_THRESHOLD = 200      # min(ncols) above which sparsity is considered
-_SPARSE_DENSITY = 0.02       # fraction of nonzeros below which sparse path is used
 _DENSE_BYTES = 2 ** 30       # largest int64 array the dense path may allocate
 _DICT_ENTRY_BYTES = 96       # memory per stored sparse entry (about 93 B under tracemalloc)
 
@@ -222,12 +222,13 @@ def _rref_modp_dense(a: np.ndarray, p: int):
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, col]), p - 2, p)
-        m[r] = (m[r] * inv) % p
+        # a pivot row is zero before its pivot column
+        inv = pow(int(m[r, col]), -1, p)
+        m[r, col:] = (m[r, col:] * inv) % p
         rows = np.nonzero(m[:, col])[0]
         rows = rows[rows != r]
         if rows.size:
-            m[rows] = (m[rows] - np.outer(m[rows, col], m[r])) % p
+            m[rows, col:] = (m[rows, col:] - np.outer(m[rows, col], m[r, col:])) % p
         pivots.append(col)
         r += 1
     pivot_set = set(pivots)
@@ -270,9 +271,8 @@ def ranks_modp(stack: np.ndarray, p: int) -> np.ndarray:
     return ranks
 
 
-def _rref_modp_sparse(rows: List[Dict[int, int]], ncols: int, p: int,
-                      fill_cap: int):
-    """Sparse full RREF mod p over dict rows.  Raises _FillIn when it densifies.
+def _rref_modp_sparse(rows: List[Dict[int, int]], ncols: int, p: int, budget: int):
+    """Sparse full RREF mod p over dict rows.  Raises _FillIn past ``budget`` stored entries.
 
     Forward elimination reduces each row by the pivots met at its leading
     column.  Back-substitution then runs over the pivots from the last one
@@ -302,12 +302,12 @@ def _rref_modp_sparse(rows: List[Dict[int, int]], ncols: int, p: int,
                     elif cc in r:
                         del r[cc]
             else:
-                inv = pow(r[c], p - 2, p)
+                inv = pow(r[c], -1, p)
                 r = {cc: (vv * inv) % p for cc, vv in r.items()}
                 pivot_of[c] = len(echelon)
                 echelon.append(r)
                 stored += len(r)
-                if stored > fill_cap:
+                if stored > budget:
                     raise _FillIn
                 break
     # back-substitution to full RREF; a row's entries lie at or after its
@@ -333,7 +333,7 @@ def _rref_modp_sparse(rows: List[Dict[int, int]], ncols: int, p: int,
                 elif cc in row:
                     del row[cc]
             stored += len(row)
-            if stored > fill_cap:
+            if stored > budget:
                 raise _FillIn
     free_cols = [c for c in range(ncols) if c not in pivot_of]
     basis = [{fc: 1} for fc in free_cols]
@@ -367,15 +367,16 @@ def rational_reconstruct(u: int, modulus: int) -> Fraction:
 
 
 def _as_sparse_rows(a) -> List[Dict[int, int]]:
-    """Normalize a numpy or scipy sparse matrix to rows-as-dicts with python ints."""
+    """The nonempty rows of a numpy or scipy sparse matrix, in order, as dicts of python ints."""
     if isinstance(a, np.ndarray):
-        return [{int(j): int(row[j]) for j in np.flatnonzero(row)} for row in a]
+        rows = ({int(j): int(row[j]) for j in np.flatnonzero(row)} for row in a)
+        return [row for row in rows if row]
     coo = a.tocoo()
-    rows = [dict() for _ in range(coo.shape[0])]
-    for i, j, v in zip(coo.row, coo.col, coo.data):
+    by_row: Dict[int, Dict[int, int]] = {}
+    for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
         if v:
-            rows[int(i)][int(j)] = int(v)
-    return rows
+            by_row.setdefault(i, {})[j] = int(v)
+    return [by_row[i] for i in sorted(by_row)]
 
 
 def _int64_matrix(a):
@@ -428,6 +429,11 @@ def _verify_kernel_exact(a, vecs: List[Dict[int, int]]) -> bool:
     return True
 
 
+def _fill_budget(nrows: int, ncols: int, nnz: int) -> int:
+    """Entries the sparse elimination may store: B of the module docstring."""
+    return 2 * nnz if 8 * nrows * ncols <= _DENSE_BYTES else _DENSE_BYTES // _DICT_ENTRY_BYTES
+
+
 def nullity_certified(a) -> int:
     """Exact nullity (rational kernel dimension) of an integer matrix."""
     return kernel_certified(a)[0]
@@ -446,8 +452,8 @@ def rank_certified(a) -> int:
 def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     """Exact rational nullity, with verified integer kernel vectors (as sparse dicts).
 
-    The matrix is read once, in the form its elimination uses: dict rows for
-    the sparse path, one array for the dense path.  At each of the first
+    The matrix is read once, in the form the fill budget of the module
+    docstring (``_fill_budget``) picks.  At each of the first
     ``_LIFTS`` primes the mod-p kernel is folded into the CRT residues of the
     lift, once per prime, and the lift is reconstructed; once it passes
     ``A @ v == 0`` exactly, the vectors are returned: linearly independent
@@ -469,21 +475,16 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     if nnz == 0:
         return ncols, [{c: 1} for c in range(ncols)]
 
-    use_sparse = (min(nrows, ncols) > _SPARSE_THRESHOLD
-                  and nnz < _SPARSE_DENSITY * nrows * ncols)
-    if use_sparse:
-        rows = _as_sparse_rows(a)
-        # stored entries stay within the dense byte budget: past it, _FillIn
-        # sends the matrix to the dense path, whose budget check refuses it
-        fill_cap = min(max(4 * nnz + 4096, int(0.25 * nrows * ncols)),
-                       _DENSE_BYTES // _DICT_ENTRY_BYTES)
+    budget = _fill_budget(nrows, ncols, nnz)
+    use_sparse = _DICT_ENTRY_BYTES * budget < 8 * nrows * ncols
+    rows = _as_sparse_rows(a) if use_sparse else None
     dense = None
 
     def rref(p: int):
         nonlocal use_sparse, dense
         if use_sparse:
             try:
-                return _rref_modp_sparse(rows, ncols, p, fill_cap)
+                return _rref_modp_sparse(rows, ncols, p, budget)
             except _FillIn:
                 use_sparse = False
         if dense is None:

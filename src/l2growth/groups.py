@@ -25,7 +25,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import NotFiniteIndex, OrderCapExceeded, SearchCapExceeded, SizeCapExceeded
+from .errors import (CrossCheckMismatch, NotFiniteIndex, OrderCapExceeded, SearchCapExceeded,
+                     SizeCapExceeded)
 from . import exact
 
 Element = Tuple  # integer tuple (abelian) or tuple of integer tuples (matrix)
@@ -299,7 +300,7 @@ class FiniteQuotient:
                 d = dist[nxt[0]]
             frontier = nxt
         if len(dist) != self.order:
-            raise RuntimeError("generator images do not generate the quotient")
+            raise CrossCheckMismatch("generator images do not generate the quotient")
         return d
 
     def order_of(self, el) -> int:
@@ -310,7 +311,7 @@ class FiniteQuotient:
             acc = self.mul(acc, el)
             k += 1
             if k > self.order:
-                raise RuntimeError("element order exceeds group order; broken quotient")
+                raise CrossCheckMismatch("element order exceeds group order; broken quotient")
         return k
 
 
@@ -333,7 +334,7 @@ class AbelianQuotient(FiniteQuotient):
             raise OrderCapExceeded(
                 f"quotient order {self.order} exceeds cap {caps.order}")
         if self.order != subgroup.index:
-            raise RuntimeError("Smith normal form order mismatch")  # pragma: no cover
+            raise CrossCheckMismatch("Smith normal form order mismatch")  # pragma: no cover
         import itertools
 
         # identity (all zeros) comes first in lexicographic product order

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import DimensionTooLow, RankOutOfRange
+from .errors import CrossCheckMismatch, DimensionTooLow, RankOutOfRange
 from .group_ring import EquivariantChainComplex, GroupRingElement, GroupRingMatrix
 from .groups import FiniteQuotient, FreeAbelian, element_order, short_length
 
@@ -126,7 +126,7 @@ def stripe_prediction(spec: StripeSpec, quot: FiniteQuotient) -> int:
     """Closed-form rank of H_q of the cover: index / order of the loop."""
     o = element_order(quot, spec.gamma)
     if quot.order % o:
-        raise RuntimeError("element order does not divide the quotient order")
+        raise CrossCheckMismatch("element order does not divide the quotient order")
     return quot.order // o
 
 

@@ -128,8 +128,6 @@ def random_quotient(rng, group: FreeAbelian, max_index: int = 200,
         else:
             mat = rng.integers(-6, 7, size=(2, 2))
             sub = LatticeSubgroup(mat.tolist())
-            if sub.det == 0 or sub.index > max_index:
-                continue
         if sub.det == 0 or sub.index > max_index:
             continue
         if min_short > 1 and short_length(group, sub, caps=caps) < min_short:

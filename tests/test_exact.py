@@ -211,14 +211,6 @@ def _random_sparse_400():
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.int64).tocsr()
 
 
-def test_sparse_and_dense_paths_agree():
-    m = _random_sparse_400()
-    k_sparse, v_sparse = exact.kernel_certified(m)
-    k_dense, v_dense = exact.kernel_certified(m.toarray())
-    assert k_sparse == k_dense > 0
-    assert v_sparse == v_dense
-
-
 def _shift_minus_identity(n, s):
     perm = (np.arange(n) + s) % n
     p = sp.coo_matrix((np.ones(n, dtype=np.int64), (np.arange(n), perm)),
@@ -273,6 +265,24 @@ def test_sparse_rref_matches_quadratic_back_substitution(family):
     want = _rref_modp_sparse_quadratic(rows, ncols, p, cap)
     assert got == want
     assert got[0] < ncols  # every family has a kernel for the basis to cover
+
+
+def test_sparse_and_dense_paths_agree(monkeypatch):
+    # these families store no more entries than their nonzeros, so a budget
+    # of twice the nonzeros keeps them on the sparse path
+    defaults = {}
+    for family, build in _RREF_FAMILIES.items():
+        m = build()
+        rows, ncols = exact._as_sparse_rows(m), m.shape[1]
+        sparse = exact._rref_modp_sparse(rows, ncols, FIRST_PRIME, m.count_nonzero())
+        assert sparse == exact._rref_modp_dense(m.toarray(), FIRST_PRIME), family
+        default = exact.kernel_certified(m)
+        assert default[0] > 0, family
+        defaults[family] = m, default
+    # a budget of 0 hands every matrix to the dense path at its first pivot
+    monkeypatch.setattr(exact, "_fill_budget", lambda nrows, ncols, nnz: 0)
+    for family, (m, default) in defaults.items():
+        assert exact.kernel_certified(m) == default, family
 
 
 def test_kernel_check_rejects_what_int64_would_wrap():
@@ -332,20 +342,39 @@ def test_dense_path_reads_no_dict_rows(monkeypatch):
     assert exact.rank_certified(a) == 2
 
 
-def test_dense_path_refuses_past_byte_budget_before_allocating():
-    # 200 x 10**6 with 200 nonzeros: min(dims) <= 200 sends it to the dense
-    # path, whose 10**6 x 200 int64 array would take 1.6 GB
+def test_dense_path_refuses_past_byte_budget_before_allocating(monkeypatch):
+    # an arrow matrix: its full first row fills every later row in, so the
+    # sparse path stops at the budget and the dense path, whose 8 MB array
+    # is past the patched 1 MiB, refuses it without allocating it
+    n = 1000
+    a = np.eye(n, dtype=np.int64)
+    a[0] = a[:, 0] = 1
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 2 ** 20)
+    assert 8 * n * n > exact._DENSE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded):
+            exact.kernel_certified(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_tall_sparse_matrix_costs_memory_by_its_nonzeros():
+    # 200 x 10**6 with 200 nonzeros: its 10**6 x 200 int64 array would take
+    # 1.6 GB, past the byte budget, but its nonempty dict rows take 20 KB
     n = 200
     m = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), 5000 * np.arange(n))),
                       shape=(n, 10 ** 6))
     assert 8 * n * 10 ** 6 > exact._DENSE_BYTES
     tracemalloc.start()
     try:
-        with pytest.raises(SizeCapExceeded):
-            exact.rank_certified(m)
+        rank = exact.rank_certified(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert rank == n
     assert peak < 4 * 2 ** 20
 
 
@@ -529,9 +558,14 @@ def test_stripe_trial_past_six_primes_is_certified_by_the_bound(monkeypatch):
     certified = exact.kernel_certified
 
     def recording(a):
-        results.append((a.shape, certified(a)))
+        results.append((a, certified(a)))
         return results[-1][1]
 
     monkeypatch.setattr(exact, "kernel_certified", recording)
     assert verify.suite_stripes(trials=1, seed=50299).ok
-    assert ((572, 572), (286, [])) in results
+    m = next(a for a, result in results if a.shape == (572, 572) and result == (286, []))
+    # its fill passes the budget of twice its nonzeros, so after a short
+    # sparse attempt it is eliminated densely
+    with pytest.raises(exact._FillIn):
+        exact._rref_modp_sparse(exact._as_sparse_rows(m), 572, FIRST_PRIME,
+                                exact._fill_budget(572, 572, m.count_nonzero()))

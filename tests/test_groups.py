@@ -6,8 +6,8 @@ import pytest
 from l2growth import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
                       LatticeSubgroup, ball_volume, element_order, quotient,
                       quotient_diameter, short_length, uniformity_check)
-from l2growth.errors import (NotFiniteIndex, OrderCapExceeded, SearchCapExceeded,
-                             SizeCapExceeded)
+from l2growth.errors import (CrossCheckMismatch, NotFiniteIndex, OrderCapExceeded,
+                             SearchCapExceeded, SizeCapExceeded)
 from l2growth.caps import Caps
 from l2growth.groups import FiniteQuotient
 
@@ -309,6 +309,34 @@ def test_element_order_divides_group_order(z_two, sanov_group):
     qm = quotient(sanov_group, CongruenceSubgroup(3))
     for el in qm.elements:
         assert qm.order % qm.order_of(el) == 0
+
+
+class _CyclicStub(FiniteQuotient):
+    """Z/order with the given generator images and, optionally, a broken product."""
+
+    def __init__(self, order, gens, mul=None):
+        self.order = order
+        self.elements = list(range(order))
+        self.gens = gens
+        self.product = mul or (lambda a, b: (a + b) % order)
+
+    def generator_images(self):
+        return self.gens
+
+    def mul(self, a, b):
+        return self.product(a, b)
+
+    def inv(self, a):
+        return -a % self.order
+
+
+def test_broken_quotients_raise_cross_check_mismatch():
+    assert _CyclicStub(4, [1]).diameter() == 2
+    assert _CyclicStub(4, [1]).order_of(1) == 4
+    with pytest.raises(CrossCheckMismatch):
+        _CyclicStub(4, [2]).diameter()  # 2 generates half of Z/4
+    with pytest.raises(CrossCheckMismatch):
+        _CyclicStub(4, [1], mul=lambda a, b: 1).order_of(1)  # never back to 0
 
 
 def test_quotient_diameter_examples(z_one, z_two):

@@ -4,7 +4,7 @@ import pytest
 from l2growth import (FreeAbelian, GroupRingElement, GroupRingMatrix,
                       LatticeSubgroup, element_order, instantiate, quotient,
                       stripe_prediction, torus_complex)
-from l2growth.errors import DimensionTooLow, RankOutOfRange
+from l2growth.errors import CrossCheckMismatch, DimensionTooLow, RankOutOfRange
 from l2growth.group_ring import EquivariantChainComplex
 from l2growth.stripes import (StripeSpec, glue_stripe, product_with_circle,
                               stripe_bound_check)
@@ -100,6 +100,13 @@ def test_circle_base_stripe(circle):
     assert element_order(quot, (2,)) == 3
     assert stripe_prediction(spec, quot) == 2
     assert instantiate(glued, quot).betti(2) == 2
+
+
+def test_stripe_prediction_rejects_an_order_not_dividing_the_quotient(circle, monkeypatch):
+    quot = cyclic_quotient(6)
+    monkeypatch.setattr(quot, "order_of", lambda el: 4)  # a broken quotient
+    with pytest.raises(CrossCheckMismatch):
+        stripe_prediction(StripeSpec(base=circle, gamma=(2,), dim=2), quot)
 
 
 def test_no_growth_family_prediction(z_two):
