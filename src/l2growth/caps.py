@@ -7,7 +7,8 @@ Format: ``L2GROWTH_CAPS="bfs=20,order=100000,eig=2000"``.  Keys:
   about half of that length)
 * ``visited`` - maximum number of BFS-visited elements
 * ``order``   - maximum order of a realized finite quotient / cover instantiation
-* ``eig``     - maximum matrix size handed to the dense eigensolver
+* ``eig``     - maximum size of a cover Laplacian whose spectrum is computed
+  (the eigensolver runs on its equivariant blocks)
 * ``short``   - maximum radius for abelian shortest-vector enumeration
 """
 

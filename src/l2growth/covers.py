@@ -6,16 +6,23 @@ homomorphism, so instantiated boundaries still compose to zero and the
 instantiated Laplacian is the Laplacian of the cover.
 
 Betti numbers come from certified rational ranks of the integer boundary
-matrices; floating eigensolvers serve spectral statistics only, run on each
-connected component of the Laplacian, and the near-zero eigenvalue count is
-cross-validated against the exact nullity.
+matrices; floating eigensolvers serve spectral statistics only, and the
+near-zero eigenvalue count is cross-validated against the exact nullity.
+
+Spectra are equivariant.  Right multiplications commute with the left action
+of the quotient, so an element h of the largest order r splits every cover
+Laplacian: ordering the cells along the orbits <h>x_i and taking the discrete
+Fourier transform along each orbit turns it into r Hermitian blocks of size
+a*n/r, one per character of <h> (Serre, Linear Representations of Finite
+Groups, sec. 2.6).  The characters j and r - j give complex conjugate
+blocks, so only floor(r/2) + 1 of them go to the eigensolver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +66,9 @@ class CoverInstance:
         self._betti: Dict[int, int] = {}
         self._ranks: Dict[int, int] = {}
         self._eigs: Dict[int, np.ndarray] = {}
+        self._orbits: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
+        # q -> (r, size): the spectrum of Laplacian q came from r blocks of that size
+        self.spectrum_blocks: Dict[int, Tuple[int, int]] = {}
 
     # -- construction ------------------------------------------------------
     def _instantiate_matrix(self, m: GroupRingMatrix) -> sp.csr_matrix:
@@ -128,26 +138,34 @@ class CoverInstance:
     def eigenvalues(self, q: int) -> np.ndarray:
         """All eigenvalues of the instantiated Laplacian, ascending.
 
-        The ``eig`` cap bounds the whole Laplacian; the solver runs per connected component.
-        The count of near-zero eigenvalues must equal the exact Betti number, or it raises.
+        The ``eig`` cap bounds the whole Laplacian; the solver runs on its
+        blocks under the left action of an element of the largest order (see
+        the module docstring).  The count of near-zero eigenvalues must equal
+        the exact Betti number, or it raises; those eigenvalues are then
+        returned as exactly 0.
         """
         if q not in self._eigs:
             lap = self.laplacian(q)
             if lap.shape[0] > self.caps.eig:
                 raise SizeCapExceeded(
                     f"matrix size {lap.shape[0]} exceeds eigensolver cap {self.caps.eig}")
-            eigs = np.sort(_block_eigenvalues(lap, _components(lap)))
-            near_zero = int(np.count_nonzero(np.abs(eigs) < _ZERO_TOL))
+            if self._orbits is None:
+                self._orbits = _left_orbits(self.quotient)
+            eigs = np.sort(_equivariant_eigenvalues(lap, *self._orbits))
+            zero = np.abs(eigs) < _ZERO_TOL
+            near_zero = int(np.count_nonzero(zero))
             if near_zero != self.betti(q):
                 raise CrossCheckMismatch(
                     f"near-zero eigenvalue count {near_zero} != exact betti {self.betti(q)}")
+            eigs[zero] = 0.0
+            r = self._orbits[2]
+            self.spectrum_blocks[q] = (r, lap.shape[0] // r)
             self._eigs[q] = eigs
         return self._eigs[q]
 
     def count_eigs_below(self, q: int, lam: float) -> int:
-        """#{eigenvalues <= lam}, closed under the zero tolerance."""
-        eigs = self.eigenvalues(q)
-        return int(np.searchsorted(eigs, lam + 1e-9, side="right"))
+        """#{eigenvalues <= lam}; the eigenvalues at zero are exactly 0."""
+        return int(np.searchsorted(self.eigenvalues(q), lam, side="right"))
 
     def normalized_trace(self, p, q: int) -> Fraction:
         """Exact matrix trace of p(Laplacian') divided by the quotient order."""
@@ -158,42 +176,53 @@ class CoverInstance:
         return Fraction(total, self.order)
 
 
-def _components(m: sp.csr_matrix):
-    """Connected-component label (0, 1, ...) of each row of a symmetric matrix."""
-    indptr, indices = m.indptr.tolist(), m.indices.tolist()
-    root_of = [-1] * m.shape[0]  # the least row of each component
-    for root in range(m.shape[0]):
-        if root_of[root] < 0:
-            root_of[root], stack = root, [root]
-            while stack:
-                v = stack.pop()
-                for w in indices[indptr[v]:indptr[v + 1]]:
-                    if root_of[w] < 0:
-                        root_of[w] = root
-                        stack.append(w)
-    return np.unique(np.array(root_of, dtype=np.intp), return_inverse=True)[1]
+def _left_orbits(quot: FiniteQuotient):
+    """(orbit, offset, r): the orbits of left multiplication by h of the largest order r.
 
-
-def _block_eigenvalues(m: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, one connected component at a time.
-
-    Ordering the rows by component is a permutation similarity to a block
-    diagonal matrix.  Blocks of one size go to the eigensolver as one stack.
+    Element x is ``h^offset[x]`` times the representative of orbit ``orbit[x]``,
+    the least index in that orbit; orbits are numbered in the order of their
+    representatives.
     """
-    sizes = np.bincount(labels)
-    pos = np.empty_like(labels)  # position of each row inside its component
-    pos[np.argsort(labels, kind="stable")] = (
-        np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes))
-    coo = m.tocoo()
-    comp = labels[coo.row]
-    parts = [np.zeros(0)]
-    for size in np.unique(sizes):
-        slot = np.cumsum(sizes == size) - 1  # index among the blocks of this size
-        keep = sizes[comp] == size
-        flat = (slot[comp[keep]] * size + pos[coo.row[keep]]) * size + pos[coo.col[keep]]
-        stack = np.bincount(flat, coo.data[keep], (slot[-1] + 1) * size * size)
-        parts.append(np.linalg.eigvalsh(stack.reshape(-1, size, size)).ravel())
-    return np.concatenate(parts)
+    h, r = quot.max_order_element()
+    jump = quot.left_mult_indices(h)  # x -> h^w x, w doubling each pass
+    # low[x] = least index among h^s x for 0 <= s < w, reached at s = back[x]
+    low = np.arange(quot.order)
+    back = np.zeros(quot.order, dtype=np.intp)
+    w = 1
+    while w < r:
+        far = low[jump]
+        take = far < low
+        low = np.where(take, far, low)
+        back = np.where(take, back[jump] + w, back)
+        jump, w = jump[jump], 2 * w
+    # h^back[x] x is the representative, so x = h^(-back[x]) times it
+    return np.unique(low, return_inverse=True)[1], -back % r, r
+
+
+def _equivariant_eigenvalues(lap: sp.csr_matrix, orbit: np.ndarray, offset: np.ndarray,
+                             r: int) -> np.ndarray:
+    """Eigenvalues of a Laplacian that commutes with the left action of <h>, h of order r.
+
+    Row (c, x) of the Laplacian is cell c over element x.  Entry
+    ``(c, h^s x_i), (c', h^(s+t) x_k)`` does not depend on s, so the rows at the
+    representatives (s = 0) hold all of it: gathered into
+    ``table[(c, i), (c', k), t]`` and Fourier transformed over t, they give one
+    Hermitian block per character.
+    """
+    n = len(orbit)
+    k = n // r                      # orbits
+    size = lap.shape[0] // n * k    # block size a * n / r
+    coo = lap.tocoo()
+    cell, x = np.divmod(coo.row, n)
+    rep = offset[x] == 0
+    cell_col, y = np.divmod(coo.col[rep], n)
+    flat = (((cell[rep] * k + orbit[x[rep]]) * size + cell_col * k + orbit[y]) * r
+            + offset[y])
+    table = np.bincount(flat, coo.data[rep].astype(float), size * size * r)
+    blocks = np.fft.rfft(table.reshape(size, size, r), axis=-1)
+    eigs = np.linalg.eigvalsh(np.moveaxis(blocks, -1, 0))
+    # characters 1 .. ceil(r/2) - 1 stand for their conjugates r - j as well
+    return np.concatenate([eigs.ravel(), eigs[1:(r + 1) // 2].ravel()])
 
 
 def _power_traces(m: sp.csr_matrix, deg: int):

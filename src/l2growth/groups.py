@@ -249,7 +249,9 @@ class FiniteQuotient:
 
     Provides element enumeration (identity first), multiplication, images of
     parent elements, and what cover instantiation needs: the permutation
-    ``right_mult_indices(g)[i]`` = index of ``elements[i] * image(g)``.
+    ``right_mult_indices(g)[i]`` = index of ``elements[i] * image(g)``.  Cover
+    spectra use the commuting left action, ``left_mult_indices(h)[i]`` = index
+    of ``h * elements[i]`` for a quotient element h.
     """
 
     group = None
@@ -275,6 +277,16 @@ class FiniteQuotient:
 
     def generator_images(self) -> List:
         raise NotImplementedError
+
+    def element_orders(self) -> np.ndarray:
+        """Order of each element, in element order."""
+        raise NotImplementedError
+
+    def max_order_element(self) -> Tuple[Element, int]:
+        """(h, r): an element of the largest order r, the first in element order on ties."""
+        orders = self.element_orders()
+        i = int(np.argmax(orders))
+        return self.elements[i], int(orders[i])
 
     def diameter(self) -> int:
         """Diameter of the Cayley graph under the symmetric generator images."""
@@ -356,9 +368,17 @@ class AbelianQuotient(FiniteQuotient):
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
     def right_mult_indices(self, parent_element) -> np.ndarray:
-        # mixed radix, last coordinate fastest: the order of itertools.product
-        g = np.array(self.image(parent_element), dtype=np.intp)[:, None]
+        return self.left_mult_indices(self.image(parent_element))
+
+    def left_mult_indices(self, h) -> np.ndarray:
+        # abelian, so h * x = x * h; mixed radix, last coordinate fastest: the
+        # order of itertools.product
+        g = np.array(h, dtype=np.intp)[:, None]
         return np.ravel_multi_index(self._coords + g, self.moduli, mode="wrap")
+
+    def element_orders(self) -> np.ndarray:
+        mods = np.array(self.moduli, dtype=np.int64)[:, None]
+        return np.lcm.reduce(mods // np.gcd(mods, self._coords), axis=0)
 
     def generator_images(self) -> List:
         out = []
@@ -433,13 +453,34 @@ class CongruenceQuotient(FiniteQuotient):
         det = exact.det_int(a) % m
         return tuple(tuple(det * x % m for x in row) for row in exact.adjugate(a))
 
-    def right_mult_indices(self, parent_element) -> np.ndarray:
-        g = np.array(self.image(parent_element), dtype=np.int64)
-        codes = self._codes(self._mats @ g % self.level)
+    def _indices(self, mats: np.ndarray, acting) -> np.ndarray:
+        """Element indices of the matrices ``mats`` (reduced mod m here)."""
+        codes = self._codes(mats % self.level)
         pos = np.minimum(np.searchsorted(self._sorted, codes), self.order - 1)
         if np.any(self._sorted[pos] != codes):
-            raise KeyError(f"{parent_element!r} does not act on the quotient")
+            raise KeyError(f"{acting!r} does not act on the quotient")
         return self._sorted_index[pos]
+
+    def right_mult_indices(self, parent_element) -> np.ndarray:
+        g = np.array(self.image(parent_element), dtype=np.int64)
+        return self._indices(self._mats @ g, parent_element)
+
+    def left_mult_indices(self, h) -> np.ndarray:
+        return self._indices(np.array(self.image(h), dtype=np.int64) @ self._mats, h)
+
+    def element_orders(self) -> np.ndarray:
+        eye = np.eye(self.group.dimension, dtype=np.int64)
+        orders = np.zeros(self.order, dtype=np.int64)
+        pending = np.arange(self.order)
+        power = self._mats
+        for e in range(1, self.order + 1):
+            done = (power == eye).all(axis=(1, 2))
+            orders[pending[done]] = e
+            pending, power = pending[~done], power[~done]
+            if not len(pending):
+                return orders
+            power = power @ self._mats[pending] % self.level
+        raise CrossCheckMismatch("element order exceeds group order; broken quotient")
 
     def generator_images(self) -> List:
         return [self.subgroup.reduce(g) for g in self.group.generators]

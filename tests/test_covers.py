@@ -1,14 +1,17 @@
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
-                      GroupRingElement, GroupRingMatrix, LatticeSubgroup, betti,
-                      instantiate, quotient, two_cell_complex, verify_trace_equality)
+                      FreeAbelian, GroupRingElement, GroupRingMatrix, IntegralMatrixGroup,
+                      LatticeSubgroup, betti, instantiate, quotient, two_cell_complex,
+                      verify_trace_equality)
 from l2growth.caps import Caps
-from l2growth.covers import _block_eigenvalues, _components
+from l2growth.covers import _equivariant_eigenvalues, _left_orbits
 from l2growth.errors import SizeCapExceeded
 from l2growth.polynomials import Poly
 from conftest import cyclic_quotient, diag_quotient
@@ -188,54 +191,149 @@ def _matrix_group_complexes(group):
     return presentation, gap
 
 
+def _assert_dense_spectrum(eigs, lap):
+    """``eigs`` is the dense ``eigvalsh`` spectrum of ``lap`` within the solvers' rounding.
+
+    Each solver returns the eigenvalues of a matrix within p(N) * eps * ||L||_2
+    of L (LAPACK Users' Guide, 3rd ed., sec. 4.7, p(N) = N), ||L||_2 is at most
+    the largest absolute row sum, and both solvers are charged: the term
+    ``certify_gap`` uses, at the size N of the whole Laplacian.
+    """
+    norm = float(abs(lap).sum(axis=1).max()) if lap.nnz else 0.0
+    bound = 2 * lap.shape[0] * math.ulp(1.0) * norm
+    dense = np.linalg.eigvalsh(lap.toarray().astype(float))
+    assert eigs.shape == dense.shape
+    assert np.abs(eigs - dense).max(initial=0.0) <= bound
+
+
 @pytest.mark.parametrize("m", [5, 7])
 def test_component_eigenvalues_match_dense(sanov_group, m):
     quot = quotient(sanov_group, CongruenceSubgroup(m))
     presentation, gap = _matrix_group_complexes(sanov_group)
+    h, r = quot.max_order_element()
+    assert r == 2 * m  # minus a unipotent element
     for cx in (presentation, gap):
         cover = instantiate(cx, quot)
         for q in range(2):
-            lap = cover.laplacian(q)
-            dense = np.linalg.eigvalsh(lap.toarray().astype(float))
-            assert np.allclose(cover.eigenvalues(q), dense)
-    # 2 - g1 only involves g1: one component per coset of <g1>
-    assert _components(instantiate(gap, quot).laplacian(1)).max() + 1 == quot.order // m
+            _assert_dense_spectrum(cover.eigenvalues(q), cover.laplacian(q))
+            assert cover.spectrum_blocks[q] == (r, cx.cells[q] * quot.order // r)
 
 
 def test_component_eigenvalues_zero_complex(zero_complex):
     cover = instantiate(zero_complex, cyclic_quotient(7))
-    lap = cover.laplacian(1)
-    assert _components(lap).tolist() == list(range(7))
-    assert np.allclose(cover.eigenvalues(1), np.linalg.eigvalsh(lap.toarray().astype(float)))
+    eigs = cover.eigenvalues(1)
+    assert eigs.tolist() == [0.0] * 7
+    assert cover.spectrum_blocks == {1: (7, 1)}
+    _assert_dense_spectrum(eigs, cover.laplacian(1))
 
 
 def test_connected_laplacian_spectrum_is_the_dense_one(circle):
-    # one component: the same matrix reaches the same eigensolver, so the spectrum is
-    # bit for bit the dense eigvalsh of the whole Laplacian
+    # the circle's Laplacians are connected, and the cyclic quotient splits them
+    # into 1 x 1 blocks; the spectrum is the dense one within rounding
     for n in (1, 5, 300):
         cover = instantiate(circle, cyclic_quotient(n))
         for q in range(2):
-            lap = cover.laplacian(q)
-            assert not _components(lap).any()
-            assert np.array_equal(cover.eigenvalues(q),
-                                  np.linalg.eigvalsh(lap.toarray().astype(float)))
+            _assert_dense_spectrum(cover.eigenvalues(q), cover.laplacian(q))
+            assert cover.spectrum_blocks[q] == (n, 1)
 
 
 def test_component_eigenvalues_mixed_block_sizes():
-    # components of sizes 3, 1 and 2, interleaved, with a duplicate entry
-    edges = [(0, 4), (4, 5), (2, 6), (1, 1)]
-    rows = [r for a, b in edges for r in (a, b)] + [0]
-    cols = [c for a, b in edges for c in (b, a)] + [4]
-    lap = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(7, 7))
-    lap = lap + sp.diags(np.arange(7.0))
-    assert _components(lap).tolist() == [0, 1, 2, 3, 0, 0, 2]
-    assert np.allclose(np.sort(_block_eigenvalues(lap, _components(lap))),
-                       np.linalg.eigvalsh(lap.toarray()))
+    # a hand-made equivariant matrix on Z^2/(2Z x 4Z), two cells per element:
+    # sum of C_g (x) R_g plus its transpose, with a duplicate coordinate entry
+    quot = diag_quotient(2, 4)
+    n = quot.order
+    rng = np.random.default_rng(5)
+    rows, cols, vals = [], [], []
+    for g in ((0, 0), (1, 0), (0, 1), (1, 3), (0, 1)):
+        perm = quot.right_mult_indices(g)
+        for (i, j), c in np.ndenumerate(rng.integers(-3, 4, size=(2, 2))):
+            rows.append(i * n + np.arange(n))
+            cols.append(j * n + perm)
+            vals.append(np.full(n, float(c)))
+    half = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(2 * n, 2 * n))
+    lap = (half + half.T).tocsr()
+    orbit, offset, r = _left_orbits(quot)
+    assert r == 4 and orbit.max() + 1 == 2
+    _assert_dense_spectrum(np.sort(_equivariant_eigenvalues(lap, orbit, offset, r)), lap)
 
 
 def test_component_eigenvalues_empty():
     empty = sp.csr_matrix((0, 0), dtype=np.int64)
-    assert _block_eigenvalues(empty, _components(empty)).shape == (0,)
+    assert _equivariant_eigenvalues(empty, *_left_orbits(cyclic_quotient(3))).shape == (0,)
+
+
+def _sl2_cases():
+    for k in (2, 3):
+        for m in (3, 5, 7, 9):
+            for name in ("presentation", "gap"):
+                yield pytest.param(("sl2", k, m, name), id=f"sl2_k{k}_mod{m}_{name}")
+
+
+def _cover_case(case, circle, torus2, stripe_complex):
+    kind = case[0]
+    if kind == "sl2":
+        _, k, m, name = case
+        group = IntegralMatrixGroup(2, [[[1, k], [0, 1]], [[1, 0], [k, 1]]])
+        presentation, gap = _matrix_group_complexes(group)
+        cx = presentation if name == "presentation" else gap
+        return instantiate(cx, quotient(group, CongruenceSubgroup(m)))
+    if kind == "lattice":
+        return instantiate(torus2, quotient(FreeAbelian(2), LatticeSubgroup(case[1])))
+    if kind == "circle":
+        return instantiate(circle, cyclic_quotient(case[1]))
+    return instantiate(stripe_complex, diag_quotient(1, 1))  # the trivial quotient
+
+
+@pytest.mark.parametrize("case", [
+    *_sl2_cases(),
+    pytest.param(("lattice", [[3, 1], [0, 2]]), id="lattice_3_1_0_2"),
+    pytest.param(("lattice", [[4, 2], [1, 3]]), id="lattice_4_2_1_3"),
+    pytest.param(("lattice", [[2, 1], [-1, 3]]), id="lattice_2_1_m1_3"),
+    pytest.param(("lattice", [[4, 2], [2, 4]]), id="lattice_4_2_2_4"),
+    *[pytest.param(("circle", n), id=f"circle_{n}") for n in (1, 2, 5, 300)],
+    pytest.param(("trivial",), id="trivial_stripe"),
+])
+def test_block_spectrum_is_the_dense_one(case, circle, torus2, stripe_complex):
+    cover = _cover_case(case, circle, torus2, stripe_complex)
+    for q in range(cover.cx.top_dim + 1):
+        eigs = cover.eigenvalues(q)
+        _assert_dense_spectrum(eigs, cover.laplacian(q))
+        assert int(np.count_nonzero(eigs == 0.0)) == cover.betti(q)
+        r, size = cover.spectrum_blocks[q]
+        assert r == cover.quotient.max_order_element()[1] and r * size == len(eigs)
+
+
+@pytest.mark.parametrize("kind", ["abelian", "congruence"])
+def test_left_action_commutes_with_right_action_and_laplacian(kind, torus2, sanov_group):
+    if kind == "abelian":
+        quot = quotient(FreeAbelian(2), LatticeSubgroup([[4, 2], [1, 3]]))
+        cx, gens = torus2, [(1, 0), (0, 1), (2, -1)]
+    else:
+        quot = quotient(sanov_group, CongruenceSubgroup(5))
+        cx, gens = _matrix_group_complexes(sanov_group)[0], sanov_group.symmetric_generators()
+    cover = instantiate(cx, quot)
+    n = quot.order
+    for h in (quot.max_order_element()[0], quot.elements[1], quot.elements[-1]):
+        left = quot.left_mult_indices(h)
+        assert left.tolist() == [quot.index_of(quot.mul(h, x)) for x in quot.elements]
+        for g in gens:
+            right = quot.right_mult_indices(g)
+            assert np.array_equal(right[left], left[right])
+        for q in range(cx.top_dim + 1):
+            lap = cover.laplacian(q)
+            perm = (np.arange(cx.cells[q])[:, None] * n + left).ravel()
+            assert (lap[perm][:, perm] != lap).nnz == 0
+
+
+def test_sl2_mod_11_spectrum_runs_as_blocks(sanov_group):
+    quot = quotient(sanov_group, CongruenceSubgroup(11))
+    presentation, _ = _matrix_group_complexes(sanov_group)
+    cover = instantiate(presentation, quot)
+    assert cover.laplacian(0).shape == (1320, 1320)
+    assert int(np.count_nonzero(cover.eigenvalues(0) == 0.0)) == 1
+    # r = 22 blocks of 60, not one 1320 x 1320 solve
+    assert cover.spectrum_blocks == {0: (22, 60)}
 
 
 def test_instantiation_one_permutation_per_element(sanov_group, monkeypatch):

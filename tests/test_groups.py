@@ -311,6 +311,19 @@ def test_element_order_divides_group_order(z_two, sanov_group):
         assert qm.order % qm.order_of(el) == 0
 
 
+def test_element_orders_and_the_max_order_element(z_two, sanov_group):
+    q = quotient(z_two, LatticeSubgroup([[2, 0], [0, 4]]))
+    assert q.element_orders().tolist() == [q.order_of(el) for el in q.elements]
+    # order 4 is first reached at (0, 1); (1, 1) and (1, 3) tie with it
+    assert q.max_order_element() == ((0, 1), 4)
+    for m in (3, 5, 9):
+        qm = quotient(sanov_group, CongruenceSubgroup(m))
+        orders = qm.element_orders()
+        assert orders.tolist() == [qm.order_of(el) for el in qm.elements]
+        h, r = qm.max_order_element()
+        assert r == orders.max() and qm.elements.index(h) == int(np.flatnonzero(orders == r)[0])
+
+
 class _CyclicStub(FiniteQuotient):
     """Z/order with the given generator images and, optionally, a broken product."""
 
