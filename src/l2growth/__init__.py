@@ -9,9 +9,9 @@ from .groups import (CongruenceSubgroup, FiniteQuotient, FreeAbelian,
                      IntegralMatrixGroup, LatticeSubgroup, ball_volume,
                      element_order, quotient, quotient_diameter, short_length,
                      uniformity_check)
-from .pattern import (LaurentPolynomial, PatternReport, betti_by_characters,
-                      character_lattice, determinant, exact_kernel_dimension,
-                      sandwich_check, z_dichotomy)
+from .pattern import (PatternReport, betti_by_characters, character_lattice,
+                      determinant, exact_kernel_dimension, sandwich_check,
+                      z_dichotomy)
 from .polynomials import Poly
 from .spectral import (BoundReport, DensityEstimate, GapCertificate, JBound,
                        LuckPolynomial, NsEstimate, betti_bound_general,

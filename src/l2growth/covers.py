@@ -179,9 +179,10 @@ class CoverInstance:
 def _left_orbits(quot: FiniteQuotient):
     """(orbit, offset, r): the orbits of left multiplication by h of the largest order r.
 
-    Element x is ``h^offset[x]`` times the representative of orbit ``orbit[x]``,
-    the least index in that orbit; orbits are numbered in the order of their
-    representatives.
+    h is the element index ``max_order_element`` picks, and its left action is the
+    table ``left_mult_indices(h)``.  Element x is ``h^offset[x]`` times the
+    representative of orbit ``orbit[x]``, the least index in that orbit; orbits are
+    numbered in the order of their representatives.
     """
     h, r = quot.max_order_element()
     jump = quot.left_mult_indices(h)  # x -> h^w x, w doubling each pass

@@ -36,6 +36,11 @@ from .groups import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
                      LatticeSubgroup)
 
 
+def _is_int_matrix(node) -> bool:
+    return isinstance(node, list) and all(
+        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in node)
+
+
 def _parse_group(node):
     if not isinstance(node, dict) or "kind" not in node:
         raise DocumentError("group must be an object with a 'kind'")
@@ -48,8 +53,10 @@ def _parse_group(node):
     if kind == "integral_matrix":
         dim = node.get("dimension")
         gens = node.get("generators")
-        if not isinstance(dim, int) or not isinstance(gens, list) or not gens:
-            raise DocumentError("integral_matrix group needs dimension and generators")
+        if (not isinstance(dim, int) or not isinstance(gens, list) or not gens
+                or not all(map(_is_int_matrix, gens))):
+            raise DocumentError(
+                "integral_matrix group needs dimension and integer generator matrices")
         try:
             return IntegralMatrixGroup(dim, gens)
         except ValueError as e:
@@ -106,8 +113,11 @@ def parse_complex(doc: Union[dict, str, Path]) -> EquivariantChainComplex:
     if (not isinstance(cells, list) or not cells
             or not all(isinstance(a, int) and a >= 0 for a in cells)):
         raise DocumentError("'cells' must be a list of nonnegative integers")
+    nodes = doc.get("boundaries", [])
+    if not isinstance(nodes, list) or not all(isinstance(node, dict) for node in nodes):
+        raise DocumentError("'boundaries' must be a list of objects")
     boundaries = {}
-    for node in doc.get("boundaries", []):
+    for node in nodes:
         q = node.get("dim")
         if not isinstance(q, int) or not 1 <= q < len(cells):
             raise DocumentError(f"boundary dim {q!r} out of range")

@@ -8,8 +8,14 @@ Two kinds of group are supported:
   generators.  Elements are (immutable) integer matrices; the representation
   is faithful, so identity testing is exact.  The supported finite-index
   subgroups are congruence subgroups (kernels of entrywise reduction mod m),
-  which are automatically normal.  Their quotients are built and acted on as
-  numpy tables of integer-coded matrices mod m.
+  which are automatically normal.
+
+A finite quotient Gamma/Gamma' is held as its index tables, not as a list of
+elements: its elements are numbered 0, ..., order - 1 with the identity first,
+and the deck group acts through the permutations ``right_mult_indices`` and
+``left_mult_indices`` and the array ``element_orders``.  Abelian quotients
+number Smith normal form coordinates in mixed radix; congruence quotients
+number matrices mod m in BFS order, as int64-coded numpy tables.
 
 All constants produced downstream (shortest subgroup elements, ball volumes,
 support radii) depend on these pinned generating sets.
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,6 +95,8 @@ class IntegralMatrixGroup:
     is_abelian = False
 
     def __init__(self, dimension: int, generators: Sequence[Sequence[Sequence[int]]]):
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         gens = [_freeze_matrix(g) for g in generators]
         for g in gens:
@@ -245,90 +253,60 @@ class CongruenceSubgroup:
 # ---------------------------------------------------------------------------
 
 class FiniteQuotient:
-    """A concretely realized finite quotient Gamma/Gamma'.
+    """A concretely realized finite quotient Gamma/Gamma', held as index tables.
 
-    Provides element enumeration (identity first), multiplication, images of
-    parent elements, and what cover instantiation needs: the permutation
-    ``right_mult_indices(g)[i]`` = index of ``elements[i] * image(g)``.  Cover
-    spectra use the commuting left action, ``left_mult_indices(h)[i]`` = index
-    of ``h * elements[i]`` for a quotient element h.
+    Elements are numbered 0, ..., order - 1, the identity first.  Cover
+    instantiation reads the permutation ``right_mult_indices(g)[i]`` = index of
+    (element i) * image(g) for a parent element g.  Cover spectra read the
+    commuting left action ``left_mult_indices(j)[i]`` = index of
+    (element j) * (element i), and ``element_orders()`` gives each element's order.
     """
 
     group = None
     subgroup = None
     order: int = 0
-    elements: List = []
 
     def image(self, parent_element):
         raise NotImplementedError
 
-    def mul(self, a, b):
+    def right_mult_indices(self, parent_element) -> np.ndarray:
         raise NotImplementedError
 
-    def inv(self, a):
-        raise NotImplementedError
-
-    @property
-    def identity(self):
-        return self.elements[0]
-
-    def index_of(self, el) -> int:
-        return self._index[el]
-
-    def generator_images(self) -> List:
+    def left_mult_indices(self, j: int) -> np.ndarray:
         raise NotImplementedError
 
     def element_orders(self) -> np.ndarray:
         """Order of each element, in element order."""
         raise NotImplementedError
 
-    def max_order_element(self) -> Tuple[Element, int]:
-        """(h, r): an element of the largest order r, the first in element order on ties."""
+    def max_order_element(self) -> Tuple[int, int]:
+        """(j, r): the first element j of the largest order r."""
         orders = self.element_orders()
-        i = int(np.argmax(orders))
-        return self.elements[i], int(orders[i])
+        j = int(np.argmax(orders))
+        return j, int(orders[j])
 
     def diameter(self) -> int:
         """Diameter of the Cayley graph under the symmetric generator images."""
-        gens = []
-        for g in self.generator_images():
-            if g not in gens:
-                gens.append(g)
-            gi = self.inv(g)
-            if gi not in gens:
-                gens.append(gi)
-        dist = {self.identity: 0}
-        frontier = [self.identity]
-        d = 0
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    w = self.mul(el, g)
-                    if w not in dist:
-                        dist[w] = dist[el] + 1
-                        nxt.append(w)
-            if nxt:
-                d = dist[nxt[0]]
-            frontier = nxt
-        if len(dist) != self.order:
+        steps = np.array([self.right_mult_indices(g) for g in self.group.symmetric_generators()])
+        seen = np.zeros(self.order, dtype=bool)
+        seen[0] = True
+        frontier, depth = np.zeros(1, dtype=np.intp), -1
+        while len(frontier):
+            depth += 1
+            frontier = np.unique(steps[:, frontier])
+            frontier = frontier[~seen[frontier]]
+            seen[frontier] = True
+        if not seen.all():
             raise CrossCheckMismatch("generator images do not generate the quotient")
-        return d
-
-    def order_of(self, el) -> int:
-        """Order of a quotient element."""
-        acc = el
-        k = 1
-        while acc != self.identity:
-            acc = self.mul(acc, el)
-            k += 1
-            if k > self.order:
-                raise CrossCheckMismatch("element order exceeds group order; broken quotient")
-        return k
+        return depth
 
 
 class AbelianQuotient(FiniteQuotient):
-    """Z^n / (column span), realized through Smith normal form coordinates."""
+    """Z^n / (column span), realized through Smith normal form coordinates.
+
+    Element i has the mixed-radix coordinates ``_coords[:, i]`` over the Smith
+    moduli, the last coordinate fastest; the identity, all zeros, is element 0.
+    """
 
     def __init__(self, group: FreeAbelian, subgroup: LatticeSubgroup,
                  caps: Caps = DEFAULT_CAPS):
@@ -347,60 +325,34 @@ class AbelianQuotient(FiniteQuotient):
                 f"quotient order {self.order} exceeds cap {caps.order}")
         if self.order != subgroup.index:
             raise CrossCheckMismatch("Smith normal form order mismatch")  # pragma: no cover
-        import itertools
-
-        # identity (all zeros) comes first in lexicographic product order
-        els = [tuple(t) for t in itertools.product(*[range(m) for m in self.moduli])]
-        self.elements = els
-        self._index = {el: i for i, el in enumerate(els)}
-        self._coords = np.indices(self.moduli).reshape(len(self.moduli), -1)  # els as columns
+        self._coords = np.indices(self.moduli).reshape(len(self.moduli), -1)
 
     def image(self, v: Sequence[int]) -> Tuple[int, ...]:
+        """Smith coordinates of the image of ``v``."""
         return tuple(
             sum(self.u[i][k] * v[k] for k in range(self.group.rank)) % self.moduli[i]
             for i in range(len(self.moduli))
         )
 
-    def mul(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def inv(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
-
     def right_mult_indices(self, parent_element) -> np.ndarray:
-        return self.left_mult_indices(self.image(parent_element))
+        # abelian, so x * g = g * x
+        return self.left_mult_indices(np.ravel_multi_index(self.image(parent_element), self.moduli))
 
-    def left_mult_indices(self, h) -> np.ndarray:
-        # abelian, so h * x = x * h; mixed radix, last coordinate fastest: the
-        # order of itertools.product
-        g = np.array(h, dtype=np.intp)[:, None]
-        return np.ravel_multi_index(self._coords + g, self.moduli, mode="wrap")
+    def left_mult_indices(self, j: int) -> np.ndarray:
+        return np.ravel_multi_index(self._coords + self._coords[:, j:j + 1], self.moduli,
+                                    mode="wrap")
 
     def element_orders(self) -> np.ndarray:
         mods = np.array(self.moduli, dtype=np.int64)[:, None]
         return np.lcm.reduce(mods // np.gcd(mods, self._coords), axis=0)
 
-    def generator_images(self) -> List:
-        out = []
-        for k in range(self.group.rank):
-            e = [0] * self.group.rank
-            e[k] = 1
-            out.append(self.image(tuple(e)))
-        return out
-
-    def order_of(self, el) -> int:
-        k = 1
-        for r, m in zip(el, self.moduli):
-            d = m // gcd(m, r) if r else 1
-            k = k * d // gcd(k, d)
-        return k
-
 
 class CongruenceQuotient(FiniteQuotient):
     """Image of an integral matrix group under entrywise reduction mod m.
 
-    A matrix mod m is coded as the int64 ``sum a_ij m^(ik+j)``.  ``_mats`` keeps the
-    elements in BFS order, ``_sorted`` their sorted codes, ``_sorted_index`` their indices.
+    Element i is the matrix ``_mats[i]``, in BFS order from the identity.  A matrix
+    mod m is coded as the int64 ``sum a_ij m^(ik+j)``; ``_sorted`` keeps the sorted
+    codes and ``_sorted_index`` their element indices.
     """
 
     def __init__(self, group: IntegralMatrixGroup, subgroup: CongruenceSubgroup,
@@ -434,8 +386,6 @@ class CongruenceQuotient(FiniteQuotient):
         self.order = len(self._mats)
         self._sorted_index = np.argsort(self._codes(self._mats))
         self._sorted = seen
-        self.elements = [tuple(map(tuple, a)) for a in self._mats.tolist()]
-        self._index = {el: i for i, el in enumerate(self.elements)}
         self._diameter = depth
 
     def _codes(self, mats: np.ndarray) -> np.ndarray:
@@ -444,29 +394,20 @@ class CongruenceQuotient(FiniteQuotient):
     def image(self, mat: Element) -> Element:
         return self.subgroup.reduce(mat)
 
-    def mul(self, a, b):
-        return self.subgroup.reduce(_matmul(a, b))
-
-    def inv(self, a):
-        # a^-1 = det(a)^-1 * adj(a), and det(a) = +-1 is its own inverse mod m
-        m = self.level
-        det = exact.det_int(a) % m
-        return tuple(tuple(det * x % m for x in row) for row in exact.adjugate(a))
-
     def _indices(self, mats: np.ndarray, acting) -> np.ndarray:
         """Element indices of the matrices ``mats`` (reduced mod m here)."""
         codes = self._codes(mats % self.level)
         pos = np.minimum(np.searchsorted(self._sorted, codes), self.order - 1)
         if np.any(self._sorted[pos] != codes):
-            raise KeyError(f"{acting!r} does not act on the quotient")
+            raise CrossCheckMismatch(f"{acting!r} does not act on the quotient")
         return self._sorted_index[pos]
 
     def right_mult_indices(self, parent_element) -> np.ndarray:
         g = np.array(self.image(parent_element), dtype=np.int64)
         return self._indices(self._mats @ g, parent_element)
 
-    def left_mult_indices(self, h) -> np.ndarray:
-        return self._indices(np.array(self.image(h), dtype=np.int64) @ self._mats, h)
+    def left_mult_indices(self, j: int) -> np.ndarray:
+        return self._indices(self._mats[j] @ self._mats, j)
 
     def element_orders(self) -> np.ndarray:
         eye = np.eye(self.group.dimension, dtype=np.int64)
@@ -481,9 +422,6 @@ class CongruenceQuotient(FiniteQuotient):
                 return orders
             power = power @ self._mats[pending] % self.level
         raise CrossCheckMismatch("element order exceeds group order; broken quotient")
-
-    def generator_images(self) -> List:
-        return [self.subgroup.reduce(g) for g in self.group.generators]
 
     def diameter(self) -> int:
         return self._diameter
@@ -604,7 +542,8 @@ def quotient(group, sub, caps: Caps = DEFAULT_CAPS) -> FiniteQuotient:
 
 def element_order(q: FiniteQuotient, g) -> int:
     """Order of the image of a parent-group element in the quotient."""
-    return q.order_of(q.image(g))
+    # image(g) is identity * image(g), and the identity is element 0
+    return int(q.element_orders()[q.right_mult_indices(g)[0]])
 
 
 def quotient_diameter(q: FiniteQuotient) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,77 +24,10 @@ from .covers import CoverInstance
 from .errors import (CrossCheckMismatch, DimensionOutOfRange, NotAbelian,
                      NotRankOne, NotSquare, SizeCapExceeded)
 from .exact import _primes_one_mod, ranks_modp
-from .group_ring import EquivariantChainComplex, GroupRingMatrix, laplacian
+from .group_ring import EquivariantChainComplex, GroupRingElement, GroupRingMatrix, laplacian
 from .groups import AbelianQuotient, FreeAbelian
 
 Character = Tuple[Fraction, ...]
-
-
-class LaurentPolynomial:
-    """Integer Laurent polynomial in n commuting variables."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Dict[Tuple[int, ...], int]):
-        self.nvars = nvars
-        self.terms = {tuple(e): c for e, c in terms.items() if c}
-
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars, {})
-
-    @classmethod
-    def one(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentPolynomial(self.nvars, terms)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) - c
-        return LaurentPolynomial(self.nvars, terms)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        terms: Dict[Tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPolynomial(self.nvars, terms)
-
-    def evaluate(self, x: Sequence[float]) -> complex:
-        """Value at the character exp(2*pi*i*x_k) per variable."""
-        xs = np.asarray([float(v) for v in x])
-        acc = 0j
-        for e, c in self.terms.items():
-            acc += c * np.exp(2j * np.pi * float(np.dot(e, xs)))
-        return acc
-
-    def degree_span(self, var: int = 0) -> int:
-        """max exponent - min exponent in the given variable (0 if no terms)."""
-        if not self.terms:
-            return 0
-        exps = [e[var] for e in self.terms]
-        return max(exps) - min(exps)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LaurentPolynomial)
-                and self.nvars == other.nvars and self.terms == other.terms)
-
-    def __repr__(self) -> str:
-        return f"LaurentPolynomial({self.nvars}, {self.terms})"
 
 
 def _require_abelian(group) -> FreeAbelian:
@@ -103,34 +36,25 @@ def _require_abelian(group) -> FreeAbelian:
     return group
 
 
-def as_laurent(el) -> LaurentPolynomial:
-    """Reinterpret a group-ring element over Z^n as a Laurent polynomial."""
-    group = _require_abelian(el.group)
-    return LaurentPolynomial(group.rank, dict(el.terms))
-
-
-def determinant(m: GroupRingMatrix, size_cap: int = 8) -> LaurentPolynomial:
-    """Exact symbolic determinant of a square matrix over Z[Z^n]."""
+def determinant(m: GroupRingMatrix, size_cap: int = 8) -> GroupRingElement:
+    """Exact symbolic determinant of a square matrix over Z[Z^n], the Laurent ring."""
     group = _require_abelian(m.group)
     if m.nrows != m.ncols:
         raise NotSquare("determinant requires a square matrix")
     n = m.nrows
     if n > size_cap:
         raise SizeCapExceeded(f"symbolic determinant capped at size {size_cap}")
-    if n == 0:
-        return LaurentPolynomial.one(group.rank)
-    entries = [[as_laurent(m.entries[i][j]) for j in range(n)] for i in range(n)]
-    cache: Dict[Tuple[int, ...], LaurentPolynomial] = {}
+    cache: Dict[Tuple[int, ...], GroupRingElement] = {}
 
-    def minor(cols: Tuple[int, ...]) -> LaurentPolynomial:
+    def minor(cols: Tuple[int, ...]) -> GroupRingElement:
         if cols in cache:
             return cache[cols]
         row = n - len(cols)
         if not cols:
-            return LaurentPolynomial.one(group.rank)
-        acc = LaurentPolynomial.zero(group.rank)
+            return GroupRingElement.one(group)
+        acc = GroupRingElement.zero(group)
         for pos, j in enumerate(cols):
-            entry = entries[row][j]
+            entry = m.entries[row][j]
             if entry.is_zero:
                 continue
             rest = cols[:pos] + cols[pos + 1:]
@@ -255,9 +179,7 @@ def _galois_orbits(quot: AbelianQuotient) -> np.ndarray:
     Each orbit is walked once, from its first element: O(order) work.
     """
     coords, moduli = quot._coords, np.array(quot.moduli)[:, None]
-    orders = np.ones(quot.order, dtype=np.int64)
-    for y, d in zip(coords, quot.moduli):
-        orders = np.lcm(orders, d // np.gcd(y, d))
+    orders = quot.element_orders()
     labels, count = np.full(quot.order, -1, dtype=np.int64), 0
     for j, d in enumerate(orders.tolist()):
         if labels[j] < 0:
@@ -363,7 +285,7 @@ def sandwich_check(cx: EquivariantChainComplex, quot: AbelianQuotient, q: int,
 class DichotomyResult:
     kind: str                      # "linear_growth" or "bounded"
     bound: Optional[int] = None    # valid when kind == "bounded"
-    determinant: Optional[LaurentPolynomial] = None
+    determinant: Optional[GroupRingElement] = None
 
     @property
     def is_linear(self) -> bool:
@@ -382,5 +304,6 @@ def z_dichotomy(cx: EquivariantChainComplex, q: int) -> DichotomyResult:
     det = determinant(laplacian(cx, q))
     if det.is_zero:
         return DichotomyResult(kind="linear_growth", determinant=det)
-    k = det.degree_span(0)
+    exps = [e[0] for e in det.terms]
+    k = max(exps) - min(exps)
     return DichotomyResult(kind="bounded", bound=k * cx.cells[q], determinant=det)

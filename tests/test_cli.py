@@ -217,6 +217,24 @@ def test_parse_complex_text_longer_than_a_file_name(tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe")
     for bad in ("x" * 4096, "{\0}", "", "/nonexistent.json", str(COMPLEXES), COMPLEXES,
-                binary):
+                binary, *MALFORMED):
         with pytest.raises(DocumentError):
             parse_complex(bad)
+
+
+CIRCLE = json.loads((COMPLEXES / "circle.json").read_text())
+MATRIX_GROUP = {"kind": "integral_matrix", "dimension": 2, "generators": [[[1, 2], [0, 1]]]}
+MALFORMED = [
+    dict(CIRCLE, boundaries=[5]),  # an item that is not an object
+    dict(CIRCLE, boundaries=CIRCLE["boundaries"][0]),  # an object, not a list
+    {"group": dict(MATRIX_GROUP, generators=[5]), "cells": [1]},
+    # 1.5 is not truncated to 1, which would answer for another group
+    {"group": dict(MATRIX_GROUP, generators=[[[1, 1.5], [0, 1]]]), "cells": [1]},
+    {"group": dict(MATRIX_GROUP, dimension=0, generators=[[]]), "cells": [1]},
+]
+
+
+def test_malformed_document_exits_1(capsys):
+    code, _out, err = run(capsys, "betti", json.dumps(MALFORMED[0]), "--subgroup", "3",
+                          "--dim", "0")
+    assert code == 1 and err.startswith("error: ")

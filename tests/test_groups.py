@@ -1,7 +1,10 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l2growth import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
                       LatticeSubgroup, ball_volume, element_order, quotient,
@@ -34,14 +37,11 @@ def _matmul_mod(a, b, m):
                  for i in range(n))
 
 
-def tuple_congruence_bfs(group, m):
-    """Reference: the element-by-element BFS over matrix tuples.
+def tuple_bfs(identity, gens, mul):
+    """Reference: the element-by-element BFS over tuples.
 
     Returns (elements in discovery order, element -> index, BFS depth).
     """
-    sub = CongruenceSubgroup(m)
-    gens = [sub.reduce(g) for g in group.symmetric_generators()]
-    identity = sub.reduce(group.identity)
     elements, index = [identity], {identity: 0}
     frontier, depth = [identity], -1
     while frontier:
@@ -49,7 +49,7 @@ def tuple_congruence_bfs(group, m):
         nxt = []
         for el in frontier:
             for g in gens:
-                w = _matmul_mod(el, g, m)
+                w = mul(el, g)
                 if w not in index:
                     index[w] = len(elements)
                     elements.append(w)
@@ -58,10 +58,47 @@ def tuple_congruence_bfs(group, m):
     return elements, index, depth
 
 
+def tuple_congruence_bfs(group, m):
+    """Reference: the BFS over matrix tuples mod m."""
+    sub = CongruenceSubgroup(m)
+    return tuple_bfs(sub.reduce(group.identity),
+                     [sub.reduce(g) for g in group.symmetric_generators()],
+                     lambda a, b: _matmul_mod(a, b, m))
+
+
+def tuple_quotient(q):
+    """Reference: (elements as tuples in element order, their product, BFS depth).
+
+    Abelian elements are Smith coordinates in mixed radix, the last fastest, with
+    coordinate sums mod the moduli; congruence elements are matrix tuples mod m.
+    """
+    if isinstance(q.group, FreeAbelian):
+        def mul(a, b):
+            return tuple((x + y) % m for x, y, m in zip(a, b, q.moduli))
+        gens = [q.image(g) for g in q.group.symmetric_generators()]
+        depth = tuple_bfs((0,) * len(q.moduli), gens, mul)[2]
+        return list(itertools.product(*map(range, q.moduli))), mul, depth
+    elements, _index, depth = tuple_congruence_bfs(q.group, q.level)
+    return elements, lambda a, b: _matmul_mod(a, b, q.level), depth
+
+
+def repeated_product_orders(elements, mul):
+    """Reference: the order of each element, multiplying until the identity returns."""
+    orders = []
+    for el in elements:
+        power, k = el, 1
+        while power != elements[0]:
+            power, k = mul(power, el), k + 1
+        orders.append(k)
+    return orders
+
+
 def tuple_right_mult_indices(q, parent_element):
-    """Reference: perm[i] = index of elements[i] * image(g), one tuple product each."""
+    """Reference: perm[i] = index of (element i) * image(g), one tuple product each."""
+    elements, mul, _depth = tuple_quotient(q)
+    index = {el: i for i, el in enumerate(elements)}
     g = q.image(parent_element)
-    return [q.index_of(q.mul(el, g)) for el in q.elements]
+    return [index[mul(el, g)] for el in elements]
 
 
 CONGRUENCE_CASES = (
@@ -76,10 +113,12 @@ CONGRUENCE_CASES = (
 def test_congruence_quotient_matches_tuple_bfs(name, group, m):
     q = quotient(group, CongruenceSubgroup(m))
     elements, index, depth = tuple_congruence_bfs(group, m)
-    assert q.elements == elements
+    assert [tuple(map(tuple, a)) for a in q._mats.tolist()] == elements
     assert q.order == len(elements)
-    assert all(q.index_of(el) == i for el, i in index.items())
     assert q.diameter() == depth
+    for j in {0, q.order // 2, q.order - 1}:
+        left = q.left_mult_indices(j)
+        assert left.tolist() == [index[_matmul_mod(elements[j], el, m)] for el in elements]
     gens = group.symmetric_generators()
     # a longer word, with entries far outside [0, m)
     word = group.identity
@@ -99,7 +138,7 @@ def test_congruence_code_size_refused():
         quotient(group, CongruenceSubgroup(127), Caps(order=50))
     # 1x1 matrices: the products (m-1)^2 must fit as well
     sign = IntegralMatrixGroup(1, [[[-1]]])
-    assert quotient(sign, CongruenceSubgroup(2 ** 31)).elements == [((1,),), ((2 ** 31 - 1,),)]
+    assert quotient(sign, CongruenceSubgroup(2 ** 31))._mats.tolist() == [[[1]], [[2 ** 31 - 1]]]
     with pytest.raises(SizeCapExceeded):
         quotient(sign, CongruenceSubgroup(2 ** 32))
     # refused even though the group is tiny (order 4): 60000^4 >= 2^63
@@ -271,18 +310,23 @@ def test_congruence_quotient_orders(sanov_group):
 
 
 def check_group_axioms(q) -> bool:
-    """Inverses, Latin-square rows and associativity on the first 20 elements."""
-    els = q.elements
-    for a in els:
-        if not any(q.mul(a, b) == q.identity for b in els):
+    """Latin-square rows and columns, element 0 the identity, associativity and the
+    right action's agreement, all read from the product table of the left actions."""
+    n = q.order
+    table = np.array([q.left_mult_indices(a) for a in range(n)])  # table[a, b] = a * b
+    every = np.arange(n)
+    if not ((np.sort(table, axis=1) == every).all() and (np.sort(table, axis=0).T == every).all()):
+        return False  # then every element has an inverse, one 0 in its row
+    if not ((table[0] == every).all() and (table[:, 0] == every).all()):
+        return False
+    # (a * b) * c == a * (b * c) for all a, b, c
+    if not np.array_equal(table[table], table[every[:, None, None], table[None]]):
+        return False
+    for g in q.group.symmetric_generators():
+        right = q.right_mult_indices(g)
+        if not np.array_equal(right, table[:, right[0]]):  # x * image(g)
             return False
-    for a in els:
-        row = {q.mul(a, b) for b in els}
-        if len(row) != q.order or not all(ab in q._index for ab in row):
-            return False
-    head = els[:20]
-    return all(q.mul(q.mul(a, b), c) == q.mul(a, q.mul(b, c))
-               for a in head for b in head for c in head)
+    return True
 
 
 def test_group_axioms_on_quotients(z_two, sanov_group):
@@ -307,49 +351,48 @@ def test_element_order_divides_group_order(z_two, sanov_group):
         g = tuple(int(x) for x in rng.integers(-5, 6, size=2))
         assert q.order % element_order(q, g) == 0
     qm = quotient(sanov_group, CongruenceSubgroup(3))
-    for el in qm.elements:
-        assert qm.order % qm.order_of(el) == 0
+    assert np.all(qm.order % qm.element_orders() == 0)
 
 
 def test_element_orders_and_the_max_order_element(z_two, sanov_group):
     q = quotient(z_two, LatticeSubgroup([[2, 0], [0, 4]]))
-    assert q.element_orders().tolist() == [q.order_of(el) for el in q.elements]
-    # order 4 is first reached at (0, 1); (1, 1) and (1, 3) tie with it
-    assert q.max_order_element() == ((0, 1), 4)
+    assert q.element_orders().tolist() == repeated_product_orders(*tuple_quotient(q)[:2])
+    # order 4 is first reached at element 1, (0, 1); (1, 1) and (1, 3) tie with it
+    assert q.max_order_element() == (1, 4)
     for m in (3, 5, 9):
         qm = quotient(sanov_group, CongruenceSubgroup(m))
         orders = qm.element_orders()
-        assert orders.tolist() == [qm.order_of(el) for el in qm.elements]
+        assert orders.tolist() == repeated_product_orders(*tuple_quotient(qm)[:2])
         h, r = qm.max_order_element()
-        assert r == orders.max() and qm.elements.index(h) == int(np.flatnonzero(orders == r)[0])
+        assert r == orders.max() and h == int(np.flatnonzero(orders == r)[0])
 
 
 class _CyclicStub(FiniteQuotient):
-    """Z/order with the given generator images and, optionally, a broken product."""
+    """Z/order, the quotient of Z whose generator acts as the given step."""
 
-    def __init__(self, order, gens, mul=None):
-        self.order = order
-        self.elements = list(range(order))
-        self.gens = gens
-        self.product = mul or (lambda a, b: (a + b) % order)
+    def __init__(self, order, step):
+        self.group, self.order, self.step = FreeAbelian(1), order, step
 
-    def generator_images(self):
-        return self.gens
-
-    def mul(self, a, b):
-        return self.product(a, b)
-
-    def inv(self, a):
-        return -a % self.order
+    def right_mult_indices(self, parent_element):
+        return (np.arange(self.order) + parent_element[0] * self.step) % self.order
 
 
-def test_broken_quotients_raise_cross_check_mismatch():
-    assert _CyclicStub(4, [1]).diameter() == 2
-    assert _CyclicStub(4, [1]).order_of(1) == 4
+def test_broken_quotients_raise_cross_check_mismatch(sanov_group):
+    assert _CyclicStub(4, 1).diameter() == 2
     with pytest.raises(CrossCheckMismatch):
-        _CyclicStub(4, [2]).diameter()  # 2 generates half of Z/4
+        _CyclicStub(4, 2).diameter()  # 2 generates half of Z/4
+    q = quotient(sanov_group, CongruenceSubgroup(3))
+    assert element_order(q, sanov_group.generators[0]) == 3
+    q._mats = q._mats.copy()
+    q._mats[1] = 0  # an element whose powers never return to the identity
     with pytest.raises(CrossCheckMismatch):
-        _CyclicStub(4, [1], mul=lambda a, b: 1).order_of(1)  # never back to 0
+        q.element_orders()
+
+
+def test_matrix_outside_the_quotient_raises_cross_check_mismatch(sanov_group):
+    q = quotient(sanov_group, CongruenceSubgroup(5))
+    with pytest.raises(CrossCheckMismatch):
+        q.right_mult_indices(((2, 0), (0, 1)))  # determinant 2: not in SL(2, Z/5)
 
 
 def test_quotient_diameter_examples(z_one, z_two):
@@ -358,17 +401,6 @@ def test_quotient_diameter_examples(z_one, z_two):
     # BFS oracle value for Z^2/(2Z x 3Z) with symmetric generator images
     q = quotient(z_two, LatticeSubgroup([[2, 0], [0, 3]]))
     assert quotient_diameter(q) == 2
-
-
-def test_congruence_inverse_is_adjugate(sanov_group):
-    for m in (3, 5, 7):
-        q = quotient(sanov_group, CongruenceSubgroup(m))
-        for el in q.elements:
-            power = q.identity  # el^(order - 1) by repeated multiplication
-            for _ in range(q.order_of(el) - 1):
-                power = q.mul(power, el)
-            assert q.inv(el) == power
-            assert q.mul(el, q.inv(el)) == q.identity
 
 
 def test_integral_inverse_round_trip_on_random_words():
@@ -456,3 +488,75 @@ def test_order_cap(z_two):
     from l2growth.errors import OrderCapExceeded
     with pytest.raises(OrderCapExceeded):
         quotient(z_two, LatticeSubgroup([[100, 0], [0, 100]]), Caps(order=100))
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the index tables against the tuple references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lattices(draw):
+    """A non-diagonal finite-index subgroup of Z^n, n = 1..3, of index <= 200.
+
+    A lower triangular basis with positive diagonal (its index the diagonal's
+    product) whose columns a shear then mixes; rank one has no off-diagonal.
+    """
+    n = draw(st.integers(1, 3))
+    diag, index = [], 1
+    for _ in range(n):
+        d = draw(st.integers(1, 200 // index))
+        diag.append(d)
+        index *= d
+    mat = [[diag[i] if i == j else draw(st.integers(-9, 9)) if i > j else 0
+            for j in range(n)] for i in range(n)]
+    if n > 1:
+        k = draw(st.integers(-3, 3))
+        for row in mat:
+            row[0] += k * row[n - 1]
+        if all(mat[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+            mat[n - 1][0] += 1  # still lower triangular: the index is unchanged
+    return FreeAbelian(n), LatticeSubgroup(mat)
+
+
+CONGRUENCE_GROUPS = {"sanov1": sanov(1), "sanov2": sanov(2), "sanov3": sanov(3), "SL2Z": SL2Z}
+congruences = st.tuples(st.sampled_from(sorted(CONGRUENCE_GROUPS)), st.integers(3, 13)).map(
+    lambda c: (CONGRUENCE_GROUPS[c[0]], CongruenceSubgroup(c[1])))
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def _check_tables(data, group, sub):
+    q = quotient(group, sub)
+    elements, mul, depth = tuple_quotient(q)
+    index = {el: i for i, el in enumerate(elements)}
+    every = np.arange(q.order)
+    assert len(elements) == q.order
+    assert np.array_equal(q.right_mult_indices(group.identity), every)
+    gens = group.symmetric_generators()
+    word = data.draw(st.lists(st.sampled_from(gens), max_size=6))
+    acting = gens + [functools.reduce(group.mul, word, group.identity)]
+    rights = [q.right_mult_indices(g) for g in acting]
+    for g, right in zip(acting, rights):
+        assert np.array_equal(np.sort(right), every)  # a permutation
+        image = q.image(g)
+        assert right.tolist() == [index[mul(el, image)] for el in elements]
+    for j in {0, q.order - 1, q.max_order_element()[0],
+              data.draw(st.integers(0, q.order - 1))}:
+        left = q.left_mult_indices(j)
+        assert np.array_equal(np.sort(left), every)
+        assert left.tolist() == [index[mul(elements[j], el)] for el in elements]
+        for right in rights:
+            assert np.array_equal(right[left], left[right])  # Lambda_j R_g = R_g Lambda_j
+    assert q.element_orders().tolist() == repeated_product_orders(elements, mul)
+    assert q.diameter() == FiniteQuotient.diameter(q) == depth
+
+
+@PROPERTY_SETTINGS
+@given(lattices(), st.data())
+def test_abelian_tables_match_the_tuple_references(case, data):
+    _check_tables(data, *case)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(congruences, st.data())
+def test_congruence_tables_match_the_tuple_references(case, data):
+    _check_tables(data, *case)

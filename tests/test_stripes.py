@@ -104,7 +104,7 @@ def test_circle_base_stripe(circle):
 
 def test_stripe_prediction_rejects_an_order_not_dividing_the_quotient(circle, monkeypatch):
     quot = cyclic_quotient(6)
-    monkeypatch.setattr(quot, "order_of", lambda el: 4)  # a broken quotient
+    monkeypatch.setattr(quot, "element_orders", lambda: np.full(quot.order, 4))  # a broken quotient
     with pytest.raises(CrossCheckMismatch):
         stripe_prediction(StripeSpec(base=circle, gamma=(2,), dim=2), quot)
 
