@@ -1,6 +1,6 @@
 """Enumeration caps, overridable through the L2GROWTH_CAPS environment variable.
 
-Format: ``L2GROWTH_CAPS="bfs=20,order=100000,eig=2000"``.  Keys:
+Format: ``L2GROWTH_CAPS="bfs=20,order=100000,eig=2000"``, each a positive integer.  Keys:
 
 * ``bfs``     - maximum word length in matrix groups: of BFS word lengths, and
   of the kernel words the shortest-element search certifies (its BFS walks
@@ -46,13 +46,15 @@ class Caps:
                 continue
             key, _, value = piece.partition("=")
             key = key.strip().lower()
-            if key in fields:
-                try:
-                    updates[fields[key]] = int(value)
-                except ValueError:
-                    raise ValueError(f"bad cap value in L2GROWTH_CAPS: {piece!r}")
-            else:
+            if key not in fields:
                 raise ValueError(f"unknown cap name in L2GROWTH_CAPS: {key!r}")
+            try:
+                cap = int(value)
+            except ValueError:
+                cap = 0  # not an integer: refused like a cap below 1
+            if cap < 1:
+                raise ValueError(f"bad cap value in L2GROWTH_CAPS: {piece!r}")
+            updates[fields[key]] = cap
         return replace(caps, **updates)
 
 

@@ -8,6 +8,8 @@ instantiated Laplacian is the Laplacian of the cover.
 Betti numbers come from certified rational ranks of the integer boundary
 matrices; floating eigensolvers serve spectral statistics only, and the
 near-zero eigenvalue count is cross-validated against the exact nullity.
+Covers of one quotient share each boundary's instantiation and certified
+rank; Laplacians and spectra stay with the cover that computed them.
 
 Spectra are equivariant.  Right multiplications commute with the left action
 of the quotient, so an element h of the largest order r splits every cover
@@ -20,9 +22,10 @@ blocks, so only floor(r/2) + 1 of them go to the eigensolver.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +41,10 @@ from .polynomials import as_poly
 
 _ZERO_TOL = 1e-7
 
+# quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None]};
+# the entry holds the boundary, so its id is not reused while the quotient lives
+_SHARED = weakref.WeakKeyDictionary()
+
 
 class CoverInstance:
     """A chain complex instantiated on a finite quotient."""
@@ -52,51 +59,26 @@ class CoverInstance:
         self.quotient = quot
         self.caps = caps
         self.order = quot.order
-        self._boundaries: Dict[int, sp.csr_matrix] = {}
+        shared = _SHARED.setdefault(quot, {})
+        self._entries: Dict[int, List] = {}
         for q, d in cx.boundaries.items():
-            self._boundaries[q] = self._instantiate_matrix(d)
+            if id(d) not in shared:
+                shared[id(d)] = [d, _instantiate_matrix(d, quot), None]
+            self._entries[q] = shared[id(d)]
         # instantiation is a ring homomorphism, so d'd' = 0 must survive
-        for q in self._boundaries:
-            if q + 1 in self._boundaries:
-                prod = self._boundaries[q] @ self._boundaries[q + 1]
-                if prod.nnz and np.any(prod.data):
-                    raise CrossCheckMismatch(
-                        f"instantiated boundaries {q},{q + 1} do not compose to zero")
+        for q in self._entries:
+            if q + 1 in self._entries and np.any((self.boundary(q) @ self.boundary(q + 1)).data):
+                raise CrossCheckMismatch(
+                    f"instantiated boundaries {q},{q + 1} do not compose to zero")
         self._laplacians: Dict[int, sp.csr_matrix] = {}
-        self._betti: Dict[int, int] = {}
-        self._ranks: Dict[int, int] = {}
         self._eigs: Dict[int, np.ndarray] = {}
         self._orbits: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
         # q -> (r, size): the spectrum of Laplacian q came from r blocks of that size
         self.spectrum_blocks: Dict[int, Tuple[int, int]] = {}
 
-    # -- construction ------------------------------------------------------
-    def _instantiate_matrix(self, m: GroupRingMatrix) -> sp.csr_matrix:
-        n = self.order
-        quot = self.quotient
-        rows, cols, vals = [], [], []
-        base = np.arange(n, dtype=np.intp)
-        distinct = {el for row in m.entries for entry in row for el in entry.terms}
-        perms = {el: quot.right_mult_indices(el) for el in distinct}  # one per element
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                for el, coeff in m.entries[i][j].terms.items():
-                    if coeff != int(coeff):
-                        raise ValueError("cover instantiation requires integer coefficients")
-                    rows.append(i * n + base)
-                    cols.append(j * n + perms[el])
-                    vals.append(np.full(n, int(coeff), dtype=np.int64))
-        shape = (m.nrows * n, m.ncols * n)
-        if not rows:
-            return sp.csr_matrix(shape, dtype=np.int64)
-        out = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=shape, dtype=np.int64)
-        return out.tocsr()
-
     # -- matrices ----------------------------------------------------------
     def boundary(self, q: int) -> Optional[sp.csr_matrix]:
-        return self._boundaries.get(q)
+        return self._entries[q][1] if q in self._entries else None
 
     def laplacian(self, q: int) -> sp.csr_matrix:
         if not 0 <= q <= self.cx.top_dim:
@@ -104,10 +86,10 @@ class CoverInstance:
         if q not in self._laplacians:
             n = self.cx.cells[q] * self.order
             acc = sp.csr_matrix((n, n), dtype=np.int64)
-            down = self._boundaries.get(q)
+            down = self.boundary(q)
             if down is not None:
                 acc = acc + down.T @ down
-            up = self._boundaries.get(q + 1)
+            up = self.boundary(q + 1)
             if up is not None:
                 acc = acc + up @ up.T
             if (acc != acc.T).nnz:
@@ -117,19 +99,16 @@ class CoverInstance:
 
     # -- exact invariants ----------------------------------------------------
     def _rank(self, q: int) -> int:
-        if q not in self._ranks:
-            d = self._boundaries.get(q)
-            self._ranks[q] = 0 if d is None else exact.rank_certified(d)
-        return self._ranks[q]
+        entry = self._entries.get(q, (None, None, 0))  # no boundary q: rank 0
+        if entry[2] is None:
+            entry[2] = exact.rank_certified(entry[1])
+        return entry[2]
 
     def betti(self, q: int) -> int:
         """Exact q-th Betti number of the cover (rational rank formula)."""
         if not 0 <= q <= self.cx.top_dim:
             raise DimensionOutOfRange(f"dimension {q} not in [0, {self.cx.top_dim}]")
-        if q not in self._betti:
-            total = self.cx.cells[q] * self.order
-            self._betti[q] = total - self._rank(q) - self._rank(q + 1)
-        return self._betti[q]
+        return self.cx.cells[q] * self.order - self._rank(q) - self._rank(q + 1)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * self.betti(q) for q in range(self.cx.top_dim + 1))
@@ -174,6 +153,30 @@ class CoverInstance:
         traces = _power_traces(lap, poly.degree)
         total = sum(Fraction(c) * traces[k] for k, c in enumerate(poly.coeffs))
         return Fraction(total, self.order)
+
+
+def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> sp.csr_matrix:
+    """The integer matrix of m on the quotient: each element a right multiplication."""
+    n = quot.order
+    rows, cols, vals = [], [], []
+    base = np.arange(n, dtype=np.intp)
+    distinct = {el for row in m.entries for entry in row for el in entry.terms}
+    perms = {el: quot.right_mult_indices(el) for el in distinct}  # one per element
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            for el, coeff in m.entries[i][j].terms.items():
+                if coeff != int(coeff):
+                    raise ValueError("cover instantiation requires integer coefficients")
+                rows.append(i * n + base)
+                cols.append(j * n + perms[el])
+                vals.append(np.full(n, int(coeff), dtype=np.int64))
+    shape = (m.nrows * n, m.ncols * n)
+    if not rows:
+        return sp.csr_matrix(shape, dtype=np.int64)
+    out = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape, dtype=np.int64)
+    return out.tocsr()
 
 
 def _left_orbits(quot: FiniteQuotient):
@@ -276,8 +279,7 @@ class TraceEqualityReport:
 
 
 def verify_trace_equality(cx: EquivariantChainComplex, quot: FiniteQuotient,
-                          q: int, p, caps: Caps = DEFAULT_CAPS,
-                          cover: Optional[CoverInstance] = None) -> TraceEqualityReport:
+                          q: int, p, caps: Caps = DEFAULT_CAPS) -> TraceEqualityReport:
     """Compare the deck-group trace of p(Laplacian) with the cover trace.
 
     When deg(p) < short/R the two must agree exactly; a mismatch under the
@@ -288,9 +290,7 @@ def verify_trace_equality(cx: EquivariantChainComplex, quot: FiniteQuotient,
     radius = support_radius(lap, caps)
     s = short_length(cx.group, quot.subgroup, caps=caps)
     lhs = Fraction(gamma_trace(evaluate_polynomial(poly, lap)))
-    if cover is None:
-        cover = CoverInstance(cx, quot, caps)
-    rhs = cover.normalized_trace(poly, q)
+    rhs = CoverInstance(cx, quot, caps).normalized_trace(poly, q)
     condition = radius == 0 or poly.degree < s / radius
     equal = lhs == rhs
     if condition and not equal:

@@ -36,9 +36,13 @@ from .groups import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
                      LatticeSubgroup)
 
 
+def _is_int(x) -> bool:  # JSON true and false are not integers, though bool is an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_int_matrix(node) -> bool:
     return isinstance(node, list) and all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in node)
+        isinstance(row, list) and all(map(_is_int, row)) for row in node)
 
 
 def _parse_group(node):
@@ -47,13 +51,13 @@ def _parse_group(node):
     kind = node["kind"]
     if kind == "free_abelian":
         rank = node.get("rank")
-        if not isinstance(rank, int) or rank < 1:
+        if not _is_int(rank) or rank < 1:
             raise DocumentError("free_abelian group needs integer rank >= 1")
         return FreeAbelian(rank)
     if kind == "integral_matrix":
         dim = node.get("dimension")
         gens = node.get("generators")
-        if (not isinstance(dim, int) or not isinstance(gens, list) or not gens
+        if (not _is_int(dim) or not isinstance(gens, list) or not gens
                 or not all(map(_is_int_matrix, gens))):
             raise DocumentError(
                 "integral_matrix group needs dimension and integer generator matrices")
@@ -68,17 +72,17 @@ def _parse_term(group, term, where: str) -> GroupRingElement:
     if not isinstance(term, dict) or "coeff" not in term:
         raise DocumentError(f"term at {where} must be an object with 'coeff'")
     coeff = term["coeff"]
-    if not isinstance(coeff, int):
+    if not _is_int(coeff):
         raise DocumentError(f"coefficient at {where} must be an integer")
     if isinstance(group, FreeAbelian):
         el = term.get("element")
         if (not isinstance(el, list) or len(el) != group.rank
-                or not all(isinstance(x, int) for x in el)):
+                or not all(map(_is_int, el))):
             raise DocumentError(
                 f"term at {where} needs 'element' with {group.rank} integers")
         return GroupRingElement.monomial(group, tuple(el), coeff)
     word = term.get("word", [])
-    if not isinstance(word, list) or not all(isinstance(x, int) and x != 0 for x in word):
+    if not isinstance(word, list) or not all(_is_int(x) and x != 0 for x in word):
         raise DocumentError(f"term at {where} needs 'word' of nonzero integers")
     el = group.identity
     for w in word:
@@ -111,7 +115,7 @@ def parse_complex(doc: Union[dict, str, Path]) -> EquivariantChainComplex:
     group = _parse_group(doc.get("group"))
     cells = doc.get("cells")
     if (not isinstance(cells, list) or not cells
-            or not all(isinstance(a, int) and a >= 0 for a in cells)):
+            or not all(_is_int(a) and a >= 0 for a in cells)):
         raise DocumentError("'cells' must be a list of nonnegative integers")
     nodes = doc.get("boundaries", [])
     if not isinstance(nodes, list) or not all(isinstance(node, dict) for node in nodes):
@@ -119,7 +123,7 @@ def parse_complex(doc: Union[dict, str, Path]) -> EquivariantChainComplex:
     boundaries = {}
     for node in nodes:
         q = node.get("dim")
-        if not isinstance(q, int) or not 1 <= q < len(cells):
+        if not _is_int(q) or not 1 <= q < len(cells):
             raise DocumentError(f"boundary dim {q!r} out of range")
         entries = node.get("entries")
         nrows, ncols = cells[q - 1], cells[q]

@@ -85,7 +85,8 @@ class DimensionTooLow(L2GrowthError):
 
 
 class RankOutOfRange(L2GrowthError):
-    """Torus rank outside the supported range."""
+    """A rank outside the supported range: a torus rank, or a lattice whose
+    size differs from the rank of its free abelian group."""
 
 
 class DocumentError(L2GrowthError):

@@ -31,8 +31,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (CrossCheckMismatch, NotFiniteIndex, OrderCapExceeded, SearchCapExceeded,
-                     SizeCapExceeded)
+from .errors import (CrossCheckMismatch, NotFiniteIndex, OrderCapExceeded, RankOutOfRange,
+                     SearchCapExceeded, SizeCapExceeded)
 from . import exact
 
 Element = Tuple  # integer tuple (abelian) or tuple of integer tuples (matrix)
@@ -301,6 +301,13 @@ class FiniteQuotient:
         return depth
 
 
+def _check_lattice(group: FreeAbelian, sub: LatticeSubgroup) -> None:
+    if sub.n != group.rank:
+        raise RankOutOfRange(f"a lattice of size {sub.n} is not a subgroup of Z^{group.rank}")
+    if sub.det == 0:
+        raise NotFiniteIndex("subgroup basis matrix is singular")
+
+
 class AbelianQuotient(FiniteQuotient):
     """Z^n / (column span), realized through Smith normal form coordinates.
 
@@ -310,8 +317,7 @@ class AbelianQuotient(FiniteQuotient):
 
     def __init__(self, group: FreeAbelian, subgroup: LatticeSubgroup,
                  caps: Caps = DEFAULT_CAPS):
-        if subgroup.det == 0:
-            raise NotFiniteIndex("subgroup basis matrix is singular")
+        _check_lattice(group, subgroup)
         self.group = group
         self.subgroup = subgroup
         u, diag, _ = subgroup.snf()
@@ -471,8 +477,7 @@ def short_length(group, sub, l_max: Optional[int] = None,
     if isinstance(group, FreeAbelian):
         if not isinstance(sub, LatticeSubgroup):
             raise TypeError("free abelian groups take LatticeSubgroup")
-        if sub.det == 0:
-            raise NotFiniteIndex("subgroup basis matrix is singular")
+        _check_lattice(group, sub)
         if group.rank == 1:
             return abs(sub.det)  # the subgroup of Z generated by det
         cap = l_max if l_max is not None else caps.short

@@ -225,9 +225,7 @@ class PatternReport:
 
 def betti_by_characters(cx: EquivariantChainComplex, quot: AbelianQuotient,
                         q: int, caps: Caps = DEFAULT_CAPS,
-                        cross_check: bool = True,
-                        cover: Optional[CoverInstance] = None
-                        ) -> Tuple[int, PatternReport]:
+                        cross_check: bool = True) -> Tuple[int, PatternReport]:
     """Betti number of the cover as a sum of character kernel dimensions.
 
     Each kernel dimension is exact: the symbol's rank at a character is the
@@ -251,13 +249,10 @@ def betti_by_characters(cx: EquivariantChainComplex, quot: AbelianQuotient,
         total = int(dims.sum())
     report.betti = total
     if cross_check:
-        if cover is None:
-            cover = CoverInstance(cx, quot, caps)
-        exact_b = cover.betti(q)
-        report.exact_betti = exact_b
-        if exact_b != total:
+        report.exact_betti = CoverInstance(cx, quot, caps).betti(q)
+        if report.exact_betti != total:
             raise CrossCheckMismatch(
-                f"character betti {total} != rank betti {exact_b}")
+                f"character betti {total} != rank betti {report.exact_betti}")
     return total, report
 
 
@@ -270,12 +265,11 @@ class SandwichReport:
 
 
 def sandwich_check(cx: EquivariantChainComplex, quot: AbelianQuotient, q: int,
-                   caps: Caps = DEFAULT_CAPS,
-                   cover: Optional[CoverInstance] = None) -> SandwichReport:
+                   caps: Caps = DEFAULT_CAPS) -> SandwichReport:
     """Verify |Lambda cap K| <= b(X') <= a * |Lambda cap K|."""
     if cx.cells[q] < 1:
         raise DimensionOutOfRange("sandwich check needs at least one cell in the dimension")
-    total, report = betti_by_characters(cx, quot, q, caps, cover=cover)
+    total, report = betti_by_characters(cx, quot, q, caps)
     k = report.pattern_count
     holds = k <= total <= report.a * k
     return SandwichReport(pattern_count=k, betti=total, a=report.a, holds=holds)

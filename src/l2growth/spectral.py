@@ -560,14 +560,12 @@ def _check_density(density: DensityEstimate, limit: Callable, hi: float,
 
 
 def _report(regime: str, cx: EquivariantChainComplex, quot, q: int, caps: Caps,
-            cover: Optional[CoverInstance], constants: dict, bound: float,
-            lam: Optional[float] = None) -> BoundReport:
-    """Compare a bound with the exact value on the cover (built when not given).
+            constants: dict, bound: float, lam: Optional[float] = None) -> BoundReport:
+    """Compare a bound with the exact value on the cover.
 
     The exact value is b_q, or with ``lam`` the number of eigenvalues <= lam.
     """
-    if cover is None:
-        cover = CoverInstance(cx, quot, caps)
+    cover = CoverInstance(cx, quot, caps)
     b = cover.betti(q) if lam is None else cover.count_eigs_below(q, lam)
     return BoundReport(regime=regime, constants=constants, bound=bound, betti=b,
                        satisfied=b <= bound)
@@ -575,14 +573,13 @@ def _report(regime: str, cx: EquivariantChainComplex, quot, q: int, caps: Caps,
 
 def betti_bound_general(cx: EquivariantChainComplex, quot, q: int,
                         density: DensityEstimate, z: float,
-                        caps: Caps = DEFAULT_CAPS,
-                        cover: Optional[CoverInstance] = None) -> BoundReport:
+                        caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Raw comparison-polynomial bound b_q <= a * index * J(n, mu) at window z."""
     c = _constants(cx, quot, q, caps)
     a, index, s, r, _k = c.values()
     n = _chain_degree(s, r)
     jb = j_bound(n, density, z)
-    return _report("raw", cx, quot, q, caps, cover,
+    return _report("raw", cx, quot, q, caps,
                    {**c, "n": n, "z": float(z), "mu_z": jb.mu_z, "tail": jb.tail,
                     "direct_integral": jb.direct_integral},
                    a * index * jb.bound)
@@ -591,14 +588,13 @@ def betti_bound_general(cx: EquivariantChainComplex, quot, q: int,
 def gap_bound(cx: EquivariantChainComplex, quot, q: int, lambda0: float,
               density: Optional[DensityEstimate] = None,
               certificate: Optional[GapCertificate] = None,
-              caps: Caps = DEFAULT_CAPS,
-              cover: Optional[CoverInstance] = None) -> BoundReport:
+              caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Exponential bound 4a * index * exp(-M short), M = (2/R) sqrt(lambda0/K)."""
     c = _constants(cx, quot, q, caps)
     a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
     m = _gap_rate(lambda0, k, r)
-    return _report("gap", cx, quot, q, caps, cover,
+    return _report("gap", cx, quot, q, caps,
                    {**c, "lambda0": lambda0, "M": m, "gap_mode": mode},
                    4.0 * a * index * math.exp(-m * s))
 
@@ -607,8 +603,7 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
                     lambda0: float,
                     density: Optional[DensityEstimate] = None,
                     certificate: Optional[GapCertificate] = None,
-                    caps: Caps = DEFAULT_CAPS,
-                    cover: Optional[CoverInstance] = None) -> BoundReport:
+                    caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Bound the number of cover eigenvalues <= lam under a spectral gap.
 
     The guarantee needs lam < lambda0 (the comparison polynomial is monotone
@@ -628,7 +623,7 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
     z = lambda0 / k
     p = LuckPolynomial(n, z)
     log_ratio = p.log_value(z) - p.log_value(lam / k)
-    return _report("eig_count", cx, quot, q, caps, cover,
+    return _report("eig_count", cx, quot, q, caps,
                    {**c, "lambda": lam, "lambda0": lambda0, "n": n, "z": z,
                     "gap_mode": mode, "lambda_below_gap": lam < lambda0},
                    index * float(np.exp(log_ratio)), lam=lam)
@@ -636,8 +631,7 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
 
 def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
              c_density: Optional[float], density: DensityEstimate,
-             caps: Caps = DEFAULT_CAPS, cutoff: Optional[float] = None,
-             cover: Optional[CoverInstance] = None) -> BoundReport:
+             caps: Caps = DEFAULT_CAPS, cutoff: Optional[float] = None) -> BoundReport:
     """Power-decay bound C1 * index * (log(short)/short)^(2 beta).
 
     Requires the verified density hypothesis F(lambda) <= C * lambda^beta on
@@ -674,15 +668,14 @@ def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
     j_val = c_mu * z ** beta + _tail(n, z)
     # C1 * (log(short)/short)^(2 beta) = a * J; that factor is 0 at short = inf
     c1 = a * j_val / ((math.log(s) / s) ** (2 * beta)) if 1 < s < math.inf else math.inf
-    return _report("ns", cx, quot, q, caps, cover,
+    return _report("ns", cx, quot, q, caps,
                    {**c, "beta": beta, "C_density": c_density,
                     "C_density_mode": mode, "n": n, "z": z, "C1": c1},
                    a * index * j_val)
 
 
 def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
-                 density: DensityEstimate, caps: Caps = DEFAULT_CAPS,
-                 cover: Optional[CoverInstance] = None) -> BoundReport:
+                 density: DensityEstimate, caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Logarithmic-decay bound C * index / log(short).
 
     Uses the universal density estimate F(lambda) < a log(K) / (-log lambda)
@@ -712,7 +705,7 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
     _check_density(density, lambda g: a * log_k / (-np.log(g)),
                    min(0.9, max(0.5, 1.05 * kz)), kz, "a*log(K)/(-log lambda)")
     j_val = log_k / (-math.log(kz)) + _tail(n, z)
-    return _report("sublog", cx, quot, q, caps, cover,
+    return _report("sublog", cx, quot, q, caps,
                    {**c, "n": n, "z": z, "C_prime": j_val * math.log(n),
                     "C": a * j_val * math.log(s)},
                    a * index * j_val)
@@ -821,7 +814,7 @@ def uniform_gap_exponent(group, family: Sequence, lambda0: float,
     report = UniformGapReport(exponent=exponent, d_fit=d_fit, c_fit=c_fit,
                               m_const=m_const, spread=spread, members=[])
     for sub, quot, s in data:
-        rep = _report("gap", cx, quot, q, caps, None, {}, c_fit * quot.order ** exponent)
+        rep = _report("gap", cx, quot, q, caps, {}, c_fit * quot.order ** exponent)
         report.members.append({
             "index": quot.order, "short": s, "betti": rep.betti,
             "bound": rep.bound, "satisfied": rep.satisfied, "gap_mode": mode,

@@ -11,11 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from l2growth import (CoverInstance, chebyshev, cosine_density_closed_form,
-                      density_by_quotients, density_zn, eig_count_bound,
-                      estimate_ns, gap_bound, instantiate, luck_polynomial,
-                      ns_bound, short_length, stripe_prediction, sublog_bound,
-                      torus_complex, z_dichotomy)
+from l2growth import (chebyshev, cosine_density_closed_form, density_by_quotients,
+                      density_zn, eig_count_bound, estimate_ns, gap_bound,
+                      instantiate, luck_polynomial, ns_bound, short_length,
+                      stripe_prediction, sublog_bound, torus_complex, z_dichotomy)
 from l2growth.polynomials import chebyshev_coefficients
 from l2growth.stripes import StripeSpec, glue_stripe
 from l2growth.verify import suite_sandwich, suite_traces
@@ -123,10 +122,8 @@ def test_criterion_06_gap_regime(gap_complex):
     density = cosine_density_closed_form(5, 2)
     ok = True
     for i in range(1, 201):
-        cover = instantiate(gap_complex, cyclic_quotient(i))
-        ok = ok and cover.betti(1) == 0
-        rep = gap_bound(gap_complex, cyclic_quotient(i), 1, 1.0,
-                        density=density, cover=cover)
+        rep = gap_bound(gap_complex, cyclic_quotient(i), 1, 1.0, density=density)
+        ok = ok and rep.betti == 0
         ok = ok and rep.satisfied and rep.constants["M"] == pytest.approx(2 / 3)
     for i in (4, 12, 60):
         for lam in (0.5, 2.0, 4.0):
@@ -169,20 +166,16 @@ def test_criterion_08_sublog_and_ns_domination(stripe_complex):
     indices = sorted({int(i) for i in np.geomspace(4, 1000, 20)})
     for i in indices:
         quot = cyclic_quotient(i)
-        cover = CoverInstance(circle, quot)
-        rep_ns = ns_bound(circle, quot, 1, beta=0.5, c_density=0.5,
-                          density=closed, cover=cover)
-        rep_sl = sublog_bound(circle, quot, 1, closed, cover=cover)
+        rep_ns = ns_bound(circle, quot, 1, beta=0.5, c_density=0.5, density=closed)
+        rep_sl = sublog_bound(circle, quot, 1, closed)
         ok = ok and rep_ns.satisfied and rep_sl.satisfied
     # stripe families: the symbol in the stripe dimension has the circle law
     stripe_density = cosine_density_closed_form(2, 1)
     for m, n in [(4, 5), (6, 11), (9, 8), (12, 13), (5, 7)]:
         quot = diag_quotient(m, n)
-        cover = CoverInstance(stripe_complex, quot)
         rep_ns = ns_bound(stripe_complex, quot, 3, beta=0.5, c_density=0.5,
-                          density=stripe_density, cover=cover)
-        rep_sl = sublog_bound(stripe_complex, quot, 3, stripe_density,
-                              cover=cover)
+                          density=stripe_density)
+        rep_sl = sublog_bound(stripe_complex, quot, 3, stripe_density)
         ok = ok and rep_ns.satisfied and rep_sl.satisfied
     _report(8, "ns and sublog bounds dominate exact Betti numbers", ok,
             time.monotonic() - start)

@@ -178,7 +178,7 @@ def test_bounds_family_csv(capsys):
 def test_cross_check_mismatch_exits_2(capsys, monkeypatch):
     import l2growth.cli as cli_mod
 
-    def broken(cx, quot, dim, caps, cross_check=False, cover=None):
+    def broken(cx, quot, dim, caps, cross_check=False):
         return 999, None
 
     monkeypatch.setattr(cli_mod, "betti_by_characters", broken)
@@ -237,4 +237,36 @@ MALFORMED = [
 def test_malformed_document_exits_1(capsys):
     code, _out, err = run(capsys, "betti", json.dumps(MALFORMED[0]), "--subgroup", "3",
                           "--dim", "0")
+    assert code == 1 and err.startswith("error: ")
+
+
+def _circle_with(path, value):
+    """The circle document with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(CIRCLE))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+TERM = ("boundaries", 0, "entries", 0, 0, 0)
+# JSON true and false are not integers, although Python's bool subclasses int
+BOOLEAN_FOR_INTEGER = [
+    _circle_with(("group", "rank"), True),
+    _circle_with(("cells", 1), True),
+    _circle_with(("boundaries", 0, "dim"), True),
+    _circle_with(TERM + ("coeff",), True),
+    _circle_with(TERM + ("element",), [True]),
+    {"group": dict(MATRIX_GROUP, generators=[[[1, True], [0, 1]]]), "cells": [1]},
+    {"group": MATRIX_GROUP, "cells": [1, 1],
+     "boundaries": [{"dim": 1, "entries": [[[{"coeff": 1, "word": [True]}]]]}]},
+]
+
+
+@pytest.mark.parametrize("doc", BOOLEAN_FOR_INTEGER)
+def test_boolean_for_an_integer_is_refused(capsys, doc):
+    with pytest.raises(DocumentError):
+        parse_complex(doc)
+    code, _out, err = run(capsys, "betti", json.dumps(doc), "--subgroup", "3", "--dim", "0")
     assert code == 1 and err.startswith("error: ")

@@ -1,17 +1,20 @@
-from fractions import Fraction
-
+import gc
 import math
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
                       FreeAbelian, GroupRingElement, GroupRingMatrix, IntegralMatrixGroup,
                       LatticeSubgroup, betti, instantiate, quotient, two_cell_complex,
                       verify_trace_equality)
+from l2growth import covers, exact, verify
 from l2growth.caps import Caps
-from l2growth.covers import _equivariant_eigenvalues, _left_orbits
+from l2growth.covers import _equivariant_eigenvalues, _instantiate_matrix, _left_orbits
 from l2growth.errors import SizeCapExceeded
 from l2growth.polynomials import Poly
 from conftest import cyclic_quotient, diag_quotient
@@ -346,3 +349,49 @@ def test_instantiation_one_permutation_per_element(sanov_group, monkeypatch):
     instantiate(presentation, quot)
     # d1 = [g1 - e, g2 - e]: e occurs twice but is acted out once
     assert len(calls) == 3
+
+
+def test_covers_of_one_quotient_certify_a_shared_boundary_once(monkeypatch, torus2,
+                                                                stripe_complex):
+    shapes = []
+    certified = exact.rank_certified
+
+    def counting(a):
+        shapes.append(a.shape)
+        return certified(a)
+
+    monkeypatch.setattr(exact, "rank_certified", counting)
+    quot = diag_quotient(4, 6)
+    glued = instantiate(stripe_complex, quot)
+    base = instantiate(torus2, quot)
+    # the stripe is glued onto the torus's own boundary objects
+    assert glued.boundary(1) is base.boundary(1) and glued.boundary(2) is base.boundary(2)
+    assert [glued.betti(j) for j in range(2)] == [base.betti(j) for j in range(2)] == [1, 2]
+    assert shapes == [(24, 48), (48, 24)]  # d_1 and d_2 of the torus, each once
+    # another quotient object of the same lattice shares nothing
+    assert instantiate(torus2, diag_quotient(4, 6)).betti(1) == 2
+    assert shapes[2:] == [(24, 48), (48, 24)]
+
+
+def test_shared_boundaries_leave_with_their_quotient(circle):
+    quot = cyclic_quotient(7)
+    assert instantiate(circle, quot).betti(1) == 1
+    ref = weakref.ref(quot)
+    assert len(covers._SHARED[quot]) == 1
+    del quot
+    gc.collect()
+    assert ref() is None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_a_second_cover_has_the_betti_numbers_of_fresh_instantiations(seed):
+    rng = np.random.default_rng(seed)
+    cx = verify.random_complex(rng)
+    quot = verify.random_quotient(rng, cx.group)
+    dims = range(cx.top_dim + 1)
+    first = [CoverInstance(cx, quot).betti(q) for q in dims]
+    ranks = {q: exact.rank_certified(_instantiate_matrix(d, quot))
+             for q, d in cx.boundaries.items()}
+    fresh = [cx.cells[q] * quot.order - ranks.get(q, 0) - ranks.get(q + 1, 0) for q in dims]
+    assert [CoverInstance(cx, quot).betti(q) for q in dims] == fresh == first

@@ -563,7 +563,9 @@ def test_stripe_trial_past_six_primes_is_certified_by_the_bound(monkeypatch):
 
     monkeypatch.setattr(exact, "kernel_certified", recording)
     assert verify.suite_stripes(trials=1, seed=50299).ok
-    m = next(a for a, result in results if a.shape == (572, 572) and result == (286, []))
+    # the glued cover and the base cover share it, and with it its certified rank
+    assert [result for a, result in results if a.shape == (572, 572)] == [(286, [])]
+    m = next(a for a, _result in results if a.shape == (572, 572))
     # its fill passes the budget of twice its nonzeros, so after a short
     # sparse attempt it is eliminated densely
     with pytest.raises(exact._FillIn):

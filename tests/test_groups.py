@@ -10,7 +10,7 @@ from l2growth import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
                       LatticeSubgroup, ball_volume, element_order, quotient,
                       quotient_diameter, short_length, uniformity_check)
 from l2growth.errors import (CrossCheckMismatch, NotFiniteIndex, OrderCapExceeded,
-                             SearchCapExceeded, SizeCapExceeded)
+                             RankOutOfRange, SearchCapExceeded, SizeCapExceeded)
 from l2growth.caps import Caps
 from l2growth.groups import FiniteQuotient
 
@@ -231,6 +231,16 @@ def test_short_length_walks_half_the_ball(monkeypatch):
 def test_short_length_singular_matrix(z_two):
     with pytest.raises(NotFiniteIndex):
         short_length(z_two, LatticeSubgroup([[1, 2], [2, 4]]))
+
+
+def test_lattice_of_another_size_is_refused(z_one, z_two):
+    # a 1 x 1 lattice is not a subgroup of Z^2, nor a 2 x 2 one of Z
+    for group, sub in ((z_two, LatticeSubgroup([[3]])),
+                       (z_one, LatticeSubgroup([[2, 0], [0, 3]]))):
+        with pytest.raises(RankOutOfRange):
+            quotient(group, sub)
+        with pytest.raises(RankOutOfRange):
+            short_length(group, sub)
 
 
 def test_short_length_cap(z_two):
@@ -481,6 +491,13 @@ def test_caps_env_parsing(monkeypatch):
     assert caps.bfs_length == 10 and caps.order == 500 and caps.eig == 100
     monkeypatch.setenv("L2GROWTH_CAPS", "bogus=1")
     with pytest.raises(ValueError):
+        Caps.from_env()
+
+
+@pytest.mark.parametrize("raw", ["order=-5,eig=0", "order=-5", "eig=0", "bfs=x"])
+def test_caps_env_refuses_a_cap_below_one(monkeypatch, raw):
+    monkeypatch.setenv("L2GROWTH_CAPS", raw)
+    with pytest.raises(ValueError, match="bad cap value"):
         Caps.from_env()
 
 

@@ -1,15 +1,18 @@
 """Checks on the library's shape: the names the benchmark's span tracer wraps
-exist, the runtime imports stay within the standard library, numpy and scipy,
-and every package the tests import is declared in the ``test`` extra."""
+exist, no public function takes a cover beside its complex and quotient, the
+runtime imports stay within the standard library, numpy and scipy, and every
+package the tests import is declared in the ``test`` extra."""
 
 import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import l2growth
 from l2growth.covers import CoverInstance
 
 REPO = Path(__file__).resolve().parents[1]
@@ -37,6 +40,18 @@ def test_traced_layer_names_resolve(monkeypatch):
             assert callable(getattr(module, name, None)), f"{layer}: {module_name}.{name}"
     for layer, method, _counter, _before in spans.METHOD_LAYERS:
         assert callable(CoverInstance.__dict__.get(method)), f"{layer}: CoverInstance.{method}"
+
+
+def test_no_public_callable_takes_a_cover():
+    # a cover passed beside (cx, quot) need not be theirs; every function
+    # builds its own, which shares the instantiations and ranks of its quotient
+    checked = 0
+    for name in l2growth.__all__:
+        obj = getattr(l2growth, name)
+        if callable(obj):
+            assert "cover" not in inspect.signature(obj).parameters, name
+            checked += 1
+    assert checked > 40
 
 
 def test_runtime_imports_are_stdlib_numpy_scipy():
