@@ -7,7 +7,7 @@ instantiated Laplacian is the Laplacian of the cover.
 
 Betti numbers come from certified rational ranks of the integer boundary
 matrices; floating eigensolvers serve spectral statistics only, and the
-near-zero eigenvalue count is cross-validated against the exact nullity.
+exact Betti number says how many of the lowest eigenvalues are zeros.
 Covers of one quotient share each boundary's instantiation and certified
 rank; Laplacians and spectra stay with the cover that computed them.
 
@@ -18,10 +18,14 @@ Fourier transform along each orbit turns it into r Hermitian blocks of size
 a*n/r, one per character of <h> (Serre, Linear Representations of Finite
 Groups, sec. 2.6).  The characters j and r - j give complex conjugate
 blocks, so only floor(r/2) + 1 of them go to the eigensolver.
+
+The same left action is transitive, so the diagonal blocks of a polynomial in
+the Laplacian agree at all elements: the cover trace is read at element 0.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,14 +36,12 @@ import scipy.sparse as sp
 
 from . import exact
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (CrossCheckMismatch, DimensionOutOfRange, OrderCapExceeded,
-                     SizeCapExceeded)
-from .group_ring import (EquivariantChainComplex, GroupRingMatrix, gamma_trace,
-                         evaluate_polynomial, laplacian, support_radius)
+from .errors import (CrossCheckMismatch, DimensionOutOfRange, NonIntegralCoefficient,
+                     OrderCapExceeded, SizeCapExceeded)
+from .group_ring import (EquivariantChainComplex, GroupRingMatrix, evaluate_polynomial,
+                         gamma_trace, laplacian, support_radius)
 from .groups import FiniteQuotient, short_length
 from .polynomials import as_poly
-
-_ZERO_TOL = 1e-7
 
 # quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None]};
 # the entry holds the boundary, so its id is not reused while the quotient lives
@@ -119,9 +121,9 @@ class CoverInstance:
 
         The ``eig`` cap bounds the whole Laplacian; the solver runs on its
         blocks under the left action of an element of the largest order (see
-        the module docstring).  The count of near-zero eigenvalues must equal
-        the exact Betti number, or it raises; those eigenvalues are then
-        returned as exactly 0.
+        the module docstring).  The exact Betti number b counts the zeros: the b
+        lowest eigenvalues must lie within the solver's error of 0 and the next
+        one above it, or it raises; the b zeros are returned as exactly 0.
         """
         if q not in self._eigs:
             lap = self.laplacian(q)
@@ -131,12 +133,13 @@ class CoverInstance:
             if self._orbits is None:
                 self._orbits = _left_orbits(self.quotient)
             eigs = np.sort(_equivariant_eigenvalues(lap, *self._orbits))
-            zero = np.abs(eigs) < _ZERO_TOL
-            near_zero = int(np.count_nonzero(zero))
-            if near_zero != self.betti(q):
-                raise CrossCheckMismatch(
-                    f"near-zero eigenvalue count {near_zero} != exact betti {self.betti(q)}")
-            eigs[zero] = 0.0
+            b = self.betti(q)
+            # the largest absolute row sum bounds the symmetric lap's 2-norm
+            error = eigvalsh_error(len(eigs), float(abs(lap).sum(axis=1).A1.max(initial=0)))
+            if np.any(np.abs(eigs[:b]) > error) or np.any(eigs[b:b + 1] <= error):
+                raise CrossCheckMismatch(f"the {b} lowest eigenvalues (exact betti {b}) are "
+                                         f"not separated from the rest by {error:.3g}")
+            eigs[:b] = 0.0
             r = self._orbits[2]
             self.spectrum_blocks[q] = (r, lap.shape[0] // r)
             self._eigs[q] = eigs
@@ -147,12 +150,33 @@ class CoverInstance:
         return int(np.searchsorted(self.eigenvalues(q), lam, side="right"))
 
     def normalized_trace(self, p, q: int) -> Fraction:
-        """Exact matrix trace of p(Laplacian') divided by the quotient order."""
+        """Exact matrix trace of p(Laplacian') divided by the quotient order.
+
+        By equivariance (see the module docstring) it is the sum of the diagonal
+        entries (c, 0), read off Python-integer products of the Laplacian with
+        the unit vectors at element 0; no power of the whole matrix is formed.
+        """
         poly = as_poly(p)
-        lap = self.laplacian(q)
-        traces = _power_traces(lap, poly.degree)
-        total = sum(Fraction(c) * traces[k] for k, c in enumerate(poly.coeffs))
-        return Fraction(total, self.order)
+        coo = self.laplacian(q).tocoo()
+        a = self.cx.cells[q]
+        rows, cells = np.arange(a) * self.order, np.arange(a)  # entries (c, 0), c
+        vecs = np.zeros((coo.shape[0], a), dtype=object)
+        vecs[rows, cells] = 1
+        weights = coo.data.astype(object)[:, None]
+        diagonal = [a]
+        for _ in range(poly.degree):
+            out = np.zeros_like(vecs)
+            np.add.at(out, coo.row, weights * vecs[coo.col])
+            vecs = out
+            diagonal.append(sum(vecs[rows, cells]))
+        return Fraction(sum(Fraction(c) * d for c, d in zip(poly.coeffs, diagonal)))
+
+
+def eigvalsh_error(size: int, norm: float) -> float:
+    """Error of float64 ``eigvalsh`` on a matrix B of that size with ||B||_2 <= norm:
+    p(size) * eps * norm (LAPACK Users' Guide, 3rd ed., sec. 4.7, p(size) = size,
+    eps the float64 machine epsilon), and as much again for forming B."""
+    return 2 * size * math.ulp(1.0) * norm
 
 
 def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> sp.csr_matrix:
@@ -166,7 +190,8 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> sp.csr_matr
         for j in range(m.ncols):
             for el, coeff in m.entries[i][j].terms.items():
                 if coeff != int(coeff):
-                    raise ValueError("cover instantiation requires integer coefficients")
+                    raise NonIntegralCoefficient(
+                        f"cover instantiation requires integer coefficients, got {coeff}")
                 rows.append(i * n + base)
                 cols.append(j * n + perms[el])
                 vals.append(np.full(n, int(coeff), dtype=np.int64))
@@ -227,32 +252,6 @@ def _equivariant_eigenvalues(lap: sp.csr_matrix, orbit: np.ndarray, offset: np.n
     eigs = np.linalg.eigvalsh(np.moveaxis(blocks, -1, 0))
     # characters 1 .. ceil(r/2) - 1 stand for their conjugates r - j as well
     return np.concatenate([eigs.ravel(), eigs[1:(r + 1) // 2].ravel()])
-
-
-def _power_traces(m: sp.csr_matrix, deg: int):
-    """[tr(M^0), ..., tr(M^deg)] exactly, guarding against int64 overflow."""
-    n = m.shape[0]
-    traces = [n]
-    if deg <= 0 or n == 0:
-        return traces + [0] * max(0, deg)
-    max_a = int(abs(m).max()) if m.nnz else 0
-    power = m.copy()
-    traces.append(int(power.diagonal().sum()))
-    max_p = max_a
-    obj = None
-    for _ in range(deg - 1):
-        if obj is None:
-            if max_a and n * max_p * max_a < 2 ** 62:
-                power = power @ m
-                max_p = int(abs(power).max()) if power.nnz else 0
-                traces.append(int(power.diagonal().sum()))
-                continue
-            # switch to exact object arithmetic
-            obj = power.toarray().astype(object)
-            dense_m = m.toarray().astype(object)
-        obj = obj @ dense_m
-        traces.append(int(np.trace(obj)))
-    return traces
 
 
 def instantiate(cx: EquivariantChainComplex, quot: FiniteQuotient,

@@ -91,3 +91,7 @@ class RankOutOfRange(L2GrowthError):
 
 class DocumentError(L2GrowthError):
     """A complex document failed to parse or validate."""
+
+
+class NonIntegralCoefficient(L2GrowthError, ValueError):
+    """A cover instantiation met a coefficient that is not an integer."""

@@ -36,14 +36,17 @@ def _require_abelian(group) -> FreeAbelian:
     return group
 
 
-def determinant(m: GroupRingMatrix, size_cap: int = 8) -> GroupRingElement:
+DETERMINANT_MAX_SIZE = 8  # the minor expansion has 2^size cached minors
+
+
+def determinant(m: GroupRingMatrix) -> GroupRingElement:
     """Exact symbolic determinant of a square matrix over Z[Z^n], the Laurent ring."""
     group = _require_abelian(m.group)
     if m.nrows != m.ncols:
         raise NotSquare("determinant requires a square matrix")
     n = m.nrows
-    if n > size_cap:
-        raise SizeCapExceeded(f"symbolic determinant capped at size {size_cap}")
+    if n > DETERMINANT_MAX_SIZE:
+        raise SizeCapExceeded(f"symbolic determinant capped at size {DETERMINANT_MAX_SIZE}")
     cache: Dict[Tuple[int, ...], GroupRingElement] = {}
 
     def minor(cols: Tuple[int, ...]) -> GroupRingElement:

@@ -23,14 +23,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .covers import CoverInstance
+from .covers import CoverInstance, eigvalsh_error
 from .errors import (DegenerateZ, FamilyNotLogUniform, GapNotVerified,
                      HypothesisUnverified, InsufficientGrid, LambdaAboveGap,
                      NotAbelian, ShortTooSmall, SizeCapExceeded)
 from .exact import _DENSE_BYTES, _is_prime
 from .group_ring import EquivariantChainComplex, laplacian, norm_bound, support_radius
 from .groups import FreeAbelian, quotient as make_quotient, short_length
-from .pattern import determinant, evaluate_matrix_at_characters
+from .pattern import DETERMINANT_MAX_SIZE, determinant, evaluate_matrix_at_characters
 from .polynomials import Poly, chebyshev_coefficients
 
 __all__ = [
@@ -460,13 +460,8 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096,
             s = sum(abs(c) * sum(abs(v) for v in g) for g, c in e.terms.items())
             sq_sum += float(s) ** 2
     lipschitz = 2 * math.pi * math.sqrt(sq_sum)
-    # float64 rounding as a backward error: eigvalsh returns the eigenvalues
-    # of a block within p(a) * eps * ||B||_2 of the block B it is given
-    # (LAPACK Users' Guide, 3rd ed., sec. 4.7, with p(a) = a and eps the
-    # float64 machine epsilon), ||B||_2 <= K, and forming B from its cosine
-    # sums is charged as much again.
-    rounding = 2 * a * math.ulp(1.0) * float(norm_bound(lap))
-    level = grid_min - lipschitz * 0.5 / per_dim - rounding
+    # float64 rounding of the a x a symbol blocks, formed from their cosine sums
+    level = grid_min - lipschitz * 0.5 / per_dim - eigvalsh_error(a, float(norm_bound(lap)))
     return GapCertificate(certified_level=level, grid_minimum=grid_min,
                           lipschitz=lipschitz, grid_per_dim=per_dim)
 
@@ -690,7 +685,7 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
     n = _chain_degree(s, r)
     if n < 2:
         raise ShortTooSmall(f"degree n={n} leaves no usable window")
-    if isinstance(cx.group, FreeAbelian) and a <= 8:
+    if isinstance(cx.group, FreeAbelian) and a <= DETERMINANT_MAX_SIZE:
         det = determinant(laplacian(cx, q))
         if det.is_zero:
             raise HypothesisUnverified(
@@ -725,23 +720,22 @@ class NsEstimate:
     residual: Optional[float] = None
 
 
-def estimate_ns(density: DensityEstimate, lo: float = 1e-6, hi: float = 1e-2,
-                num: int = 61, min_counts: int = 4) -> NsEstimate:
+def estimate_ns(density: DensityEstimate, lo: float = 1e-6, hi: float = 1e-2) -> NsEstimate:
     """Log-log decay rate of F near zero: alpha = 2 * fitted slope.
 
-    Sampled estimates ignore grid points whose increment over F(0+) is
-    below ``min_counts`` samples, to keep quadrature noise out of the fit.
+    F is read at 61 geometric grid points; sampled estimates ignore those whose
+    increment over F(0+) is below 4 samples, to keep quadrature noise out of the fit.
     """
     if hi > 0.1 or hi <= lo:
         raise InsufficientGrid("window must satisfy lo < hi <= 0.1")
     if hi / lo < 100.0:
         raise InsufficientGrid("window must span at least two decades")
-    grid = np.geomspace(lo, hi, num)
+    grid = np.geomspace(lo, hi, 61)
     f0 = density.F_at_zero()
     vals = np.asarray(density.F(grid), dtype=float) - f0
     floor = 0.0
     if density._samples is not None:
-        floor = min_counts * density._weight
+        floor = 4 * density._weight
     usable = vals > max(floor, 0.0)
     if not np.any(usable):
         return NsEstimate(alpha_hat=None, gap_detected=True, window=(lo, hi))
@@ -781,12 +775,11 @@ def uniform_gap_exponent(group, family: Sequence, lambda0: float,
                          cx: EquivariantChainComplex, q: int,
                          density: Optional[DensityEstimate] = None,
                          certificate: Optional[GapCertificate] = None,
-                         caps: Caps = DEFAULT_CAPS,
-                         spread_cap: float = 4.0) -> UniformGapReport:
+                         caps: Caps = DEFAULT_CAPS) -> UniformGapReport:
     """Sub-linear index exponent for a log-uniform family under a gap.
 
     Fits D = min short/log(index) over the family; the family is rejected
-    (FamilyNotLogUniform) when the ratios spread by more than ``spread_cap``,
+    (FamilyNotLogUniform) when the ratios spread by more than a factor 4,
     which is what happens for polynomial-growth directions.  Verifies
     b_q <= 4a * index^(1 - M*D) per member.
     """
@@ -801,9 +794,9 @@ def uniform_gap_exponent(group, family: Sequence, lambda0: float,
         raise FamilyNotLogUniform("need at least two members of index >= 2")
     ratios = [s / math.log(quot.order) for _sub, quot, s in data]
     spread = max(ratios) / min(ratios)
-    if spread > spread_cap:
+    if spread > 4.0:
         raise FamilyNotLogUniform(
-            f"short/log(index) ratios spread by {spread:.3g} > {spread_cap}; "
+            f"short/log(index) ratios spread by {spread:.3g} > 4; "
             "family does not track logarithmic growth")
     d_fit = min(ratios)
     mode = _verify_gap(lambda0, density, certificate)

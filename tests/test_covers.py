@@ -15,7 +15,8 @@ from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
 from l2growth.covers import _equivariant_eigenvalues, _instantiate_matrix, _left_orbits
-from l2growth.errors import SizeCapExceeded
+from l2growth.errors import (CrossCheckMismatch, L2GrowthError, NonIntegralCoefficient,
+                             SizeCapExceeded)
 from l2growth.polynomials import Poly
 from conftest import cyclic_quotient, diag_quotient
 
@@ -88,6 +89,22 @@ def test_eigenvalue_size_cap(circle):
         cover.eigenvalues(0)
 
 
+def test_zeros_of_a_large_circle_cover_are_counted_by_betti(circle):
+    # the circle's first nonzero eigenvalue 2 - 2cos(2 pi/20000) is about 9.9e-8
+    cover = CoverInstance(circle, cyclic_quotient(20000), Caps(order=10 ** 6, eig=10 ** 6))
+    eigs = cover.eigenvalues(0)
+    assert int(np.count_nonzero(eigs == 0.0)) == 1 == cover.betti(0)
+    assert 9e-8 < eigs[1] < 1e-7
+
+
+def test_zeros_not_separated_by_the_solver_error_raise(circle, monkeypatch):
+    solve = covers._equivariant_eigenvalues
+    monkeypatch.setattr(covers, "_equivariant_eigenvalues",
+                        lambda *args: solve(*args) + 1e-9)
+    with pytest.raises(CrossCheckMismatch, match="not separated"):
+        instantiate(circle, cyclic_quotient(5)).eigenvalues(0)
+
+
 def test_instantiation_order_cap(torus2):
     from l2growth.errors import OrderCapExceeded
     with pytest.raises(OrderCapExceeded):
@@ -138,6 +155,78 @@ def test_trace_exact_rationals(gap_complex):
     assert isinstance(val, Fraction)
     # eigenvalues 5 - 4cos(2 pi k/7): mean = 5, mean of squares = 33
     assert val == Fraction(1, 2) - Fraction(2, 3) * 5 + Fraction(1, 6) * 33
+
+
+def _whole_matrix_traces(m: sp.csr_matrix, deg: int):
+    """[tr(M^0), ..., tr(M^deg)] exactly: whole sparse int64 powers, switching to
+    dense object products when the next power could overflow int64."""
+    n = m.shape[0]
+    traces = [n]
+    if deg <= 0 or n == 0:
+        return traces + [0] * max(0, deg)
+    max_a = int(abs(m).max()) if m.nnz else 0
+    power = m.copy()
+    traces.append(int(power.diagonal().sum()))
+    max_p = max_a
+    obj = None
+    for _ in range(deg - 1):
+        if obj is None:
+            if n * max_p * max_a < 2 ** 62:
+                power = power @ m
+                max_p = int(abs(power).max()) if power.nnz else 0
+                traces.append(int(power.diagonal().sum()))
+                continue
+            obj = power.toarray().astype(object)
+            dense_m = m.toarray().astype(object)
+        obj = obj @ dense_m
+        traces.append(int(np.trace(obj)))
+    return traces
+
+
+def _assert_trace_is_the_whole_matrix_one(cover, q, p):
+    traces = _whole_matrix_traces(cover.laplacian(q), p.degree)
+    whole = sum(Fraction(c) * t for c, t in zip(p.coeffs, traces))
+    val = cover.normalized_trace(p, q)
+    assert isinstance(val, Fraction) and val == Fraction(whole, cover.order)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_trace_at_one_element_is_the_whole_matrix_trace(seed):
+    rng = np.random.default_rng(seed)
+    cx = verify.random_complex(rng)
+    cover = CoverInstance(cx, verify.random_quotient(rng, cx.group))
+    for q in range(cx.top_dim + 1):
+        _assert_trace_is_the_whole_matrix_one(cover, q, verify._random_poly(rng, 4))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_congruence_trace_at_one_element_is_the_whole_matrix_trace(sanov_group, m):
+    quot = quotient(sanov_group, CongruenceSubgroup(m))
+    rng = np.random.default_rng(m)
+    for cx in _matrix_group_complexes(sanov_group):
+        cover = instantiate(cx, quot)
+        for q in range(2):
+            _assert_trace_is_the_whole_matrix_one(cover, q, verify._random_poly(rng, 4))
+
+
+def test_zero_laplacian_trace_builds_no_dense_matrix(zero_complex, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dense copy of a sparse matrix")
+
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        monkeypatch.setattr(cls, "toarray", refuse)
+    cover = instantiate(zero_complex, cyclic_quotient(2000))
+    # p(0) = 1 on the one cell of each element
+    assert cover.normalized_trace(Poly([1, -2, 3, 5]), 1) == 1
+
+
+def test_fractional_coefficient_is_refused(z_one):
+    half_g_minus_one = GroupRingElement(z_one, {(1,): Fraction(1, 2), (0,): -1})
+    with pytest.raises(NonIntegralCoefficient):
+        CoverInstance(two_cell_complex(z_one, half_g_minus_one), cyclic_quotient(3))
+    assert issubclass(NonIntegralCoefficient, L2GrowthError)
+    assert issubclass(NonIntegralCoefficient, ValueError)
 
 
 def test_euler_characteristic_multiplicative(torus2, stripe_complex, z_two):

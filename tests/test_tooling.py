@@ -38,8 +38,21 @@ def test_traced_layer_names_resolve(monkeypatch):
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}: {module_name}.{name}"
-    for layer, method, _counter, _before in spans.METHOD_LAYERS:
+    # the pre-call hooks and counters read CoverInstance attributes: run them on a cover
+    cover = l2growth.instantiate(l2growth.torus_complex(1),
+                                 l2growth.quotient(l2growth.FreeAbelian(1),
+                                                   l2growth.LatticeSubgroup([[5]])))
+    args = {"__init__": (cover, cover.cx, cover.quotient), "eigenvalues": (cover, 0),
+            "normalized_trace": (cover, l2growth.Poly([0, 1]), 0)}
+    for layer, method, counter, before in spans.METHOD_LAYERS:
         assert callable(CoverInstance.__dict__.get(method)), f"{layer}: CoverInstance.{method}"
+        state = before(args[method], {}) if before else None
+        result = getattr(CoverInstance, method)(*args[method])
+        if before:
+            assert (state, before(args[method], {})) == (True, False), layer  # fills a cache
+        if counter:
+            counts = counter(spans.Call(spans.Tracer(), method, args[method], {}, result, state))
+            assert counts and min(counts.values()) >= 0, layer
 
 
 def test_no_public_callable_takes_a_cover():
