@@ -4,12 +4,14 @@ Format: ``L2GROWTH_CAPS="bfs=20,order=100000,eig=2000"``, each a positive intege
 
 * ``bfs``     - maximum word length in matrix groups: of BFS word lengths, and
   of the kernel words the shortest-element search certifies (its BFS walks
-  about half of that length)
-* ``visited`` - maximum number of BFS-visited elements
+  half of that length)
+* ``visited`` - maximum number of elements any ball walk visits, the
+  shortest-element search in both kinds of group included
 * ``order``   - maximum order of a realized finite quotient / cover instantiation
 * ``eig``     - maximum size of a cover Laplacian whose spectrum is computed
   (the eigensolver runs on its equivariant blocks)
-* ``short``   - maximum radius for abelian shortest-vector enumeration
+* ``short``   - maximum word length of the subgroup elements of Z^n the
+  shortest-element search certifies (its BFS walks half of that length)
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 user/validation error, 2 cross-check mismatch,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -26,11 +27,16 @@ from .caps import Caps
 from .covers import CoverInstance
 from .document import parse_complex, parse_subgroup
 from .errors import CrossCheckMismatch, DocumentError, L2GrowthError
+from .exact import _DENSE_BYTES
 from .groups import FreeAbelian, LatticeSubgroup, quotient, short_length
 from .pattern import betti_by_characters
 from .spectral import (betti_bound_general, density_by_quotients, density_zn,
                        estimate_ns, gap_bound, ns_bound, sublog_bound)
 from .verify import SUITES
+
+# bytes a --grid point costs: float64 grid, values and temporaries, and its
+# CSV line as a str and in the joined text
+_GRID_POINT_BYTES = 160
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,8 +147,12 @@ def _parse_grid(spec: Optional[str], k: float) -> np.ndarray:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise DocumentError(f"bad --grid {spec!r}; expected lo:hi:step")
-    if step <= 0 or hi < lo:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise DocumentError(f"bad --grid {spec!r}")
+    points = (hi - lo) / step + 1  # at least as many as np.arange makes
+    if points * _GRID_POINT_BYTES > _DENSE_BYTES:
+        raise DocumentError(f"--grid {spec!r} has {points:.4g} points, above the "
+                            f"{_DENSE_BYTES}-byte budget")
     return np.arange(lo, hi + step * 0.5, step)
 
 
@@ -158,8 +168,7 @@ def _cmd_density(args, caps: Caps) -> int:
         quots = [quotient(cx.group, LatticeSubgroup([[i]]), caps) for i in orders]
         density = density_by_quotients(cx, args.dim, quots, caps)
     else:
-        density = density_zn(cx, args.dim, sample_count=args.samples,
-                             seed=args.seed, caps=caps)
+        density = density_zn(cx, args.dim, sample_count=args.samples, seed=args.seed)
     grid = _parse_grid(args.grid, density.K)
     values = density.to_grid(grid)
     lines = ["lambda,F"]
@@ -191,8 +200,7 @@ def _one_bound(args, cx, quot, density, caps: Caps):
 
 def _cmd_bounds(args, caps: Caps) -> int:
     cx = _parse_with_dim(args)
-    density = density_zn(cx, args.dim, sample_count=args.samples,
-                         seed=args.seed, caps=caps)
+    density = density_zn(cx, args.dim, sample_count=args.samples, seed=args.seed)
     if args.family:
         lines = ["index,short,betti,bound"]
         all_ok = True

@@ -40,7 +40,7 @@ from .errors import (CrossCheckMismatch, DimensionOutOfRange, NonIntegralCoeffic
                      OrderCapExceeded, SizeCapExceeded)
 from .group_ring import (EquivariantChainComplex, GroupRingMatrix, evaluate_polynomial,
                          gamma_trace, laplacian, support_radius)
-from .groups import FiniteQuotient, short_length
+from .groups import FiniteQuotient, check_quotient_of, short_length
 from .polynomials import as_poly
 
 # quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None]};
@@ -53,6 +53,7 @@ class CoverInstance:
 
     def __init__(self, cx: EquivariantChainComplex, quot: FiniteQuotient,
                  caps: Caps = DEFAULT_CAPS):
+        check_quotient_of(cx.group, quot)
         max_cells = max(cx.cells) if cx.cells else 0
         if quot.order * max_cells > caps.order:
             raise OrderCapExceeded(

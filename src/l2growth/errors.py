@@ -95,3 +95,7 @@ class DocumentError(L2GrowthError):
 
 class NonIntegralCoefficient(L2GrowthError, ValueError):
     """A cover instantiation met a coefficient that is not an integer."""
+
+
+class ForeignQuotient(L2GrowthError, ValueError):
+    """A cover was asked for on a quotient of another deck group."""

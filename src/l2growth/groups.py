@@ -24,6 +24,7 @@ support radii) depend on these pinned generating sets.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -31,8 +32,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (CrossCheckMismatch, NotFiniteIndex, OrderCapExceeded, RankOutOfRange,
-                     SearchCapExceeded, SizeCapExceeded)
+from .errors import (CrossCheckMismatch, ForeignQuotient, NotFiniteIndex, OrderCapExceeded,
+                     RankOutOfRange, SearchCapExceeded, SizeCapExceeded)
 from . import exact
 
 Element = Tuple  # integer tuple (abelian) or tuple of integer tuples (matrix)
@@ -52,7 +53,33 @@ def _matmul(a, b):
     )
 
 
-class FreeAbelian:
+class _Group:
+    """What both deck groups share: the breadth-first walk of the word metric."""
+
+    def iter_ball(self, max_radius: int, max_visited: int) -> Iterator[Tuple[Element, int]]:
+        """Breadth-first enumeration of (element, word length), identity first."""
+        gens = self.symmetric_generators()
+        seen = {self.identity}
+        yield self.identity, 0
+        frontier = [self.identity]
+        for dist in range(1, max_radius + 1):
+            nxt = []
+            for el in frontier:
+                for g in gens:
+                    w = self.mul(el, g)
+                    if w not in seen:
+                        seen.add(w)
+                        if len(seen) > max_visited:
+                            raise SearchCapExceeded(
+                                f"BFS visited more than {max_visited} elements")
+                        yield w, dist
+                        nxt.append(w)
+            if not nxt:
+                return
+            frontier = nxt
+
+
+class FreeAbelian(_Group):
     """Z^n with standard generators; word length is the l1 norm."""
 
     is_abelian = True
@@ -67,7 +94,7 @@ class FreeAbelian:
         return (0,) * self.rank
 
     def mul(self, a: Element, b: Element) -> Element:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a: Element) -> Element:
         return tuple(-x for x in a)
@@ -89,7 +116,7 @@ class FreeAbelian:
         return f"FreeAbelian({self.rank})"
 
 
-class IntegralMatrixGroup:
+class IntegralMatrixGroup(_Group):
     """Group of integer matrices generated by a finite set of unimodular matrices."""
 
     is_abelian = False
@@ -130,28 +157,6 @@ class IntegralMatrixGroup:
             if gi not in out:
                 out.append(gi)
         return out
-
-    def iter_ball(self, max_radius: int, max_visited: int) -> Iterator[Tuple[Element, int]]:
-        """Breadth-first enumeration of (element, word length), identity first."""
-        gens = self.symmetric_generators()
-        seen = {self.identity}
-        yield self.identity, 0
-        frontier = [self.identity]
-        for dist in range(1, max_radius + 1):
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    w = self.mul(el, g)
-                    if w not in seen:
-                        seen.add(w)
-                        if len(seen) > max_visited:
-                            raise SearchCapExceeded(
-                                f"BFS visited more than {max_visited} elements")
-                        yield w, dist
-                        nxt.append(w)
-            if not nxt:
-                return
-            frontier = nxt
 
     def word_lengths(self, targets: Iterable[Element],
                      caps: Caps = DEFAULT_CAPS) -> Dict[Element, int]:
@@ -205,15 +210,15 @@ class LatticeSubgroup:
             self._snf = (u, diag, v)
         return self._snf
 
-    def contains(self, v: Sequence[int]) -> bool:
+    def reduce(self, v: Sequence[int]) -> Tuple[int, ...]:
+        """Smith coordinates of ``v``: its image in the quotient."""
         if self.det == 0:
             raise NotFiniteIndex("subgroup basis matrix is singular")
         u, diag, _ = self.snf()
-        for i in range(self.n):
-            acc = sum(u[i][k] * v[k] for k in range(self.n))
-            if acc % diag[i]:
-                return False
-        return True
+        return tuple(sum(map(operator.mul, row, v)) % abs(d) for row, d in zip(u, diag))
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return not any(self.reduce(v))
 
     def columns(self) -> List[Tuple[int, ...]]:
         return [tuple(self.matrix[i][j] for i in range(self.n)) for j in range(self.n)]
@@ -236,13 +241,8 @@ class CongruenceSubgroup:
         return tuple(tuple(x % m for x in row) for row in mat)
 
     def contains(self, mat: Element) -> bool:
-        m = self.level
-        n = len(mat)
-        for i in range(n):
-            for j in range(n):
-                if (mat[i][j] - int(i == j)) % m:
-                    return False
-        return True
+        rows = self.reduce(mat)
+        return all(x == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
 
     def __repr__(self):
         return f"CongruenceSubgroup(mod {self.level})"
@@ -267,7 +267,8 @@ class FiniteQuotient:
     order: int = 0
 
     def image(self, parent_element):
-        raise NotImplementedError
+        """The image of a parent-group element: its reduction by the subgroup."""
+        return self.subgroup.reduce(parent_element)
 
     def right_mult_indices(self, parent_element) -> np.ndarray:
         raise NotImplementedError
@@ -333,13 +334,6 @@ class AbelianQuotient(FiniteQuotient):
             raise CrossCheckMismatch("Smith normal form order mismatch")  # pragma: no cover
         self._coords = np.indices(self.moduli).reshape(len(self.moduli), -1)
 
-    def image(self, v: Sequence[int]) -> Tuple[int, ...]:
-        """Smith coordinates of the image of ``v``."""
-        return tuple(
-            sum(self.u[i][k] * v[k] for k in range(self.group.rank)) % self.moduli[i]
-            for i in range(len(self.moduli))
-        )
-
     def right_mult_indices(self, parent_element) -> np.ndarray:
         # abelian, so x * g = g * x
         return self.left_mult_indices(np.ravel_multi_index(self.image(parent_element), self.moduli))
@@ -397,9 +391,6 @@ class CongruenceQuotient(FiniteQuotient):
     def _codes(self, mats: np.ndarray) -> np.ndarray:
         return (mats * self._place).sum(axis=(-2, -1))
 
-    def image(self, mat: Element) -> Element:
-        return self.subgroup.reduce(mat)
-
     def _indices(self, mats: np.ndarray, acting) -> np.ndarray:
         """Element indices of the matrices ``mats`` (reduced mod m here)."""
         codes = self._codes(mats % self.level)
@@ -437,42 +428,33 @@ class CongruenceQuotient(FiniteQuotient):
 # Operations
 # ---------------------------------------------------------------------------
 
-def _l1_sphere(n: int, r: int) -> Iterator[Tuple[int, ...]]:
-    """All integer vectors in Z^n with l1 norm exactly r."""
-    if n == 1:
-        if r == 0:
-            yield (0,)
-        else:
-            yield (r,)
-            yield (-r,)
-        return
-    for k in range(-r, r + 1):
-        for rest in _l1_sphere(n - 1, r - abs(k)):
-            yield (k,) + rest
-
-
 def short_length(group, sub, l_max: Optional[int] = None,
                  caps: Caps = DEFAULT_CAPS):
     """Word length of the shortest non-identity element of the subgroup.
 
     Returns an integer, or ``math.inf`` when the subgroup is trivial (only
-    possible for finite matrix groups).  Raises :class:`SearchCapExceeded`
-    (carrying the certified lower bound ``l_max + 1``) when the search cap is
-    reached first.
+    possible for finite matrix groups, and seen when the whole group lies
+    below radius ``ceil(cap/2)``).  The search certifies lengths up to
+    a cap: ``l_max``, or by default ``caps.short`` for Z^n and
+    ``caps.bfs_length`` for matrix groups.  Past it, or past
+    ``caps.bfs_visited`` walked elements, it raises
+    :class:`SearchCapExceeded`; the cap's refusal carries the certified
+    lower bound ``cap + 1``.
 
-    Free abelian groups enumerate l1 spheres.  Matrix groups meet in the
-    middle: the ball is walked breadth first only to radius about
-    ``short / 2``, keyed by reduction mod m, and every collision of two
-    distinct elements ``u != v`` with ``u = v mod m`` gives the kernel
-    element ``u v^-1`` of length at most ``|u| + |v|``.  Conversely a kernel
+    A subgroup of Z is generated by its determinant.  Otherwise both kinds of
+    group meet in the middle: the ball is walked breadth first only to radius
+    about ``short / 2``, keyed by the subgroup's ``reduce`` (Smith coordinates
+    of a lattice, entries mod m of a congruence subgroup), and every collision
+    of two distinct elements ``u != v`` with the same key gives the subgroup
+    element ``u v^-1`` of length at most ``|u| + |v|``.  Conversely a subgroup
     word of length L splits into halves u, v^-1 with ``|u| = ceil(L/2)`` and
     ``|v| = floor(L/2)``, so the least ``|u| + |v|`` over colliding pairs is
     exactly ``short``, and once every level up to ``floor(best/2)`` has been
-    walked no pair can beat the best one found.  Certifying ``short > l_max``
-    needs the ball only to radius ``ceil(l_max/2)``, or until the first
-    collision, whichever is later.  The walk visits about the square root of
-    the full ball's elements (486 of 118,097 for the Sanov group mod 13), and
-    by pigeonhole at most ``index + 1`` before the first collision.
+    walked no pair can beat the best one found.  Certifying ``short > cap``
+    therefore needs the ball only to radius ``ceil(cap/2)``, where the walk
+    stops.  The walk visits about the square root of the full ball's elements
+    (486 of 118,097 for the Sanov group mod 13), and by pigeonhole at most
+    ``index + 1`` before the first collision.
     """
     if isinstance(group, FreeAbelian):
         if not isinstance(sub, LatticeSubgroup):
@@ -481,46 +463,32 @@ def short_length(group, sub, l_max: Optional[int] = None,
         if group.rank == 1:
             return abs(sub.det)  # the subgroup of Z generated by det
         cap = l_max if l_max is not None else caps.short
-        # some column is a subgroup element, so only radii below it need scanning
-        upper = min(sum(abs(x) for x in col) for col in sub.columns())
-        for r in range(1, min(upper - 1, cap) + 1):
-            for v in _l1_sphere(group.rank, r):
-                if sub.contains(v):
-                    return r
-        if upper - 1 <= cap:
-            return upper
-        raise SearchCapExceeded(
-            f"no subgroup element of l1 norm <= {cap}", lower_bound=cap + 1)
-
-    if isinstance(group, IntegralMatrixGroup):
+    elif isinstance(group, IntegralMatrixGroup):
         if not isinstance(sub, CongruenceSubgroup):
             raise TypeError("integral matrix groups take CongruenceSubgroup")
         cap = l_max if l_max is not None else caps.bfs_length
-        half = (cap + 1) // 2
-        first: Dict[Element, int] = {}  # reduction mod m -> least word length
-        best = math.inf
-        last = 0
-        for el, dist in group.iter_ball(cap, caps.bfs_visited):
-            # levels below dist are complete; past half, a collision already
-            # certifies short > cap (no kernel word of length <= cap is left)
-            if best < math.inf and (dist > half or 2 * (dist - 1) >= best - 1):
-                break
-            last = dist
-            key = sub.reduce(el)
-            seen = first.get(key)
-            if seen is None:
-                first[key] = dist
-            else:
-                best = min(best, dist + seen)
+    else:
+        raise TypeError(f"unsupported group {group!r}")
+    half = (cap + 1) // 2
+    first: Dict[Element, int] = {}  # key -> least word length
+    best = math.inf
+    last = 0
+    for el, dist in group.iter_ball(half, caps.bfs_visited):
+        if 2 * (dist - 1) >= best - 1:
+            break  # levels below dist are complete: no pair can beat best
+        last = dist
+        key = sub.reduce(el)
+        seen = first.get(key)
+        if seen is None:
+            first[key] = dist
         else:
-            if best == math.inf and last < cap:
-                return math.inf  # the whole (finite) group injects mod m
-        if best <= cap:
-            return best
-        raise SearchCapExceeded(
-            f"no kernel element of word length <= {cap}", lower_bound=cap + 1)
-
-    raise TypeError(f"unsupported group {group!r}")
+            best = min(best, dist + seen)
+    if best <= cap:
+        return best
+    if best == math.inf and last < half:
+        return math.inf  # the whole (finite) group injects into the quotient
+    raise SearchCapExceeded(
+        f"no subgroup element of word length <= {cap}", lower_bound=cap + 1)
 
 
 def ball_volume(group, r: int, caps: Caps = DEFAULT_CAPS) -> int:
@@ -534,6 +502,15 @@ def ball_volume(group, r: int, caps: Caps = DEFAULT_CAPS) -> int:
     for _el, _dist in group.iter_ball(r, caps.bfs_visited):
         count += 1
     return count
+
+
+def check_quotient_of(group, quot: FiniteQuotient) -> None:
+    """Refuse a quotient of another group.  Groups compare by value: Z^n by
+    rank, matrix groups by dimension and generator matrices."""
+    def value(g):
+        return (g.rank,) if isinstance(g, FreeAbelian) else (g.dimension, g.generators)
+    if quot.group is not group and value(quot.group) != value(group):
+        raise ForeignQuotient(f"a quotient of {quot.group!r} cannot cover a complex over {group!r}")
 
 
 def quotient(group, sub, caps: Caps = DEFAULT_CAPS) -> FiniteQuotient:

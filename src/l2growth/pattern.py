@@ -25,7 +25,7 @@ from .errors import (CrossCheckMismatch, DimensionOutOfRange, NotAbelian,
                      NotRankOne, NotSquare, SizeCapExceeded)
 from .exact import _primes_one_mod, ranks_modp
 from .group_ring import EquivariantChainComplex, GroupRingElement, GroupRingMatrix, laplacian
-from .groups import AbelianQuotient, FreeAbelian
+from .groups import AbelianQuotient, FreeAbelian, check_quotient_of
 
 Character = Tuple[Fraction, ...]
 
@@ -238,6 +238,7 @@ def betti_by_characters(cx: EquivariantChainComplex, quot: AbelianQuotient,
     a diagnostic is raised.
     """
     _require_abelian(cx.group)
+    check_quotient_of(cx.group, quot)
     lap = laplacian(cx, q)
     a = cx.cells[q]
     chars, e = _character_numerators(quot)

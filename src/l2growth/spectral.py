@@ -250,7 +250,7 @@ def _symbol_eigenvalues(lap, points: np.ndarray) -> np.ndarray:
 
 
 def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
-               seed: int = 0, caps: Caps = DEFAULT_CAPS) -> DensityEstimate:
+               seed: int = 0) -> DensityEstimate:
     """Quasi-random character quadrature for the density of a Z^n complex.
 
     The characters are Owen-scrambled Halton points generated in-house,
@@ -430,8 +430,7 @@ class GapCertificate:
     grid_per_dim: int
 
 
-def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096,
-                caps: Caps = DEFAULT_CAPS) -> GapCertificate:
+def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096) -> GapCertificate:
     """Certified lower bound for the bottom of the symbol spectrum (abelian).
 
     Minimizes the smallest eigenvalue of the evaluated symbol over a uniform

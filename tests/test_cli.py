@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from l2growth import cli
 from l2growth.cli import main
 from l2growth.document import parse_complex
 from l2growth.errors import DocumentError
@@ -153,6 +155,33 @@ def test_density_past_byte_budget_exits_1(capsys):
                          "--dim", "0", "--samples", "10000000000")
     assert code == 1 and out == ""
     assert "byte budget" in err
+
+
+@pytest.mark.parametrize("grid", ["0:4:1e-15", "0:nan:1", "-inf:4:1", "0:4:inf"])
+def test_density_grid_too_fine_or_not_finite_exits_1(capsys, grid):
+    code, out, err = run(capsys, "density", str(COMPLEXES / "circle.json"),
+                         "--dim", "0", "--samples", "1000", f"--grid={grid}")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_density_grid_keeps_the_byte_budget(capsys, monkeypatch):
+    budget = 10 ** 7
+    monkeypatch.setattr(cli, "_DENSE_BYTES", budget)
+    points = budget // cli._GRID_POINT_BYTES
+    for last, code_want in ((points - 1, 0), (points, 1)):  # points + 1 points: one too many
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "density", str(COMPLEXES / "circle.json"), "--dim", "0",
+                                 "--samples", "1000", "--grid", f"0:{last}:1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == code_want
+        if code:  # refused before the grid is allocated
+            assert "byte budget" in err and peak < budget / 10
+        else:  # the estimate bounds what the grid and its CSV take
+            assert len(out.splitlines()) == points + 1 and peak < budget
 
 
 def test_bounds_gap_unverified_exit_1(capsys):

@@ -15,8 +15,8 @@ from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
 from l2growth.covers import _equivariant_eigenvalues, _instantiate_matrix, _left_orbits
-from l2growth.errors import (CrossCheckMismatch, L2GrowthError, NonIntegralCoefficient,
-                             SizeCapExceeded)
+from l2growth.errors import (CrossCheckMismatch, ForeignQuotient, L2GrowthError,
+                             NonIntegralCoefficient, SizeCapExceeded)
 from l2growth.polynomials import Poly
 from conftest import cyclic_quotient, diag_quotient
 
@@ -227,6 +227,39 @@ def test_fractional_coefficient_is_refused(z_one):
         CoverInstance(two_cell_complex(z_one, half_g_minus_one), cyclic_quotient(3))
     assert issubclass(NonIntegralCoefficient, L2GrowthError)
     assert issubclass(NonIntegralCoefficient, ValueError)
+
+
+def presentation_complex(group):
+    """One vertex and an edge per generator g, with boundary g - 1."""
+    e = group.identity
+    row = [GroupRingElement(group, {g: 1, e: -1}) for g in group.generators]
+    return EquivariantChainComplex(group, [1, len(row)], {
+        1: GroupRingMatrix(group, [row], shape=(1, len(row)))})
+
+
+def test_quotient_of_a_smaller_free_abelian_group_is_refused(torus2):
+    with pytest.raises(ForeignQuotient):
+        CoverInstance(torus2, cyclic_quotient(5))  # Z/5 under Z^2
+    assert issubclass(ForeignQuotient, L2GrowthError)
+    assert issubclass(ForeignQuotient, ValueError)
+    # groups compare by value: a separate Z^2 object is the same group
+    assert CoverInstance(torus2, diag_quotient(5, 5)).betti(1) == 2
+
+
+def test_quotient_of_a_larger_free_abelian_group_is_refused(circle):
+    with pytest.raises(ForeignQuotient):
+        CoverInstance(circle, diag_quotient(5, 5))  # Z^2/5Z^2 under Z
+
+
+def test_quotient_of_another_matrix_group_is_refused(sanov_group):
+    ts = IntegralMatrixGroup(2, [[[1, 1], [0, 1]], [[0, -1], [1, 0]]])
+    quot = quotient(sanov_group, CongruenceSubgroup(3))
+    with pytest.raises(ForeignQuotient):
+        CoverInstance(presentation_complex(ts), quot)
+    # a separate group object with the same generators is the same group
+    same = IntegralMatrixGroup(2, sanov_group.generators)
+    cover = CoverInstance(presentation_complex(same), quot)
+    assert (cover.betti(0), cover.betti(1)) == (1, quot.order + 1)
 
 
 def test_euler_characteristic_multiplicative(torus2, stripe_complex, z_two):

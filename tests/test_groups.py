@@ -173,6 +173,34 @@ def short_length_full_ball(group, sub, l_max=None, caps=Caps()):
         f"no kernel element of word length <= {cap}", lower_bound=cap + 1)
 
 
+def l1_sphere(n, r):
+    """All integer vectors in Z^n with l1 norm exactly r."""
+    if n == 1:
+        yield from ((r,), (-r,)) if r else ((0,),)
+        return
+    for k in range(-r, r + 1):
+        for rest in l1_sphere(n - 1, r - abs(k)):
+            yield (k,) + rest
+
+
+def short_length_l1_spheres(group, sub, l_max=None, caps=Caps()):
+    """Reference for Z^n, n >= 2: scan the l1 spheres for a subgroup element.
+
+    Some basis column lies in the subgroup, so only the radii below the
+    shortest column's norm are scanned; past them that norm is the answer,
+    even when it is l_max + 1.
+    """
+    cap = l_max if l_max is not None else caps.short
+    upper = min(sum(abs(x) for x in col) for col in sub.columns())
+    for r in range(1, min(upper - 1, cap) + 1):
+        for v in l1_sphere(group.rank, r):
+            if sub.contains(v):
+                return r
+    if upper - 1 <= cap:
+        return upper
+    raise SearchCapExceeded(f"no subgroup element of l1 norm <= {cap}", lower_bound=cap + 1)
+
+
 def test_short_length_examples(z_one, z_two):
     assert short_length(z_two, LatticeSubgroup([[2, 0], [0, 3]])) == 2
     assert short_length(z_one, LatticeSubgroup([[1]])) == 1
@@ -247,6 +275,49 @@ def test_short_length_cap(z_two):
     with pytest.raises(SearchCapExceeded) as err:
         short_length(z_two, LatticeSubgroup([[40, 0], [0, 41]]), l_max=10)
     assert err.value.lower_bound == 11
+
+
+def test_short_length_one_past_the_cap_is_refused(z_two):
+    # short = 11 = l_max + 1: refused with its certified lower bound, as for matrix groups
+    sub = LatticeSubgroup([[11, 0], [0, 40]])
+    assert short_length_l1_spheres(z_two, sub, l_max=10) == 11
+    with pytest.raises(SearchCapExceeded) as err:
+        short_length(z_two, sub, l_max=10)
+    assert err.value.lower_bound == 11
+    assert short_length(z_two, sub, l_max=11) == 11
+
+
+def test_abelian_search_walks_to_half_the_cap(monkeypatch):
+    group = FreeAbelian(3)
+    walk = group.iter_ball
+    radii = []
+
+    def recording(*args):
+        for item in walk(*args):
+            radii.append(item[1])
+            yield item
+
+    monkeypatch.setattr(group, "iter_ball", recording)
+    with pytest.raises(SearchCapExceeded) as err:
+        short_length(group, LatticeSubgroup([[40, 0, 0], [0, 40, 0], [0, 0, 40]]), l_max=20)
+    assert err.value.lower_bound == 21
+    assert max(radii) == 10 and len(radii) == ball_volume(group, 10)
+
+
+def test_abelian_search_is_bounded_by_the_visited_cap(z_two):
+    with pytest.raises(SearchCapExceeded):
+        short_length(z_two, LatticeSubgroup([[300, 0], [0, 300]]), caps=Caps(bfs_visited=1000))
+
+
+def test_finite_group_whose_ball_reaches_half_the_cap_is_refused():
+    # the rotation group of order 4 injects mod 5; its ball ends at radius 2
+    rot = IntegralMatrixGroup(2, [[[0, -1], [1, 0]]])
+    sub = CongruenceSubgroup(5)
+    assert short_length(rot, sub, l_max=5) == math.inf  # the ball ends below radius 3
+    for l_max in (3, 4):  # radius 2 = ceil(l_max / 2): the search stops before it ends
+        with pytest.raises(SearchCapExceeded) as err:
+            short_length(rot, sub, l_max=l_max)
+        assert err.value.lower_bound == l_max + 1
 
 
 def test_short_invariant_under_unimodular_column_ops(z_two):
@@ -512,13 +583,13 @@ def test_order_cap(z_two):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def lattices(draw):
-    """A non-diagonal finite-index subgroup of Z^n, n = 1..3, of index <= 200.
+def lattices(draw, min_rank=1):
+    """A non-diagonal finite-index subgroup of Z^n, n = min_rank..3, of index <= 200.
 
     A lower triangular basis with positive diagonal (its index the diagonal's
     product) whose columns a shear then mixes; rank one has no off-diagonal.
     """
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(min_rank, 3))
     diag, index = [], 1
     for _ in range(n):
         d = draw(st.integers(1, 200 // index))
@@ -571,6 +642,29 @@ def _check_tables(data, group, sub):
 @given(lattices(), st.data())
 def test_abelian_tables_match_the_tuple_references(case, data):
     _check_tables(data, *case)
+
+
+@PROPERTY_SETTINGS
+@given(lattices(min_rank=2), st.integers(-4, 4), st.integers(-4, 4),
+       st.one_of(st.none(), st.integers(1, 8)))
+def test_abelian_short_length_matches_the_l1_spheres(case, s, t, l_max):
+    group, sub = case
+    # two row shears keep the index but move the short vectors the strategy's
+    # small last diagonal entry makes (otherwise short is mostly 1)
+    mat = [row[:] for row in sub.matrix]
+    mat[0] = [a + s * b for a, b in zip(mat[0], mat[-1])]
+    mat[-1] = [a + t * b for a, b in zip(mat[-1], mat[0])]
+    sub = LatticeSubgroup(mat)
+    try:
+        want = short_length_l1_spheres(group, sub, l_max)
+    except SearchCapExceeded as err:
+        want = err
+    if isinstance(want, int) and (l_max is None or want <= l_max):
+        assert short_length(group, sub, l_max) == want
+    else:  # the scan returns l_max + 1 from a column it did not search past
+        with pytest.raises(SearchCapExceeded) as err:
+            short_length(group, sub, l_max)
+        assert err.value.lower_bound == l_max + 1
 
 
 @settings(PROPERTY_SETTINGS, max_examples=15)

@@ -11,8 +11,8 @@ from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
                       sandwich_check, short_length, torus_complex,
                       two_cell_complex, z_dichotomy)
 from l2growth import exact, pattern
-from l2growth.errors import (DimensionOutOfRange, L2GrowthError, NotAbelian,
-                             NotRankOne, NotSquare, SizeCapExceeded)
+from l2growth.errors import (DimensionOutOfRange, ForeignQuotient, L2GrowthError,
+                             NotAbelian, NotRankOne, NotSquare, SizeCapExceeded)
 from l2growth.pattern import evaluate_matrix_at_characters
 from l2growth.verify import _random_entry
 from conftest import cyclic_quotient, diag_quotient
@@ -70,6 +70,11 @@ def test_character_lattice_examples(z_one, z_two):
     for col in q.subgroup.columns():
         for x in charset:
             assert sum(xk * ck for xk, ck in zip(x, col)).denominator == 1
+
+
+def test_betti_by_characters_refuses_a_quotient_of_another_group(torus2):
+    with pytest.raises(ForeignQuotient):
+        betti_by_characters(torus2, cyclic_quotient(5), 1, cross_check=False)
 
 
 def test_betti_by_characters_examples(circle, torus2, stripe_complex, zero_complex):

@@ -1,13 +1,15 @@
 """Checks on the library's shape: the names the benchmark's span tracer wraps
-exist, no public function takes a cover beside its complex and quotient, the
-runtime imports stay within the standard library, numpy and scipy, and every
-package the tests import is declared in the ``test`` extra."""
+exist, no public function takes a cover beside its complex and quotient, every
+parameter of a public function is read, the runtime imports stay within the
+standard library, numpy and scipy, and every package the tests import is
+declared in the ``test`` extra."""
 
 import ast
 import importlib
 import inspect
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,29 @@ def test_no_public_callable_takes_a_cover():
             assert "cover" not in inspect.signature(obj).parameters, name
             checked += 1
     assert checked > 40
+
+
+def _unread_parameters(fn):
+    """The parameters of a plain function that its body never reads."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+    args = node.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a]
+    read = {n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [p for p in params if p not in read]
+
+
+def test_every_parameter_of_a_public_function_is_read():
+    unread, checked = {}, 0
+    for name in l2growth.__all__:
+        obj = getattr(l2growth, name)
+        if inspect.isfunction(obj):
+            checked += 1
+            if _unread_parameters(obj):
+                unread[name] = _unread_parameters(obj)
+    assert unread == {}
+    assert checked > 30
 
 
 def test_runtime_imports_are_stdlib_numpy_scipy():
