@@ -240,7 +240,6 @@ def _cmd_verify(args, caps: Caps) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    caps = Caps.from_env()
     handlers = {
         "betti": _cmd_betti,
         "density": _cmd_density,
@@ -248,7 +247,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args, caps)
+        return handlers[args.command](args, Caps.from_env())
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

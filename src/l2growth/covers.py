@@ -43,6 +43,10 @@ from .group_ring import (EquivariantChainComplex, GroupRingMatrix, evaluate_poly
 from .groups import FiniteQuotient, check_quotient_of, short_length
 from .polynomials import as_poly
 
+# a boundary whose row and column L1 norms stay below this keeps every instantiated
+# entry, the products d_q d_(q+1) and d d^T, and the Laplacians' row sums below 2^63
+_L1_BOUND = 2 ** 31
+
 # quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None]};
 # the entry holds the boundary, so its id is not reused while the quotient lives
 _SHARED = weakref.WeakKeyDictionary()
@@ -182,6 +186,11 @@ def eigvalsh_error(size: int, norm: float) -> float:
 
 def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> sp.csr_matrix:
     """The integer matrix of m on the quotient: each element a right multiplication."""
+    l1 = [[entry.l1_norm() for entry in row] for row in m.entries]
+    norm = max(max(map(sum, l1), default=0), max(map(sum, zip(*l1)), default=0))
+    if norm >= _L1_BOUND:
+        raise SizeCapExceeded(f"a boundary row or column of L1 norm {norm} >= 2^31 "
+                              "could pass int64 on a cover")
     n = quot.order
     rows, cols, vals = [], [], []
     base = np.arange(n, dtype=np.intp)
@@ -201,8 +210,9 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> sp.csr_matr
         return sp.csr_matrix(shape, dtype=np.int64)
     out = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape, dtype=np.int64)
-    return out.tocsr()
+        shape=shape, dtype=np.int64).tocsr()
+    out.eliminate_zeros()  # where terms cancel on the quotient
+    return out
 
 
 def _left_orbits(quot: FiniteQuotient):

@@ -99,3 +99,7 @@ class NonIntegralCoefficient(L2GrowthError, ValueError):
 
 class ForeignQuotient(L2GrowthError, ValueError):
     """A cover was asked for on a quotient of another deck group."""
+
+
+class BadCaps(L2GrowthError, ValueError):
+    """``L2GROWTH_CAPS`` names an unknown cap or gives a value that is not a positive integer."""

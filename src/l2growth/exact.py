@@ -60,7 +60,7 @@ class _FillIn(Exception):
 # ---------------------------------------------------------------------------
 
 def smith_normal_form(a: Sequence[Sequence[int]]):
-    """Return (U, S, V) with U*A*V = S diagonal, U and V unimodular.
+    """Return (U, S) with U*A*V = S diagonal, U and V unimodular; V is not formed.
 
     Diagonal entries are nonnegative and each divides the next.
     Intended for the small (rank <= ~8) matrices describing subgroups.
@@ -69,7 +69,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     nr = len(m)
     nc = len(m[0]) if nr else 0
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -77,8 +76,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
 
     def swap_cols(i, j):
         for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):
@@ -93,8 +90,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     def add_col(i, j, q):
         # col_i += q * col_j
         for row in m:
-            row[i] += q * row[j]
-        for row in v:
             row[i] += q * row[j]
 
     t = 0
@@ -145,7 +140,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
             for k in range(nr):
                 u[t][k] = -u[t][k]
         t += 1
-    return u, m, v
+    return u, m
 
 
 def det_int(a: Sequence[Sequence[int]]) -> int:

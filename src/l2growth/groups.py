@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -134,7 +134,6 @@ class IntegralMatrixGroup(_Group):
         if not gens:
             raise ValueError("at least one generator required")
         self.generators = gens
-        self._word_length_cache: Dict[Element, int] = {self.identity: 0}
 
     @property
     def identity(self) -> Element:
@@ -160,19 +159,18 @@ class IntegralMatrixGroup(_Group):
 
     def word_lengths(self, targets: Iterable[Element],
                      caps: Caps = DEFAULT_CAPS) -> Dict[Element, int]:
-        """Word lengths of the given elements, via a shared cached BFS."""
-        missing = {t for t in targets if t not in self._word_length_cache}
-        if missing:
-            for el, dist in self.iter_ball(caps.bfs_length, caps.bfs_visited):
-                self._word_length_cache.setdefault(el, dist)
+        """Word lengths of the given elements: one BFS until it has met them all."""
+        missing = set(targets)
+        lengths: Dict[Element, int] = {}
+        for el, dist in self.iter_ball(caps.bfs_length, caps.bfs_visited):
+            if el in missing:
                 missing.discard(el)
-                if not missing:
-                    break
-            if missing:
-                raise SearchCapExceeded(
-                    f"no word of length <= {caps.bfs_length} reaches {len(missing)} element(s)",
-                    lower_bound=caps.bfs_length + 1)
-        return {t: self._word_length_cache[t] for t in targets}
+                lengths[el] = dist
+            if not missing:
+                return lengths
+        raise SearchCapExceeded(
+            f"no word of length <= {caps.bfs_length} reaches {len(missing)} element(s)",
+            lower_bound=caps.bfs_length + 1)
 
     def word_length(self, a: Element, caps: Caps = DEFAULT_CAPS) -> int:
         return self.word_lengths([a], caps)[a]
@@ -203,22 +201,18 @@ class LatticeSubgroup:
         return abs(self.det)
 
     def snf(self):
-        """(U, diag, V) with U*A*V diagonal; cached."""
+        """(U, diag): U*A*V = diag(diag) for some unimodular V; cached."""
         if self._snf is None:
-            u, s, v = exact.smith_normal_form(self.matrix)
-            diag = tuple(s[i][i] for i in range(self.n))
-            self._snf = (u, diag, v)
+            u, s = exact.smith_normal_form(self.matrix)
+            self._snf = (u, tuple(s[i][i] for i in range(self.n)))
         return self._snf
 
     def reduce(self, v: Sequence[int]) -> Tuple[int, ...]:
         """Smith coordinates of ``v``: its image in the quotient."""
         if self.det == 0:
             raise NotFiniteIndex("subgroup basis matrix is singular")
-        u, diag, _ = self.snf()
+        u, diag = self.snf()
         return tuple(sum(map(operator.mul, row, v)) % abs(d) for row, d in zip(u, diag))
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
 
     def columns(self) -> List[Tuple[int, ...]]:
         return [tuple(self.matrix[i][j] for i in range(self.n)) for j in range(self.n)]
@@ -239,10 +233,6 @@ class CongruenceSubgroup:
         """Entrywise reduction mod m: the image of ``mat`` in the quotient."""
         m = self.level
         return tuple(tuple(x % m for x in row) for row in mat)
-
-    def contains(self, mat: Element) -> bool:
-        rows = self.reduce(mat)
-        return all(x == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
 
     def __repr__(self):
         return f"CongruenceSubgroup(mod {self.level})"
@@ -321,7 +311,7 @@ class AbelianQuotient(FiniteQuotient):
         _check_lattice(group, subgroup)
         self.group = group
         self.subgroup = subgroup
-        u, diag, _ = subgroup.snf()
+        u, diag = subgroup.snf()
         self.moduli = tuple(abs(d) for d in diag)
         self.u = [list(row) for row in u]
         self.order = 1
@@ -428,18 +418,17 @@ class CongruenceQuotient(FiniteQuotient):
 # Operations
 # ---------------------------------------------------------------------------
 
-def short_length(group, sub, l_max: Optional[int] = None,
-                 caps: Caps = DEFAULT_CAPS):
+def short_length(group, sub, caps: Caps = DEFAULT_CAPS):
     """Word length of the shortest non-identity element of the subgroup.
 
     Returns an integer, or ``math.inf`` when the subgroup is trivial (only
     possible for finite matrix groups, and seen when the whole group lies
     below radius ``ceil(cap/2)``).  The search certifies lengths up to
-    a cap: ``l_max``, or by default ``caps.short`` for Z^n and
-    ``caps.bfs_length`` for matrix groups.  Past it, or past
-    ``caps.bfs_visited`` walked elements, it raises
-    :class:`SearchCapExceeded`; the cap's refusal carries the certified
-    lower bound ``cap + 1``.
+    a cap, ``caps.short`` for Z^n and ``caps.bfs_length`` for matrix groups.
+    Past it, or past ``caps.bfs_visited`` walked elements, it raises
+    :class:`SearchCapExceeded` with a certified lower bound: ``cap + 1``
+    past the cap, and ``2(L - 1) + 1`` when the walk passes ``bfs_visited``
+    at level L (see below: the levels under L are complete).
 
     A subgroup of Z is generated by its determinant.  Otherwise both kinds of
     group meet in the middle: the ball is walked breadth first only to radius
@@ -462,20 +451,23 @@ def short_length(group, sub, l_max: Optional[int] = None,
         _check_lattice(group, sub)
         if group.rank == 1:
             return abs(sub.det)  # the subgroup of Z generated by det
-        cap = l_max if l_max is not None else caps.short
+        cap = caps.short
     elif isinstance(group, IntegralMatrixGroup):
         if not isinstance(sub, CongruenceSubgroup):
             raise TypeError("integral matrix groups take CongruenceSubgroup")
-        cap = l_max if l_max is not None else caps.bfs_length
+        cap = caps.bfs_length
     else:
         raise TypeError(f"unsupported group {group!r}")
     half = (cap + 1) // 2
     first: Dict[Element, int] = {}  # key -> least word length
     best = math.inf
     last = 0
-    for el, dist in group.iter_ball(half, caps.bfs_visited):
+    for count, (el, dist) in enumerate(group.iter_ball(half, math.inf), 1):
         if 2 * (dist - 1) >= best - 1:
             break  # levels below dist are complete: no pair can beat best
+        if count > caps.bfs_visited:  # and they hold no pair shorter than 2 (dist - 1) + 1
+            raise SearchCapExceeded(f"BFS visited more than {caps.bfs_visited} elements",
+                                    lower_bound=2 * (dist - 1) + 1)
         last = dist
         key = sub.reduce(el)
         seen = first.get(key)

@@ -1,9 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import l2growth
 from l2growth import cli
 from l2growth.cli import main
 from l2growth.document import parse_complex
@@ -46,6 +51,29 @@ def test_betti_congruence(capsys, tmp_path):
                        "--dim", "1")
     assert code == 0
     assert out.strip() == "b=0 index=24 short=3"
+
+
+@pytest.mark.parametrize("raw", ["eig=0", "bogus=1"])
+def test_bad_caps_in_the_environment_exit_1(raw):
+    src = pathlib.Path(l2growth.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "L2GROWTH_CAPS": raw}
+    imported = subprocess.run(
+        [sys.executable, "-c", "from l2growth import Caps, DEFAULT_CAPS; print(DEFAULT_CAPS == Caps())"],
+        env=env, capture_output=True, text=True)
+    assert imported.returncode == 0 and imported.stdout.strip() == "True"
+    ran = subprocess.run(
+        [sys.executable, "-m", "l2growth.cli", "betti", str(COMPLEXES / "circle.json"),
+         "--subgroup", "3", "--dim", "0"], env=env, capture_output=True, text=True)
+    assert ran.returncode == 1 and "Traceback" not in ran.stderr
+    assert len(ran.stderr.splitlines()) == 1 and ran.stderr.startswith("error: ")
+
+
+def test_boundary_past_the_l1_bound_exits_1(capsys):
+    d1 = [[[{"coeff": 2 ** 62, "element": [k]} for k in (1, 2, 3, 4)]]]
+    doc = {"group": {"kind": "free_abelian", "rank": 1}, "cells": [1, 1],
+           "boundaries": [{"dim": 1, "entries": d1}]}
+    code, out, err = run(capsys, "betti", json.dumps(doc), "--subgroup", "1", "--dim", "0")
+    assert code == 1 and not out and err.startswith("error: ")
 
 
 def test_malformed_boundary_rejected(capsys, tmp_path):

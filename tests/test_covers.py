@@ -229,6 +229,32 @@ def test_fractional_coefficient_is_refused(z_one):
     assert issubclass(NonIntegralCoefficient, ValueError)
 
 
+def test_boundaries_that_could_pass_int64_are_refused(z_one):
+    # 2^62 (g + g^2 + g^3 + g^4) on Z/1 sums to 2^64, which int64 wraps to 0
+    wraps = GroupRingElement(z_one, {(k,): 2 ** 62 for k in (1, 2, 3, 4)})
+    for d1 in (wraps, GroupRingElement(z_one, {(1,): 2 ** 63})):
+        with pytest.raises(SizeCapExceeded):
+            CoverInstance(two_cell_complex(z_one, d1), cyclic_quotient(1))
+    assert issubclass(SizeCapExceeded, L2GrowthError)
+    # the bound is on row and column L1 norms: below 2^31 instantiates, at 2^31 not
+    g = GroupRingElement(z_one, {(1,): 2 ** 30})
+    column = EquivariantChainComplex(z_one, [2, 1], {1: GroupRingMatrix(z_one, [[g], [g]])})
+    with pytest.raises(SizeCapExceeded):
+        CoverInstance(column, cyclic_quotient(3))
+    below = GroupRingElement(z_one, {(1,): 2 ** 30, (2,): 2 ** 30 - 1})
+    assert _instantiate_matrix(GroupRingMatrix(z_one, [[below]]), cyclic_quotient(1)).data \
+        == [2 ** 31 - 1]
+
+
+def test_instantiation_stores_no_zeros(circle, z_two):
+    # g - 1 cancels where g lies in the subgroup: on Z/1, and (2, 0) in 2Z x 3Z
+    g_minus_one = GroupRingElement(z_two, {(2, 0): 1, (0, 0): -1})
+    for cx, quot in ((circle, cyclic_quotient(1)),
+                     (two_cell_complex(z_two, g_minus_one), diag_quotient(2, 3))):
+        d1 = _instantiate_matrix(cx.boundaries[1], quot)
+        assert d1.nnz == d1.count_nonzero() == 0
+
+
 def presentation_complex(group):
     """One vertex and an edge per generator g, with boundary g - 1."""
     e = group.identity

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
+from sympy.matrices.normalforms import invariant_factors
 from fractions import Fraction
 
 from l2growth import (CongruenceSubgroup, CoverInstance,
@@ -385,25 +386,26 @@ def test_zero_and_empty_matrices():
 
 
 def test_smith_normal_form_properties():
+    # U unimodular, diag(S) the invariant factors and U*A inside the lattice of S:
+    # then U*A and S have the same determinantal divisors, so the same column span
+    # (the V with U*A*V = S, which is not returned, exists)
     rng = np.random.default_rng(3)
     for _ in range(100):
         n = int(rng.integers(1, 5))
         a = rng.integers(-9, 10, size=(n, n)).tolist()
-        u, s, v = exact.smith_normal_form(a)
-        ua_v = np.array(u) @ np.array(a) @ np.array(v)
-        assert (ua_v == np.array(s)).all()
+        u, s = exact.smith_normal_form(a)
         assert abs(exact.det_int(u)) == 1
-        assert abs(exact.det_int(v)) == 1
         diag = [s[i][i] for i in range(n)]
-        for i in range(n - 1):
-            if diag[i + 1] != 0:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
+        assert tuple(diag) == invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
         off = sum(abs(s[i][j]) for i in range(n) for j in range(n) if i != j)
         assert off == 0
+        ua = np.array(u) @ np.array(a)
+        for i, d in enumerate(diag):
+            assert not ua[i].any() if d == 0 else (ua[i] % d == 0).all()
 
 
 def test_smith_normal_form_example():
-    u, s, v = exact.smith_normal_form([[2, 1], [0, 3]])
+    u, s = exact.smith_normal_form([[2, 1], [0, 3]])
     assert [s[0][0], s[1][1]] == [1, 6]
 
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from l2growth import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
                       LatticeSubgroup, ball_volume, element_order, quotient,
                       quotient_diameter, short_length, uniformity_check)
-from l2growth.errors import (CrossCheckMismatch, NotFiniteIndex, OrderCapExceeded,
-                             RankOutOfRange, SearchCapExceeded, SizeCapExceeded)
+from l2growth.errors import (BadCaps, CrossCheckMismatch, L2GrowthError, NotFiniteIndex,
+                             OrderCapExceeded, RankOutOfRange, SearchCapExceeded,
+                             SizeCapExceeded)
 from l2growth.caps import Caps
 from l2growth.groups import FiniteQuotient
 
@@ -155,15 +156,16 @@ def test_abelian_right_mult_matches_tuples(z_two, mat):
         assert q.right_mult_indices(g).tolist() == tuple_right_mult_indices(q, g)
 
 
-def short_length_full_ball(group, sub, l_max=None, caps=Caps()):
+def short_length_full_ball(group, sub, caps=Caps()):
     """Reference: breadth-first search over the whole ball of radius short."""
-    cap = l_max if l_max is not None else caps.bfs_length
+    cap = caps.bfs_length
     identity = group.identity
+    home = sub.reduce(identity)  # membership: reducing to the identity's image
     exhausted = True
     last = 0
     for el, dist in group.iter_ball(cap, caps.bfs_visited):
         last = dist
-        if el != identity and sub.contains(el):
+        if el != identity and sub.reduce(el) == home:
             return dist
         if dist == cap:
             exhausted = False
@@ -183,18 +185,18 @@ def l1_sphere(n, r):
             yield (k,) + rest
 
 
-def short_length_l1_spheres(group, sub, l_max=None, caps=Caps()):
+def short_length_l1_spheres(group, sub, caps=Caps()):
     """Reference for Z^n, n >= 2: scan the l1 spheres for a subgroup element.
 
     Some basis column lies in the subgroup, so only the radii below the
     shortest column's norm are scanned; past them that norm is the answer,
-    even when it is l_max + 1.
+    even when it is caps.short + 1.
     """
-    cap = l_max if l_max is not None else caps.short
+    cap = caps.short
     upper = min(sum(abs(x) for x in col) for col in sub.columns())
     for r in range(1, min(upper - 1, cap) + 1):
         for v in l1_sphere(group.rank, r):
-            if sub.contains(v):
+            if not any(sub.reduce(v)):  # Smith coordinates all zero
                 return r
     if upper - 1 <= cap:
         return upper
@@ -228,15 +230,18 @@ def test_short_length_matrix_cap(sanov_group, m, short):
     sub = CongruenceSubgroup(m)
     assert short_length_full_ball(sanov_group, sub) == short
     for search in (short_length, short_length_full_ball):
-        assert search(sanov_group, sub, l_max=short) == short
+        assert search(sanov_group, sub, caps=Caps(bfs_length=short)) == short
         with pytest.raises(SearchCapExceeded) as err:
-            search(sanov_group, sub, l_max=short - 1)
+            search(sanov_group, sub, caps=Caps(bfs_length=short - 1))
         assert err.value.lower_bound == short
 
 
 def test_short_length_visited_cap(sanov_group):
-    with pytest.raises(SearchCapExceeded):
+    # the free ball has 1, 5, 17, 53 elements to radius 0..3: the 21st is at level 3,
+    # and levels 0..2 hold no collision, so short >= 2 * 2 + 1 (it is 10)
+    with pytest.raises(SearchCapExceeded) as err:
         short_length(sanov_group, CongruenceSubgroup(13), caps=Caps(bfs_visited=20))
+    assert err.value.lower_bound == 5
 
 
 def test_short_length_walks_half_the_ball(monkeypatch):
@@ -273,18 +278,18 @@ def test_lattice_of_another_size_is_refused(z_one, z_two):
 
 def test_short_length_cap(z_two):
     with pytest.raises(SearchCapExceeded) as err:
-        short_length(z_two, LatticeSubgroup([[40, 0], [0, 41]]), l_max=10)
+        short_length(z_two, LatticeSubgroup([[40, 0], [0, 41]]), caps=Caps(short=10))
     assert err.value.lower_bound == 11
 
 
 def test_short_length_one_past_the_cap_is_refused(z_two):
-    # short = 11 = l_max + 1: refused with its certified lower bound, as for matrix groups
+    # short = 11 = cap + 1: refused with its certified lower bound, as for matrix groups
     sub = LatticeSubgroup([[11, 0], [0, 40]])
-    assert short_length_l1_spheres(z_two, sub, l_max=10) == 11
+    assert short_length_l1_spheres(z_two, sub, caps=Caps(short=10)) == 11
     with pytest.raises(SearchCapExceeded) as err:
-        short_length(z_two, sub, l_max=10)
+        short_length(z_two, sub, caps=Caps(short=10))
     assert err.value.lower_bound == 11
-    assert short_length(z_two, sub, l_max=11) == 11
+    assert short_length(z_two, sub, caps=Caps(short=11)) == 11
 
 
 def test_abelian_search_walks_to_half_the_cap(monkeypatch):
@@ -299,25 +304,34 @@ def test_abelian_search_walks_to_half_the_cap(monkeypatch):
 
     monkeypatch.setattr(group, "iter_ball", recording)
     with pytest.raises(SearchCapExceeded) as err:
-        short_length(group, LatticeSubgroup([[40, 0, 0], [0, 40, 0], [0, 0, 40]]), l_max=20)
+        short_length(group, LatticeSubgroup([[40, 0, 0], [0, 40, 0], [0, 0, 40]]),
+                     caps=Caps(short=20))
     assert err.value.lower_bound == 21
     assert max(radii) == 10 and len(radii) == ball_volume(group, 10)
 
 
-def test_abelian_search_is_bounded_by_the_visited_cap(z_two):
-    with pytest.raises(SearchCapExceeded):
-        short_length(z_two, LatticeSubgroup([[300, 0], [0, 300]]), caps=Caps(bfs_visited=1000))
+def test_abelian_search_is_bounded_by_the_visited_cap():
+    # the walk passes 1,000 elements at level L, whose ball has more: the levels
+    # below L are complete with no collision, so short >= 2 (L - 1) + 1
+    for n, d, level in ((2, 300, 22), (3, 40, 9)):
+        group = FreeAbelian(n)
+        assert ball_volume(group, level - 1) <= 1000 < ball_volume(group, level)
+        sub = LatticeSubgroup(np.diag([d] * n).tolist())
+        with pytest.raises(SearchCapExceeded) as err:
+            short_length(group, sub, caps=Caps(bfs_visited=1000))
+        assert err.value.lower_bound == 2 * (level - 1) + 1  # 43 and 17
+    assert short_length(group, sub) == 40  # the Z^3 case, uncapped
 
 
 def test_finite_group_whose_ball_reaches_half_the_cap_is_refused():
     # the rotation group of order 4 injects mod 5; its ball ends at radius 2
     rot = IntegralMatrixGroup(2, [[[0, -1], [1, 0]]])
     sub = CongruenceSubgroup(5)
-    assert short_length(rot, sub, l_max=5) == math.inf  # the ball ends below radius 3
-    for l_max in (3, 4):  # radius 2 = ceil(l_max / 2): the search stops before it ends
+    assert short_length(rot, sub, caps=Caps(bfs_length=5)) == math.inf  # ball ends below 3
+    for cap in (3, 4):  # radius 2 = ceil(cap / 2): the search stops before it ends
         with pytest.raises(SearchCapExceeded) as err:
-            short_length(rot, sub, l_max=l_max)
-        assert err.value.lower_bound == l_max + 1
+            short_length(rot, sub, caps=Caps(bfs_length=cap))
+        assert err.value.lower_bound == cap + 1
 
 
 def test_short_invariant_under_unimodular_column_ops(z_two):
@@ -556,13 +570,25 @@ def test_word_length(z_two, sanov_group):
     assert sanov_group.word_length(aa) == 2
 
 
+def test_word_lengths_walk_until_every_target_is_met(sanov_group):
+    a, b = sanov_group.generators
+    ab = sanov_group.mul(a, b)
+    assert sanov_group.word_lengths([ab, a, sanov_group.identity]) == {
+        ab: 2, a: 1, sanov_group.identity: 0}
+    far = functools.reduce(sanov_group.mul, [a] * 4)
+    with pytest.raises(SearchCapExceeded) as err:
+        sanov_group.word_lengths([a, far], Caps(bfs_length=3))
+    assert err.value.lower_bound == 4
+
+
 def test_caps_env_parsing(monkeypatch):
     monkeypatch.setenv("L2GROWTH_CAPS", "bfs=10,order=500,eig=100")
     caps = Caps.from_env()
     assert caps.bfs_length == 10 and caps.order == 500 and caps.eig == 100
     monkeypatch.setenv("L2GROWTH_CAPS", "bogus=1")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadCaps):
         Caps.from_env()
+    assert issubclass(BadCaps, L2GrowthError) and issubclass(BadCaps, ValueError)
 
 
 @pytest.mark.parametrize("raw", ["order=-5,eig=0", "order=-5", "eig=0", "bfs=x"])
@@ -588,17 +614,17 @@ def lattices(draw, min_rank=1):
 
     A lower triangular basis with positive diagonal (its index the diagonal's
     product) whose columns a shear then mixes; rank one has no off-diagonal.
+    For n >= 2 each diagonal entry d is 2..floor(200^(1/n)) and the entries
+    left of it lie within +-d/2, so no basis column is very short and the
+    quotients are not nearly cyclic.
     """
     n = draw(st.integers(min_rank, 3))
-    diag, index = [], 1
-    for _ in range(n):
-        d = draw(st.integers(1, 200 // index))
-        diag.append(d)
-        index *= d
-    mat = [[diag[i] if i == j else draw(st.integers(-9, 9)) if i > j else 0
-            for j in range(n)] for i in range(n)]
+    top = int(200 ** (1 / n))
+    diag = [draw(st.integers(min(n, 2), top)) for _ in range(n)]
+    mat = [[diag[i] if i == j else draw(st.integers(-(diag[i] // 2), diag[i] // 2))
+            if i > j else 0 for j in range(n)] for i in range(n)]
     if n > 1:
-        k = draw(st.integers(-3, 3))
+        k = draw(st.integers(-1, 1))
         for row in mat:
             row[0] += k * row[n - 1]
         if all(mat[i][j] == 0 for i in range(n) for j in range(n) if i != j):
@@ -647,7 +673,7 @@ def test_abelian_tables_match_the_tuple_references(case, data):
 @PROPERTY_SETTINGS
 @given(lattices(min_rank=2), st.integers(-4, 4), st.integers(-4, 4),
        st.one_of(st.none(), st.integers(1, 8)))
-def test_abelian_short_length_matches_the_l1_spheres(case, s, t, l_max):
+def test_abelian_short_length_matches_the_l1_spheres(case, s, t, cap):
     group, sub = case
     # two row shears keep the index but move the short vectors the strategy's
     # small last diagonal entry makes (otherwise short is mostly 1)
@@ -655,16 +681,17 @@ def test_abelian_short_length_matches_the_l1_spheres(case, s, t, l_max):
     mat[0] = [a + s * b for a, b in zip(mat[0], mat[-1])]
     mat[-1] = [a + t * b for a, b in zip(mat[-1], mat[0])]
     sub = LatticeSubgroup(mat)
+    caps = Caps() if cap is None else Caps(short=cap)
     try:
-        want = short_length_l1_spheres(group, sub, l_max)
+        want = short_length_l1_spheres(group, sub, caps)
     except SearchCapExceeded as err:
         want = err
-    if isinstance(want, int) and (l_max is None or want <= l_max):
-        assert short_length(group, sub, l_max) == want
-    else:  # the scan returns l_max + 1 from a column it did not search past
+    if isinstance(want, int) and want <= caps.short:
+        assert short_length(group, sub, caps) == want
+    else:  # the scan returns caps.short + 1 from a column it did not search past
         with pytest.raises(SearchCapExceeded) as err:
-            short_length(group, sub, l_max)
-        assert err.value.lower_bound == l_max + 1
+            short_length(group, sub, caps)
+        assert err.value.lower_bound == caps.short + 1
 
 
 @settings(PROPERTY_SETTINGS, max_examples=15)
