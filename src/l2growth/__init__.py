@@ -1,7 +1,7 @@
 """Betti numbers of finite regular covers and spectral growth bounds."""
 
 from .caps import Caps, DEFAULT_CAPS
-from .covers import CoverInstance, betti, instantiate, verify_trace_equality
+from .covers import CoverInstance, instantiate, verify_trace_equality
 from .group_ring import (EquivariantChainComplex, GroupRingElement,
                          GroupRingMatrix, evaluate_polynomial, gamma_trace,
                          laplacian, norm_bound, support_radius)

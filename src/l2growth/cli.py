@@ -27,7 +27,7 @@ from .caps import Caps
 from .covers import CoverInstance
 from .document import parse_complex, parse_subgroup
 from .errors import CrossCheckMismatch, DocumentError, L2GrowthError
-from .exact import _DENSE_BYTES
+from .exact import check_bytes
 from .groups import FreeAbelian, LatticeSubgroup, quotient, short_length
 from .pattern import betti_by_characters
 from .spectral import (betti_bound_general, density_by_quotients, density_zn,
@@ -150,9 +150,7 @@ def _parse_grid(spec: Optional[str], k: float) -> np.ndarray:
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise DocumentError(f"bad --grid {spec!r}")
     points = (hi - lo) / step + 1  # at least as many as np.arange makes
-    if points * _GRID_POINT_BYTES > _DENSE_BYTES:
-        raise DocumentError(f"--grid {spec!r} has {points:.4g} points, above the "
-                            f"{_DENSE_BYTES}-byte budget")
+    check_bytes(points * _GRID_POINT_BYTES, f"--grid {spec!r} with {points:.4g} points")
     return np.arange(lo, hi + step * 0.5, step)
 
 
@@ -248,9 +246,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args, Caps.from_env())
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except CrossCheckMismatch as e:
         print(f"cross-check mismatch: {e}", file=sys.stderr)
         return 2

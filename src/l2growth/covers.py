@@ -271,12 +271,6 @@ def instantiate(cx: EquivariantChainComplex, quot: FiniteQuotient,
     return CoverInstance(cx, quot, caps)
 
 
-def betti(cx: EquivariantChainComplex, quot: FiniteQuotient, q: int,
-          caps: Caps = DEFAULT_CAPS) -> int:
-    """Exact Betti number b_q of the cover attached to the quotient."""
-    return CoverInstance(cx, quot, caps).betti(q)
-
-
 @dataclass
 class TraceEqualityReport:
     lhs: Fraction            # trace against the deck group

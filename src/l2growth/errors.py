@@ -33,8 +33,18 @@ class DimensionOutOfRange(L2GrowthError):
     """Requested chain-complex dimension does not exist, or has no cells where some are needed."""
 
 
-class NotSquare(L2GrowthError):
+class NotSquare(L2GrowthError, ValueError):
     """Operation requires a square matrix."""
+
+
+class ShapeMismatch(L2GrowthError, ValueError):
+    """Group-ring matrix shapes do not fit: a ragged matrix, a sum or product of
+    mismatched shapes, or a boundary of the wrong shape."""
+
+
+class BadChainComplex(L2GrowthError, ValueError):
+    """Cell counts and boundaries do not form a chain complex: a negative cell
+    count, or d_q d_(q+1) != 0."""
 
 
 class NotAbelian(L2GrowthError):

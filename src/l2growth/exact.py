@@ -27,6 +27,8 @@ every prime divides would exceed the bound.  Primes come from
 draws from.  The dense path refuses, with ``SizeCapExceeded`` and before
 allocating, any matrix whose int64 array would exceed ``_DENSE_BYTES``
 (1 GiB); such a matrix always starts sparse, with the same byte budget.
+``check_bytes`` is that one refusal: the torus quadrature and the CLI's
+density grid call it as well.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ _BLOCK_ENTRIES = 2 ** 17     # entries per dense block of candidate kernel vecto
 
 class _FillIn(Exception):
     """Sparse elimination filled in too much; retry densely."""
+
+
+def check_bytes(need: float, what: str) -> None:
+    """Raise ``SizeCapExceeded`` when ``what`` would allocate more than ``_DENSE_BYTES``."""
+    if need > _DENSE_BYTES:
+        raise SizeCapExceeded(f"{what} needs {need} bytes, above the {_DENSE_BYTES}-byte budget")
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +491,7 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
             except _FillIn:
                 use_sparse = False
         if dense is None:
-            if 8 * nrows * ncols > _DENSE_BYTES:
-                raise SizeCapExceeded(
-                    f"dense elimination of a {nrows}x{ncols} matrix needs "
-                    f"{8 * nrows * ncols} bytes, above the {_DENSE_BYTES}-byte budget")
+            check_bytes(8 * nrows * ncols, f"dense elimination of a {nrows}x{ncols} matrix")
             dense = a.toarray() if hasattr(a, "toarray") else a
         return _rref_modp_dense(dense, p)
 

@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import CrossCheckMismatch, DimensionOutOfRange
+from .errors import (BadChainComplex, CrossCheckMismatch, DimensionOutOfRange, NotSquare,
+                     ShapeMismatch)
 from .polynomials import as_poly
 
 Coefficient = Union[int, Fraction]
@@ -116,7 +117,7 @@ class GroupRingMatrix:
         self.entries = tuple(tuple(row) for row in entries)
         for row in self.entries:
             if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
+                raise ShapeMismatch("ragged matrix")
 
     @classmethod
     def zero(cls, group, nrows: int, ncols: int) -> "GroupRingMatrix":
@@ -139,7 +140,7 @@ class GroupRingMatrix:
 
     def __add__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.shape != other.shape:
-            raise ValueError("shape mismatch")
+            raise ShapeMismatch("shape mismatch")
         return GroupRingMatrix(
             self.group,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
@@ -147,7 +148,7 @@ class GroupRingMatrix:
 
     def __sub__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.shape != other.shape:
-            raise ValueError("shape mismatch")
+            raise ShapeMismatch("shape mismatch")
         return GroupRingMatrix(
             self.group,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
@@ -162,7 +163,7 @@ class GroupRingMatrix:
 
     def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in product")
+            raise ShapeMismatch("shape mismatch in product")
         z = GroupRingElement.zero(self.group)
         out: List[List[GroupRingElement]] = []
         for i in range(self.nrows):
@@ -211,15 +212,15 @@ class EquivariantChainComplex:
         self.group = group
         self.cells = [int(a) for a in cells]
         if any(a < 0 for a in self.cells):
-            raise ValueError("negative cell count")
+            raise BadChainComplex("negative cell count")
         self.boundaries = {}
         for q in range(1, len(self.cells)):
             d = boundaries.get(q)
             if d is None:
                 d = GroupRingMatrix.zero(group, self.cells[q - 1], self.cells[q])
             if d.shape != (self.cells[q - 1], self.cells[q]):
-                raise ValueError(f"boundary {q} has shape {d.shape}, "
-                                 f"expected {(self.cells[q - 1], self.cells[q])}")
+                raise ShapeMismatch(f"boundary {q} has shape {d.shape}, "
+                                    f"expected {(self.cells[q - 1], self.cells[q])}")
             self.boundaries[q] = d
         for q in sorted(self.boundaries):
             if q + 1 in self.boundaries:
@@ -228,19 +229,12 @@ class EquivariantChainComplex:
                     bad = next((i, j) for i in range(prod.nrows)
                                for j in range(prod.ncols)
                                if not prod.entries[i][j].is_zero)
-                    raise ValueError(
-                        f"d_{q} o d_{q + 1} != 0 at entry {bad}")
+                    raise BadChainComplex(f"d_{q} o d_{q + 1} != 0 at entry {bad}")
         self._laplacians: Dict[int, GroupRingMatrix] = {}
 
     @property
     def top_dim(self) -> int:
         return len(self.cells) - 1
-
-    def boundary(self, q: int) -> Optional[GroupRingMatrix]:
-        return self.boundaries.get(q)
-
-    def laplacian(self, q: int) -> GroupRingMatrix:
-        return laplacian(self, q)
 
     def __repr__(self) -> str:
         return f"EquivariantChainComplex(cells={self.cells} over {self.group!r})"
@@ -290,7 +284,7 @@ def norm_bound(m: GroupRingMatrix) -> Coefficient:
     bound is always > 1.
     """
     if m.nrows != m.ncols:
-        raise ValueError("norm bound requires a square matrix")
+        raise NotSquare("norm bound requires a square matrix")
     best = 0
     for row in m.entries:
         s = sum(e.l1_norm() for e in row)
@@ -302,7 +296,7 @@ def gamma_trace(m: GroupRingMatrix) -> Coefficient:
     """Trace against the group von Neumann algebra: identity coefficients
     summed along the diagonal."""
     if m.nrows != m.ncols:
-        raise ValueError("trace requires a square matrix")
+        raise NotSquare("trace requires a square matrix")
     e = m.group.identity
     return sum(m.entries[i][i].coefficient(e) for i in range(m.nrows))
 
@@ -310,7 +304,7 @@ def gamma_trace(m: GroupRingMatrix) -> Coefficient:
 def evaluate_polynomial(p, m: GroupRingMatrix) -> GroupRingMatrix:
     """p(M) by Horner evaluation; exact for rational coefficients."""
     if m.nrows != m.ncols:
-        raise ValueError("polynomial evaluation requires a square matrix")
+        raise NotSquare("polynomial evaluation requires a square matrix")
     poly = as_poly(p)
     n = m.nrows
     acc = GroupRingMatrix.zero(m.group, n, n)

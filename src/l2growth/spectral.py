@@ -26,8 +26,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .covers import CoverInstance, eigvalsh_error
 from .errors import (DegenerateZ, FamilyNotLogUniform, GapNotVerified,
                      HypothesisUnverified, InsufficientGrid, LambdaAboveGap,
-                     NotAbelian, ShortTooSmall, SizeCapExceeded)
-from .exact import _DENSE_BYTES, _is_prime
+                     NotAbelian, ShortTooSmall)
+from .exact import _is_prime, check_bytes
 from .group_ring import EquivariantChainComplex, laplacian, norm_bound, support_radius
 from .groups import FreeAbelian, quotient as make_quotient, short_length
 from .pattern import DETERMINANT_MAX_SIZE, determinant, evaluate_matrix_at_characters
@@ -85,9 +85,8 @@ class DensityEstimate:
                    weight=1.0 / n_points)
 
     @classmethod
-    def from_function(cls, fn: Callable, K: float, a: int,
-                      provenance: Optional[Provenance] = None) -> "DensityEstimate":
-        return cls(K, a, provenance or Provenance("closed_form"), fn=fn)
+    def from_function(cls, fn: Callable, K: float, a: int) -> "DensityEstimate":
+        return cls(K, a, Provenance("closed_form"), fn=fn)
 
     # -- evaluation ----------------------------------------------------------
     def F(self, lam):
@@ -99,12 +98,9 @@ class DensityEstimate:
         out = counts * self._weight
         return float(out) if np.isscalar(lam) or lam_arr.ndim == 0 else out
 
-    def F_at_zero(self) -> float:
-        return float(self.F(0.0))
-
     def mu(self, x):
-        """Rescaled probability distribution mu(x) = F(K x) / a."""
-        return self.F(np.multiply(x, self.K)) / self.a
+        """Rescaled probability distribution mu(x) = F(K x) / a; 0 when a = 0, where F is 0."""
+        return self.F(np.multiply(x, self.K)) / max(self.a, 1)
 
     def mass_strictly_below(self, lam: float) -> float:
         if self._fn is not None:
@@ -211,11 +207,8 @@ def _check_quadrature_budget(count: int, n: int, a: int) -> None:
     Counts the character points (count x n floats), the samples (count x a)
     and, for a > 1, the complex symbol blocks (count x a x a).
     """
-    need = 8 * count * (n + a) + (16 * count * a * a if a > 1 else 0)
-    if need > _DENSE_BYTES:
-        raise SizeCapExceeded(
-            f"quadrature over {count} characters with {a} cells needs {need} "
-            f"bytes, above the {_DENSE_BYTES}-byte budget")
+    check_bytes(8 * count * (n + a) + (16 * count * a * a if a > 1 else 0),
+                f"quadrature over {count} characters with {a} cells")
 
 
 def _cos_symbol(entry, points: np.ndarray) -> np.ndarray:
@@ -257,7 +250,7 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
     bit-identical to ``scipy.stats.qmc.Halton(n, scramble=True, seed=seed)``,
     so the estimate is deterministic for a fixed seed.  Raises
     ``SizeCapExceeded`` before allocating when the points, samples or symbol
-    blocks would exceed the 1 GiB byte budget of ``exact._DENSE_BYTES``.
+    blocks would exceed the 1 GiB byte budget of ``exact.check_bytes``.
     """
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("torus quadrature requires a free abelian deck group")
@@ -352,7 +345,6 @@ class LuckPolynomial:
         self.z_exact = Fraction(z)
         self.l0 = (1.0 + zf) / (1.0 - zf)
         self._log_denom = float(_log_t_plus_1(n, self.l0))
-        self._coeffs: Optional[Poly] = None
 
     def _l(self, x):
         return (-2.0 / (1.0 - self.z)) * np.asarray(x, dtype=float) + self.l0
@@ -374,17 +366,12 @@ class LuckPolynomial:
         out = np.exp(self.log_value(x))
         return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
-    __call__ = value
-
     def coefficients(self) -> Poly:
         """Exact rational coefficients (z taken exactly as given)."""
-        if self._coeffs is None:
-            z = self.z_exact
-            l_poly = Poly([Fraction(1 + z, 1 - z), Fraction(-2, 1 - z)])
-            t_of_l = chebyshev_coefficients(self.n).compose(l_poly)
-            denom = t_of_l(Fraction(0)) + 1
-            self._coeffs = (t_of_l + Poly([1])) / denom
-        return self._coeffs
+        z = self.z_exact
+        l_poly = Poly([Fraction(1 + z, 1 - z), Fraction(-2, 1 - z)])
+        t_of_l = chebyshev_coefficients(self.n).compose(l_poly)
+        return (t_of_l + Poly([1])) / (t_of_l(Fraction(0)) + 1)
 
     def tail_bound(self) -> float:
         """p(z) <= 2/(T_n(l(0)) + 1) <= 4 exp(-2 n sqrt(z))."""
@@ -438,7 +425,7 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096) -
     coefficient l1 norms and a float64 rounding term, so the returned level
     is a true lower bound for the whole torus.  Raises ``SizeCapExceeded``
     before allocating when the grid arrays would exceed the byte budget of
-    ``exact._DENSE_BYTES``.
+    ``exact.check_bytes``.
     """
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("gap certification requires a free abelian deck group")
@@ -625,16 +612,18 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
 
 def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
              c_density: Optional[float], density: DensityEstimate,
-             caps: Caps = DEFAULT_CAPS, cutoff: Optional[float] = None) -> BoundReport:
+             caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Power-decay bound C1 * index * (log(short)/short)^(2 beta).
 
     Requires the verified density hypothesis F(lambda) <= C * lambda^beta on
-    a grid up to the cutoff (K by default) and at the window K*z; the
-    constant C1 is assembled from the explicit inequality chain, never
-    fitted.  With ``c_density=None`` the density constant C is fitted as
+    a grid up to K and at the window K*z, which lies below K: with
+    r = n/beta > 1, z = (log(r)/r)^2 <= e^-2.  The constant C1 is assembled
+    from the explicit inequality chain, never fitted.  With
+    ``c_density=None`` the density constant C is fitted as
     1.05 * max F(lambda)/lambda^beta over [1e-6 K, K] and reported as
     ``C_density_mode=fitted``; that check is circular, since C comes from
     the density it is checked against.  A given C is reported as ``given``.
+    A dimension without cells (a = 0) has no density term and bound 0.
     """
     mode = "given"
     if c_density is None:
@@ -652,13 +641,8 @@ def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
             f"degree n={n} is too small for decay exponent beta={beta}")
     ratio = n / beta
     z = (math.log(ratio) / ratio) ** 2
-    kz = k * z
-    cut = cutoff if cutoff is not None else k
-    if kz > cut:
-        raise HypothesisUnverified(
-            f"window K*z = {kz:.6g} lies beyond the verified cutoff {cut:.6g}")
-    _check_density(density, lambda g: c_density * g ** beta, cut, kz, "C*lambda^beta")
-    c_mu = c_density * (k ** beta) / a
+    _check_density(density, lambda g: c_density * g ** beta, k, k * z, "C*lambda^beta")
+    c_mu = c_density * (k ** beta) / a if a else 0.0
     j_val = c_mu * z ** beta + _tail(n, z)
     # C1 * (log(short)/short)^(2 beta) = a * J; that factor is 0 at short = inf
     c1 = a * j_val / ((math.log(s) / s) ** (2 * beta)) if 1 < s < math.inf else math.inf
@@ -689,7 +673,7 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
         if det.is_zero:
             raise HypothesisUnverified(
                 "symbol determinant vanishes identically: nonzero harmonic mass")
-    elif density.F_at_zero() > 0:
+    elif density.F(0.0) > 0:
         raise HypothesisUnverified("density has an atom at zero")
     z = (math.log(math.log(n)) / n) ** 2
     kz = k * z
@@ -719,25 +703,21 @@ class NsEstimate:
     residual: Optional[float] = None
 
 
-def estimate_ns(density: DensityEstimate, lo: float = 1e-6, hi: float = 1e-2) -> NsEstimate:
+def estimate_ns(density: DensityEstimate) -> NsEstimate:
     """Log-log decay rate of F near zero: alpha = 2 * fitted slope.
 
-    F is read at 61 geometric grid points; sampled estimates ignore those whose
-    increment over F(0+) is below 4 samples, to keep quadrature noise out of the fit.
+    F is read at 61 geometric grid points of the window [1e-6, 1e-2]; sampled
+    estimates ignore those whose increment over F(0) is below 4 samples, to
+    keep quadrature noise out of the fit.  A density that rises above that
+    floor at no point has a gap (``gap_detected``); one whose usable points
+    span less than two decades raises ``InsufficientGrid``.
     """
-    if hi > 0.1 or hi <= lo:
-        raise InsufficientGrid("window must satisfy lo < hi <= 0.1")
-    if hi / lo < 100.0:
-        raise InsufficientGrid("window must span at least two decades")
-    grid = np.geomspace(lo, hi, 61)
-    f0 = density.F_at_zero()
-    vals = np.asarray(density.F(grid), dtype=float) - f0
-    floor = 0.0
-    if density._samples is not None:
-        floor = 4 * density._weight
-    usable = vals > max(floor, 0.0)
+    grid = np.geomspace(1e-6, 1e-2, 61)
+    vals = np.asarray(density.F(grid), dtype=float) - float(density.F(0.0))
+    usable = vals > (4 * density._weight if density._samples is not None else 0.0)
     if not np.any(usable):
-        return NsEstimate(alpha_hat=None, gap_detected=True, window=(lo, hi))
+        return NsEstimate(alpha_hat=None, gap_detected=True,
+                          window=(float(grid[0]), float(grid[-1])))
     xs = grid[usable]
     ys = vals[usable]
     if xs.max() / xs.min() < 100.0:

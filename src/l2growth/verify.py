@@ -60,10 +60,10 @@ class SuiteResult:
 # Random generators
 # ---------------------------------------------------------------------------
 
-def _random_element(rng, coeff_lo=-3, coeff_hi=3):
+def _random_element(rng):
     c = 0
     while c == 0:
-        c = int(rng.integers(coeff_lo, coeff_hi + 1))
+        c = int(rng.integers(-3, 4))
     return c
 
 
@@ -74,9 +74,9 @@ def _random_exponent(rng, n: int, max_norm: int = 2) -> Tuple[int, ...]:
             return v
 
 
-def _random_entry(rng, group: FreeAbelian, max_terms: int = 3) -> GroupRingElement:
+def _random_entry(rng, group: FreeAbelian) -> GroupRingElement:
     acc = GroupRingElement.zero(group)
-    for _ in range(int(rng.integers(0, max_terms + 1))):
+    for _ in range(int(rng.integers(0, 4))):
         acc = acc + GroupRingElement.monomial(
             group, _random_exponent(rng, group.rank), _random_element(rng))
     return acc

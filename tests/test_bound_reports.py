@@ -10,6 +10,7 @@ after that case was fixed (the raw, eig_count, ns and sublog regimes raised
 ``OverflowError`` on them before).
 """
 
+import json
 import math
 import shlex
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from l2growth import (CongruenceSubgroup, DensityEstimate, FreeAbelian,
 from l2growth import spectral
 from l2growth.cli import main
 from l2growth.document import parse_complex
+from l2growth.stripes import StripeSpec, glue_stripe
 from l2growth.errors import (GapNotVerified, HypothesisUnverified,
                              LambdaAboveGap, ShortTooSmall)
 from conftest import COMPLEXES, cyclic_quotient as cyc, diag_quotient as diag
@@ -93,8 +95,6 @@ CALLS = {
     "ns rejected": lambda o: ns_bound(o.circle, cyc(9), 1, 2.0, 0.01, o.closed21),
     "ns short": lambda o: ns_bound(o.torus2, _lattice([[1, 0], [0, 9]]), 1, 1.0, 1.0,
                                    o.d_torus4),
-    "ns cutoff": lambda o: ns_bound(o.circle, cyc(40), 1, 0.5, 0.5, o.closed21,
-                                    cutoff=1e-4),
     "ns nonpositive": lambda o: ns_bound(o.circle, cyc(40), 1, 0.5, -1.0, o.closed21),
     "ns fitted circle 40": lambda o: ns_bound(o.circle_doc, cyc(40), 1, 0.5, None,
                                               o.d_circle_doc),
@@ -263,8 +263,6 @@ ERRORS = {
         "F(4e-07) = 0.000201317 is not below C*lambda^beta = 1.6e-15"),
     "ns short": (ShortTooSmall,
         "degree n=0 is too small for decay exponent beta=1.0"),
-    "ns cutoff": (HypothesisUnverified,
-        "window K*z = 0.0124792 lies beyond the verified cutoff 0.0001"),
     "ns nonpositive": (HypothesisUnverified,
         "beta and C must be positive"),
     "sublog short": (ShortTooSmall,
@@ -405,3 +403,32 @@ def test_ns_fitted_constant_through_the_api(o, capsys):
     printed = capsys.readouterr().out.split()
     assert "C_density=0.525" in printed
     assert printed == rep.lines()
+
+
+def test_a_dimension_without_cells_bounds_zero(torus2):
+    cx = glue_stripe(StripeSpec(base=torus2, gamma=(1, 0), dim=4))
+    assert cx.cells == [1, 2, 1, 0, 1, 1]
+    density = density_zn(cx, 3, sample_count=1000)
+    quot = diag(3, 4)
+    for rep in (betti_bound_general(cx, quot, 3, density, 0.25),
+                ns_bound(cx, quot, 3, 0.5, 0.5, density),
+                ns_bound(cx, quot, 3, 0.5, None, density)):
+        assert (rep.constants["a"], rep.bound, rep.betti, rep.satisfied) == (0, 0, 0, True)
+
+
+@pytest.mark.parametrize("regime, line", [
+    ("raw --z 0.25", "regime=raw a=0 index=7 short=7 R=0 K=2 n=50 z=0.25 mu_z=0 "
+     "tail=7.715e-22 direct_integral=0 bound=0 betti=0 SATISFIED"),
+    ("ns --beta 0.5", "regime=ns a=0 index=7 short=7 R=0 K=2 beta=0.5 C_density=1e-12 "
+     "C_density_mode=fitted n=50 z=0.00212076 C1=0 bound=0 betti=0 SATISFIED"),
+    ("ns --beta 0.5 --c-density 0.5", "regime=ns a=0 index=7 short=7 R=0 K=2 beta=0.5 "
+     "C_density=0.5 C_density_mode=given n=50 z=0.00212076 C1=0 bound=0 betti=0 SATISFIED"),
+], ids=["raw", "ns fitted", "ns given"])
+def test_cli_bounds_on_a_dimension_without_cells(capsys, tmp_path, regime, line):
+    doc = json.loads((COMPLEXES / "circle.json").read_text())
+    doc["cells"] = [1, 1, 0]
+    path = tmp_path / "empty2.json"
+    path.write_text(json.dumps(doc))
+    argv = ["bounds", str(path), "--subgroup", "7", "--dim", "2", "--regime"]
+    assert main(argv + regime.split()) == 0
+    assert capsys.readouterr() == (line + "\n", "")

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import l2growth
-from l2growth import cli
+from l2growth import cli, exact
 from l2growth.cli import main
 from l2growth.document import parse_complex
-from l2growth.errors import DocumentError
+from l2growth.errors import DocumentError, SizeCapExceeded
 from conftest import COMPLEXES
 
 
@@ -195,7 +195,7 @@ def test_density_grid_too_fine_or_not_finite_exits_1(capsys, grid):
 
 def test_density_grid_keeps_the_byte_budget(capsys, monkeypatch):
     budget = 10 ** 7
-    monkeypatch.setattr(cli, "_DENSE_BYTES", budget)
+    monkeypatch.setattr(exact, "_DENSE_BYTES", budget)
     points = budget // cli._GRID_POINT_BYTES
     for last, code_want in ((points - 1, 0), (points, 1)):  # points + 1 points: one too many
         tracemalloc.start()
@@ -210,6 +210,16 @@ def test_density_grid_keeps_the_byte_budget(capsys, monkeypatch):
             assert "byte budget" in err and peak < budget / 10
         else:  # the estimate bounds what the grid and its CSV take
             assert len(out.splitlines()) == points + 1 and peak < budget
+
+
+def test_density_grid_refusal_is_the_shared_byte_budget(capsys):
+    with pytest.raises(SizeCapExceeded):
+        cli._parse_grid("0:4:1e-15", 4.0)
+    code, out, err = run(capsys, "density", str(COMPLEXES / "circle.json"), "--dim", "0",
+                         "--samples", "1000", "--grid", "0:4:1e-15")
+    assert (code, out) == (1, "")
+    assert err == ("error: --grid '0:4:1e-15' with 4e+15 points needs 6.400000000000001e+17 "
+                   "bytes, above the 1073741824-byte budget\n")
 
 
 def test_bounds_gap_unverified_exit_1(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
                       FreeAbelian, GroupRingElement, GroupRingMatrix, IntegralMatrixGroup,
-                      LatticeSubgroup, betti, instantiate, quotient, two_cell_complex,
+                      LatticeSubgroup, instantiate, quotient, two_cell_complex,
                       verify_trace_equality)
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
@@ -61,7 +61,7 @@ def test_betti_torus_covers(torus2, z_two):
 
 def test_betti_stripe_cover(stripe_complex, z_two):
     quot = diag_quotient(2, 3)
-    assert betti(stripe_complex, quot, 3) == 3
+    assert CoverInstance(stripe_complex, quot).betti(3) == 3
 
 
 def test_eigenvalues_examples(circle, gap_complex, zero_complex):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import sympy
+from hypothesis import given, strategies as st
 from sympy.matrices.normalforms import invariant_factors
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from l2growth import (CongruenceSubgroup, CoverInstance,
                       GroupRingMatrix, IntegralMatrixGroup, LatticeSubgroup,
                       exact, quotient, torus_complex, verify)
 from l2growth.errors import SizeCapExceeded
+from test_groups import PROPERTY_SETTINGS
 
 FIRST_PRIME = next(exact._primes_one_mod(1))
 
@@ -573,3 +575,49 @@ def test_stripe_trial_past_six_primes_is_certified_by_the_bound(monkeypatch):
     with pytest.raises(exact._FillIn):
         exact._rref_modp_sparse(exact._as_sparse_rows(m), 572, FIRST_PRIME,
                                 exact._fill_budget(572, 572, m.count_nonzero()))
+
+
+@st.composite
+def gain_graphs(draw):
+    """Integer CSR matrices whose rows have one or two nonzeros: the matrices of
+    cover boundaries.  A row with nonzeros x, y at columns u, w is an edge asking
+    x v_u + y v_w = 0 (the gain -x/y, a unit or not), a row with one is a pin,
+    a parallel row is a multiple of an earlier one, and some rows also store an
+    explicit zero."""
+    ncols, nrows = draw(st.integers(1, 30)), draw(st.integers(0, 30))
+    gains = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["edge", "edge", "pin", "parallel"]))
+        if kind == "parallel" and rows:
+            cols, vals = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = draw(gains)
+            rows.append((cols, [scale * v for v in vals]))
+            continue
+        width = 1 if kind == "pin" or ncols == 1 else 2
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=width, max_size=width,
+                             unique=True))
+        rows.append((cols, [draw(gains) for _ in cols]))
+    data, indices, indptr = [], [], [0]
+    for cols, vals in rows:
+        free = sorted(set(range(ncols)) - set(cols))
+        if free and draw(st.booleans()):
+            cols, vals = cols + [draw(st.sampled_from(free))], vals + [0]
+        indices += cols
+        data += vals
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data, dtype=np.int64), indices, indptr),
+                         shape=(nrows, ncols))
+
+
+@PROPERTY_SETTINGS
+@given(gain_graphs())
+def test_gain_graph_kernels_against_sympy(a):
+    nrows, ncols = a.shape
+    dense = [[int(x) for x in row] for row in a.toarray()]
+    rank = sympy.Matrix(nrows, ncols, [x for row in dense for x in row]).rank()
+    nullity, vecs = exact.kernel_certified(a)
+    assert nullity == ncols - rank
+    for vec in vecs:
+        assert all(sum(row[c] * v for c, v in vec.items()) == 0 for row in dense)
+    assert exact.rank_certified(a) == exact.rank_certified(a.T) == rank

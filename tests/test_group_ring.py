@@ -7,7 +7,8 @@ import pytest
 from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
                       GroupRingMatrix, evaluate_polynomial, gamma_trace,
                       laplacian, norm_bound, support_radius)
-from l2growth.errors import DimensionOutOfRange
+from l2growth.errors import (BadChainComplex, DimensionOutOfRange, L2GrowthError,
+                             NotSquare, ShapeMismatch)
 from l2growth.polynomials import Poly
 
 
@@ -172,3 +173,31 @@ def test_exact_rational_coefficients(circle):
     val = evaluate_polynomial(p, d0)
     assert val.entries[0][0].coefficient((0,)) == Fraction(1, 3) - Fraction(2, 7)
     assert gamma_trace(val) == Fraction(1, 3) - Fraction(2, 7)
+
+
+def test_every_group_ring_refusal_is_a_library_value_error(z_one):
+    one = GroupRingElement.one(z_one)
+    g_minus_1 = GroupRingElement(z_one, {(1,): 1, (0,): -1})
+    row, col = GroupRingMatrix(z_one, [[one, one]]), GroupRingMatrix(z_one, [[one], [one]])
+    sites = [
+        (ShapeMismatch, "ragged matrix", lambda: GroupRingMatrix(z_one, [[one, one], [one]])),
+        (ShapeMismatch, "shape mismatch", lambda: row + col),
+        (ShapeMismatch, "shape mismatch", lambda: row - col),
+        (ShapeMismatch, "shape mismatch in product", lambda: row @ row),
+        (BadChainComplex, "negative cell count",
+         lambda: EquivariantChainComplex(z_one, [1, -1], {})),
+        (ShapeMismatch, r"boundary 1 has shape \(1, 2\), expected \(1, 1\)",
+         lambda: EquivariantChainComplex(z_one, [1, 1], {1: row})),
+        (BadChainComplex, r"d_1 o d_2 != 0 at entry \(0, 0\)",
+         lambda: EquivariantChainComplex(z_one, [1, 1, 1],
+                                         {1: GroupRingMatrix(z_one, [[g_minus_1]]),
+                                          2: GroupRingMatrix(z_one, [[one]])})),
+        (NotSquare, "norm bound requires a square matrix", lambda: norm_bound(row)),
+        (NotSquare, "trace requires a square matrix", lambda: gamma_trace(row)),
+        (NotSquare, "polynomial evaluation requires a square matrix",
+         lambda: evaluate_polynomial(Poly([1]), row)),
+    ]
+    for cls, message, call in sites:
+        with pytest.raises(cls, match=f"^{message}$") as info:
+            call()
+        assert isinstance(info.value, L2GrowthError) and isinstance(info.value, ValueError)

@@ -389,12 +389,15 @@ def test_estimate_ns_gap_detected(gap_complex):
 
 
 def test_estimate_ns_guards():
-    fn = lambda lam: np.sqrt(np.clip(np.asarray(lam, float), 0, 1))
-    d = DensityEstimate.from_function(fn, K=1.0, a=1)
-    with pytest.raises(InsufficientGrid):
-        estimate_ns(d, lo=1e-3, hi=1e-2)
-    with pytest.raises(InsufficientGrid):
-        estimate_ns(d, lo=1e-6, hi=0.5)
+    # F rises above F(0) only past 1e-3: one usable decade of the fixed window
+    fn = lambda lam: np.clip(np.asarray(lam, float) - 1e-3, 0, 1)
+    with pytest.raises(InsufficientGrid,
+                       match=r"^only 0\.00117\.\.0\.01 usable; need two decades$"):
+        estimate_ns(DensityEstimate.from_function(fn, K=1.0, a=1))
+    # past 1e-5 three decades remain, and the fit runs on them
+    fn = lambda lam: np.clip(np.asarray(lam, float) - 1e-5, 0, 1)
+    est = estimate_ns(DensityEstimate.from_function(fn, K=1.0, a=1))
+    assert not est.gap_detected and est.window[1] / est.window[0] > 100
 
 
 # -- uniform families ----------------------------------------------------------

@@ -1,10 +1,12 @@
 """Checks on the library's shape: the names the benchmark's span tracer wraps
 exist, no public function takes a cover beside its complex and quotient, every
 parameter of a public function is read, the runtime imports stay within the
-standard library, numpy and scipy, and every package the tests import is
+standard library, numpy and scipy, no module raises more builtin exceptions
+than its entry in ``BUILTIN_RAISES``, and every package the tests import is
 declared in the ``test`` extra."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import re
@@ -99,6 +101,33 @@ def test_runtime_imports_are_stdlib_numpy_scipy():
     for path in sources:
         for line, name in _imports(path):
             assert name in allowed, f"{path.name}:{line} imports {name}"
+
+
+# raises of builtin exception classes per module, to be lowered as sweeps turn
+# them into L2GrowthError subclasses; a module not listed may have none
+BUILTIN_RAISES = {"exact.py": 2, "group_ring.py": 0, "groups.py": 12, "pattern.py": 1,
+                  "polynomials.py": 1, "spectral.py": 6, "stripes.py": 2}
+
+
+def _builtin_raises(path: Path):
+    """Lines of ``raise`` statements of builtin Exception classes, abstract-method
+    ``NotImplementedError`` aside."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        name = getattr(exc.func if isinstance(exc, ast.Call) else exc, "id", None)
+        cls = getattr(builtins, name or "", None)
+        if (isinstance(cls, type) and issubclass(cls, Exception)
+                and cls is not NotImplementedError):
+            yield node.lineno
+
+
+def test_builtin_raises_do_not_grow():
+    sources = sorted((REPO / "src" / "l2growth").glob("*.py"))
+    counts = {path.name: len(list(_builtin_raises(path))) for path in sources}
+    assert set(BUILTIN_RAISES) <= set(counts)
+    grown = {name: (n, BUILTIN_RAISES.get(name, 0)) for name, n in counts.items()
+             if n > BUILTIN_RAISES.get(name, 0)}
+    assert grown == {}, "module: (builtin raises, allowed)"
 
 
 def test_imports_under_tests_are_declared_in_the_test_extra():
