@@ -149,7 +149,7 @@ def _parse_grid(spec: Optional[str], k: float) -> np.ndarray:
         raise DocumentError(f"bad --grid {spec!r}; expected lo:hi:step")
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise DocumentError(f"bad --grid {spec!r}")
-    points = (hi - lo) / step + 1  # at least as many as np.arange makes
+    points = float(np.ceil((hi + step * 0.5 - lo) / step))  # as many as np.arange makes
     check_bytes(points * _GRID_POINT_BYTES, f"--grid {spec!r} with {points:.4g} points")
     return np.arange(lo, hi + step * 0.5, step)
 
@@ -199,25 +199,18 @@ def _one_bound(args, cx, quot, density, caps: Caps):
 def _cmd_bounds(args, caps: Caps) -> int:
     cx = _parse_with_dim(args)
     density = density_zn(cx, args.dim, sample_count=args.samples, seed=args.seed)
-    if args.family:
-        lines = ["index,short,betti,bound"]
-        all_ok = True
-        for spec in args.family.split("|"):
-            sub = parse_subgroup(cx.group, spec)
-            quot = quotient(cx.group, sub, caps)
-            report = _one_bound(args, cx, quot, density, caps)
-            lines.append(f"{report.constants['index']},{report.constants['short']},"
-                         f"{report.betti},{report.bound:.10g}")
-            all_ok = all_ok and report.satisfied
-        _write_lines(args.out, lines)
-        return 0 if all_ok else 3
-    if args.subgroup is None:
+    if not args.family and args.subgroup is None:
         raise DocumentError("bounds needs --subgroup or --family")
-    sub = parse_subgroup(cx.group, args.subgroup)
-    quot = quotient(cx.group, sub, caps)
-    report = _one_bound(args, cx, quot, density, caps)
-    print(" ".join(report.lines()))
-    return 0 if report.satisfied else 3
+    specs = args.family.split("|") if args.family else [args.subgroup]
+    reports = [_one_bound(args, cx, quotient(cx.group, parse_subgroup(cx.group, spec), caps),
+                          density, caps) for spec in specs]
+    if args.family:
+        _write_lines(args.out, ["index,short,betti,bound"] + [
+            f"{r.constants['index']},{r.constants['short']},{r.betti},{r.bound:.10g}"
+            for r in reports])
+    else:
+        print(" ".join(reports[0].lines()))
+    return 0 if all(r.satisfied for r in reports) else 3
 
 
 def _cmd_verify(args, caps: Caps) -> int:

@@ -113,3 +113,14 @@ class ForeignQuotient(L2GrowthError, ValueError):
 
 class BadCaps(L2GrowthError, ValueError):
     """``L2GROWTH_CAPS`` names an unknown cap or gives a value that is not a positive integer."""
+
+
+class BadGroup(L2GrowthError, ValueError):
+    """A deck group, subgroup or word-metric argument with an invalid value: a rank,
+    dimension or congruence level out of range, a generator of the wrong shape or not
+    invertible over the integers, no generators, a non-square subgroup matrix, or a
+    negative radius."""
+
+
+class UnsupportedGroup(L2GrowthError, TypeError):
+    """A group of an unsupported kind, or a subgroup of the wrong kind for its group."""

@@ -49,10 +49,7 @@ class GroupRingElement:
         return GroupRingElement(self.group, terms)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, 0) - c
-        return GroupRingElement(self.group, terms)
+        return self + -other
 
     def __neg__(self) -> "GroupRingElement":
         return GroupRingElement(self.group, {g: -c for g, c in self.terms.items()})
@@ -147,12 +144,7 @@ class GroupRingMatrix:
             shape=self.shape)
 
     def __sub__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        if self.shape != other.shape:
-            raise ShapeMismatch("shape mismatch")
-        return GroupRingMatrix(
-            self.group,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            shape=self.shape)
+        return self + other * -1
 
     def __mul__(self, scalar) -> "GroupRingMatrix":
         return GroupRingMatrix(self.group,
@@ -266,13 +258,7 @@ def support_radius(m: GroupRingMatrix, caps: Caps = DEFAULT_CAPS) -> int:
     for row in m.entries:
         for e in row:
             support.update(e.support())
-    if not support:
-        return 0
-    group = m.group
-    if getattr(group, "is_abelian", False):
-        return max(group.word_length(g) for g in support)
-    lengths = group.word_lengths(support, caps)
-    return max(lengths.values())
+    return max(m.group.word_lengths(support, caps).values(), default=0)
 
 
 def norm_bound(m: GroupRingMatrix) -> Coefficient:

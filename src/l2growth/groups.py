@@ -32,8 +32,9 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (CrossCheckMismatch, ForeignQuotient, NotFiniteIndex, OrderCapExceeded,
-                     RankOutOfRange, SearchCapExceeded, SizeCapExceeded)
+from .errors import (BadGroup, CrossCheckMismatch, ForeignQuotient, NotFiniteIndex,
+                     OrderCapExceeded, RankOutOfRange, SearchCapExceeded, SizeCapExceeded,
+                     UnsupportedGroup)
 from . import exact
 
 Element = Tuple  # integer tuple (abelian) or tuple of integer tuples (matrix)
@@ -55,6 +56,9 @@ def _matmul(a, b):
 
 class _Group:
     """What both deck groups share: the breadth-first walk of the word metric."""
+
+    def word_length(self, a: Element, caps: Caps = DEFAULT_CAPS) -> int:
+        return self.word_lengths([a], caps)[a]
 
     def iter_ball(self, max_radius: int, max_visited: int) -> Iterator[Tuple[Element, int]]:
         """Breadth-first enumeration of (element, word length), identity first."""
@@ -82,11 +86,9 @@ class _Group:
 class FreeAbelian(_Group):
     """Z^n with standard generators; word length is the l1 norm."""
 
-    is_abelian = True
-
     def __init__(self, rank: int):
         if rank < 1:
-            raise ValueError("rank must be >= 1")
+            raise BadGroup("rank must be >= 1")
         self.rank = rank
 
     @property
@@ -99,8 +101,9 @@ class FreeAbelian(_Group):
     def inv(self, a: Element) -> Element:
         return tuple(-x for x in a)
 
-    def word_length(self, a: Element, caps: Caps = DEFAULT_CAPS) -> int:
-        return sum(abs(x) for x in a)
+    def word_lengths(self, targets: Iterable[Element],
+                     caps: Caps = DEFAULT_CAPS) -> Dict[Element, int]:
+        return {a: sum(map(abs, a)) for a in targets}  # l1 norms
 
     def symmetric_generators(self) -> List[Element]:
         gens = []
@@ -119,20 +122,18 @@ class FreeAbelian(_Group):
 class IntegralMatrixGroup(_Group):
     """Group of integer matrices generated by a finite set of unimodular matrices."""
 
-    is_abelian = False
-
     def __init__(self, dimension: int, generators: Sequence[Sequence[Sequence[int]]]):
         if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise BadGroup("dimension must be >= 1")
         self.dimension = dimension
         gens = [_freeze_matrix(g) for g in generators]
         for g in gens:
             if len(g) != dimension or any(len(row) != dimension for row in g):
-                raise ValueError("generator has wrong shape")
+                raise BadGroup("generator has wrong shape")
             if abs(exact.det_int([list(r) for r in g])) != 1:
-                raise ValueError("generator is not invertible over the integers")
+                raise BadGroup("generator is not invertible over the integers")
         if not gens:
-            raise ValueError("at least one generator required")
+            raise BadGroup("at least one generator required")
         self.generators = gens
 
     @property
@@ -172,9 +173,6 @@ class IntegralMatrixGroup(_Group):
             f"no word of length <= {caps.bfs_length} reaches {len(missing)} element(s)",
             lower_bound=caps.bfs_length + 1)
 
-    def word_length(self, a: Element, caps: Caps = DEFAULT_CAPS) -> int:
-        return self.word_lengths([a], caps)[a]
-
     def __repr__(self):
         return f"IntegralMatrixGroup(dim={self.dimension}, ngens={len(self.generators)})"
 
@@ -190,7 +188,7 @@ class LatticeSubgroup:
         self.matrix = [[int(x) for x in row] for row in matrix]
         self.n = len(self.matrix)
         if any(len(row) != self.n for row in self.matrix):
-            raise ValueError("subgroup matrix must be square")
+            raise BadGroup("subgroup matrix must be square")
         self.det = exact.det_int(self.matrix)
         self._snf = None
 
@@ -226,7 +224,7 @@ class CongruenceSubgroup:
 
     def __init__(self, level: int):
         if level < 2:
-            raise ValueError("congruence level must be >= 2")
+            raise BadGroup("congruence level must be >= 2")
         self.level = int(level)
 
     def reduce(self, mat: Element) -> Element:
@@ -447,17 +445,17 @@ def short_length(group, sub, caps: Caps = DEFAULT_CAPS):
     """
     if isinstance(group, FreeAbelian):
         if not isinstance(sub, LatticeSubgroup):
-            raise TypeError("free abelian groups take LatticeSubgroup")
+            raise UnsupportedGroup("free abelian groups take LatticeSubgroup")
         _check_lattice(group, sub)
         if group.rank == 1:
             return abs(sub.det)  # the subgroup of Z generated by det
         cap = caps.short
     elif isinstance(group, IntegralMatrixGroup):
         if not isinstance(sub, CongruenceSubgroup):
-            raise TypeError("integral matrix groups take CongruenceSubgroup")
+            raise UnsupportedGroup("integral matrix groups take CongruenceSubgroup")
         cap = caps.bfs_length
     else:
-        raise TypeError(f"unsupported group {group!r}")
+        raise UnsupportedGroup(f"unsupported group {group!r}")
     half = (cap + 1) // 2
     first: Dict[Element, int] = {}  # key -> least word length
     best = math.inf
@@ -486,7 +484,7 @@ def short_length(group, sub, caps: Caps = DEFAULT_CAPS):
 def ball_volume(group, r: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Number of group elements of word length <= r."""
     if r < 0:
-        raise ValueError("radius must be nonnegative")
+        raise BadGroup("radius must be nonnegative")
     if isinstance(group, FreeAbelian):
         n = group.rank
         return sum((2 ** k) * comb(n, k) * comb(r, k) for k in range(0, min(n, r) + 1))
@@ -511,7 +509,7 @@ def quotient(group, sub, caps: Caps = DEFAULT_CAPS) -> FiniteQuotient:
         return AbelianQuotient(group, sub, caps)
     if isinstance(group, IntegralMatrixGroup):
         return CongruenceQuotient(group, sub, caps)
-    raise TypeError(f"unsupported group {group!r}")
+    raise UnsupportedGroup(f"unsupported group {group!r}")
 
 
 def element_order(q: FiniteQuotient, g) -> int:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .covers import CoverInstance
-from .errors import (CrossCheckMismatch, DimensionOutOfRange, NotAbelian,
-                     NotRankOne, NotSquare, SizeCapExceeded)
+from .errors import (CrossCheckMismatch, DimensionOutOfRange, NonIntegralCoefficient,
+                     NotAbelian, NotRankOne, NotSquare, SizeCapExceeded)
 from .exact import _primes_one_mod, ranks_modp
 from .group_ring import EquivariantChainComplex, GroupRingElement, GroupRingMatrix, laplacian
 from .groups import AbelianQuotient, FreeAbelian, check_quotient_of
@@ -163,6 +163,9 @@ def _orbit_ranks(m: GroupRingMatrix, chars: np.ndarray, e: int,
         for i, row in enumerate(m.entries):
             for j, el in enumerate(row):
                 for g, c in el.terms.items():
+                    if c != int(c):
+                        raise NonIntegralCoefficient(
+                            f"character ranks require integer coefficients, got {c}")
                     t = (chars * (np.array(g, dtype=np.int64) % e) % e).sum(axis=1) % e
                     stack[:, i, j] = (stack[:, i, j] + int(c) % ell * powers[t]) % ell
         np.maximum.at(ranks, labels, ranks_modp(stack, ell))

@@ -465,6 +465,8 @@ def _verify_gap(lambda0: float, density: Optional[DensityEstimate],
         raise GapNotVerified(
             f"certified spectral floor {certificate.certified_level:.6g} "
             f"is below lambda0={lambda0}")
+    if density is None:
+        raise GapNotVerified(f"no density or gap certificate was given for lambda0={lambda0}")
     raise GapNotVerified(f"density has mass below lambda0={lambda0}")
 
 
@@ -697,10 +699,7 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
 class NsEstimate:
     alpha_hat: Optional[float]
     gap_detected: bool
-    slope: Optional[float] = None
     window: Optional[Tuple[float, float]] = None
-    npoints: int = 0
-    residual: Optional[float] = None
 
 
 def estimate_ns(density: DensityEstimate) -> NsEstimate:
@@ -723,13 +722,9 @@ def estimate_ns(density: DensityEstimate) -> NsEstimate:
     if xs.max() / xs.min() < 100.0:
         raise InsufficientGrid(
             f"only {xs.min():.3g}..{xs.max():.3g} usable; need two decades")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
+    slope = np.polyfit(np.log(xs), np.log(ys), 1)[0]
     return NsEstimate(alpha_hat=2.0 * float(slope), gap_detected=False,
-                      slope=float(slope), window=(float(xs.min()), float(xs.max())),
-                      npoints=int(xs.size), residual=resid)
+                      window=(float(xs.min()), float(xs.max())))
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,17 @@ def test_density_grid_refusal_is_the_shared_byte_budget(capsys):
                    "bytes, above the 1073741824-byte budget\n")
 
 
+def test_density_grid_byte_check_counts_the_points_numpy_makes(capsys, monkeypatch):
+    # np.arange(0, 2.6 + 0.5, 1) makes 4 points (640 bytes), not the 3.6 (576 bytes)
+    # of (hi - lo) / step + 1; --quotients keeps the quadrature out of the budget
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 600)
+    code, out, err = run(capsys, "density", str(COMPLEXES / "circle.json"), "--dim", "0",
+                         "--quotients", "4,5", "--grid", "0:2.6:1")
+    assert (code, out) == (1, "")
+    assert err == ("error: --grid '0:2.6:1' with 4 points needs 640.0 bytes, "
+                   "above the 600-byte budget\n")
+
+
 def test_bounds_gap_unverified_exit_1(capsys):
     code, _, err = run(capsys, "bounds", str(COMPLEXES / "circle.json"),
                        "--subgroup", "12", "--dim", "0", "--regime", "gap",
@@ -268,6 +279,10 @@ def test_verify_stripes_suite(capsys):
     total = out.split()[1]
     passed, ran = (int(x) for x in total.split("/"))
     assert passed == ran >= 300
+
+
+def test_verify_bounds_suite(capsys):
+    assert run(capsys, "verify", "--suite", "bounds") == (0, "bounds: 40/40 pass\n", "")
 
 
 def test_missing_document(capsys):

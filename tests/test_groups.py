@@ -581,6 +581,41 @@ def test_word_lengths_walk_until_every_target_is_met(sanov_group):
     assert err.value.lower_bound == 4
 
 
+def test_ball_walks_refuse_past_the_visited_cap(sanov_group):
+    # the free group of rank two has 17 elements of length <= 2 and 53 of length <= 3
+    caps = Caps(bfs_visited=10)
+    a3 = functools.reduce(sanov_group.mul, [sanov_group.generators[0]] * 3)
+    for call in (lambda: ball_volume(sanov_group, 3, caps),
+                 lambda: sanov_group.word_lengths([a3], caps)):
+        with pytest.raises(SearchCapExceeded, match="^BFS visited more than 10 elements$"):
+            call()
+    assert ball_volume(sanov_group, 3, Caps(bfs_visited=53)) == 53
+
+
+def test_every_group_refusal_is_a_library_error(z_two, sanov_group):
+    sites = [
+        (ValueError, "rank must be >= 1", lambda: FreeAbelian(0)),
+        (ValueError, "dimension must be >= 1", lambda: IntegralMatrixGroup(0, [[[1]]])),
+        (ValueError, "generator has wrong shape", lambda: IntegralMatrixGroup(2, [[[1]]])),
+        (ValueError, "generator is not invertible over the integers",
+         lambda: IntegralMatrixGroup(2, [[[2, 0], [0, 1]]])),
+        (ValueError, "at least one generator required", lambda: IntegralMatrixGroup(2, [])),
+        (ValueError, "subgroup matrix must be square", lambda: LatticeSubgroup([[1, 0]])),
+        (ValueError, "congruence level must be >= 2", lambda: CongruenceSubgroup(1)),
+        (ValueError, "radius must be nonnegative", lambda: ball_volume(z_two, -1)),
+        (TypeError, "free abelian groups take LatticeSubgroup",
+         lambda: short_length(z_two, CongruenceSubgroup(3))),
+        (TypeError, "integral matrix groups take CongruenceSubgroup",
+         lambda: short_length(sanov_group, LatticeSubgroup([[2]]))),
+        (TypeError, "unsupported group 'Z'", lambda: short_length("Z", None)),
+        (TypeError, "unsupported group 'Z'", lambda: quotient("Z", None)),
+    ]
+    for cls, message, call in sites:
+        with pytest.raises(cls, match=f"^{message}$") as info:
+            call()
+        assert isinstance(info.value, L2GrowthError)
+
+
 def test_caps_env_parsing(monkeypatch):
     monkeypatch.setenv("L2GROWTH_CAPS", "bfs=10,order=500,eig=100")
     caps = Caps.from_env()

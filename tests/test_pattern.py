@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
                       GroupRingMatrix, LatticeSubgroup, betti_by_characters,
@@ -12,7 +14,8 @@ from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
                       two_cell_complex, z_dichotomy)
 from l2growth import exact, pattern
 from l2growth.errors import (DimensionOutOfRange, ForeignQuotient, L2GrowthError,
-                             NotAbelian, NotRankOne, NotSquare, SizeCapExceeded)
+                             NonIntegralCoefficient, NotAbelian, NotRankOne, NotSquare,
+                             SizeCapExceeded)
 from l2growth.pattern import evaluate_matrix_at_characters
 from l2growth.verify import _random_entry
 from conftest import cyclic_quotient, diag_quotient
@@ -41,6 +44,39 @@ def test_determinant_examples(circle, torus2, z_two):
     assert np.abs(evaluate_at_characters(det, pts) - np.linalg.det(blocks)).max() < 1e-8
 
 
+def _laurent(el, xs):
+    """A group-ring element over Z^n as a sympy Laurent polynomial in xs."""
+    return sum((int(c) * sympy.Mul(*(x ** e for x, e in zip(xs, g)))
+                for g, c in el.terms.items()), sympy.Integer(0))
+
+
+def assert_determinant_is_sympys(m):
+    xs = sympy.symbols(f"x0:{m.group.rank}")
+    want = sympy.Matrix(m.nrows, m.ncols, lambda i, j: _laurent(m[i, j], xs)).det(
+        method="berkowitz")
+    assert sympy.expand(want - _laurent(determinant(m), xs)) == 0
+
+
+@pytest.mark.parametrize("n, q", [(2, 1), (3, 1), (3, 2)])
+def test_determinant_of_torus_laplacians_is_sympys(n, q):
+    # these Laplacians are diagonal (the off-diagonal terms of d*d and d d* cancel);
+    # the random symbols below reach the off-diagonal terms and the cached minors
+    assert_determinant_is_sympys(laplacian(torus_complex(n), q))
+
+
+laurent_entries = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                  st.integers(-3, 3), max_size=3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(laurent_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_determinant_of_random_symbols_is_sympys(rows):
+    z_two = FreeAbelian(2)
+    assert_determinant_is_sympys(GroupRingMatrix(
+        z_two, [[GroupRingElement(z_two, terms) for terms in row] for row in rows]))
+
+
 def test_determinant_guards(circle, sanov_group):
     from l2growth import two_cell_complex
     with pytest.raises(SizeCapExceeded):
@@ -49,6 +85,20 @@ def test_determinant_guards(circle, sanov_group):
                               GroupRingElement.one(sanov_group))
     with pytest.raises(NotAbelian):
         determinant(laplacian(mat_cx, 0))
+
+
+def test_character_path_refuses_fractional_coefficients(z_one):
+    # d_1 = (1 + g)/2 on Z: truncating each coefficient read the Laplacian as 0 and
+    # gave b_1 = 4 on Z/4, where b_1 is 1; cover instantiation refuses it too
+    cx = two_cell_complex(z_one, GroupRingElement(z_one, {(0,): Fraction(1, 2),
+                                                          (1,): Fraction(1, 2)}))
+    message = "^character ranks require integer coefficients, got 1/2$"
+    with pytest.raises(NonIntegralCoefficient, match=message):
+        betti_by_characters(cx, cyclic_quotient(4), 1, cross_check=False)
+    with pytest.raises(NonIntegralCoefficient, match=message):
+        exact_kernel_dimension(laplacian(cx, 1), (Fraction(1, 2),))
+    with pytest.raises(NonIntegralCoefficient):
+        instantiate(cx, cyclic_quotient(4))
 
 
 def test_character_lattice_examples(z_one, z_two):

@@ -281,6 +281,19 @@ def test_gap_not_verified(circle):
         gap_bound(circle, cyclic_quotient(5), 0, 1.0, density=d)
 
 
+def test_gap_regime_without_evidence_says_none_was_given(gap_complex, z_one):
+    calls = [
+        lambda: gap_bound(gap_complex, cyclic_quotient(6), 1, 1.0),
+        lambda: eig_count_bound(gap_complex, cyclic_quotient(6), 1, 0.5, 1.0),
+        lambda: uniform_gap_exponent(z_one, [LatticeSubgroup([[i]]) for i in (5, 7)], 1.0,
+                                     gap_complex, 1),
+    ]
+    for call in calls:
+        with pytest.raises(GapNotVerified,
+                           match=r"^no density or gap certificate was given for lambda0=1\.0$"):
+            call()
+
+
 def test_certify_gap(gap_complex, circle):
     cert = certify_gap(gap_complex, 1, grid_per_dim=4096)
     assert 0.99 <= cert.certified_level < 1.0
