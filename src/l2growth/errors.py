@@ -111,6 +111,14 @@ class ForeignQuotient(L2GrowthError, ValueError):
     """A cover was asked for on a quotient of another deck group."""
 
 
+class UnsupportedMatrix(L2GrowthError, TypeError):
+    """A matrix that is neither a numpy array nor a scipy sparse matrix."""
+
+
+class ReconstructionFailed(L2GrowthError, ValueError):
+    """No fraction n/d with |n|, d <= sqrt(modulus / 2) matches a residue."""
+
+
 class BadCaps(L2GrowthError, ValueError):
     """``L2GROWTH_CAPS`` names an unknown cap or gives a value that is not a positive integer."""
 

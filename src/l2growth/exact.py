@@ -3,25 +3,33 @@
 Betti numbers must be exact integers, so ranks of the instantiated boundary
 matrices are computed over the rationals with a certificate:
 
-1. read the matrix once, in the form its elimination uses, and reduce it
+1. ``rank_certified`` ranks a gain graph, a matrix whose rows or whose
+   columns hold at most two nonzeros each, all within 2**31, from a
+   spanning forest (``_forest_rank``): a component of its graph has rank
+   |V| - 1 or |V|, and it is |V| unless the tree's one candidate kernel
+   vector satisfies every other row, which a residue modulo a prime past
+   2**31 refutes and exact arithmetic confirms.  No elimination, CRT or
+   Hadamard bound is needed.  Every other matrix, and every
+   ``kernel_certified`` call, goes on to step 2;
+2. read the matrix once, in the form its elimination uses, and reduce it
    mod a large prime to a reduced row echelon form.  One fill budget B picks
    the form: B is twice the nonzeros if the dense int64 array fits
    ``_DENSE_BYTES``, else that budget in dict entries.  The matrix is read as
    its nonempty dict rows if B entries take fewer bytes than the dense array,
    and goes dense once they store more than B entries; otherwise as an array;
-2. at each of the first ``_LIFTS`` primes, fold the mod-p kernel basis into
+3. at each of the first ``_LIFTS`` primes, fold the mod-p kernel basis into
    the CRT residues of the lift (one modular inverse per prime), lift them
    to rational vectors by rational reconstruction, clear denominators, and
    verify ``A @ v == 0`` in exact integer arithmetic: a blocked int64
    product wherever ``max_i sum_j |a_ij| * max |v_j| < 2**62`` certifies
    that no partial sum overflows, Python integers otherwise;
-3. if no lift verifies, take ranks only at further primes until their
+4. if no lift verifies, take ranks only at further primes until their
    product passes Hadamard's bound on the minors one size above the largest
    modular rank s seen; then the rational rank is s.
 
 Since rank mod p never exceeds the rational rank, exhibiting
 ``ncols - rank_p`` verified independent integer kernel vectors certifies the
-rational nullity exactly, and so does step 3: a nonzero (s+1)-minor that
+rational nullity exactly, and so does step 4: a nonzero (s+1)-minor that
 every prime divides would exceed the bound.  Primes come from
 ``_primes_one_mod``, the source the character path in ``pattern`` also
 draws from.  The dense path refuses, with ``SizeCapExceeded`` and before
@@ -42,7 +50,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SizeCapExceeded
+from .errors import ReconstructionFailed, SizeCapExceeded, UnsupportedMatrix
 
 _LIFTS = 6                   # primes at which kernel vectors are lifted
 _DENSE_BYTES = 2 ** 30       # largest int64 array the dense path may allocate
@@ -51,6 +59,7 @@ _DICT_ENTRY_BYTES = 96       # memory per stored sparse entry (about 93 B under 
 _PRODUCT_BOUND = 2 ** 62     # row sums of |a_ij * v_j| below this fit in int64
 _ENTRY_BOUND = 2 ** 31       # entries this small keep int64 row sums of |a_ij| exact
 _BLOCK_ENTRIES = 2 ** 17     # entries per dense block of candidate kernel vectors
+_FOREST_PRIME = 2 ** 31 + 11  # a prime past every entry the forest reads; its squares fit int64
 
 
 class _FillIn(Exception):
@@ -363,7 +372,7 @@ def rational_reconstruct(u: int, modulus: int) -> Fraction:
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound or gcd(r1, abs(t1)) != 1:
-        raise ValueError("rational reconstruction failed")
+        raise ReconstructionFailed("rational reconstruction failed")
     if t1 < 0:
         r1, t1 = -r1, -t1
     return Fraction(r1, t1)
@@ -383,7 +392,8 @@ def _as_sparse_rows(a) -> List[Dict[int, int]]:
 
 
 def _int64_matrix(a):
-    """``a`` as an int64 array or CSR matrix if no |entry| exceeds 2**31, else None."""
+    """``a``, an array or (as CSR) a scipy sparse matrix, as int64 if no |entry|
+    exceeds 2**31, else None."""
     if not np.issubdtype(a.dtype, np.integer):
         return None
     if hasattr(a, "tocsr"):
@@ -443,13 +453,135 @@ def nullity_certified(a) -> int:
 
 
 def rank_certified(a) -> int:
-    """Exact rational rank of an integer matrix."""
+    """Exact rational rank of an integer matrix: by its spanning forest when it
+    is a gain graph (``_forest_rank``), by ``kernel_certified`` otherwise."""
     nr, nc = a.shape
     if nr == 0 or nc == 0:
         return 0
     if nr < nc:
         a = a.T  # rank is transpose-invariant; fewer columns is cheaper
-    return min(nr, nc) - kernel_certified(a)[0]
+    rank = _forest_rank(a)
+    return min(nr, nc) - kernel_certified(a)[0] if rank is None else rank
+
+
+def _forest_rank(a):
+    """Exact rank of ``a`` from a spanning forest of its gain graph, or None.
+
+    ``a`` is a gain graph when no |entry| exceeds 2**31 and its rows, or else
+    its columns, hold at most two nonzeros each; those lines are the edges and
+    the other index the vertices.  A line x, y at vertices u, w is the edge
+    x v_u + y v_w = 0, and a line with one entry pins its vertex to 0.  A
+    breadth-first tree of a component has triangular lines, so its rank is at
+    least |V| - 1, and it fixes the one candidate kernel vector up to scale:
+    the root is 1 and each vertex is its parent times the gain -x/y of its
+    tree edge.  Every entry of the candidate is nonzero, so a pin gives full
+    rank, and so does a non-tree edge with a nonzero residue modulo
+    ``_FOREST_PRIME``, which divides no entry, so the residues are the
+    candidate's reduction.  Every other component is balanced exactly when its
+    edges vanish on the candidate in rational arithmetic: int64 when every
+    tree gain is 1 or -1, so that the candidate is too, ``Fraction``
+    otherwise.  The rank is the number of vertices less the number of
+    balanced components.  Only the stored entries and the vertices they touch
+    are read, so memory follows the nonzeros, not the shape.
+    """
+    if isinstance(a, np.ndarray):
+        minor = np.nonzero(a)[1]
+        vals = a[a != 0]
+        counts = np.count_nonzero(a, axis=1)
+    else:
+        if not (a.format in ("csr", "csc") and a.has_canonical_format and a.data.all()):
+            a = a.tocsr(copy=True)
+            a.sum_duplicates()
+            a.eliminate_zeros()
+        minor, vals = a.indices, a.data  # grouped by row if CSR, by column if CSC
+        counts = np.diff(a.indptr)
+    vals = _int64_matrix(vals)
+    if vals is None:
+        return None
+    if not vals.size:
+        return 0
+    if counts.max() > 2:
+        # group the entries by the other index; rank is transpose-invariant
+        order = np.argsort(minor, kind="stable")
+        minor, vals, counts = (np.repeat(np.arange(counts.size), counts)[order], vals[order],
+                               np.unique(minor, return_counts=True)[1])
+        if counts.max() > 2:
+            return None
+    starts = np.cumsum(counts) - counts
+    touched, minor = np.unique(minor, return_inverse=True)
+    n = touched.size
+    first = starts[counts == 2]
+    if not first.size:
+        return n  # every vertex pinned
+    u, w, x, y = minor[first], minor[first + 1], vals[first], vals[first + 1]
+
+    # breadth-first spanning forest: the edge into each vertex, -1 at roots
+    ends = np.concatenate((u, w))
+    slots = np.argsort(ends, kind="stable")
+    far = np.concatenate((w, u))[slots].tolist()
+    edge = (slots % u.size).tolist()
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
+    into = [-1] * n
+    seen = bytearray(n)
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = 1
+            walk = [root]
+            for v in walk:  # grows as the walk reaches new vertices
+                for j in range(offsets[v], offsets[v + 1]):
+                    t = far[j]
+                    if not seen[t]:
+                        seen[t] = 1
+                        into[t] = edge[j]
+                        walk.append(t)
+    into = np.array(into)
+    child = np.flatnonzero(into >= 0)
+    k = into[child]
+    parent = np.arange(n)
+    parent[child] = u[k] + w[k] - child
+    down = w[k] == child
+    own, other = np.where(down, y[k], x[k]), np.where(down, x[k], y[k])
+
+    p = _FOREST_PRIME
+    values, inverse = np.unique(own % p, return_inverse=True)
+    gain = np.ones(n, dtype=np.int64)
+    gain[child] = -other % p * np.array([pow(v, -1, p) for v in values.tolist()],
+                                        dtype=np.int64)[inverse] % p
+    residue, root = _path_products(gain, parent, p)
+    balanced = parent == np.arange(n)  # one root per component; isolated pins among them
+    balanced[root[minor[starts[counts == 1]]]] = False
+    balanced[root[u[(x % p * residue[u] + y % p * residue[w]) % p != 0]]] = False
+    if not balanced.any():
+        return n
+
+    # the components still balanced, checked in exact arithmetic
+    keep = balanced[root[child]]
+    child, own, other = child[keep], own[keep], other[keep]
+    if np.array_equal(np.abs(own), np.abs(other)):
+        gain = np.ones(n, dtype=np.int64)
+        gain[child] = -np.sign(own) * np.sign(other)
+    else:
+        gain = np.ones(n, dtype=object)
+        gain[child] = [Fraction(-o, s) for o, s in zip(other.tolist(), own.tolist())]
+    value, _ = _path_products(gain, parent)
+    on = balanced[root[u]]
+    u, w, x, y = u[on], w[on], x[on], y[on]
+    balanced[root[u[x * value[u] + y * value[w] != 0]]] = False
+    return n - int(np.count_nonzero(balanced))
+
+
+def _path_products(gain, parent, modulus=None):
+    """(products of ``gain`` from each vertex up to its root, the roots).
+
+    ``parent`` points each vertex at its parent and each root at itself, and a
+    root's gain is 1.  Pointer jumping takes log2 of the depth rounds.
+    """
+    while not np.array_equal(parent[parent], parent):
+        gain = gain * gain[parent]
+        if modulus is not None:
+            gain %= modulus
+        parent = parent[parent]
+    return gain, parent
 
 
 def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
@@ -471,7 +603,7 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     elif hasattr(a, "tocoo"):
         nnz = a.count_nonzero()
     else:
-        raise TypeError(f"unsupported matrix type {type(a)!r}")
+        raise UnsupportedMatrix(f"unsupported matrix type {type(a)!r}")
     nrows, ncols = a.shape
     if ncols == 0:
         return 0, []
@@ -537,7 +669,7 @@ def _reconstruct_vectors(residues: List[Dict[int, int]], modulus: int):
     for vec in residues:
         try:
             fracs = [(c, rational_reconstruct(v, modulus)) for c, v in vec.items()]
-        except ValueError:
+        except ReconstructionFailed:
             return None
         denom = lcm(*(f.denominator for _, f in fracs))
         ints = {c: f.numerator * (denom // f.denominator) for c, f in fracs if f}

@@ -24,6 +24,7 @@ support radii) depend on these pinned generating sets.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from math import comb
@@ -483,6 +484,8 @@ def short_length(group, sub, caps: Caps = DEFAULT_CAPS):
 
 def ball_volume(group, r: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Number of group elements of word length <= r."""
+    if not isinstance(r, numbers.Integral):
+        raise BadGroup(f"radius must be an integer, not {r!r}")
     if r < 0:
         raise BadGroup("radius must be nonnegative")
     if isinstance(group, FreeAbelian):
@@ -549,8 +552,12 @@ def uniformity_check(group, family: Sequence, c: float,
             index = sub.index
         else:
             index = quotient(group, sub, caps).order
-        radius = math.floor(c * s) if s is not math.inf else 0
-        vol = ball_volume(group, radius, caps) if s is not math.inf else 1
+        if s is math.inf:
+            # a trivial kernel: the group is finite and B(C * inf) is all of it
+            radius, vol = math.inf, index
+        else:
+            radius = math.floor(c * s)
+            vol = ball_volume(group, radius, caps)
         report.members.append({
             "subgroup": sub,
             "short": s,

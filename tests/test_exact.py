@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 import tracemalloc
 from math import gcd, prod
 
@@ -9,13 +10,16 @@ import scipy.sparse as sp
 import sympy
 from hypothesis import given, strategies as st
 from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 from fractions import Fraction
 
 from l2growth import (CongruenceSubgroup, CoverInstance,
-                      EquivariantChainComplex, GroupRingElement,
+                      EquivariantChainComplex, FreeAbelian, GroupRingElement,
                       GroupRingMatrix, IntegralMatrixGroup, LatticeSubgroup,
                       exact, quotient, torus_complex, verify)
-from l2growth.errors import SizeCapExceeded
+from l2growth.document import parse_complex
+from l2growth.errors import L2GrowthError, SizeCapExceeded
+from conftest import COMPLEXES
 from test_groups import PROPERTY_SETTINGS
 
 FIRST_PRIME = next(exact._primes_one_mod(1))
@@ -426,6 +430,20 @@ def test_det_and_unimodular_inverse():
         assert (a @ np.array(exact.adjugate(a.tolist())) == det * np.eye(n, dtype=int)).all()
 
 
+def test_every_exact_refusal_is_a_library_error():
+    sites = [
+        (TypeError, "unsupported matrix type <class 'list'>",
+         lambda: exact.kernel_certified([[1]])),
+        (ValueError, "rational reconstruction failed", lambda: exact.rational_reconstruct(3, 13)),
+    ]
+    for cls, message, call in sites:
+        with pytest.raises(cls, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert isinstance(info.value, L2GrowthError)
+    # a residue that reconstructs to nothing makes the lift give up, not raise
+    assert exact._reconstruct_vectors([{0: 3}], 13) is None
+
+
 def test_rational_reconstruction_roundtrip():
     p = 2147483647
     for num, den in [(3, 7), (-1234, 999), (0, 1), (12345, 1), (1, 30000)]:
@@ -621,3 +639,66 @@ def test_gain_graph_kernels_against_sympy(a):
     for vec in vecs:
         assert all(sum(row[c] * v for c, v in vec.items()) == 0 for row in dense)
     assert exact.rank_certified(a) == exact.rank_certified(a.T) == rank
+    # the spanning forest answers every gain graph, sparse or dense, either way round
+    assert exact.kernel_certified(a.T)[0] == nrows - rank
+    assert [exact._forest_rank(m) for m in (a, a.T, a.toarray(), a.T.toarray())] == [rank] * 4
+
+
+def _sympy_rank(m) -> int:
+    dense = m.toarray().tolist()
+    return DomainMatrix.from_list(dense, sympy.ZZ).convert_to(sympy.QQ).rank()
+
+
+@functools.lru_cache(maxsize=None)
+def _cover_boundaries():
+    torus = CoverInstance(torus_complex(2),
+                          quotient(FreeAbelian(2), LatticeSubgroup([[4, 1], [0, 6]])))
+    stripe = parse_complex(COMPLEXES / "stripe_t2_q3.json")
+    stripe = CoverInstance(stripe, quotient(stripe.group, LatticeSubgroup([[3, 0], [1, 5]])))
+    boundaries = {f"torus2_d{q}": torus.boundary(q) for q in (1, 2)}
+    boundaries.update({f"stripe_t2_q3_d{q}": stripe.boundary(q) for q in (1, 2, 3, 4)})
+    boundaries["sl2_k2_mod5_presentation_d1"] = _sanov_incidence(2, 5).T
+    return boundaries
+
+
+@pytest.mark.parametrize("name", sorted(_cover_boundaries()))
+def test_forest_ranks_cover_boundaries_as_kernel_certified_and_sympy_do(name):
+    a = _cover_boundaries()[name]
+    rank = _sympy_rank(a)
+    for m in (a, a.T):
+        assert exact._forest_rank(m) == rank
+        assert m.shape[1] - exact.kernel_certified(m)[0] == rank
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, -1], [4, -1]],                     # v1 = v0, then v1 = 4 v0
+    [[2, -1, 0], [0, 2, -1], [1, 0, -1]],   # v1 = 2 v0, v2 = 2 v1, then v2 = v0
+])
+def test_forest_rechecks_a_cycle_the_prime_calls_balanced(monkeypatch, rows):
+    # each cycle has gain product 4, which is 1 mod 3: with the forest's
+    # prime at 3 every residue vanishes, and only the exact check finds the
+    # component unbalanced, of full rank
+    monkeypatch.setattr(exact, "_FOREST_PRIME", 3)
+    calls = []
+    monkeypatch.setattr(exact, "kernel_certified", lambda a: calls.append(a))
+    a = np.array(rows, dtype=np.int64)
+    assert exact.rank_certified(a) == exact.rank_certified(sp.csr_matrix(a)) == len(rows)
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[1, 1, 1], [1, -1, 0], [0, 1, -1]], 3),    # a row and a column of weight three
+    ([[2 ** 31 + 1, -1], [1, -1]], 2),           # a gain graph, but one entry past 2**31
+])
+def test_forest_hands_other_matrices_to_kernel_certified(monkeypatch, rows, rank):
+    calls = []
+    certified = exact.kernel_certified
+
+    def counting(a):
+        calls.append(a.shape)
+        return certified(a)
+
+    monkeypatch.setattr(exact, "kernel_certified", counting)
+    for a in (np.array(rows, dtype=np.int64), sp.csr_matrix(np.array(rows, dtype=np.int64))):
+        assert exact.rank_certified(a) == rank
+    assert len(calls) == 2

@@ -560,6 +560,13 @@ def test_short_infinite_for_trivial_kernel():
     assert quotient(rot, CongruenceSubgroup(5)).order == 4
 
 
+def test_uniformity_of_a_trivial_kernel_counts_the_whole_group():
+    # short is infinite, so B(C * short) is the whole 4-element rotation group
+    rot = IntegralMatrixGroup(2, [[[0, -1], [1, 0]]])
+    member, = uniformity_check(rot, [CongruenceSubgroup(5)], 1.0).members
+    assert (member["index"], member["ball_volume"], member["uniform"]) == (4, 4, True)
+
+
 def test_word_length(z_two, sanov_group):
     assert z_two.word_length((3, -2)) == 5
     assert z_two.word_length((0, 0)) == 0
@@ -603,6 +610,9 @@ def test_every_group_refusal_is_a_library_error(z_two, sanov_group):
         (ValueError, "subgroup matrix must be square", lambda: LatticeSubgroup([[1, 0]])),
         (ValueError, "congruence level must be >= 2", lambda: CongruenceSubgroup(1)),
         (ValueError, "radius must be nonnegative", lambda: ball_volume(z_two, -1)),
+        (ValueError, "radius must be an integer, not 2.5", lambda: ball_volume(z_two, 2.5)),
+        (ValueError, "radius must be an integer, not 2.5",
+         lambda: ball_volume(sanov_group, 2.5)),
         (TypeError, "free abelian groups take LatticeSubgroup",
          lambda: short_length(z_two, CongruenceSubgroup(3))),
         (TypeError, "integral matrix groups take CongruenceSubgroup",

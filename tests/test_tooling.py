@@ -105,7 +105,7 @@ def test_runtime_imports_are_stdlib_numpy_scipy():
 
 # raises of builtin exception classes per module, to be lowered as sweeps turn
 # them into L2GrowthError subclasses; a module not listed may have none
-BUILTIN_RAISES = {"exact.py": 2, "group_ring.py": 0, "groups.py": 0, "pattern.py": 1,
+BUILTIN_RAISES = {"exact.py": 0, "group_ring.py": 0, "groups.py": 0, "pattern.py": 1,
                   "polynomials.py": 1, "spectral.py": 6, "stripes.py": 2}
 
 
