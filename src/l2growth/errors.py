@@ -112,7 +112,8 @@ class ForeignQuotient(L2GrowthError, ValueError):
 
 
 class UnsupportedMatrix(L2GrowthError, TypeError):
-    """A matrix that is neither a numpy array nor a scipy sparse matrix."""
+    """A matrix that is neither a numpy array nor a scipy sparse matrix, or whose
+    entries are not integers."""
 
 
 class ReconstructionFailed(L2GrowthError, ValueError):
@@ -132,3 +133,9 @@ class BadGroup(L2GrowthError, ValueError):
 
 class UnsupportedGroup(L2GrowthError, TypeError):
     """A group of an unsupported kind, or a subgroup of the wrong kind for its group."""
+
+
+class BadArgument(L2GrowthError, ValueError):
+    """A density, Chebyshev or bound argument with an invalid value: both or neither
+    of samples and a function, too few samples, no quotients, a negative degree or
+    eigenvalue threshold."""

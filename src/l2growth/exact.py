@@ -9,7 +9,9 @@ matrices are computed over the rationals with a certificate:
    |V| - 1 or |V|, and it is |V| unless the tree's one candidate kernel
    vector satisfies every other row, which a residue modulo a prime past
    2**31 refutes and exact arithmetic confirms.  No elimination, CRT or
-   Hadamard bound is needed.  Every other matrix, and every
+   Hadamard bound is needed.  The forest regroups the entries by the other
+   index when the storage lines are the heavier ones.  Every other matrix,
+   transposed to the orientation with fewer columns, and every
    ``kernel_certified`` call, goes on to step 2;
 2. read the matrix once, in the form its elimination uses, and reduce it
    mod a large prime to a reduced row echelon form.  One fill budget B picks
@@ -36,7 +38,12 @@ draws from.  The dense path refuses, with ``SizeCapExceeded`` and before
 allocating, any matrix whose int64 array would exceed ``_DENSE_BYTES``
 (1 GiB); such a matrix always starts sparse, with the same byte budget.
 ``check_bytes`` is that one refusal: the torus quadrature and the CLI's
-density grid call it as well.
+density grid call it as well.  Both ``rank_certified`` and
+``kernel_certified`` refuse with ``UnsupportedMatrix`` whatever is not a
+numpy array or scipy sparse matrix of integers (an object array must hold
+ints): elimination and the kernel check would truncate any other entry.
+``kernel_certified`` checks before any elimination, and the forest hands
+every non-integer dtype on to it.
 """
 
 from __future__ import annotations
@@ -452,16 +459,31 @@ def nullity_certified(a) -> int:
     return kernel_certified(a)[0]
 
 
+def _require_matrix(a) -> None:
+    """Refuse what is not a numpy array or scipy sparse matrix."""
+    if not (isinstance(a, np.ndarray) or hasattr(a, "tocoo")):
+        raise UnsupportedMatrix(f"unsupported matrix type {type(a)!r}")
+
+
+def _require_integer_matrix(a) -> None:
+    """Refuse what is not an integer numpy array or scipy sparse matrix (see the module docstring)."""
+    _require_matrix(a)
+    if isinstance(a, np.ndarray) and a.dtype == object:
+        for x in a.flat:
+            if not isinstance(x, (int, np.integer)):
+                raise UnsupportedMatrix(f"matrix entry {x!r} is not an integer")
+    elif not np.issubdtype(a.dtype, np.integer):
+        raise UnsupportedMatrix(f"matrix of dtype {a.dtype} is not an integer matrix")
+
+
 def rank_certified(a) -> int:
     """Exact rational rank of an integer matrix: by its spanning forest when it
-    is a gain graph (``_forest_rank``), by ``kernel_certified`` otherwise."""
-    nr, nc = a.shape
-    if nr == 0 or nc == 0:
-        return 0
-    if nr < nc:
-        a = a.T  # rank is transpose-invariant; fewer columns is cheaper
+    is a gain graph (``_forest_rank``), by ``kernel_certified`` otherwise,
+    which alone checks the entries."""
+    _require_matrix(a)
+    nr, nc = a.shape  # rank is transpose-invariant; elimination is cheaper on fewer columns
     rank = _forest_rank(a)
-    return min(nr, nc) - kernel_certified(a)[0] if rank is None else rank
+    return min(nr, nc) - kernel_certified(a.T if nr < nc else a)[0] if rank is None else rank
 
 
 def _forest_rank(a):
@@ -511,8 +533,6 @@ def _forest_rank(a):
     touched, minor = np.unique(minor, return_inverse=True)
     n = touched.size
     first = starts[counts == 2]
-    if not first.size:
-        return n  # every vertex pinned
     u, w, x, y = minor[first], minor[first + 1], vals[first], vals[first + 1]
 
     # breadth-first spanning forest: the edge into each vertex, -1 at roots
@@ -598,15 +618,9 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     vector list is empty exactly when that bound certified a positive
     nullity, or when the nullity is zero.
     """
-    if isinstance(a, np.ndarray):
-        nnz = int(np.count_nonzero(a))
-    elif hasattr(a, "tocoo"):
-        nnz = a.count_nonzero()
-    else:
-        raise UnsupportedMatrix(f"unsupported matrix type {type(a)!r}")
+    _require_integer_matrix(a)
+    nnz = int(np.count_nonzero(a)) if isinstance(a, np.ndarray) else a.count_nonzero()
     nrows, ncols = a.shape
-    if ncols == 0:
-        return 0, []
     if nnz == 0:
         return ncols, [{c: 1} for c in range(ncols)]
 

@@ -141,7 +141,7 @@ def _root_powers(e: int, ell: int) -> np.ndarray:
             step *= 2
         if np.count_nonzero(powers == 1) == 1:
             return powers
-    raise AssertionError(f"{ell} is not a prime = 1 (mod {e})")  # pragma: no cover
+    raise CrossCheckMismatch(f"{ell} is not a prime = 1 (mod {e})")  # pragma: no cover
 
 
 def _orbit_ranks(m: GroupRingMatrix, chars: np.ndarray, e: int,
@@ -246,15 +246,12 @@ def betti_by_characters(cx: EquivariantChainComplex, quot: AbelianQuotient,
     a = cx.cells[q]
     chars, e = _character_numerators(quot)
     report = PatternReport(a=a, lattice_size=len(chars))
-    total = 0
-    if a:
-        labels = _galois_orbits(quot)
-        dims = a - _orbit_ranks(lap, chars, e, labels)[labels]
-        for idx in np.flatnonzero(dims).tolist():
-            ch = tuple(Fraction(v, e) for v in chars[idx].tolist())
-            report.kernel_characters.append((ch, int(dims[idx])))
-        total = int(dims.sum())
-    report.betti = total
+    labels = _galois_orbits(quot)
+    dims = a - _orbit_ranks(lap, chars, e, labels)[labels]
+    for idx in np.flatnonzero(dims).tolist():
+        ch = tuple(Fraction(v, e) for v in chars[idx].tolist())
+        report.kernel_characters.append((ch, int(dims[idx])))
+    report.betti = total = int(dims.sum())
     if cross_check:
         report.exact_betti = CoverInstance(cx, quot, caps).betti(q)
         if report.exact_betti != total:

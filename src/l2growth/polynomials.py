@@ -13,6 +13,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .errors import BadArgument
+
 Coefficient = Union[int, Fraction]
 
 
@@ -97,7 +99,7 @@ class Poly:
 def chebyshev_coefficients(n: int) -> Poly:
     """First-kind Chebyshev polynomial of degree n with exact integer coefficients."""
     if n < 0:
-        raise ValueError("degree must be nonnegative")
+        raise BadArgument("degree must be nonnegative")
     t0 = Poly([1])
     if n == 0:
         return t0

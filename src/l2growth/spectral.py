@@ -24,7 +24,7 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .covers import CoverInstance, eigvalsh_error
-from .errors import (DegenerateZ, FamilyNotLogUniform, GapNotVerified,
+from .errors import (BadArgument, DegenerateZ, FamilyNotLogUniform, GapNotVerified,
                      HypothesisUnverified, InsufficientGrid, LambdaAboveGap,
                      NotAbelian, ShortTooSmall)
 from .exact import _is_prime, check_bytes
@@ -68,7 +68,7 @@ class DensityEstimate:
                  weight: Optional[float] = None,
                  fn: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         if (samples is None) == (fn is None):
-            raise ValueError("exactly one of samples/fn must be given")
+            raise BadArgument("exactly one of samples/fn must be given")
         self.K = float(K)
         self.a = int(a)
         self.provenance = provenance
@@ -255,15 +255,12 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("torus quadrature requires a free abelian deck group")
     if sample_count < 1000:
-        raise ValueError("sample_count must be at least 1000")
+        raise BadArgument("sample_count must be at least 1000")
     lap = laplacian(cx, q)
     a = cx.cells[q]
     n = cx.group.rank
     _check_quadrature_budget(sample_count, n, a)
-    k = float(norm_bound(lap)) if a else 2.0
-    if a == 0:
-        return DensityEstimate.from_samples(np.zeros(0), sample_count, k, 0,
-                                            Provenance("torus_quadrature", sample_count))
+    k = float(norm_bound(lap))
     points = _scrambled_halton(n, sample_count, seed)
     eigs = _symbol_eigenvalues(lap, points).ravel()
     return DensityEstimate.from_samples(eigs, sample_count, k, a,
@@ -280,7 +277,7 @@ def density_by_quotients(cx: EquivariantChainComplex, q: int,
     """
     lap = laplacian(cx, q)
     a = cx.cells[q]
-    k = float(norm_bound(lap)) if a else 2.0
+    k = float(norm_bound(lap))
     members = []
     for quot in sorted(quotients, key=lambda qq: qq.order):
         cover = CoverInstance(cx, quot, caps)
@@ -289,7 +286,7 @@ def density_by_quotients(cx: EquivariantChainComplex, q: int,
                                            Provenance("quotient_approximation", quot.order))
         members.append((quot.order, est))
     if not members:
-        raise ValueError("at least one quotient required")
+        raise BadArgument("at least one quotient required")
     result = members[-1][1]
     result.members = members
     return result
@@ -303,7 +300,7 @@ def chebyshev(n: int, x):
     """First-kind Chebyshev value T_n(x); recurrence inside [-1, 1], closed
     form 0.5*((x + s)^n + (x - s)^n) with s = sqrt(x^2 - 1) outside."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise BadArgument("n must be nonnegative")
     x_arr = np.asarray(x, dtype=float)
     out = np.empty_like(x_arr)
     inside = np.abs(x_arr) <= 1.0
@@ -336,7 +333,7 @@ class LuckPolynomial:
 
     def __init__(self, n: int, z):
         if n < 1:
-            raise ValueError("degree must be at least 1")
+            raise BadArgument("degree must be at least 1")
         zf = float(z)
         if not 0.0 < zf < 1.0:
             raise DegenerateZ(f"z={z} outside (0, 1)")
@@ -599,7 +596,7 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
     if lam >= k:
         raise LambdaAboveGap(f"lam={lam} is not below the spectral bound K={k}")
     if lam < 0:
-        raise ValueError("lam must be nonnegative")
+        raise BadArgument("lam must be nonnegative")
     n = _chain_degree(s, r)
     if n < 1:
         raise ShortTooSmall("short/R leaves no usable polynomial degree")

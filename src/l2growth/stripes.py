@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import CrossCheckMismatch, DimensionTooLow, RankOutOfRange
+from .errors import (BadGroup, CrossCheckMismatch, DimensionTooLow, RankOutOfRange,
+                     UnsupportedGroup)
 from .group_ring import EquivariantChainComplex, GroupRingElement, GroupRingMatrix
 from .groups import FiniteQuotient, FreeAbelian, element_order, short_length
 
@@ -38,7 +39,7 @@ def _extend_element(el: GroupRingElement, new_group) -> GroupRingElement:
 def product_with_circle(cx: EquivariantChainComplex) -> EquivariantChainComplex:
     """Tensor the complex with a circle carrying a fresh free abelian generator."""
     if not isinstance(cx.group, FreeAbelian):
-        raise TypeError("product construction is implemented for free abelian groups")
+        raise UnsupportedGroup("product construction is implemented for free abelian groups")
     old_n = cx.group.rank
     group = FreeAbelian(old_n + 1)
     t = tuple([0] * old_n + [1])
@@ -99,7 +100,7 @@ class StripeSpec:
 
     def __post_init__(self):
         if self.gamma == self.base.group.identity:
-            raise ValueError("stripe loop must not be the identity")
+            raise BadGroup("stripe loop must not be the identity")
         lowest = max(2, self.base.top_dim + 1)
         if self.dim < lowest:
             raise DimensionTooLow(

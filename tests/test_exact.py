@@ -18,7 +18,7 @@ from l2growth import (CongruenceSubgroup, CoverInstance,
                       GroupRingMatrix, IntegralMatrixGroup, LatticeSubgroup,
                       exact, quotient, torus_complex, verify)
 from l2growth.document import parse_complex
-from l2growth.errors import L2GrowthError, SizeCapExceeded
+from l2growth.errors import L2GrowthError, SizeCapExceeded, UnsupportedMatrix
 from conftest import COMPLEXES
 from test_groups import PROPERTY_SETTINGS
 
@@ -369,8 +369,9 @@ def test_dense_path_refuses_past_byte_budget_before_allocating(monkeypatch):
 
 
 def test_tall_sparse_matrix_costs_memory_by_its_nonzeros():
-    # 200 x 10**6 with 200 nonzeros: its 10**6 x 200 int64 array would take
-    # 1.6 GB, past the byte budget, but its nonempty dict rows take 20 KB
+    # 200 x 10**6 with 200 nonzeros: its int64 array would take 1.6 GB, past
+    # the byte budget, but its 200 pins make it a gain graph, and the
+    # spanning forest reads only the stored entries
     n = 200
     m = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), 5000 * np.arange(n))),
                       shape=(n, 10 ** 6))
@@ -385,10 +386,48 @@ def test_tall_sparse_matrix_costs_memory_by_its_nonzeros():
     assert peak < 4 * 2 ** 20
 
 
+def test_sparse_elimination_ranks_past_the_dense_budget(monkeypatch):
+    # d2 of the T^3 cover by diag(6, 6, 6): 648 x 648 with four nonzeros in
+    # every row and column, so the forest hands it on; its 3.2 MB int64 array
+    # is past a 1 MiB budget, so only the sparse elimination may rank it
+    cover = CoverInstance(torus_complex(3),
+                          quotient(FreeAbelian(3), LatticeSubgroup(6 * np.eye(3, dtype=int))))
+    d2 = cover.boundary(2)
+    assert d2.shape == (648, 648) and exact._forest_rank(d2) is None
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 2 ** 20)
+    assert 8 * 648 * 648 > exact._DENSE_BYTES
+
+    def dense(*args):
+        raise AssertionError("dense elimination ran")
+
+    monkeypatch.setattr(exact, "_rref_modp_dense", dense)
+    assert exact.rank_certified(d2) == 648 - 3 - 215  # rank d2 = c2 - b2 - rank d3
+
+
 def test_zero_and_empty_matrices():
     assert exact.kernel_certified(np.zeros((3, 4), dtype=np.int64))[0] == 4
     assert exact.rank_certified(np.zeros((0, 5), dtype=np.int64)) == 0
     assert exact.rank_certified(np.zeros((5, 0), dtype=np.int64)) == 0
+    for shape, nullity in (((4, 0), 0), ((0, 4), 4)):
+        z = np.zeros(shape, dtype=np.int64)
+        for m in (z, sp.csr_matrix(z)):
+            assert exact.kernel_certified(m) == (nullity, [{c: 1} for c in range(nullity)])
+    for m in (sp.csc_matrix((3, 5), dtype=np.int64), sp.coo_matrix((5, 3), dtype=np.int64)):
+        assert exact.rank_certified(m) == 0
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[0.5, 0.0]]),
+    sp.csr_matrix(np.array([[0.5, 0.0]])),
+    np.array([[Fraction(1, 2), 0]], dtype=object),
+    [[1]],
+], ids=["float", "float csr", "Fraction", "list"])
+def test_non_integer_matrices_are_refused(a):
+    # truncating 0.5 to 0 would report rank 0 and "verify" e0 as a kernel vector
+    for call in (exact.rank_certified, exact.kernel_certified):
+        with pytest.raises(UnsupportedMatrix) as info:
+            call(a)
+        assert isinstance(info.value, L2GrowthError) and isinstance(info.value, TypeError)
 
 
 def test_smith_normal_form_properties():

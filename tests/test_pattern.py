@@ -17,6 +17,7 @@ from l2growth.errors import (DimensionOutOfRange, ForeignQuotient, L2GrowthError
                              NonIntegralCoefficient, NotAbelian, NotRankOne, NotSquare,
                              SizeCapExceeded)
 from l2growth.pattern import evaluate_matrix_at_characters
+from l2growth.stripes import StripeSpec, glue_stripe
 from l2growth.verify import _random_entry
 from conftest import cyclic_quotient, diag_quotient
 from cyclotomic_oracle import cyclotomic_polynomial, kernel_dimension_by_minors
@@ -139,6 +140,13 @@ def test_betti_by_characters_examples(circle, torus2, stripe_complex, zero_compl
     for i in (3, 8):
         b, rep = betti_by_characters(zero_complex, cyclic_quotient(i), 1)
         assert b == i and rep.pattern_count == i
+
+
+def test_betti_by_characters_on_a_dimension_without_cells(torus2):
+    cx = glue_stripe(StripeSpec(torus2, (1, 0), 4))
+    assert cx.cells == [1, 2, 1, 0, 1, 1]
+    b, rep = betti_by_characters(cx, diag_quotient(3, 4), 3)
+    assert (b, rep.kernel_characters, rep.exact_betti) == (0, [], 0)
 
 
 def test_sandwich_examples(circle, torus2, zero_complex):

@@ -1,10 +1,12 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,12 +21,13 @@ from l2growth import (CongruenceSubgroup, DensityEstimate, GroupRingElement,
                       luck_polynomial, ns_bound, quotient, sublog_bound,
                       two_cell_complex, uniform_gap_exponent)
 from l2growth import exact, spectral
-from l2growth.errors import (DegenerateZ, FamilyNotLogUniform, GapNotVerified,
-                             HypothesisUnverified, InsufficientGrid,
-                             LambdaAboveGap, NotAbelian, ShortTooSmall,
-                             SizeCapExceeded)
+from l2growth.errors import (BadArgument, BadGroup, DegenerateZ, FamilyNotLogUniform,
+                             GapNotVerified, HypothesisUnverified, InsufficientGrid,
+                             L2GrowthError, LambdaAboveGap, NotAbelian, ShortTooSmall,
+                             SizeCapExceeded, UnsupportedGroup)
 from l2growth.pattern import evaluate_matrix_at_characters
 from l2growth.polynomials import Poly, chebyshev_coefficients
+from l2growth.stripes import StripeSpec, product_with_circle
 from conftest import cyclic_quotient, diag_quotient
 
 
@@ -435,3 +438,31 @@ def test_uniform_gap_exponent_rejects_polynomial_growth(z_two):
         uniform_gap_exponent(z_two, [LatticeSubgroup([[i, 0], [0, i]])
                                      for i in (2, 8, 60)],
                              1.0, gap2, 1, density=dg)
+
+
+# -- refusals ------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls, base, message, call", [
+    (BadArgument, ValueError, "exactly one of samples/fn must be given",
+     lambda o: DensityEstimate(2.0, 1, spectral.Provenance("closed_form"))),
+    (BadArgument, ValueError, "sample_count must be at least 1000",
+     lambda o: density_zn(o.circle, 0, sample_count=999)),
+    (BadArgument, ValueError, "at least one quotient required",
+     lambda o: density_by_quotients(o.circle, 0, [])),
+    (BadArgument, ValueError, "n must be nonnegative", lambda o: chebyshev(-1, 0.5)),
+    (BadArgument, ValueError, "degree must be at least 1", lambda o: luck_polynomial(0, 0.5)),
+    (BadArgument, ValueError, "lam must be nonnegative",
+     lambda o: eig_count_bound(o.gap, cyclic_quotient(4), 1, -0.5, 1.0,
+                               density=cosine_density_closed_form(5, 2))),
+    (BadArgument, ValueError, "degree must be nonnegative", lambda o: chebyshev_coefficients(-1)),
+    (UnsupportedGroup, TypeError, "product construction is implemented for free abelian groups",
+     lambda o: product_with_circle(two_cell_complex(o.sanov, GroupRingElement.one(o.sanov)))),
+    (BadGroup, ValueError, "stripe loop must not be the identity",
+     lambda o: StripeSpec(o.torus2, (0, 0), 4)),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_every_argument_refusal_is_a_library_error(circle, gap_complex, torus2, sanov_group,
+                                                   cls, base, message, call):
+    o = SimpleNamespace(circle=circle, gap=gap_complex, torus2=torus2, sanov=sanov_group)
+    with pytest.raises(cls, match=f"^{re.escape(message)}$") as info:
+        call(o)
+    assert isinstance(info.value, L2GrowthError) and isinstance(info.value, base)

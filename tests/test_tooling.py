@@ -103,10 +103,10 @@ def test_runtime_imports_are_stdlib_numpy_scipy():
             assert name in allowed, f"{path.name}:{line} imports {name}"
 
 
-# raises of builtin exception classes per module, to be lowered as sweeps turn
-# them into L2GrowthError subclasses; a module not listed may have none
-BUILTIN_RAISES = {"exact.py": 0, "group_ring.py": 0, "groups.py": 0, "pattern.py": 1,
-                  "polynomials.py": 1, "spectral.py": 6, "stripes.py": 2}
+# raises of builtin exception classes per module: every refusal is an
+# L2GrowthError subclass now, and a module not listed may have none either
+BUILTIN_RAISES = {"exact.py": 0, "group_ring.py": 0, "groups.py": 0, "pattern.py": 0,
+                  "polynomials.py": 0, "spectral.py": 0, "stripes.py": 0}
 
 
 def _builtin_raises(path: Path):
