@@ -95,7 +95,10 @@ def _parse_term(group, term, where: str) -> GroupRingElement:
 
 
 def parse_complex(doc: Union[dict, str, Path]) -> EquivariantChainComplex:
-    """Parse and validate a complex document (dict, JSON text, or file path)."""
+    """Parse and validate a complex document (dict, JSON text, or file path).
+
+    A ``Path``, or a string ending in ``.json``, that names no file is
+    refused as missing; any other such string is read as JSON text."""
     if isinstance(doc, (str, Path)):
         # isfile is False, not an error, for text no file name can be (too
         # long for the OS, or holding a NUL byte): such text is parsed as JSON
@@ -104,8 +107,10 @@ def parse_complex(doc: Union[dict, str, Path]) -> EquivariantChainComplex:
                 text = Path(doc).read_text()
             except (OSError, UnicodeDecodeError) as e:
                 raise DocumentError(f"cannot read {doc}: {e}")
+        elif isinstance(doc, Path) or doc.endswith(".json"):
+            raise DocumentError(f"cannot read {doc}: no such file")
         else:
-            text = str(doc)
+            text = doc
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:

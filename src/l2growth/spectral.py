@@ -155,6 +155,11 @@ def _scrambled_van_der_corput(n: int, base: int, perms: np.ndarray) -> np.ndarra
     i mod base^k; each later varying digit is constant along a row of
     base^k consecutive points; past the last digit of n - 1 every digit is
     0, so each further term is one constant added to all points.
+
+    In base 2 every partial sum is a multiple of 2^-53 below 1, so it is
+    exact and the order of addition changes no bit: the row digits and the
+    tail are summed on the short row axis and added to the table in one
+    broadcast.  Base 3 adds them to every point in order.
     """
     count = perms.shape[0]
     b2r = np.empty(count)
@@ -175,14 +180,15 @@ def _scrambled_van_der_corput(n: int, base: int, perms: np.ndarray) -> np.ndarra
     for j in range(k):
         head += terms[j, (lo // base ** j) % base]
     hi = np.arange(-(-n // width))
-    acc = np.empty((hi.size, width))
-    acc[:] = head
-    for j in range(k, digits):
-        acc += terms[j, (hi // base ** (j - k)) % base][:, None]
+    rows = [terms[j, (hi // base ** (j - k)) % base] for j in range(k, digits)]
     tail = terms[digits:, 0]
     if base == 2:
-        # every partial sum is a multiple of 2^-53 below 1: exact in any order
-        tail = [tail.sum()]
+        row = sum(rows, np.full(hi.size, tail.sum()))
+        return (row[:, None] + head).ravel()[:n]
+    acc = np.empty((hi.size, width))
+    acc[:] = head
+    for digit in rows:
+        acc += digit[:, None]
     for t in tail:
         acc += t
     return acc.ravel()[:n]
@@ -211,34 +217,40 @@ def _check_quadrature_budget(count: int, n: int, a: int) -> None:
                 f"quadrature over {count} characters with {a} cells")
 
 
-def _cos_symbol(entry, points: np.ndarray) -> np.ndarray:
-    """Values of a scalar symbol sum_e c_e cos(2 pi <x, e>) at the points.
+def _cos_symbol(entry, points: np.ndarray, out: np.ndarray) -> None:
+    """Add a self-adjoint symbol entry's values, sum_e c_e cos(2 pi <x, e>), into ``out``.
 
-    Terms are added in ``entry.terms`` order; the e = 0 term adds c, and
-    cos(2 pi <x, -e>) is reused from the term at e, which is bit-exact.
+    ``out`` holds zeros, one per point.  Terms are added in ``entry.terms``
+    order; the e = 0 term adds c, and cos(2 pi <x, -e>) is reused from the
+    term at e, which is bit-exact.
     """
-    vals = np.zeros(points.shape[0])
     unpaired = {}
     for e, c in entry.terms.items():
         if not any(e):
-            vals += float(c)
+            out += float(c)
             continue
         cos_e = unpaired.pop(tuple(-v for v in e), None)
         if cos_e is None:
             cos_e = np.cos(2 * np.pi * (points @ np.asarray(e, dtype=float)))
             unpaired[e] = cos_e
-        vals += float(c) * cos_e
-    return vals
+        out += float(c) * cos_e
 
 
 def _symbol_eigenvalues(lap, points: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symbol of ``lap`` at each point, shape (points, a).
 
-    A scalar symbol is its cosine sum (``_cos_symbol``); a matrix symbol is
-    evaluated at the characters and handed to ``eigvalsh``.
+    A symbol with no off-diagonal entry (a scalar one among them) has its
+    diagonal entries' cosine sums (``_cos_symbol``) as eigenvalues, unsorted:
+    they are written in place into one (a, points) array, returned
+    transposed.  Any other symbol is evaluated at the characters and handed
+    to ``eigvalsh``.
     """
-    if len(lap.entries) == 1:
-        return _cos_symbol(lap.entries[0][0], points)[:, None]
+    a = lap.nrows
+    if all(lap.entries[i][j].is_zero for i in range(a) for j in range(a) if i != j):
+        vals = np.zeros((a, points.shape[0]))
+        for i in range(a):
+            _cos_symbol(lap.entries[i][i], points, vals[i])
+        return vals.T
     return np.linalg.eigvalsh(evaluate_matrix_at_characters(lap, points))
 
 
@@ -347,16 +359,19 @@ class LuckPolynomial:
         return (-2.0 / (1.0 - self.z)) * np.asarray(x, dtype=float) + self.l0
 
     def log_value(self, x) -> float:
-        """log p(x); -inf where p vanishes.  Defined for x in [0, 1]."""
+        """log p(x); -inf where p vanishes.  Defined for x in [0, 1].
+
+        Each branch of T_n runs only on its own points: cos(n arccos) on
+        [-1, 1], the stable arccosh form above 1."""
         # rounding can push l(1) infinitesimally below -1; clamp
-        lx = np.maximum(self._l(x), -1.0)
-        num = np.where(np.abs(lx) <= 1.0,
-                       np.cos(self.n * np.arccos(np.clip(lx, -1, 1))) + 1.0,
-                       np.nan)
+        lx = np.asarray(np.maximum(self._l(x), -1.0))
+        out = np.empty_like(lx)
+        above = lx > 1.0
+        out[above] = _log_t_plus_1(self.n, lx[above])
+        inside = ~above
         with np.errstate(divide="ignore"):
-            log_num = np.where(lx > 1.0, _log_t_plus_1(self.n, np.maximum(lx, 1.0)),
-                               np.log(num))
-        out = log_num - self._log_denom
+            out[inside] = np.log(np.cos(self.n * np.arccos(lx[inside])) + 1.0)
+        out -= self._log_denom
         return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
     def value(self, x):

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -289,6 +290,16 @@ def test_missing_document(capsys):
     code, _, err = run(capsys, "betti", "/nonexistent.json",
                        "--subgroup", "2", "--dim", "0")
     assert code == 1
+
+
+def test_missing_file_is_refused_as_missing(capsys, tmp_path):
+    missing = tmp_path / "no_such.json"
+    for doc in (missing, str(missing), COMPLEXES / "no_such"):
+        with pytest.raises(DocumentError, match=re.escape(f"cannot read {doc}: no such file")):
+            parse_complex(doc)
+    code, out, err = run(capsys, "betti", str(missing), "--subgroup", "3", "--dim", "0")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: cannot read {missing}: no such file"]
 
 
 def test_parse_complex_text_longer_than_a_file_name(tmp_path):

@@ -13,8 +13,9 @@ import pytest
 from scipy.stats import qmc
 
 import l2growth
-from l2growth import (CongruenceSubgroup, DensityEstimate, GroupRingElement,
-                      LatticeSubgroup, betti_bound_general,
+from l2growth import (CongruenceSubgroup, DensityEstimate, EquivariantChainComplex,
+                      FreeAbelian, GroupRingElement, GroupRingMatrix,
+                      LatticeSubgroup, LuckPolynomial, betti_bound_general,
                       certify_gap, chebyshev, cosine_density_closed_form,
                       density_by_quotients, density_zn, eig_count_bound,
                       estimate_ns, gap_bound, j_bound, laplacian,
@@ -189,9 +190,33 @@ def _density_samples_reference(cx, q, sample_count, seed):
     return np.sort(np.linalg.eigvalsh(blocks).ravel())
 
 
+def _z2_complex(cells, d1_rows):
+    """A Z^2 complex with one boundary d_1, its entries given as term dicts."""
+    z2 = FreeAbelian(2)
+    d1 = GroupRingMatrix(z2, [[GroupRingElement(z2, t) for t in row] for row in d1_rows])
+    return EquivariantChainComplex(z2, cells, {1: d1})
+
+
+G1_MINUS_1 = {(1, 0): 1, (0, 0): -1}
+# d_1 = [g1 - 1, g2 - 1]: Delta_1 = d_1^* d_1 holds (g1^-1 - 1)(g2 - 1) off the diagonal
+OFF_DIAGONAL = _z2_complex([1, 2], [[G1_MINUS_1, {(0, 1): 1, (0, 0): -1}]])
+# d_1 = diag(g1 - 1, 3 - g2): Delta_0 and Delta_1 are diagonal with different entries
+DISTINCT_DIAGONAL = _z2_complex([2, 2], [[G1_MINUS_1, {}], [{}, {(0, 0): 3, (0, 1): -1}]])
+
+
+def _is_diagonal(lap):
+    return all(lap.entries[i][j].is_zero for i in range(lap.nrows)
+               for j in range(lap.ncols) if i != j)
+
+
 def test_density_zn_samples_match_reference(torus2, circle, gap_complex, stripe_complex):
     cases = [(torus2, 0), (torus2, 1), (circle, 0), (circle, 1), (gap_complex, 1),
              (stripe_complex, 3)]
+    # the eigvalsh branch, and a diagonal whose entries differ
+    assert not _is_diagonal(laplacian(OFF_DIAGONAL, 1))
+    diagonal = [laplacian(DISTINCT_DIAGONAL, q) for q in (0, 1)]
+    assert all(_is_diagonal(lap) and lap[0, 0] != lap[1, 1] for lap in diagonal)
+    cases += [(OFF_DIAGONAL, 1), (DISTINCT_DIAGONAL, 0), (DISTINCT_DIAGONAL, 1)]
     for cx, q in cases:
         for sample_count, seed in ((4096, 1), (65536, 3), (200000, 123456789)):
             got = density_zn(cx, q, sample_count, seed=seed)._samples
@@ -204,8 +229,66 @@ def test_cos_symbol_unpaired_terms_and_constant_mid_order(z_two):
     entry = GroupRingElement(z_two, {(1, 0): 3, (0, 0): 2, (2, 1): 5, (-1, 0): -1,
                                      (0, -1): Fraction(1, 3)})
     points = spectral._scrambled_halton(2, 5000, 11)
-    got = spectral._cos_symbol(entry, points)
+    got = np.zeros(points.shape[0])
+    spectral._cos_symbol(entry, points, got)
     assert np.array_equal(got.view(np.int64), _cos_loop(entry, points).view(np.int64))
+
+
+def test_diagonal_symbols_never_reach_eigvalsh(monkeypatch, torus2, circle):
+    def refuse(_blocks):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    # a scalar symbol, and 2x2 diagonals with equal and with different entries
+    for cx, q in ((circle, 0), (torus2, 1), (DISTINCT_DIAGONAL, 0), (DISTINCT_DIAGONAL, 1)):
+        density_zn(cx, q, 4096, seed=1)
+        certify_gap(cx, q, grid_per_dim=256)
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        density_zn(OFF_DIAGONAL, 1, 4096, seed=1)
+
+
+def test_certify_gap_on_the_torus_diagonal_is_unchanged(torus2):
+    # pinned from eigvalsh on the evaluated 2x2 blocks; the diagonal path gives the same
+    assert certify_gap(torus2, 1) == spectral.GapCertificate(
+        certified_level=-0.277680183634905, grid_minimum=0.0,
+        lipschitz=35.54306350526693, grid_per_dim=64)
+
+
+def _log_value_two_branch(p, x):
+    """Both branches of T_n over every point, then chosen by np.where: the
+    reference for LuckPolynomial.log_value."""
+    lx = np.maximum(p._l(x), -1.0)
+    num = np.where(np.abs(lx) <= 1.0, np.cos(p.n * np.arccos(np.clip(lx, -1, 1))) + 1.0,
+                   np.nan)
+    with np.errstate(divide="ignore"):
+        log_num = np.where(lx > 1.0, spectral._log_t_plus_1(p.n, np.maximum(lx, 1.0)),
+                           np.log(num))
+    out = log_num - p._log_denom
+    return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n, z", [(1, 0.5), (11, 0.25), (50, 0.01), (5000, 0.01)])
+def test_luck_log_value_matches_the_two_branch_formula(n, z):
+    p = LuckPolynomial(n, z)
+    if n == 5000:  # T_n(l(0)) = cosh(n arccosh l(0)) is past the float64 range
+        assert n * math.acosh(p.l0) > math.log(2.0) + math.log(sys.float_info.max)
+    rng = np.random.default_rng(n)
+    edges = [0.0, z, 1.0, np.nextafter(z, 0.0), np.nextafter(z, 1.0)]
+    xs = np.concatenate([edges, rng.uniform(0.0, z, 500), rng.uniform(z, 1.0, 500)])
+    for x in (xs, xs.reshape(5, -1), xs[::-1].copy()):
+        got = p.log_value(x)
+        assert got.shape == x.shape
+        assert np.array_equal(_bits(got), _bits(_log_value_two_branch(p, x)))
+    for x in [*edges, 0.5 * z, 0.5 * (1.0 + z), np.float64(0.3), np.array(0.7)]:
+        got = p.log_value(x)
+        assert type(got) is float
+        assert _bits(got) == _bits(_log_value_two_branch(p, x)), x
+    if n == 1:  # p(1) = (l(1) + 1)/(l(0) + 1) = 0
+        assert p.log_value(1.0) == -math.inf
 
 
 def _peak_bytes_while_raising(fn):
