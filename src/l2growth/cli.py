@@ -164,7 +164,7 @@ def _cmd_density(args, caps: Caps) -> int:
         except ValueError:
             raise DocumentError(f"bad --quotients {args.quotients!r}")
         quots = [quotient(cx.group, LatticeSubgroup([[i]]), caps) for i in orders]
-        density = density_by_quotients(cx, args.dim, quots, caps)
+        density = density_by_quotients(cx, args.dim, quots)
     else:
         density = density_zn(cx, args.dim, sample_count=args.samples, seed=args.seed)
     grid = _parse_grid(args.grid, density.K)

@@ -36,8 +36,8 @@ import scipy.sparse as sp
 
 from . import exact
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (CrossCheckMismatch, DimensionOutOfRange, NonIntegralCoefficient,
-                     OrderCapExceeded, SizeCapExceeded)
+from .errors import (AmbiguousCount, CrossCheckMismatch, DimensionOutOfRange,
+                     NonIntegralCoefficient, OrderCapExceeded, SizeCapExceeded)
 from .group_ring import (EquivariantChainComplex, GroupRingMatrix, evaluate_polynomial,
                          gamma_trace, laplacian, support_radius)
 from .groups import FiniteQuotient, check_quotient_of, short_length
@@ -79,6 +79,7 @@ class CoverInstance:
                     f"instantiated boundaries {q},{q + 1} do not compose to zero")
         self._laplacians: Dict[int, sp.csr_matrix] = {}
         self._eigs: Dict[int, np.ndarray] = {}
+        self._eig_errors: Dict[int, float] = {}  # q -> the solver error of spectrum q
         self._orbits: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
         # q -> (r, size): the spectrum of Laplacian q came from r blocks of that size
         self.spectrum_blocks: Dict[int, Tuple[int, int]] = {}
@@ -147,12 +148,24 @@ class CoverInstance:
             eigs[:b] = 0.0
             r = self._orbits[2]
             self.spectrum_blocks[q] = (r, lap.shape[0] // r)
-            self._eigs[q] = eigs
+            self._eigs[q], self._eig_errors[q] = eigs, error
         return self._eigs[q]
 
     def count_eigs_below(self, q: int, lam: float) -> int:
-        """#{eigenvalues <= lam}; the eigenvalues at zero are exactly 0."""
-        return int(np.searchsorted(self.eigenvalues(q), lam, side="right"))
+        """#{eigenvalues <= lam}, decided only where rounding cannot change it.
+
+        The b zeros are exactly 0 (see ``eigenvalues``).  Any other eigenvalue
+        within the solver's error of lam could round to either side of it, so
+        then ``AmbiguousCount`` is raised.
+        """
+        eigs = self.eigenvalues(q)
+        error, rest = self._eig_errors[q], eigs[self.betti(q):]
+        if rest.size:
+            near = rest[np.argmin(np.abs(rest - lam))]
+            if abs(near - lam) <= error:
+                raise AmbiguousCount(f"eigenvalue {near:.17g} lies within the solver error "
+                                     f"{error:.3g} of lam={lam}")
+        return int(np.searchsorted(eigs, lam, side="right"))
 
     def normalized_trace(self, p, q: int) -> Fraction:
         """Exact matrix trace of p(Laplacian') divided by the quotient order.

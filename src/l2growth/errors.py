@@ -75,6 +75,11 @@ class ShortTooSmall(L2GrowthError):
     """Shortest subgroup element too small for the requested bound regime."""
 
 
+class AmbiguousCount(L2GrowthError, ValueError):
+    """An eigenvalue lies within the eigensolver's error of the count's threshold,
+    so rounding could put it on either side."""
+
+
 class InsufficientGrid(L2GrowthError):
     """Density grid does not span enough decades for a decay-rate fit."""
 

@@ -13,12 +13,13 @@ matrices are computed over the rationals with a certificate:
    index when the storage lines are the heavier ones.  Every other matrix,
    transposed to the orientation with fewer columns, and every
    ``kernel_certified`` call, goes on to step 2;
-2. read the matrix once, in the form its elimination uses, and reduce it
-   mod a large prime to a reduced row echelon form.  One fill budget B picks
-   the form: B is twice the nonzeros if the dense int64 array fits
-   ``_DENSE_BYTES``, else that budget in dict entries.  The matrix is read as
-   its nonempty dict rows if B entries take fewer bytes than the dense array,
-   and goes dense once they store more than B entries; otherwise as an array;
+2. reduce the matrix mod a large prime to a reduced row echelon form, in
+   the form one fill budget B picks: B is twice the nonzeros if the dense
+   int64 array fits ``_DENSE_BYTES``, else that budget in dict entries.  The
+   matrix is read once as its nonempty dict rows if B entries take fewer
+   bytes than the dense array, and goes dense once they store more than B
+   entries; otherwise it is densified at each prime into one int64 array,
+   reduced in place;
 3. at each of the first ``_LIFTS`` primes, fold the mod-p kernel basis into
    the CRT residues of the lift (one modular inverse per prime), lift them
    to rational vectors by rational reconstruction, clear denominators, and
@@ -223,12 +224,20 @@ def _primes_one_mod(e: int) -> Iterator[int]:
 # Modular echelon forms
 # ---------------------------------------------------------------------------
 
-def _rref_modp_dense(a: np.ndarray, p: int):
+def _rref_modp_dense(a, p: int):
     """Full RREF mod p.  Returns (rank, pivot_cols, kernel_basis mod p).
 
-    ``a`` may hold entries past int64 as Python ints (an object array).
+    ``a`` may hold entries past int64 as Python ints (an object array).  The
+    elimination holds one int64 array: a sparse ``a`` is densified into it and
+    reduced in place, and an array ``a`` is left as it is.  Each pivot
+    updates the other rows in chunks of at most ``_BLOCK_ENTRIES`` entries.
     """
-    m = (np.asarray(a) % p).astype(np.int64, copy=False)
+    if isinstance(a, np.ndarray):
+        m = np.asarray(a % p, dtype=np.int64)
+    else:
+        m = a.toarray()
+        m %= p
+        m = m.astype(np.int64, copy=False)
     nr, nc = m.shape
     pivots: List[int] = []
     r = 0
@@ -246,8 +255,10 @@ def _rref_modp_dense(a: np.ndarray, p: int):
         m[r, col:] = (m[r, col:] * inv) % p
         rows = np.nonzero(m[:, col])[0]
         rows = rows[rows != r]
-        if rows.size:
-            m[rows, col:] = (m[rows, col:] - np.outer(m[rows, col], m[r, col:])) % p
+        step = max(1, _BLOCK_ENTRIES // (nc - col))
+        for start in range(0, rows.size, step):
+            chunk = rows[start:start + step]
+            m[chunk, col:] = (m[chunk, col:] - np.outer(m[chunk, col], m[r, col:])) % p
         pivots.append(col)
         r += 1
     pivot_set = set(pivots)
@@ -607,7 +618,7 @@ def _path_products(gain, parent, modulus=None):
 def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     """Exact rational nullity, with verified integer kernel vectors (as sparse dicts).
 
-    The matrix is read once, in the form the fill budget of the module
+    The matrix is eliminated in the form the fill budget of the module
     docstring (``_fill_budget``) picks.  At each of the first
     ``_LIFTS`` primes the mod-p kernel is folded into the CRT residues of the
     lift, once per prime, and the lift is reconstructed; once it passes
@@ -627,19 +638,16 @@ def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:
     budget = _fill_budget(nrows, ncols, nnz)
     use_sparse = _DICT_ENTRY_BYTES * budget < 8 * nrows * ncols
     rows = _as_sparse_rows(a) if use_sparse else None
-    dense = None
 
     def rref(p: int):
-        nonlocal use_sparse, dense
+        nonlocal use_sparse
         if use_sparse:
             try:
                 return _rref_modp_sparse(rows, ncols, p, budget)
             except _FillIn:
                 use_sparse = False
-        if dense is None:
-            check_bytes(8 * nrows * ncols, f"dense elimination of a {nrows}x{ncols} matrix")
-            dense = a.toarray() if hasattr(a, "toarray") else a
-        return _rref_modp_dense(dense, p)
+        check_bytes(8 * nrows * ncols, f"dense elimination of a {nrows}x{ncols} matrix")
+        return _rref_modp_dense(a, p)
 
     primes = _primes_one_mod(1)
     product = 1

@@ -29,8 +29,9 @@ from .errors import (BadArgument, DegenerateZ, FamilyNotLogUniform, GapNotVerifi
                      NotAbelian, ShortTooSmall)
 from .exact import _is_prime, check_bytes
 from .group_ring import EquivariantChainComplex, laplacian, norm_bound, support_radius
-from .groups import FreeAbelian, quotient as make_quotient, short_length
-from .pattern import DETERMINANT_MAX_SIZE, determinant, evaluate_matrix_at_characters
+from .groups import FreeAbelian, check_quotient_of, quotient as make_quotient, short_length
+from .pattern import (DETERMINANT_MAX_SIZE, _character_numerators, determinant,
+                      evaluate_matrix_at_characters)
 from .polynomials import Poly, chebyshev_coefficients
 
 __all__ = [
@@ -111,10 +112,8 @@ class DensityEstimate:
     def integrate(self, func: Callable[[np.ndarray], np.ndarray]) -> float:
         """Integral of func against d(mu), the rescaled spectral measure."""
         if self._samples is not None:
-            if self._samples.size == 0:
-                return 0.0
             vals = func(self._samples / self.K)
-            return float(np.sum(vals) * self._weight / self.a)
+            return float(np.sum(vals) * self._weight / max(self.a, 1))
         xs = np.linspace(0.0, 1.0, 20001)
         fvals = np.asarray(self._fn(xs * self.K), dtype=float) / self.a
         mids = func(0.5 * (xs[:-1] + xs[1:]))
@@ -207,13 +206,21 @@ def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
     return out.T
 
 
-def _check_quadrature_budget(count: int, n: int, a: int) -> None:
+def _is_diagonal(lap) -> bool:
+    """Whether the symbol has no off-diagonal entry (a scalar one among them)."""
+    return all(lap.entries[i][j].is_zero
+               for i in range(lap.nrows) for j in range(lap.nrows) if i != j)
+
+
+def _check_quadrature_budget(count: int, n: int, lap) -> None:
     """Raise before allocating when the quadrature arrays would pass the budget.
 
     Counts the character points (count x n floats), the samples (count x a)
-    and, for a > 1, the complex symbol blocks (count x a x a).
+    and, for a symbol with an off-diagonal entry, the complex symbol blocks
+    (count x a x a) that ``_symbol_eigenvalues`` builds for it.
     """
-    check_bytes(8 * count * (n + a) + (16 * count * a * a if a > 1 else 0),
+    a = lap.nrows
+    check_bytes(8 * count * (n + a) + (0 if _is_diagonal(lap) else 16 * count * a * a),
                 f"quadrature over {count} characters with {a} cells")
 
 
@@ -246,7 +253,7 @@ def _symbol_eigenvalues(lap, points: np.ndarray) -> np.ndarray:
     to ``eigvalsh``.
     """
     a = lap.nrows
-    if all(lap.entries[i][j].is_zero for i in range(a) for j in range(a) if i != j):
+    if _is_diagonal(lap):
         vals = np.zeros((a, points.shape[0]))
         for i in range(a):
             _cos_symbol(lap.entries[i][i], points, vals[i])
@@ -271,7 +278,7 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
     lap = laplacian(cx, q)
     a = cx.cells[q]
     n = cx.group.rank
-    _check_quadrature_budget(sample_count, n, a)
+    _check_quadrature_budget(sample_count, n, lap)
     k = float(norm_bound(lap))
     points = _scrambled_halton(n, sample_count, seed)
     eigs = _symbol_eigenvalues(lap, points).ravel()
@@ -280,20 +287,23 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
 
 
 def density_by_quotients(cx: EquivariantChainComplex, q: int,
-                         quotients: Sequence, caps: Caps = DEFAULT_CAPS
-                         ) -> DensityEstimate:
-    """Density approximation from the eigenvalues of a family of covers.
+                         quotients: Sequence) -> DensityEstimate:
+    """Density approximation from the spectra of a family of finite abelian covers.
 
-    Returns the estimate from the largest member; the per-member sequence is
-    attached as ``.members`` to exhibit convergence.
+    A cover's spectrum is the symbol's eigenvalues at its quotient's
+    characters, so no cover is built.  Returns the estimate from the largest
+    member; the per-member sequence is attached as ``.members`` to exhibit
+    convergence.
     """
     lap = laplacian(cx, q)
     a = cx.cells[q]
     k = float(norm_bound(lap))
     members = []
     for quot in sorted(quotients, key=lambda qq: qq.order):
-        cover = CoverInstance(cx, quot, caps)
-        eigs = cover.eigenvalues(q)
+        check_quotient_of(cx.group, quot)
+        chars, e = _character_numerators(quot)
+        _check_quadrature_budget(quot.order, chars.shape[1], lap)
+        eigs = _symbol_eigenvalues(lap, chars / e).ravel()
         est = DensityEstimate.from_samples(eigs, quot.order, k, a,
                                            Provenance("quotient_approximation", quot.order))
         members.append((quot.order, est))
@@ -444,14 +454,12 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096) -
     n = cx.group.rank
     lap = laplacian(cx, q)
     a = cx.cells[q]
-    if a == 0:
-        return GapCertificate(math.inf, math.inf, 0.0, grid_per_dim)
     per_dim = grid_per_dim if n == 1 else max(8, int(round(grid_per_dim ** (1.0 / n))))
-    _check_quadrature_budget(per_dim ** n, n, a)
+    _check_quadrature_budget(per_dim ** n, n, lap)
     axes = [np.arange(per_dim) / per_dim] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    grid_min = float(_symbol_eigenvalues(lap, points).min())
+    grid_min = float(_symbol_eigenvalues(lap, points).min(initial=math.inf))
     sq_sum = 0.0
     for row in lap.entries:
         for e in row:
@@ -721,7 +729,8 @@ def estimate_ns(density: DensityEstimate) -> NsEstimate:
     estimates ignore those whose increment over F(0) is below 4 samples, to
     keep quadrature noise out of the fit.  A density that rises above that
     floor at no point has a gap (``gap_detected``); one whose usable points
-    span less than two decades raises ``InsufficientGrid``.
+    span less than two decades raises ``InsufficientGrid``, which names the
+    density's provenance (a sample count too small for the fit shows there).
     """
     grid = np.geomspace(1e-6, 1e-2, 61)
     vals = np.asarray(density.F(grid), dtype=float) - float(density.F(0.0))
@@ -732,8 +741,8 @@ def estimate_ns(density: DensityEstimate) -> NsEstimate:
     xs = grid[usable]
     ys = vals[usable]
     if xs.max() / xs.min() < 100.0:
-        raise InsufficientGrid(
-            f"only {xs.min():.3g}..{xs.max():.3g} usable; need two decades")
+        raise InsufficientGrid(f"only {xs.min():.3g}..{xs.max():.3g} usable in "
+                               f"{density.provenance}; need two decades")
     slope = np.polyfit(np.log(xs), np.log(ys), 1)[0]
     return NsEstimate(alpha_hat=2.0 * float(slope), gap_detected=False,
                       window=(float(xs.min()), float(xs.max())))

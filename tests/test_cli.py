@@ -137,6 +137,23 @@ def test_density_quotient_family(capsys):
     assert rows[2.0] == pytest.approx(0.5, abs=0.06)
 
 
+def test_density_quotients_past_the_eigensolver_cap(capsys):
+    # a 5000-element circle cover, past the 2000-row eig cap, and one of 100000
+    code, out, err = run(capsys, "density", str(COMPLEXES / "circle.json"),
+                         "--dim", "0", "--quotients", "5000,100000", "--grid", "0:4:1")
+    assert (code, err) == (0, "")
+    assert out == "lambda,F\n0,1e-05\n1,0.33333\n2,0.50001\n3,0.66667\n4,1\n"
+
+
+def test_density_ns_refusal_names_the_sample_count(capsys):
+    # a decay fit over Z^2 needs about 10^6 samples; the default is 65536
+    code, out, err = run(capsys, "density", str(COMPLEXES / "torus2.json"), "--dim", "1",
+                         "--ns")
+    assert (code, out) == (1, "")
+    assert err == ("error: only 0.000293..0.01 usable in torus_quadrature(65536); "
+                   "need two decades\n")
+
+
 def test_density_usage_errors(capsys):
     code, _, err = run(capsys, "density", str(COMPLEXES / "circle.json"),
                        "--dim", "0", "--samples", "0")

@@ -15,7 +15,7 @@ from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
 from l2growth.covers import _equivariant_eigenvalues, _instantiate_matrix, _left_orbits
-from l2growth.errors import (CrossCheckMismatch, ForeignQuotient, L2GrowthError,
+from l2growth.errors import (AmbiguousCount, CrossCheckMismatch, ForeignQuotient, L2GrowthError,
                              NonIntegralCoefficient, SizeCapExceeded)
 from l2growth.polynomials import Poly
 from conftest import cyclic_quotient, diag_quotient
@@ -77,10 +77,33 @@ def test_count_eigs_below(circle, gap_complex):
     gc = instantiate(gap_complex, cyclic_quotient(4))
     assert gc.count_eigs_below(1, 2.0) == 1
     assert gc.count_eigs_below(1, 0.5) == 0
-    # anything at or above the norm bound captures the full dimension
-    assert gc.count_eigs_below(1, 9.0) == 4
+    # the spectrum is {1, 5, 5, 9}: at 9 itself rounding could give 3 or 4, so
+    # the count is refused; a step of 1e-6 to either side decides it
+    with pytest.raises(AmbiguousCount, match=r"^eigenvalue 9 lies within the solver error "):
+        gc.count_eigs_below(1, 9.0)
+    assert gc.count_eigs_below(1, 9.0 - 1e-6) == 3
+    assert gc.count_eigs_below(1, 9.0 + 1e-6) == 4
     cc = instantiate(circle, cyclic_quotient(2))
     assert cc.count_eigs_below(0, 0.0) == 1
+
+
+def test_counts_at_certified_zeros_and_clear_of_the_error(sanov_group):
+    # the congruence covers' counts: the presentation complex's zeros at 0 are
+    # the certified Betti numbers, and the gap complex's eigenvalue 1 lies
+    # 2e-9 from 1 - 2e-9, far past the solver error
+    g = sanov_group
+    quot = quotient(g, CongruenceSubgroup(5))
+    gap = two_cell_complex(g, GroupRingElement(g, {g.identity: 2, g.generators[0]: -1}))
+    d1 = GroupRingMatrix(g, [[GroupRingElement(g, {h: 1, g.identity: -1})
+                              for h in g.generators]], shape=(1, 2))
+    presentation = EquivariantChainComplex(g, [1, 2], {1: d1})
+    for q in range(2):
+        cover = CoverInstance(presentation, quot)
+        assert cover.count_eigs_below(q, 0.0) == cover.betti(q)
+        cover = CoverInstance(gap, quot)
+        assert cover.count_eigs_below(q, 1 - 2e-9) == 0
+        assert cover._eig_errors[q] < 1e-11
+        assert np.min(np.abs(cover.eigenvalues(q) - 1)) < 1e-12
 
 
 def test_eigenvalue_size_cap(circle):

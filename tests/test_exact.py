@@ -368,6 +368,34 @@ def test_dense_path_refuses_past_byte_budget_before_allocating(monkeypatch):
     assert peak < 4 * 2 ** 20
 
 
+def test_dense_elimination_holds_one_array():
+    # 1200 x 1200 at 30% fill: 360 full columns, each row a multiple of one of
+    # three rows, so the sparse elimination is cheap enough to be the oracle;
+    # every pivot updates 1200 rows in chunks of at most _BLOCK_ENTRIES
+    rng = np.random.default_rng(5)
+    n = 1200
+    dense = np.zeros((n, n), dtype=np.int64)
+    dense[:, rng.choice(n, 360, replace=False)] = (
+        rng.integers(1, 3, size=(3, 360))[np.arange(n) % 3] * rng.integers(1, 4, size=(n, 1)))
+    a = sp.csr_matrix(dense)
+    assert a.nnz == 0.3 * n * n and n * n > 10 * exact._BLOCK_ENTRIES
+    # the fill budget picks the dense path
+    assert exact._DICT_ENTRY_BYTES * exact._fill_budget(n, n, a.nnz) >= 8 * n * n
+    tracemalloc.start()
+    try:
+        nullity, _vecs = exact.kernel_certified(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nullity == n - 3
+    assert peak < 1.5 * 8 * n * n
+    sparse = exact._rref_modp_sparse(exact._as_sparse_rows(a), n, FIRST_PRIME, 10 ** 12)
+    assert exact._rref_modp_dense(a, FIRST_PRIME) == sparse
+    # an array argument is reduced in a copy and left as it is
+    assert exact._rref_modp_dense(dense, FIRST_PRIME) == sparse
+    assert np.array_equal(dense, a.toarray())
+
+
 def test_tall_sparse_matrix_costs_memory_by_its_nonzeros():
     # 200 x 10**6 with 200 nonzeros: its int64 array would take 1.6 GB, past
     # the byte budget, but its 200 pins make it a gain graph, and the

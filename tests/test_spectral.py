@@ -13,23 +13,25 @@ import pytest
 from scipy.stats import qmc
 
 import l2growth
-from l2growth import (CongruenceSubgroup, DensityEstimate, EquivariantChainComplex,
-                      FreeAbelian, GroupRingElement, GroupRingMatrix,
+from l2growth import (CongruenceSubgroup, CoverInstance, DensityEstimate,
+                      EquivariantChainComplex, FreeAbelian, GroupRingElement, GroupRingMatrix,
                       LatticeSubgroup, LuckPolynomial, betti_bound_general,
                       certify_gap, chebyshev, cosine_density_closed_form,
                       density_by_quotients, density_zn, eig_count_bound,
                       estimate_ns, gap_bound, j_bound, laplacian,
-                      luck_polynomial, ns_bound, quotient, sublog_bound,
+                      luck_polynomial, norm_bound, ns_bound, quotient, sublog_bound,
                       two_cell_complex, uniform_gap_exponent)
-from l2growth import exact, spectral
+from l2growth import cli, exact, spectral
+from l2growth.covers import eigvalsh_error
+from l2growth.document import parse_complex
 from l2growth.errors import (BadArgument, BadGroup, DegenerateZ, FamilyNotLogUniform,
-                             GapNotVerified, HypothesisUnverified, InsufficientGrid,
-                             L2GrowthError, LambdaAboveGap, NotAbelian, ShortTooSmall,
-                             SizeCapExceeded, UnsupportedGroup)
+                             ForeignQuotient, GapNotVerified, HypothesisUnverified,
+                             InsufficientGrid, L2GrowthError, LambdaAboveGap, NotAbelian,
+                             ShortTooSmall, SizeCapExceeded, UnsupportedGroup)
 from l2growth.pattern import evaluate_matrix_at_characters
 from l2growth.polynomials import Poly, chebyshev_coefficients
 from l2growth.stripes import StripeSpec, product_with_circle
-from conftest import cyclic_quotient, diag_quotient
+from conftest import COMPLEXES, cyclic_quotient, diag_quotient
 
 
 # -- chebyshev ---------------------------------------------------------------
@@ -254,6 +256,26 @@ def test_certify_gap_on_the_torus_diagonal_is_unchanged(torus2):
         lipschitz=35.54306350526693, grid_per_dim=64)
 
 
+def test_certify_gap_on_a_dimension_without_cells():
+    # level inf, and the grid actually used: 4096 points over Z, 64 per axis over Z^2
+    for n, per_dim in ((1, 4096), (2, 64)):
+        cx = EquivariantChainComplex(FreeAbelian(n), [1, 0], {})
+        assert certify_gap(cx, 1) == spectral.GapCertificate(
+            certified_level=math.inf, grid_minimum=math.inf, lipschitz=0.0,
+            grid_per_dim=per_dim)
+
+
+def test_quadrature_budget_charges_blocks_only_for_off_diagonal_symbols(monkeypatch, torus2):
+    # at 1000 points a 2x2 symbol of Z^2 takes 32,000 bytes of points and
+    # samples, and its complex blocks 64,000 more: only the off-diagonal one
+    # builds them, so only it passes a 64,000-byte budget
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 64_000)
+    assert _is_diagonal(laplacian(torus2, 1))
+    assert density_zn(torus2, 1, sample_count=1000)._samples.size == 2000
+    with pytest.raises(SizeCapExceeded, match=r"needs 96000 bytes"):
+        density_zn(OFF_DIAGONAL, 1, sample_count=1000)
+
+
 def _log_value_two_branch(p, x):
     """Both branches of T_n over every point, then chosen by np.where: the
     reference for LuckPolynomial.log_value."""
@@ -331,6 +353,48 @@ def test_density_by_quotients_examples(circle, gap_complex, zero_complex):
     assert dg.F(0.5) == 0.0
     dz = density_by_quotients(zero_complex, 1, [cyclic_quotient(9)])
     assert dz.F(0.0) == 1.0
+
+
+QUOTIENT_BASES = ([[4, 0], [0, 6]], [[3, 1], [0, 5]], [[6, 2], [0, 10]], [[2, 0], [0, 2]])
+
+
+def test_density_by_quotients_samples_are_the_cover_spectra(torus2):
+    # the cover spectra, from the instantiated Laplacians, are the oracle
+    stripe = parse_complex(COMPLEXES / "stripe_t2_q3.json")
+    for cx, dims in ((torus2, range(3)), (stripe, range(1, 5))):
+        for rows in QUOTIENT_BASES:
+            quot = quotient(FreeAbelian(2), LatticeSubgroup(rows))
+            for q in dims:
+                got = density_by_quotients(cx, q, [quot])._samples
+                want = CoverInstance(cx, quot).eigenvalues(q)
+                error = eigvalsh_error(len(want), float(norm_bound(laplacian(cx, q))))
+                assert got.shape == want.shape and np.max(np.abs(got - want)) <= error
+
+
+def test_density_by_quotients_builds_no_cover(monkeypatch, capsys, circle, torus2):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("cover or certified rank used")
+
+    monkeypatch.setattr(CoverInstance, "__init__", refuse)
+    monkeypatch.setattr(exact, "rank_certified", refuse)
+    monkeypatch.setattr(exact, "kernel_certified", refuse)
+    d = density_by_quotients(torus2, 1, [diag_quotient(4, 6), diag_quotient(2, 2)])
+    assert [order for order, _ in d.members] == [4, 24]
+    argv = ["density", str(COMPLEXES / "circle.json"), "--dim", "0", "--quotients", "10,100"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("lambda,F\n")
+
+
+def test_density_by_quotients_refuses_other_quotients(circle, sanov_group):
+    gap = two_cell_complex(sanov_group, GroupRingElement(
+        sanov_group, {sanov_group.identity: 2, sanov_group.generators[0]: -1}))
+    congruence = quotient(sanov_group, CongruenceSubgroup(3))
+    with pytest.raises(NotAbelian, match=r"^character lattice requires an abelian quotient$"):
+        density_by_quotients(gap, 1, [congruence])
+    for cx, quot in ((circle, diag_quotient(2, 3)), (circle, congruence),
+                     (gap, cyclic_quotient(5))):
+        with pytest.raises(ForeignQuotient):
+            density_by_quotients(cx, 0, [quot])
 
 
 def test_density_by_quotients_converges_to_closed_form(circle):
@@ -491,7 +555,7 @@ def test_estimate_ns_guards():
     # F rises above F(0) only past 1e-3: one usable decade of the fixed window
     fn = lambda lam: np.clip(np.asarray(lam, float) - 1e-3, 0, 1)
     with pytest.raises(InsufficientGrid,
-                       match=r"^only 0\.00117\.\.0\.01 usable; need two decades$"):
+                       match=r"^only 0\.00117\.\.0\.01 usable in closed_form; need two decades$"):
         estimate_ns(DensityEstimate.from_function(fn, K=1.0, a=1))
     # past 1e-5 three decades remain, and the fit runs on them
     fn = lambda lam: np.clip(np.asarray(lam, float) - 1e-5, 0, 1)
