@@ -7,15 +7,20 @@ instantiated Laplacian is the Laplacian of the cover.
 
 Betti numbers come from certified rational ranks of the integer boundary
 matrices; floating eigensolvers serve spectral statistics only, and the
-exact Betti number says how many of the lowest eigenvalues are zeros.
-Covers of one quotient share each boundary's instantiation and certified
-rank; Laplacians and spectra stay with the cover that computed them.
+exact ranks say how many of the lowest eigenvalues are zeros.
+
+Spectra are assembled per boundary (the Hodge decomposition; Eckmann, Comment.
+Math. Helv. 17, 1944): the Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T has b_q
+zeros and the nonzero eigenvalues of both terms, and each term's nonzero
+spectrum is that of the boundary's Gram matrix on its smaller side.  Covers of
+one quotient share each boundary's instantiation, certified rank and Gram
+spectrum, so neighbouring Laplacians and other covers solve nothing twice.
 
 Spectra are equivariant.  Right multiplications commute with the left action
-of the quotient, so an element h of the largest order r splits every cover
-Laplacian: ordering the cells along the orbits <h>x_i and taking the discrete
+of the quotient, so an element h of the largest order r splits every Gram
+matrix: ordering the cells along the orbits <h>x_i and taking the discrete
 Fourier transform along each orbit turns it into r Hermitian blocks of size
-a*n/r, one per character of <h> (Serre, Linear Representations of Finite
+c*n/r, one per character of <h> (Serre, Linear Representations of Finite
 Groups, sec. 2.6).  The characters j and r - j give complex conjugate
 blocks, so only floor(r/2) + 1 of them go to the eigensolver.
 
@@ -36,7 +41,7 @@ import scipy.sparse as sp
 
 from . import exact
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (AmbiguousCount, CrossCheckMismatch, DimensionOutOfRange,
+from .errors import (AmbiguousCount, BadArgument, CrossCheckMismatch, DimensionOutOfRange,
                      NonIntegralCoefficient, OrderCapExceeded, SizeCapExceeded)
 from .group_ring import (EquivariantChainComplex, GroupRingMatrix, evaluate_polynomial,
                          gamma_trace, laplacian, support_radius)
@@ -47,7 +52,8 @@ from .polynomials import as_poly
 # entry, the products d_q d_(q+1) and d d^T, and the Laplacians' row sums below 2^63
 _L1_BOUND = 2 ** 31
 
-# quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None]};
+# quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None,
+#                             Gram spectrum or None]} (see ``CoverInstance._gram_part``);
 # the entry holds the boundary, so its id is not reused while the quotient lives
 _SHARED = weakref.WeakKeyDictionary()
 
@@ -70,7 +76,7 @@ class CoverInstance:
         self._entries: Dict[int, List] = {}
         for q, d in cx.boundaries.items():
             if id(d) not in shared:
-                shared[id(d)] = [d, _instantiate_matrix(d, quot), None]
+                shared[id(d)] = [d, _instantiate_matrix(d, quot), None, None]
             self._entries[q] = shared[id(d)]
         # instantiation is a ring homomorphism, so d'd' = 0 must survive
         for q in self._entries:
@@ -81,16 +87,19 @@ class CoverInstance:
         self._eigs: Dict[int, np.ndarray] = {}
         self._eig_errors: Dict[int, float] = {}  # q -> the solver error of spectrum q
         self._orbits: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
-        # q -> (r, size): the spectrum of Laplacian q came from r blocks of that size
+        # j -> (r, size): the Gram spectrum of boundary j came from r blocks of that size
         self.spectrum_blocks: Dict[int, Tuple[int, int]] = {}
+
+    def _check_dim(self, q: int) -> None:
+        if not 0 <= q <= self.cx.top_dim:
+            raise DimensionOutOfRange(f"dimension {q} not in [0, {self.cx.top_dim}]")
 
     # -- matrices ----------------------------------------------------------
     def boundary(self, q: int) -> Optional[sp.csr_matrix]:
         return self._entries[q][1] if q in self._entries else None
 
     def laplacian(self, q: int) -> sp.csr_matrix:
-        if not 0 <= q <= self.cx.top_dim:
-            raise DimensionOutOfRange(f"dimension {q} not in [0, {self.cx.top_dim}]")
+        self._check_dim(q)
         if q not in self._laplacians:
             n = self.cx.cells[q] * self.order
             acc = sp.csr_matrix((n, n), dtype=np.int64)
@@ -114,8 +123,7 @@ class CoverInstance:
 
     def betti(self, q: int) -> int:
         """Exact q-th Betti number of the cover (rational rank formula)."""
-        if not 0 <= q <= self.cx.top_dim:
-            raise DimensionOutOfRange(f"dimension {q} not in [0, {self.cx.top_dim}]")
+        self._check_dim(q)
         return self.cx.cells[q] * self.order - self._rank(q) - self._rank(q + 1)
 
     def euler_characteristic(self) -> int:
@@ -125,39 +133,60 @@ class CoverInstance:
     def eigenvalues(self, q: int) -> np.ndarray:
         """All eigenvalues of the instantiated Laplacian, ascending.
 
-        The ``eig`` cap bounds the whole Laplacian; the solver runs on its
-        blocks under the left action of an element of the largest order (see
-        the module docstring).  The exact Betti number b counts the zeros: the b
-        lowest eigenvalues must lie within the solver's error of 0 and the next
-        one above it, or it raises; the b zeros are returned as exactly 0.
+        The ``eig`` cap bounds the whole Laplacian, but none is built: the
+        spectrum is the exact Betti number b_q of zeros, stored as exactly 0,
+        and the nonzero Gram spectra of d_q and d_(q+1) (see the module
+        docstring and ``_gram_part``).  The solver error is the larger of the
+        two Grams' errors.
         """
         if q not in self._eigs:
-            lap = self.laplacian(q)
-            if lap.shape[0] > self.caps.eig:
-                raise SizeCapExceeded(
-                    f"matrix size {lap.shape[0]} exceeds eigensolver cap {self.caps.eig}")
+            self._check_dim(q)
+            size = self.cx.cells[q] * self.order
+            if size > self.caps.eig:
+                raise SizeCapExceeded(f"matrix size {size} exceeds eigensolver cap {self.caps.eig}")
+            parts = [self._gram_part(j) for j in (q, q + 1) if j in self._entries]
+            self._eigs[q] = np.sort(np.concatenate(
+                [np.zeros(self.betti(q))] + [eigs for eigs, _ in parts]))
+            self._eig_errors[q] = max((error for _, error in parts), default=0.0)
+        return self._eigs[q]
+
+    def _gram_part(self, j: int) -> Tuple[np.ndarray, float]:
+        """(the rank(d_j) nonzero eigenvalues of d_j^T d_j, ascending; their solver error).
+
+        Solved once per quotient, on the Gram matrix of the smaller side (its
+        blocks under the left action of an element of the largest order; see
+        the module docstring).  The certified rank counts the zeros: the
+        size - rank lowest eigenvalues must lie within the solver's error of 0
+        and the next one above it, or it raises.
+        """
+        entry = self._entries[j]
+        if entry[3] is None:
+            d = entry[1]
+            gram = d.T @ d if d.shape[1] <= d.shape[0] else d @ d.T
             if self._orbits is None:
                 self._orbits = _left_orbits(self.quotient)
-            eigs = np.sort(_equivariant_eigenvalues(lap, *self._orbits))
-            b = self.betti(q)
-            # the largest absolute row sum bounds the symmetric lap's 2-norm
-            error = eigvalsh_error(len(eigs), float(abs(lap).sum(axis=1).A1.max(initial=0)))
-            if np.any(np.abs(eigs[:b]) > error) or np.any(eigs[b:b + 1] <= error):
-                raise CrossCheckMismatch(f"the {b} lowest eigenvalues (exact betti {b}) are "
-                                         f"not separated from the rest by {error:.3g}")
-            eigs[:b] = 0.0
+            eigs = np.sort(_equivariant_eigenvalues(gram, *self._orbits))
+            zeros = len(eigs) - self._rank(j)
+            # the largest absolute row sum bounds the symmetric Gram's 2-norm
+            error = eigvalsh_error(len(eigs), float(abs(gram).sum(axis=1).A1.max(initial=0)))
+            if np.any(np.abs(eigs[:zeros]) > error) or np.any(eigs[zeros:zeros + 1] <= error):
+                raise CrossCheckMismatch(
+                    f"the {zeros} lowest Gram eigenvalues of boundary {j} (exact rank "
+                    f"{len(eigs) - zeros}) are not separated from the rest by {error:.3g}")
             r = self._orbits[2]
-            self.spectrum_blocks[q] = (r, lap.shape[0] // r)
-            self._eigs[q], self._eig_errors[q] = eigs, error
-        return self._eigs[q]
+            entry[3] = (eigs[zeros:], error, (r, len(eigs) // r))
+        self.spectrum_blocks[j] = entry[3][2]
+        return entry[3][:2]
 
     def count_eigs_below(self, q: int, lam: float) -> int:
         """#{eigenvalues <= lam}, decided only where rounding cannot change it.
 
         The b zeros are exactly 0 (see ``eigenvalues``).  Any other eigenvalue
         within the solver's error of lam could round to either side of it, so
-        then ``AmbiguousCount`` is raised.
+        then ``AmbiguousCount`` is raised.  A non-finite lam raises ``BadArgument``.
         """
+        if not math.isfinite(lam):
+            raise BadArgument(f"lam must be finite, got {lam}")
         eigs = self.eigenvalues(q)
         error, rest = self._eig_errors[q], eigs[self.betti(q):]
         if rest.size:

@@ -143,4 +143,4 @@ class UnsupportedGroup(L2GrowthError, TypeError):
 class BadArgument(L2GrowthError, ValueError):
     """A density, Chebyshev or bound argument with an invalid value: both or neither
     of samples and a function, too few samples, no quotients, a negative degree or
-    eigenvalue threshold."""
+    eigenvalue threshold, or a NaN or infinite bound parameter."""

@@ -562,6 +562,13 @@ def _check_density(density: DensityEstimate, limit: Callable, hi: float,
             f"F({grid[i]:.6g}) = {vals[i]:.6g} is not below {label} = {lim[i]:.6g}")
 
 
+def _check_finite(**args: Optional[float]) -> None:
+    """Refuse a NaN or infinite bound argument: a NaN passes every ``<`` and ``<=`` check."""
+    for name, value in args.items():
+        if value is not None and not math.isfinite(value):
+            raise BadArgument(f"{name} must be finite, got {value}")
+
+
 def _report(regime: str, cx: EquivariantChainComplex, quot, q: int, caps: Caps,
             constants: dict, bound: float, lam: Optional[float] = None) -> BoundReport:
     """Compare a bound with the exact value on the cover.
@@ -593,6 +600,7 @@ def gap_bound(cx: EquivariantChainComplex, quot, q: int, lambda0: float,
               certificate: Optional[GapCertificate] = None,
               caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Exponential bound 4a * index * exp(-M short), M = (2/R) sqrt(lambda0/K)."""
+    _check_finite(lambda0=lambda0)
     c = _constants(cx, quot, q, caps)
     a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
@@ -613,6 +621,7 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
     there); larger lam still yields a finite comparison value, reported with
     ``lambda_below_gap`` False.
     """
+    _check_finite(lam=lam, lambda0=lambda0)
     c = _constants(cx, quot, q, caps)
     _a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
@@ -647,6 +656,7 @@ def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
     the density it is checked against.  A given C is reported as ``given``.
     A dimension without cells (a = 0) has no density term and bound 0.
     """
+    _check_finite(beta=beta, c_density=c_density)
     mode = "given"
     if c_density is None:
         grid = np.geomspace(density.K * 1e-6, density.K, 200)

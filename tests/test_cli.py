@@ -69,6 +69,19 @@ def test_bad_caps_in_the_environment_exit_1(raw):
     assert len(ran.stderr.splitlines()) == 1 and ran.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("regime, name", [
+    (["--regime", "ns", "--beta", "nan", "--c-density", "0.5"], "beta"),
+    (["--regime", "ns", "--beta", "0.5", "--c-density", "nan"], "c_density"),
+    (["--regime", "gap", "--lambda0", "nan"], "lambda0"),
+], ids=["beta", "c_density", "lambda0"])
+def test_nan_bound_argument_exits_1(capsys, regime, name):
+    # a NaN passes every comparison check: unrefused, the ns regime would report
+    # bound=nan as a violated theorem (exit 3), and the gap regime blame the density
+    code, out, err = run(capsys, "bounds", str(COMPLEXES / "circle.json"), "--dim", "1",
+                         "--subgroup", "7", *regime)
+    assert (code, out, err) == (1, "", f"error: {name} must be finite, got nan\n")
+
+
 def test_boundary_past_the_l1_bound_exits_1(capsys):
     d1 = [[[{"coeff": 2 ** 62, "element": [k]} for k in (1, 2, 3, 4)]]]
     doc = {"group": {"kind": "free_abelian", "rank": 1}, "cells": [1, 1],

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
                       FreeAbelian, GroupRingElement, GroupRingMatrix, IntegralMatrixGroup,
-                      LatticeSubgroup, instantiate, quotient, two_cell_complex,
-                      verify_trace_equality)
+                      LatticeSubgroup, cosine_density_closed_form, eig_count_bound,
+                      instantiate, quotient, two_cell_complex, verify_trace_equality)
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
 from l2growth.covers import _equivariant_eigenvalues, _instantiate_matrix, _left_orbits
@@ -390,14 +390,15 @@ def test_component_eigenvalues_match_dense(sanov_group, m):
         cover = instantiate(cx, quot)
         for q in range(2):
             _assert_dense_spectrum(cover.eigenvalues(q), cover.laplacian(q))
-            assert cover.spectrum_blocks[q] == (r, cx.cells[q] * quot.order // r)
+        # d_1's Gram on its smaller side, the vertices: one cell per element
+        assert cover.spectrum_blocks == {1: (r, quot.order // r)}
 
 
 def test_component_eigenvalues_zero_complex(zero_complex):
     cover = instantiate(zero_complex, cyclic_quotient(7))
     eigs = cover.eigenvalues(1)
     assert eigs.tolist() == [0.0] * 7
-    assert cover.spectrum_blocks == {1: (7, 1)}
+    assert cover.spectrum_blocks == {1: (7, 1)}  # d_1 = 0, still solved as 7 blocks
     _assert_dense_spectrum(eigs, cover.laplacian(1))
 
 
@@ -408,7 +409,7 @@ def test_connected_laplacian_spectrum_is_the_dense_one(circle):
         cover = instantiate(circle, cyclic_quotient(n))
         for q in range(2):
             _assert_dense_spectrum(cover.eigenvalues(q), cover.laplacian(q))
-            assert cover.spectrum_blocks[q] == (n, 1)
+        assert cover.spectrum_blocks == {1: (n, 1)}
 
 
 def test_component_eigenvalues_mixed_block_sizes():
@@ -456,6 +457,8 @@ def _cover_case(case, circle, torus2, stripe_complex):
         return instantiate(torus2, quotient(FreeAbelian(2), LatticeSubgroup(case[1])))
     if kind == "circle":
         return instantiate(circle, cyclic_quotient(case[1]))
+    if kind == "stripe":
+        return instantiate(stripe_complex, diag_quotient(2, 3))
     return instantiate(stripe_complex, diag_quotient(1, 1))  # the trivial quotient
 
 
@@ -467,6 +470,9 @@ def _cover_case(case, circle, torus2, stripe_complex):
     pytest.param(("lattice", [[4, 2], [2, 4]]), id="lattice_4_2_2_4"),
     *[pytest.param(("circle", n), id=f"circle_{n}") for n in (1, 2, 5, 300)],
     pytest.param(("trivial",), id="trivial_stripe"),
+    # boundaries 1 x 2, 2 x 1 and 1 x 1: Grams on both sides, and Laplacians
+    # with one part, two parts or none
+    pytest.param(("stripe",), id="stripe_2_3"),
 ])
 def test_block_spectrum_is_the_dense_one(case, circle, torus2, stripe_complex):
     cover = _cover_case(case, circle, torus2, stripe_complex)
@@ -474,8 +480,11 @@ def test_block_spectrum_is_the_dense_one(case, circle, torus2, stripe_complex):
         eigs = cover.eigenvalues(q)
         _assert_dense_spectrum(eigs, cover.laplacian(q))
         assert int(np.count_nonzero(eigs == 0.0)) == cover.betti(q)
-        r, size = cover.spectrum_blocks[q]
-        assert r == cover.quotient.max_order_element()[1] and r * size == len(eigs)
+    # every boundary's Gram was solved on its smaller side
+    assert set(cover.spectrum_blocks) == set(cover.cx.boundaries)
+    for j, (r, size) in cover.spectrum_blocks.items():
+        assert r == cover.quotient.max_order_element()[1]
+        assert r * size == min(cover.boundary(j).shape)
 
 
 @pytest.mark.parametrize("kind", ["abelian", "congruence"])
@@ -507,8 +516,66 @@ def test_sl2_mod_11_spectrum_runs_as_blocks(sanov_group):
     cover = instantiate(presentation, quot)
     assert cover.laplacian(0).shape == (1320, 1320)
     assert int(np.count_nonzero(cover.eigenvalues(0) == 0.0)) == 1
-    # r = 22 blocks of 60, not one 1320 x 1320 solve
-    assert cover.spectrum_blocks == {0: (22, 60)}
+    # d_1 d_1^T runs as r = 22 blocks of 60, not one 1320 x 1320 solve
+    assert cover.spectrum_blocks == {1: (22, 60)}
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(("sl2", 2, 5, "presentation"), id="sl2_mod5_presentation"),
+    pytest.param(("sl2", 2, 5, "gap"), id="sl2_mod5_gap"),
+    pytest.param(("lattice", [[4, 2], [1, 3]]), id="torus2_4_2_1_3"),
+])
+def test_spectra_build_no_laplacian(case, circle, torus2, stripe_complex, monkeypatch):
+    def refuse(self, q):
+        raise AssertionError("a cover Laplacian was built")
+
+    monkeypatch.setattr(CoverInstance, "laplacian", refuse)
+    cover = _cover_case(case, circle, torus2, stripe_complex)
+    for q in range(cover.cx.top_dim + 1):
+        assert len(cover.eigenvalues(q)) == cover.cx.cells[q] * cover.order
+        assert cover.count_eigs_below(q, 0.0) == cover.betti(q)
+
+
+def test_laplacian_spectra_share_the_gram_spectrum(sanov_group):
+    # Delta_0 = d_1 d_1^T and Delta_1 = d_1^T d_1 have one nonzero spectrum
+    presentation, _ = _matrix_group_complexes(sanov_group)
+    cover = instantiate(presentation, quotient(sanov_group, CongruenceSubgroup(5)))
+    below, above = cover.eigenvalues(0), cover.eigenvalues(1)
+    b0, b1 = cover.betti(0), cover.betti(1)
+    assert b1 == cover.order + 1
+    assert np.array_equal(above, np.concatenate([np.zeros(b1), below[b0:]]))
+
+
+def test_gram_zeros_not_separated_raise(gap_complex):
+    # 2 - g has no root of unity as a root, so its cover boundary has full rank 4;
+    # claiming rank 3 asks the Gram for a zero its lowest eigenvalue 1 cannot give
+    cover = instantiate(gap_complex, cyclic_quotient(4))
+    cover._entries[1][2] = 3
+    with pytest.raises(CrossCheckMismatch, match=r"^the 1 lowest Gram eigenvalues of "
+                                                 r"boundary 1 \(exact rank 3\) are not separated"):
+        cover.eigenvalues(0)
+
+
+def test_gram_spectra_are_solved_once_per_quotient(sanov_group, gap_complex, monkeypatch):
+    calls = []
+    solve = covers._equivariant_eigenvalues
+    monkeypatch.setattr(covers, "_equivariant_eigenvalues",
+                        lambda gram, *orbits: calls.append(gram.shape) or solve(gram, *orbits))
+    # three eigenvalue-count bounds on one quotient: one Gram solve
+    quot = cyclic_quotient(60)
+    density = cosine_density_closed_form(5, 2)
+    for lam in (0.5, 2.0, 1.0 - 1e-9):
+        eig_count_bound(gap_complex, quot, 1, lam, 1.0, density=density)
+    assert calls == [(60, 60)]
+    # two covers of one quotient, both Laplacians each: d_1's Gram on the vertices
+    calls.clear()
+    presentation, _ = _matrix_group_complexes(sanov_group)
+    quot = quotient(sanov_group, CongruenceSubgroup(5))
+    for _ in range(2):
+        cover = instantiate(presentation, quot)
+        for q in range(2):
+            cover.eigenvalues(q)
+    assert calls == [(120, 120)]
 
 
 def test_instantiation_one_permutation_per_element(sanov_group, monkeypatch):

@@ -602,6 +602,25 @@ def test_uniform_gap_exponent_rejects_polynomial_growth(z_two):
      lambda o: eig_count_bound(o.gap, cyclic_quotient(4), 1, -0.5, 1.0,
                                density=cosine_density_closed_form(5, 2))),
     (BadArgument, ValueError, "degree must be nonnegative", lambda o: chebyshev_coefficients(-1)),
+    # a NaN passes every comparison check, so it is refused as not finite (and
+    # inf with it): count_eigs_below would count all 4 eigenvalues below nan
+    (BadArgument, ValueError, "lam must be finite, got nan",
+     lambda o: eig_count_bound(o.gap, cyclic_quotient(4), 1, math.nan, 1.0,
+                               density=cosine_density_closed_form(5, 2))),
+    (BadArgument, ValueError, "lambda0 must be finite, got nan",
+     lambda o: eig_count_bound(o.gap, cyclic_quotient(4), 1, 0.5, math.nan,
+                               density=cosine_density_closed_form(5, 2))),
+    (BadArgument, ValueError, "lambda0 must be finite, got inf",
+     lambda o: gap_bound(o.gap, cyclic_quotient(4), 1, math.inf,
+                         density=cosine_density_closed_form(5, 2))),
+    (BadArgument, ValueError, "beta must be finite, got nan",
+     lambda o: ns_bound(o.circle, cyclic_quotient(7), 1, math.nan, 0.5,
+                        cosine_density_closed_form(2, 1))),
+    (BadArgument, ValueError, "c_density must be finite, got nan",
+     lambda o: ns_bound(o.circle, cyclic_quotient(7), 1, 0.5, math.nan,
+                        cosine_density_closed_form(2, 1))),
+    (BadArgument, ValueError, "lam must be finite, got nan",
+     lambda o: CoverInstance(o.gap, cyclic_quotient(4)).count_eigs_below(1, math.nan)),
     (UnsupportedGroup, TypeError, "product construction is implemented for free abelian groups",
      lambda o: product_with_circle(two_cell_complex(o.sanov, GroupRingElement.one(o.sanov)))),
     (BadGroup, ValueError, "stripe loop must not be the identity",
