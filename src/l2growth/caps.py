@@ -11,9 +11,9 @@ Format: ``L2GROWTH_CAPS="bfs=20,order=100000,eig=2000"``, each a positive intege
   shortest-element search in both kinds of group included (its refusal
   still carries the lower bound that the levels it completed certify)
 * ``order``   - maximum order of a realized finite quotient / cover instantiation
-* ``eig``     - maximum size of a cover Laplacian whose spectrum is computed
-  (the eigensolver runs on the equivariant blocks of its boundaries' Gram
-  matrices, each no larger than the Laplacian)
+* ``eig``     - maximum size of a boundary's Gram matrix, on its smaller side,
+  whose spectrum is computed (the eigensolver runs on its equivariant blocks);
+  a cover Laplacian's spectrum needs the Grams of both its boundaries
 * ``short``   - maximum word length of the subgroup elements of Z^n the
   shortest-element search certifies (its BFS walks half of that length)
 """

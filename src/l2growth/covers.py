@@ -2,8 +2,9 @@
 
 Each group element in a boundary entry is replaced by the permutation matrix
 of right multiplication by its image in the finite quotient; this is a ring
-homomorphism, so instantiated boundaries still compose to zero and the
-instantiated Laplacian is the Laplacian of the cover.
+homomorphism, so instantiated boundaries still compose to zero and are the
+boundaries of the cover.  No cover Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T is
+formed: spectra and traces work on its two terms, one boundary each.
 
 Betti numbers come from certified rational ranks of the integer boundary
 matrices; floating eigensolvers serve spectral statistics only, and the
@@ -25,7 +26,8 @@ Groups, sec. 2.6).  The characters j and r - j give complex conjugate
 blocks, so only floor(r/2) + 1 of them go to the eigensolver.
 
 The same left action is transitive, so the diagonal blocks of a polynomial in
-the Laplacian agree at all elements: the cover trace is read at element 0.
+the Laplacian agree at all elements: the cover trace is read at element 0,
+walking its unit vectors through the boundaries.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .groups import FiniteQuotient, check_quotient_of, short_length
 from .polynomials import as_poly
 
 # a boundary whose row and column L1 norms stay below this keeps every instantiated
-# entry, the products d_q d_(q+1) and d d^T, and the Laplacians' row sums below 2^63
+# entry and the products d_q d_(q+1) and d d^T below 2^63
 _L1_BOUND = 2 ** 31
 
 # quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None,
@@ -83,7 +85,6 @@ class CoverInstance:
             if q + 1 in self._entries and np.any((self.boundary(q) @ self.boundary(q + 1)).data):
                 raise CrossCheckMismatch(
                     f"instantiated boundaries {q},{q + 1} do not compose to zero")
-        self._laplacians: Dict[int, sp.csr_matrix] = {}
         self._eigs: Dict[int, np.ndarray] = {}
         self._eig_errors: Dict[int, float] = {}  # q -> the solver error of spectrum q
         self._orbits: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
@@ -97,22 +98,6 @@ class CoverInstance:
     # -- matrices ----------------------------------------------------------
     def boundary(self, q: int) -> Optional[sp.csr_matrix]:
         return self._entries[q][1] if q in self._entries else None
-
-    def laplacian(self, q: int) -> sp.csr_matrix:
-        self._check_dim(q)
-        if q not in self._laplacians:
-            n = self.cx.cells[q] * self.order
-            acc = sp.csr_matrix((n, n), dtype=np.int64)
-            down = self.boundary(q)
-            if down is not None:
-                acc = acc + down.T @ down
-            up = self.boundary(q + 1)
-            if up is not None:
-                acc = acc + up @ up.T
-            if (acc != acc.T).nnz:
-                raise CrossCheckMismatch("instantiated laplacian is not symmetric")
-            self._laplacians[q] = acc.tocsr()
-        return self._laplacians[q]
 
     # -- exact invariants ----------------------------------------------------
     def _rank(self, q: int) -> int:
@@ -133,17 +118,14 @@ class CoverInstance:
     def eigenvalues(self, q: int) -> np.ndarray:
         """All eigenvalues of the instantiated Laplacian, ascending.
 
-        The ``eig`` cap bounds the whole Laplacian, but none is built: the
-        spectrum is the exact Betti number b_q of zeros, stored as exactly 0,
-        and the nonzero Gram spectra of d_q and d_(q+1) (see the module
-        docstring and ``_gram_part``).  The solver error is the larger of the
-        two Grams' errors.
+        No Laplacian is built: the spectrum is the exact Betti number b_q of
+        zeros, stored as exactly 0, and the nonzero Gram spectra of d_q and
+        d_(q+1) (see the module docstring and ``_gram_part``, which applies the
+        ``eig`` cap to each Gram).  The solver error is the larger of the two
+        Grams' errors.
         """
         if q not in self._eigs:
             self._check_dim(q)
-            size = self.cx.cells[q] * self.order
-            if size > self.caps.eig:
-                raise SizeCapExceeded(f"matrix size {size} exceeds eigensolver cap {self.caps.eig}")
             parts = [self._gram_part(j) for j in (q, q + 1) if j in self._entries]
             self._eigs[q] = np.sort(np.concatenate(
                 [np.zeros(self.betti(q))] + [eigs for eigs, _ in parts]))
@@ -155,11 +137,17 @@ class CoverInstance:
 
         Solved once per quotient, on the Gram matrix of the smaller side (its
         blocks under the left action of an element of the largest order; see
-        the module docstring).  The certified rank counts the zeros: the
-        size - rank lowest eigenvalues must lie within the solver's error of 0
-        and the next one above it, or it raises.
+        the module docstring).  The ``eig`` cap bounds that Gram's size, checked
+        before the shared spectrum is looked up, so a refusal does not depend on
+        what another cover already solved.  The certified rank counts the zeros:
+        the size - rank lowest eigenvalues must lie within the solver's error of
+        0 and the next one above it, or it raises.
         """
         entry = self._entries[j]
+        size = min(entry[1].shape)
+        if size > self.caps.eig:
+            raise SizeCapExceeded(f"Gram matrix size {size} of boundary {j} exceeds "
+                                  f"eigensolver cap {self.caps.eig}")
         if entry[3] is None:
             d = entry[1]
             gram = d.T @ d if d.shape[1] <= d.shape[0] else d @ d.T
@@ -200,22 +188,30 @@ class CoverInstance:
         """Exact matrix trace of p(Laplacian') divided by the quotient order.
 
         By equivariance (see the module docstring) it is the sum of the diagonal
-        entries (c, 0), read off Python-integer products of the Laplacian with
-        the unit vectors at element 0; no power of the whole matrix is formed.
+        entries (c, 0).  As d_q d_(q+1) = 0, the k-th power (k >= 1) of the
+        Laplacian is (m^T m)^k summed over m = d_q and m = d_(q+1)^T; the entry of
+        (m^T m)^k at (c, 0) is the squared norm of the unit vector there after
+        k alternating products with m and m^T: one pass over one boundary per
+        degree, in Python integers, and no Laplacian is formed.
         """
+        self._check_dim(q)
         poly = as_poly(p)
-        coo = self.laplacian(q).tocoo()
         a = self.cx.cells[q]
-        rows, cells = np.arange(a) * self.order, np.arange(a)  # entries (c, 0), c
-        vecs = np.zeros((coo.shape[0], a), dtype=object)
-        vecs[rows, cells] = 1
-        weights = coo.data.astype(object)[:, None]
-        diagonal = [a]
-        for _ in range(poly.degree):
-            out = np.zeros_like(vecs)
-            np.add.at(out, coo.row, weights * vecs[coo.col])
-            vecs = out
-            diagonal.append(sum(vecs[rows, cells]))
+        diagonal = [a] + [0] * poly.degree
+        up = self.boundary(q + 1)
+        for m in (self.boundary(q), None if up is None else up.T):
+            if m is None:
+                continue
+            coo = m.tocoo()
+            weights = coo.data.astype(object)[:, None]
+            vecs = np.zeros((coo.shape[1], a), dtype=object)
+            vecs[np.arange(a) * self.order, np.arange(a)] = 1  # entries (c, 0), c
+            rows, cols, size = coo.row, coo.col, coo.shape[0]
+            for k in range(1, poly.degree + 1):
+                out = np.zeros((size, a), dtype=object)
+                np.add.at(out, rows, weights * vecs[cols])
+                vecs, rows, cols, size = out, cols, rows, len(vecs)  # next: the transpose
+                diagonal[k] += (vecs * vecs).sum()
         return Fraction(sum(Fraction(c) * d for c, d in zip(poly.coeffs, diagonal)))
 
 

@@ -142,5 +142,6 @@ class UnsupportedGroup(L2GrowthError, TypeError):
 
 class BadArgument(L2GrowthError, ValueError):
     """A density, Chebyshev or bound argument with an invalid value: both or neither
-    of samples and a function, too few samples, no quotients, a negative degree or
-    eigenvalue threshold, or a NaN or infinite bound parameter."""
+    of samples and a function, too few samples, a negative seed, no quotients, a
+    gap grid without points, a negative degree, eigenvalue threshold or lambda0,
+    or a NaN or infinite bound parameter."""

@@ -275,6 +275,8 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
         raise NotAbelian("torus quadrature requires a free abelian deck group")
     if sample_count < 1000:
         raise BadArgument("sample_count must be at least 1000")
+    if seed < 0:
+        raise BadArgument(f"seed must be nonnegative, got {seed}")
     lap = laplacian(cx, q)
     a = cx.cells[q]
     n = cx.group.rank
@@ -451,6 +453,8 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096) -
     """
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("gap certification requires a free abelian deck group")
+    if grid_per_dim < 1:  # no grid point: the minimum over none is +inf, no floor
+        raise BadArgument(f"grid_per_dim must be at least 1, got {grid_per_dim}")
     n = cx.group.rank
     lap = laplacian(cx, q)
     a = cx.cells[q]
@@ -544,6 +548,13 @@ def _constants(cx: EquivariantChainComplex, quot, q: int, caps: Caps) -> dict:
     return {"a": a, "index": quot.order, "short": s, "R": r, "K": k}
 
 
+def _check_gap_level(lambda0: float) -> None:
+    """Refuse a non-finite or negative lambda0: M = (2/R) sqrt(lambda0/K) needs lambda0 >= 0."""
+    _check_finite(lambda0=lambda0)
+    if lambda0 < 0:
+        raise BadArgument(f"lambda0 must be nonnegative, got {lambda0}")
+
+
 def _gap_rate(lambda0: float, k: float, r: int) -> float:
     """M = (2/R) sqrt(lambda0/K): the decay rate in short under a spectral gap."""
     return (2.0 / r) * math.sqrt(lambda0 / k) if r else math.inf
@@ -600,7 +611,7 @@ def gap_bound(cx: EquivariantChainComplex, quot, q: int, lambda0: float,
               certificate: Optional[GapCertificate] = None,
               caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Exponential bound 4a * index * exp(-M short), M = (2/R) sqrt(lambda0/K)."""
-    _check_finite(lambda0=lambda0)
+    _check_gap_level(lambda0)
     c = _constants(cx, quot, q, caps)
     a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
@@ -788,6 +799,7 @@ def uniform_gap_exponent(group, family: Sequence, lambda0: float,
     which is what happens for polynomial-growth directions.  Verifies
     b_q <= 4a * index^(1 - M*D) per member.
     """
+    _check_gap_level(lambda0)
     data = []
     for sub in family:
         s = short_length(group, sub, caps=caps)

@@ -423,6 +423,8 @@ def test_gap_bound_vacuous_at_zero(gap_complex):
     dg = cosine_density_closed_form(5, 2)
     rep = gap_bound(gap_complex, cyclic_quotient(5), 1, 1e-12, density=dg)
     assert rep.bound == pytest.approx(4 * 5, rel=1e-4)  # 4 a index, vacuous
+    rep = gap_bound(gap_complex, cyclic_quotient(5), 1, 0.0, density=dg)
+    assert rep.constants["M"] == 0.0 and rep.bound == 4 * 5  # lambda0 = 0 is allowed
 
 
 def test_gap_not_verified(circle):
@@ -613,6 +615,23 @@ def test_uniform_gap_exponent_rejects_polynomial_growth(z_two):
     (BadArgument, ValueError, "lambda0 must be finite, got inf",
      lambda o: gap_bound(o.gap, cyclic_quotient(4), 1, math.inf,
                          density=cosine_density_closed_form(5, 2))),
+    # the gap rate (2/R) sqrt(lambda0/K) has no value below 0, and a density has
+    # no mass below a negative lambda0 to refuse it
+    (BadArgument, ValueError, "lambda0 must be nonnegative, got -1.0",
+     lambda o: gap_bound(o.gap, cyclic_quotient(4), 1, -1.0,
+                         density=cosine_density_closed_form(5, 2))),
+    (BadArgument, ValueError, "lambda0 must be nonnegative, got -0.5",
+     lambda o: uniform_gap_exponent(FreeAbelian(1), [LatticeSubgroup([[i]]) for i in (5, 7)],
+                                    -0.5, o.gap, 1, density=cosine_density_closed_form(5, 2))),
+    # no grid point: over Z the minimum over none would certify +inf, or divide by 0
+    (BadArgument, ValueError, "grid_per_dim must be at least 1, got 0",
+     lambda o: certify_gap(o.gap, 1, grid_per_dim=0)),
+    (BadArgument, ValueError, "grid_per_dim must be at least 1, got -4",
+     lambda o: certify_gap(o.gap, 1, grid_per_dim=-4)),
+    (BadArgument, ValueError, "grid_per_dim must be at least 1, got -3",
+     lambda o: certify_gap(o.torus2, 1, grid_per_dim=-3)),
+    (BadArgument, ValueError, "seed must be nonnegative, got -1",
+     lambda o: density_zn(o.circle, 0, seed=-1)),
     (BadArgument, ValueError, "beta must be finite, got nan",
      lambda o: ns_bound(o.circle, cyclic_quotient(7), 1, math.nan, 0.5,
                         cosine_density_closed_form(2, 1))),
