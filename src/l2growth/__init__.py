@@ -10,8 +10,7 @@ from .groups import (CongruenceSubgroup, FiniteQuotient, FreeAbelian,
                      element_order, quotient, quotient_diameter, short_length,
                      uniformity_check)
 from .pattern import (PatternReport, betti_by_characters, character_lattice,
-                      determinant, exact_kernel_dimension, sandwich_check,
-                      z_dichotomy)
+                      exact_kernel_dimension, l2_betti, sandwich_check, z_dichotomy)
 from .polynomials import Poly
 from .spectral import (BoundReport, DensityEstimate, GapCertificate, JBound,
                        LuckPolynomial, NsEstimate, betti_bound_general,

@@ -15,8 +15,9 @@ Document layout::
     }
 
 ``entries`` is a rows x cols nested list of term lists.  For matrix groups a
-term uses ``"word": [1, -2]`` (1-indexed generators, negative for inverses)
-instead of ``"element"``.
+term uses ``"word": [1, -2]`` (1-indexed generators, negative for inverses;
+``"word": []`` for the identity) instead of ``"element"``.  A term has no
+other keys.
 
 Subgroup specs: semicolon-separated rows of integers for abelian basis
 matrices ("2 0; 0 3", or just "12" for rank one), or "mod m" for congruence
@@ -74,14 +75,18 @@ def _parse_term(group, term, where: str) -> GroupRingElement:
     coeff = term["coeff"]
     if not _is_int(coeff):
         raise DocumentError(f"coefficient at {where} must be an integer")
-    if isinstance(group, FreeAbelian):
+    key = "element" if isinstance(group, FreeAbelian) else "word"
+    unknown = sorted(map(str, set(term) - {"coeff", key}))
+    if unknown:
+        raise DocumentError(f"term at {where} takes only 'coeff' and '{key}', not {unknown}")
+    if key == "element":
         el = term.get("element")
         if (not isinstance(el, list) or len(el) != group.rank
                 or not all(map(_is_int, el))):
             raise DocumentError(
                 f"term at {where} needs 'element' with {group.rank} integers")
         return GroupRingElement.monomial(group, tuple(el), coeff)
-    word = term.get("word", [])
+    word = term.get("word")
     if not isinstance(word, list) or not all(_is_int(x) and x != 0 for x in word):
         raise DocumentError(f"term at {where} needs 'word' of nonzero integers")
     el = group.identity

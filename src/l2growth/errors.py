@@ -26,7 +26,7 @@ class OrderCapExceeded(L2GrowthError):
 
 
 class SizeCapExceeded(L2GrowthError):
-    """A dense computation (eigensolver, symbolic determinant) exceeds its size cap."""
+    """A dense computation (eigensolver, symbol ranks over a character grid) exceeds its size cap."""
 
 
 class DimensionOutOfRange(L2GrowthError):

@@ -15,17 +15,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .covers import CoverInstance
 from .errors import (CrossCheckMismatch, DimensionOutOfRange, NonIntegralCoefficient,
-                     NotAbelian, NotRankOne, NotSquare, SizeCapExceeded)
-from .exact import _primes_one_mod, ranks_modp
-from .group_ring import EquivariantChainComplex, GroupRingElement, GroupRingMatrix, laplacian
-from .groups import AbelianQuotient, FreeAbelian, check_quotient_of
+                     NotAbelian, NotRankOne, SizeCapExceeded)
+from .exact import _primes_one_mod, check_bytes, ranks_modp
+from .group_ring import EquivariantChainComplex, GroupRingMatrix, laplacian
+from .groups import AbelianQuotient, FreeAbelian, LatticeSubgroup, check_quotient_of
 
 Character = Tuple[Fraction, ...]
 
@@ -34,39 +34,6 @@ def _require_abelian(group) -> FreeAbelian:
     if not isinstance(group, FreeAbelian):
         raise NotAbelian("operation requires a free abelian deck group")
     return group
-
-
-DETERMINANT_MAX_SIZE = 8  # the minor expansion has 2^size cached minors
-
-
-def determinant(m: GroupRingMatrix) -> GroupRingElement:
-    """Exact symbolic determinant of a square matrix over Z[Z^n], the Laurent ring."""
-    group = _require_abelian(m.group)
-    if m.nrows != m.ncols:
-        raise NotSquare("determinant requires a square matrix")
-    n = m.nrows
-    if n > DETERMINANT_MAX_SIZE:
-        raise SizeCapExceeded(f"symbolic determinant capped at size {DETERMINANT_MAX_SIZE}")
-    cache: Dict[Tuple[int, ...], GroupRingElement] = {}
-
-    def minor(cols: Tuple[int, ...]) -> GroupRingElement:
-        if cols in cache:
-            return cache[cols]
-        row = n - len(cols)
-        if not cols:
-            return GroupRingElement.one(group)
-        acc = GroupRingElement.zero(group)
-        for pos, j in enumerate(cols):
-            entry = m.entries[row][j]
-            if entry.is_zero:
-                continue
-            rest = cols[:pos] + cols[pos + 1:]
-            term = entry * minor(rest)
-            acc = acc + (term if pos % 2 == 0 else -term)
-        cache[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +116,11 @@ def _orbit_ranks(m: GroupRingMatrix, chars: np.ndarray, e: int,
     """Exact symbol rank on each Galois orbit 0, 1, ...
 
     ``chars`` holds numerators over e covering each orbit; ``labels`` is the
-    orbit of each row.
+    orbit of each row.  The int64 stack of symbols is refused past the byte
+    budget before it is built: ``ranks_modp`` peaks at about 3.6 times the
+    stack it is given, which comes on top.
     """
+    check_bytes(5 * 8 * len(chars) * m.nrows * m.ncols, "symbol ranks")
     h_squared = prod(max(1, sum(sum(map(abs, el.terms.values())) ** 2 for el in row))
                      for row in m.entries)
     ranks, product, primes = np.zeros(labels.max() + 1, dtype=np.int64), 1, _primes_one_mod(e)
@@ -279,11 +249,41 @@ def sandwich_check(cx: EquivariantChainComplex, quot: AbelianQuotient, q: int,
     return SandwichReport(pattern_count=k, betti=total, a=report.a, holds=holds)
 
 
+def _symbol_grid(m: GroupRingMatrix) -> Tuple[int, ...]:
+    """N_k = 1 + the sum over the rows of each row's exponent span in variable k."""
+    spans = (np.ptp([g for el in row for g in el.terms], axis=0) for row in m.entries
+             if any(el.terms for el in row))
+    return tuple((1 + sum(spans, np.zeros(m.group.rank, dtype=np.int64))).tolist())
+
+
+def l2_betti(cx: EquivariantChainComplex, q: int) -> int:
+    """Exact b^(2)_q of a complex over Z^n: a minus the symbol's generic rank.
+
+    The generic rank is the largest exact symbol rank over the characters of
+    Z^n / diag(N_k) (``_symbol_grid``).  An s-minor's exponent span in
+    variable k is at most the sum of its rows' spans, so below N_k (entry
+    spans would not do: a determinant's terms sit in different exponent
+    windows).  A nonzero Laurent polynomial with all spans below N_k does not
+    vanish on the whole grid of N_k-th roots of unity (induct on the
+    variables: a polynomial of degree below N has fewer than N roots).  A
+    grid past the byte budget is refused with ``SizeCapExceeded`` before it
+    is built.
+    """
+    group = _require_abelian(cx.group)
+    lap = laplacian(cx, q)
+    grid = _symbol_grid(lap)
+    order = prod(grid)
+    # the quotient's coordinates, numerators and orbit labels take under 8 (4n + 8) B a character
+    check_bytes(8 * order * (5 * lap.nrows * lap.ncols + 4 * group.rank + 8), "character grid")
+    quot = AbelianQuotient(group, LatticeSubgroup(np.diag(grid).tolist()), Caps(order=order))
+    chars, e = _character_numerators(quot)
+    return lap.nrows - int(_orbit_ranks(lap, chars, e, _galois_orbits(quot)).max())
+
+
 @dataclass
 class DichotomyResult:
     kind: str                      # "linear_growth" or "bounded"
     bound: Optional[int] = None    # valid when kind == "bounded"
-    determinant: Optional[GroupRingElement] = None
 
     @property
     def is_linear(self) -> bool:
@@ -291,17 +291,15 @@ class DichotomyResult:
 
 
 def z_dichotomy(cx: EquivariantChainComplex, q: int) -> DichotomyResult:
-    """Over Z: linear Betti growth iff det(Laplacian) vanishes identically.
+    """Over Z: linear Betti growth iff b^(2)_q > 0 (``l2_betti``).
 
-    Otherwise Betti numbers of the cyclic covers are bounded by the degree
-    span of the determinant times the number of cells.
+    Otherwise det Delta(t) is a nonzero Laurent polynomial, and the kernel at
+    a root of unity is at most its multiplicity as a root of the determinant.
+    So every cyclic cover has b_q <= span(det) <= the sum of the Laplacian's
+    row spans, reported as ``bound``.
     """
-    group = _require_abelian(cx.group)
-    if group.rank != 1:
+    if _require_abelian(cx.group).rank != 1:
         raise NotRankOne("dichotomy requires deck group Z")
-    det = determinant(laplacian(cx, q))
-    if det.is_zero:
-        return DichotomyResult(kind="linear_growth", determinant=det)
-    exps = [e[0] for e in det.terms]
-    k = max(exps) - min(exps)
-    return DichotomyResult(kind="bounded", bound=k * cx.cells[q], determinant=det)
+    if l2_betti(cx, q):
+        return DichotomyResult(kind="linear_growth")
+    return DichotomyResult(kind="bounded", bound=_symbol_grid(laplacian(cx, q))[0] - 1)

@@ -30,8 +30,7 @@ from .errors import (BadArgument, DegenerateZ, FamilyNotLogUniform, GapNotVerifi
 from .exact import _is_prime, check_bytes
 from .group_ring import EquivariantChainComplex, laplacian, norm_bound, support_radius
 from .groups import FreeAbelian, check_quotient_of, quotient as make_quotient, short_length
-from .pattern import (DETERMINANT_MAX_SIZE, _character_numerators, determinant,
-                      evaluate_matrix_at_characters)
+from .pattern import _character_numerators, evaluate_matrix_at_characters, l2_betti
 from .polynomials import Poly, chebyshev_coefficients
 
 __all__ = [
@@ -632,7 +631,8 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
     there); larger lam still yields a finite comparison value, reported with
     ``lambda_below_gap`` False.
     """
-    _check_finite(lam=lam, lambda0=lambda0)
+    _check_finite(lam=lam)
+    _check_gap_level(lambda0)
     c = _constants(cx, quot, q, caps)
     _a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
@@ -701,8 +701,8 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
 
     Uses the universal density estimate F(lambda) < a log(K) / (-log lambda)
     (verified empirically on the estimate's grid) and requires a vanishing
-    mass at zero; for abelian groups the latter is certified by a nonzero
-    symbol determinant.
+    mass at zero: over Z^n that is b^(2)_q = 0, exactly (``l2_betti``), and
+    over other groups the density's F(0) = 0.
     """
     c = _constants(cx, quot, q, caps)
     a, index, s, r, k = c.values()
@@ -711,11 +711,10 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
     n = _chain_degree(s, r)
     if n < 2:
         raise ShortTooSmall(f"degree n={n} leaves no usable window")
-    if isinstance(cx.group, FreeAbelian) and a <= DETERMINANT_MAX_SIZE:
-        det = determinant(laplacian(cx, q))
-        if det.is_zero:
-            raise HypothesisUnverified(
-                "symbol determinant vanishes identically: nonzero harmonic mass")
+    if isinstance(cx.group, FreeAbelian):
+        b2 = l2_betti(cx, q)
+        if b2:
+            raise HypothesisUnverified(f"b^(2)_{q} = {b2} > 0: nonzero harmonic mass")
     elif density.F(0.0) > 0:
         raise HypothesisUnverified("density has an atom at zero")
     z = (math.log(math.log(n)) / n) ** 2

@@ -268,7 +268,7 @@ ERRORS = {
     "sublog short": (ShortTooSmall,
         "short=2 must be at least 3"),
     "sublog vanishing": (HypothesisUnverified,
-        "symbol determinant vanishes identically: nonzero harmonic mass"),
+        "b^(2)_1 = 1 > 0: nonzero harmonic mass"),
     "sublog heavy": (HypothesisUnverified,
         "F(5e-08) = 0.388321 is not below a*log(K)/(-log lambda) = 0.0824623"),
 }

@@ -347,20 +347,6 @@ def test_parse_complex_text_longer_than_a_file_name(tmp_path):
 
 CIRCLE = json.loads((COMPLEXES / "circle.json").read_text())
 MATRIX_GROUP = {"kind": "integral_matrix", "dimension": 2, "generators": [[[1, 2], [0, 1]]]}
-MALFORMED = [
-    dict(CIRCLE, boundaries=[5]),  # an item that is not an object
-    dict(CIRCLE, boundaries=CIRCLE["boundaries"][0]),  # an object, not a list
-    {"group": dict(MATRIX_GROUP, generators=[5]), "cells": [1]},
-    # 1.5 is not truncated to 1, which would answer for another group
-    {"group": dict(MATRIX_GROUP, generators=[[[1, 1.5], [0, 1]]]), "cells": [1]},
-    {"group": dict(MATRIX_GROUP, dimension=0, generators=[[]]), "cells": [1]},
-]
-
-
-def test_malformed_document_exits_1(capsys):
-    code, _out, err = run(capsys, "betti", json.dumps(MALFORMED[0]), "--subgroup", "3",
-                          "--dim", "0")
-    assert code == 1 and err.startswith("error: ")
 
 
 def _circle_with(path, value):
@@ -374,6 +360,30 @@ def _circle_with(path, value):
 
 
 TERM = ("boundaries", 0, "entries", 0, 0, 0)
+MALFORMED = [
+    dict(CIRCLE, boundaries=[5]),  # an item that is not an object
+    dict(CIRCLE, boundaries=CIRCLE["boundaries"][0]),  # an object, not a list
+    {"group": dict(MATRIX_GROUP, generators=[5]), "cells": [1]},
+    # 1.5 is not truncated to 1, which would answer for another group
+    {"group": dict(MATRIX_GROUP, generators=[[[1, 1.5], [0, 1]]]), "cells": [1]},
+    {"group": dict(MATRIX_GROUP, dimension=0, generators=[[]]), "cells": [1]},
+    # a matrix-group term names its element by a word; none is read as the identity
+    {"group": MATRIX_GROUP, "cells": [1, 1], "boundaries": [
+        {"dim": 1, "entries": [[[{"coeff": -1, "element": [[1, 2], [0, 1]]}]]]}]},
+    {"group": MATRIX_GROUP, "cells": [1, 1], "boundaries": [
+        {"dim": 1, "entries": [[[{"coeff": -1, "wrod": [1]}]]]}]},
+    {"group": MATRIX_GROUP, "cells": [1, 1], "boundaries": [
+        {"dim": 1, "entries": [[[{"coeff": 2}]]]}]},
+    _circle_with(TERM + ("extra",), 5),
+]
+
+
+def test_malformed_document_exits_1(capsys):
+    code, _out, err = run(capsys, "betti", json.dumps(MALFORMED[0]), "--subgroup", "3",
+                          "--dim", "0")
+    assert code == 1 and err.startswith("error: ")
+
+
 # JSON true and false are not integers, although Python's bool subclasses int
 BOOLEAN_FOR_INTEGER = [
     _circle_with(("group", "rank"), True),

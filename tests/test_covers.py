@@ -337,6 +337,14 @@ def test_euler_characteristic_multiplicative(torus2, stripe_complex, z_two):
         chi_w = sum((-1) ** q * a for q, a in enumerate(stripe_complex.cells))
         cover = instantiate(stripe_complex, quot)
         assert cover.euler_characteristic() == quot.order * chi_w
+    # congruence covers of the presentation complex (chi = -1) and the gap complex (chi = 0)
+    for k in (2, 3):
+        group = IntegralMatrixGroup(2, [[[1, k], [0, 1]], [[1, 0], [k, 1]]])
+        for m in (3, 5, 7, 11, 13):
+            quot = quotient(group, CongruenceSubgroup(m))
+            for cx in _matrix_group_complexes(group):
+                chi = sum((-1) ** q * a for q, a in enumerate(cx.cells))
+                assert instantiate(cx, quot).euler_characteristic() == quot.order * chi
 
 
 def test_luck_limit_shadow(circle, zero_complex):

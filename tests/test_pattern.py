@@ -1,48 +1,26 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
                       GroupRingMatrix, LatticeSubgroup, betti_by_characters,
-                      character_lattice, determinant, element_order,
-                      exact_kernel_dimension, instantiate, laplacian, quotient,
-                      sandwich_check, short_length, torus_complex,
-                      two_cell_complex, z_dichotomy)
+                      character_lattice, element_order, exact_kernel_dimension,
+                      instantiate, l2_betti, laplacian, quotient, sandwich_check,
+                      short_length, torus_complex, two_cell_complex, z_dichotomy)
 from l2growth import exact, pattern
 from l2growth.errors import (DimensionOutOfRange, ForeignQuotient, L2GrowthError,
-                             NonIntegralCoefficient, NotAbelian, NotRankOne, NotSquare,
+                             NonIntegralCoefficient, NotAbelian, NotRankOne,
                              SizeCapExceeded)
-from l2growth.pattern import evaluate_matrix_at_characters
 from l2growth.stripes import StripeSpec, glue_stripe
-from l2growth.verify import _random_entry
+from l2growth.verify import _random_entry, random_complex, random_quotient
 from conftest import cyclic_quotient, diag_quotient
 from cyclotomic_oracle import cyclotomic_polynomial, kernel_dimension_by_minors
-
-
-def evaluate_at_characters(el, points):
-    """Values of a group-ring element over Z^n at many characters, as the 1 x 1 symbol."""
-    return evaluate_matrix_at_characters(GroupRingMatrix(el.group, [[el]]), points)[:, 0, 0]
-
-
-def test_determinant_examples(circle, torus2, z_two):
-    d0 = laplacian(circle, 0)
-    assert determinant(d0) == d0.entries[0][0]
-    u = GroupRingElement(z_two, {(1, 0): 1})
-    v = GroupRingElement(z_two, {(0, 2): 3})
-    z = GroupRingElement.zero(z_two)
-    m = GroupRingMatrix(z_two, [[u, z], [z, v]])
-    assert determinant(m) == u * v
-    # numeric oracle at 100 random characters
-    d1 = laplacian(torus2, 1)
-    det = determinant(d1)
-    rng = np.random.default_rng(1)
-    pts = rng.random((100, 2))
-    blocks = evaluate_matrix_at_characters(d1, pts)
-    assert np.abs(evaluate_at_characters(det, pts) - np.linalg.det(blocks)).max() < 1e-8
 
 
 def _laurent(el, xs):
@@ -51,41 +29,39 @@ def _laurent(el, xs):
                 for g, c in el.terms.items()), sympy.Integer(0))
 
 
-def assert_determinant_is_sympys(m):
-    xs = sympy.symbols(f"x0:{m.group.rank}")
-    want = sympy.Matrix(m.nrows, m.ncols, lambda i, j: _laurent(m[i, j], xs)).det(
-        method="berkowitz")
-    assert sympy.expand(want - _laurent(determinant(m), xs)) == 0
+def _sympy_matrix(m, xs):
+    return sympy.Matrix(m.nrows, m.ncols, lambda i, j: _laurent(m[i, j], xs))
 
 
-@pytest.mark.parametrize("n, q", [(2, 1), (3, 1), (3, 2)])
-def test_determinant_of_torus_laplacians_is_sympys(n, q):
-    # these Laplacians are diagonal (the off-diagonal terms of d*d and d d* cancel);
-    # the random symbols below reach the off-diagonal terms and the cached minors
-    assert_determinant_is_sympys(laplacian(torus_complex(n), q))
+def _generic_nullity(d, q):
+    """a minus the rank over QQ(x) of d d* (q = 0) or d* d (q = 1), built in sympy."""
+    xs = sympy.symbols(f"x0:{d.group.rank}")
+    m = _sympy_matrix(d, xs)
+    star = m.T.subs({x: 1 / x for x in xs}, simultaneous=True)
+    lap = m * star if q == 0 else star * m
+    return lap.rows - DomainMatrix.from_Matrix(lap).convert_to(sympy.QQ.frac_field(*xs)).rank()
 
 
-laurent_entries = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-                                  st.integers(-3, 3), max_size=3)
+def laurent_entries(n):
+    return st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-3, 3),
+                           max_size=3)
+
+
+@st.composite
+def one_boundaries(draw):
+    """An a0 x a1 boundary over Z^n, n <= 2 and a0, a1 <= 3, of random Laurent entries."""
+    group = FreeAbelian(draw(st.integers(1, 2)))
+    a0, a1 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = laurent_entries(group.rank)
+    return GroupRingMatrix(group, [[GroupRingElement(group, draw(entries)) for _ in range(a1)]
+                                   for _ in range(a0)], shape=(a0, a1))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(st.integers(2, 4).flatmap(lambda n: st.lists(
-    st.lists(laurent_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_determinant_of_random_symbols_is_sympys(rows):
-    z_two = FreeAbelian(2)
-    assert_determinant_is_sympys(GroupRingMatrix(
-        z_two, [[GroupRingElement(z_two, terms) for terms in row] for row in rows]))
-
-
-def test_determinant_guards(circle, sanov_group):
-    from l2growth import two_cell_complex
-    with pytest.raises(SizeCapExceeded):
-        determinant(GroupRingMatrix.identity(FreeAbelian(1), 9))
-    mat_cx = two_cell_complex(sanov_group,
-                              GroupRingElement.one(sanov_group))
-    with pytest.raises(NotAbelian):
-        determinant(laplacian(mat_cx, 0))
+@given(one_boundaries())
+def test_l2_betti_is_the_generic_nullity(d):
+    cx = EquivariantChainComplex(d.group, [d.nrows, d.ncols], {1: d})
+    assert [l2_betti(cx, q) for q in (0, 1)] == [_generic_nullity(d, q) for q in (0, 1)]
 
 
 def test_character_path_refuses_fractional_coefficients(z_one):
@@ -174,6 +150,18 @@ def test_z_dichotomy(circle, zero_complex, gap_complex, torus2):
         assert instantiate(gap_complex, cyclic_quotient(i)).betti(1) == 0
     with pytest.raises(NotRankOne):
         z_dichotomy(torus2, 1)
+    # nine circles side by side, then with a tenth cell of zero boundary: past
+    # the eight cells where a symbolic determinant was capped
+    z_one = circle.group
+    nine = [[circle.boundaries[1][0, 0] if i == j else GroupRingElement.zero(z_one)
+             for j in range(9)] for i in range(9)]
+    circles = EquivariantChainComplex(z_one, [9, 9], {1: GroupRingMatrix(z_one, nine)})
+    assert z_dichotomy(circles, 1) == z_dichotomy(circles, 0)
+    assert (z_dichotomy(circles, 1).kind, z_dichotomy(circles, 1).bound) == ("bounded", 18)
+    wider = [row + [GroupRingElement.zero(z_one)] for row in nine]
+    linear = EquivariantChainComplex(z_one, [9, 10], {1: GroupRingMatrix(z_one, wider)})
+    assert z_dichotomy(linear, 1).is_linear and l2_betti(linear, 1) == 1
+    assert instantiate(linear, cyclic_quotient(6)).betti(1) == 9 + 6
 
 
 def test_cyclotomic_polynomials():
@@ -204,26 +192,65 @@ def test_exact_kernel_dimension(circle, z_one):
     assert b2 == 0
 
 
-def test_determinant_kernel_consistency():
-    # det(rho) vanishes exactly when the evaluated symbol has kernel
-    rng = np.random.default_rng(9)
-    from l2growth.verify import random_complex, random_quotient
-    checked = 0
-    while checked < 40:
+def test_z_dichotomy_on_random_rank_one_complexes():
+    # linear iff sympy's determinant of the Laplacian vanishes; then every cover
+    # has b_q >= index * b^(2), and otherwise b_q <= the reported bound
+    rng = np.random.default_rng(7)
+    (t,) = xs = sympy.symbols("x0:1")
+    pairs = bounded = 0
+    while pairs < 60:
         cx = random_complex(rng)
-        dims = [q for q, a in enumerate(cx.cells) if 1 <= a <= 3]
-        q = int(rng.choice(dims))
-        lap = laplacian(cx, q)
-        quot = random_quotient(rng, cx.group, max_index=40)
-        chars = character_lattice(quot)
-        syms = evaluate_at_characters(determinant(lap), np.array(chars, dtype=float))
-        for ch, sym in zip(chars, syms):
-            dim = exact_kernel_dimension(lap, ch)
-            if dim >= 1:
-                assert abs(sym) < 1e-8
-            if abs(sym) > 1e-6:
-                assert dim == 0
-            checked += 1
+        if cx.group.rank != 1:
+            continue
+        found = [(q, z_dichotomy(cx, q), l2_betti(cx, q)) for q, a in enumerate(cx.cells) if a]
+        covers = [instantiate(cx, cyclic_quotient(i)) for i in range(1, 41)]
+        for q, d, b2 in found:
+            det = _sympy_matrix(laplacian(cx, q), xs).det(method="berkowitz")
+            assert d.is_linear == (sympy.expand(det) == 0) == (b2 > 0)
+            for i, cover in enumerate(covers, 1):
+                b = cover.betti(q)
+                assert b >= i * b2 if d.is_linear else b <= d.bound
+            pairs += 1
+            bounded += not d.is_linear
+    assert 10 <= bounded <= pairs - 10
+
+
+def test_covers_have_at_least_index_times_l2_betti():
+    # a character's rank is at most the generic rank, so each of the index
+    # characters has kernel dimension at least b^(2)
+    rng = np.random.default_rng(26)
+    positive = 0
+    for _ in range(40):
+        cx = random_complex(rng)
+        quot = random_quotient(rng, cx.group, max_index=60)
+        cover = instantiate(cx, quot)
+        for q in range(cx.top_dim + 1):
+            b2 = l2_betti(cx, q)
+            assert cover.betti(q) >= quot.order * b2
+            positive += b2 > 0
+    assert positive >= 5
+
+
+def test_l2_betti_past_the_byte_budget_is_refused_before_it_builds_the_grid(z_two):
+    # Laplacian 2 - x^K y^K - x^-K y^-K, K = 2000: a grid of 4001^2 characters
+    far = two_cell_complex(z_two, GroupRingElement(z_two, {(2000, 2000): 1, (0, 0): -1}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="^character grid needs"):
+            l2_betti(far, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_symbol_ranks_past_the_byte_budget_are_refused(monkeypatch, torus2):
+    # 400 characters of a 2 x 2 symbol charge 64000 bytes
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 63999)
+    with pytest.raises(SizeCapExceeded, match="^symbol ranks needs 64000 bytes"):
+        betti_by_characters(torus2, diag_quotient(20, 20), 1, cross_check=False)
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 64000)
+    assert betti_by_characters(torus2, diag_quotient(20, 20), 1, cross_check=False)[0] == 2
 
 
 def test_coset_count_bound(z_two):
@@ -340,11 +367,10 @@ def test_rank_is_the_orbit_maximum(monkeypatch, torus2):
     assert b == 2 and rep.kernel_characters == [((Fraction(0), Fraction(0)), 2)]
 
 
-def test_pattern_errors_are_library_errors(z_one):
-    one = GroupRingElement.one(z_one)
-    with pytest.raises(NotSquare):
-        determinant(GroupRingMatrix(z_one, [[one, one]], shape=(1, 2)))
+def test_pattern_errors_are_library_errors(z_one, sanov_group):
+    with pytest.raises(NotAbelian):
+        l2_betti(two_cell_complex(sanov_group, GroupRingElement.one(sanov_group)), 0)
     no_edges = EquivariantChainComplex(z_one, [1, 0], {})
     with pytest.raises(DimensionOutOfRange):
         sandwich_check(no_edges, cyclic_quotient(3), 1)
-    assert issubclass(NotSquare, L2GrowthError) and issubclass(DimensionOutOfRange, L2GrowthError)
+    assert issubclass(NotAbelian, L2GrowthError) and issubclass(DimensionOutOfRange, L2GrowthError)

@@ -532,6 +532,25 @@ def test_sublog_rejects_vanishing_determinant(zero_complex):
         sublog_bound(zero_complex, cyclic_quotient(50), 1, dz)
 
 
+def test_sublog_reads_l2_betti_past_eight_cells(circle):
+    # nine cells of zero boundary: b^(2)_1 = 9, which a density without an atom
+    # at 0 does not show; read from it, the report was a violated bound
+    z_one, zero = circle.group, GroupRingElement.zero(circle.group)
+    lattice = quotient(z_one, LatticeSubgroup([[50]]))
+    flat = EquivariantChainComplex(z_one, [9, 9], {1: GroupRingMatrix(
+        z_one, [[zero] * 9 for _ in range(9)])})
+    with pytest.raises(HypothesisUnverified, match=r"^b\^\(2\)_1 = 9 > 0: nonzero harmonic mass$"):
+        sublog_bound(flat, lattice, 1, cosine_density_closed_form(2, 1))
+    # nine circles side by side have b^(2) = 0 and nine times the circle's density
+    loop = circle.boundaries[1][0, 0]
+    circles = EquivariantChainComplex(z_one, [9, 9], {1: GroupRingMatrix(
+        z_one, [[loop if i == j else zero for j in range(9)] for i in range(9)])})
+    one = cosine_density_closed_form(2, 1)
+    rep = sublog_bound(circles, lattice, 1,
+                       DensityEstimate.from_function(lambda lam: 9 * one.F(lam), K=4.0, a=9))
+    assert rep.satisfied and rep.betti == 9
+
+
 def test_betti_bound_general_stripe(stripe_complex):
     d = density_zn(stripe_complex, 3, sample_count=4096, seed=6)
     rep = betti_bound_general(stripe_complex, diag_quotient(2, 3), 3, d, z=0.25)
@@ -620,6 +639,10 @@ def test_uniform_gap_exponent_rejects_polynomial_growth(z_two):
     (BadArgument, ValueError, "lambda0 must be nonnegative, got -1.0",
      lambda o: gap_bound(o.gap, cyclic_quotient(4), 1, -1.0,
                          density=cosine_density_closed_form(5, 2))),
+    # refused before the gap is verified, not as z = lambda0/K outside (0, 1)
+    (BadArgument, ValueError, "lambda0 must be nonnegative, got -1.0",
+     lambda o: eig_count_bound(o.gap, cyclic_quotient(4), 1, 0.5, -1.0,
+                               density=cosine_density_closed_form(5, 2))),
     (BadArgument, ValueError, "lambda0 must be nonnegative, got -0.5",
      lambda o: uniform_gap_exponent(FreeAbelian(1), [LatticeSubgroup([[i]]) for i in (5, 7)],
                                     -0.5, o.gap, 1, density=cosine_density_closed_form(5, 2))),
