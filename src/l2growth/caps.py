@@ -7,9 +7,11 @@ Format: ``L2GROWTH_CAPS="bfs=20,order=100000,eig=2000"``, each a positive intege
 * ``bfs``     - maximum word length in matrix groups: of BFS word lengths, and
   of the kernel words the shortest-element search certifies (its BFS walks
   half of that length)
-* ``visited`` - maximum number of elements any ball walk visits, the
-  shortest-element search in both kinds of group included (its refusal
-  still carries the lower bound that the levels it completed certify)
+* ``visited`` - maximum number of elements any ball walk visits, counted in
+  BFS order within a level, the shortest-element search in both kinds of
+  group included (its refusal still carries the lower bound that the levels
+  it completed certify); each level's arrays are also charged to the byte
+  budget, and a level whose integer products could pass 2^62 is refused
 * ``order``   - maximum order of a realized finite quotient / cover instantiation
 * ``eig``     - maximum size of a boundary's Gram matrix, on its smaller side,
   whose spectrum is computed (the eigensolver runs on its equivariant blocks);

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 user/validation error, 2 cross-check mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import List, Optional
@@ -48,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="l2growth",
                      description="Betti numbers of finite covers and spectral growth bounds")

@@ -17,6 +17,16 @@ and the deck group acts through the permutations ``right_mult_indices`` and
 number Smith normal form coordinates in mixed radix; congruence quotients
 number matrices mod m in BFS order, as int64-coded numpy tables.
 
+The word metric (``short_length``, ``word_lengths``, ``ball_volume``) walks
+the ball of Gamma a level at a time, as int64 arrays of flattened elements.
+The generating sets are symmetric, so each level is deduplicated against the
+two levels before it only, by exact codes over the rows' bounding box (int64
+wherever they fit).
+Each level's arrays are charged to the byte budget (``exact.check_bytes``)
+before they are built, and a level whose products could pass 2^62 is refused
+with ``SearchCapExceeded``.  Congruence quotients are realized by the same
+walk taken mod m.
+
 All constants produced downstream (shortest subgroup elements, ball volumes,
 support radii) depend on these pinned generating sets.
 """
@@ -28,7 +38,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,33 +65,92 @@ def _matmul(a, b):
     )
 
 
+_INT64_PRODUCTS = 2 ** 62  # entries below this in absolute value are exact in int64
+
+
+def _place(radices) -> Tuple[np.ndarray, int]:
+    """Place values of mixed-radix codes over ``radices`` (the first digit least
+    significant) and the codes' limit, the product of the radices.  The places
+    are int64 when the limit is below 2^63 and Python integers otherwise, so a
+    code is always exact."""
+    place = [1]
+    for r in radices:
+        place.append(place[-1] * int(r))
+    limit = place.pop()
+    return np.array(place, dtype=np.int64 if limit < 2 ** 63 else object), limit
+
+
+def _box_codes(rows: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Codes of int64 rows, equal exactly when the rows are, and their limit:
+    mixed radix over the rows' bounding box."""
+    lo = rows.min(axis=0)
+    place, limit = _place(rows.max(axis=0) - lo + 1)
+    return (rows - lo) @ place, limit
+
+
+def _first_occurrences(codes: np.ndarray, limit: int) -> np.ndarray:
+    """Ascending positions of the first occurrence of each value in ``codes``
+    (all in [0, limit)): one sort of code * n + position where that fits in
+    int64, a stable argsort otherwise."""
+    n = len(codes)
+    if limit * n < 2 ** 63:
+        codes, pos = np.divmod(np.sort(codes * n + np.arange(n)), n)
+    else:
+        pos = np.argsort(codes, kind="stable")
+        codes = codes[pos]
+    start = np.ones(n, dtype=bool)
+    start[1:] = codes[1:] != codes[:-1]
+    return np.sort(pos[start])
+
+
+def _bfs_levels(start: np.ndarray, degree: int, step, codes, radius=math.inf):
+    """Breadth-first levels of a Cayley graph under a symmetric generating set.
+
+    Elements are int64 rows; ``start`` holds level 0.  ``step(level, dist)``
+    returns the products of a level's elements with the ``degree`` generators,
+    frontier-major and generator-minor, as the candidates for level ``dist``,
+    and ``codes(rows)`` gives exact codes of rows and their limit.  A level
+    keeps its new candidates at their first occurrence, in that order, as an
+    element-by-element walk would.  The generators are symmetric, so every
+    neighbour of a level-d element lies in level d - 1, d or d + 1: candidates
+    are deduplicated against the two levels before them only.  Each level's
+    arrays are charged to the byte budget before they are built.  Yields the
+    levels up to ``radius``, or to the last nonempty one.
+    """
+    before, level, dist = start[:0], start, 0
+    while True:
+        yield level
+        dist += 1
+        if dist > radius:
+            return
+        rows = len(before) + len(level) * (degree + 1)
+        # candidates, their concatenation and its shifted copy, then about six
+        # words a row of codes, sort keys and positions
+        exact.check_bytes(8 * rows * (3 * start.shape[1] + 6),
+                          f"level {dist} of a breadth-first walk")
+        cands = step(level, dist)
+        old = len(before) + len(level)
+        first = _first_occurrences(*codes(np.concatenate([before, level, cands])))
+        new = first[first >= old] - old
+        if not len(new):
+            return
+        before, level = level, cands[new]
+
+
 class _Group:
     """What both deck groups share: the breadth-first walk of the word metric."""
 
     def word_length(self, a: Element, caps: Caps = DEFAULT_CAPS) -> int:
         return self.word_lengths([a], caps)[a]
 
-    def iter_ball(self, max_radius: int, max_visited: int) -> Iterator[Tuple[Element, int]]:
-        """Breadth-first enumeration of (element, word length), identity first."""
+    def _levels(self, radius: int, lower_bound=lambda dist: None):
+        """The ball of ``radius`` a level at a time, as int64 arrays of elements
+        (flattened matrices or vectors), identity first: see ``_bfs_levels``.
+        A level the walk cannot build exactly raises ``SearchCapExceeded`` with
+        ``lower_bound`` of its word length."""
         gens = self.symmetric_generators()
-        seen = {self.identity}
-        yield self.identity, 0
-        frontier = [self.identity]
-        for dist in range(1, max_radius + 1):
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    w = self.mul(el, g)
-                    if w not in seen:
-                        seen.add(w)
-                        if len(seen) > max_visited:
-                            raise SearchCapExceeded(
-                                f"BFS visited more than {max_visited} elements")
-                        yield w, dist
-                        nxt.append(w)
-            if not nxt:
-                return
-            frontier = nxt
+        start = np.array([self.identity], dtype=np.int64).reshape(1, -1)
+        return _bfs_levels(start, len(gens), *self._walk(gens, radius, lower_bound), radius)
 
 
 class FreeAbelian(_Group):
@@ -105,6 +174,14 @@ class FreeAbelian(_Group):
     def word_lengths(self, targets: Iterable[Element],
                      caps: Caps = DEFAULT_CAPS) -> Dict[Element, int]:
         return {a: sum(map(abs, a)) for a in targets}  # l1 norms
+
+    def _walk(self, gens, radius, lower_bound):
+        """Steps and codes of the ball walk: a step adds a unit vector, and the
+        box [-radius, radius]^n numbers the ball."""
+        gens = np.array(gens, dtype=np.int64)
+        place, limit = _place([2 * radius + 1] * self.rank)
+        return (lambda level, _dist: (level[:, None] + gens).reshape(-1, self.rank),
+                lambda rows: ((rows + radius) @ place, limit))
 
     def symmetric_generators(self) -> List[Element]:
         gens = []
@@ -159,15 +236,50 @@ class IntegralMatrixGroup(_Group):
                 out.append(gi)
         return out
 
+    def _walk(self, gens, radius, lower_bound):
+        """Steps and codes of the ball walk.  Entries grow with the word length,
+        so the rows' bounding box numbers them.  Products stay exact: before
+        level L is built, its largest |entry| times the generators' largest
+        column l1 norm must stay below 2^62, else the walk raises
+        ``SearchCapExceeded`` with ``lower_bound(L)``."""
+        k = self.dimension
+        norm = max(sum(abs(g[t][j]) for t in range(k)) for g in gens for j in range(k))
+        # a generator entry past 2^62 is refused at level 1, before it is used
+        array = np.array(gens, dtype=np.int64) if norm < _INT64_PRODUCTS else None
+
+        def step(level, dist):
+            top = int(np.abs(level).max())
+            if top * norm >= _INT64_PRODUCTS:
+                raise SearchCapExceeded(
+                    f"level {dist} of the ball walk could pass int64: entries up to {top}, "
+                    f"generator column l1 norm {norm}", lower_bound=lower_bound(dist))
+            return (level.reshape(-1, 1, k, k) @ array).reshape(-1, k * k)
+
+        return step, _box_codes
+
     def word_lengths(self, targets: Iterable[Element],
                      caps: Caps = DEFAULT_CAPS) -> Dict[Element, int]:
-        """Word lengths of the given elements: one BFS until it has met them all."""
+        """Word lengths of the given elements: one BFS until it has met them all.
+
+        Past ``caps.bfs_visited`` walked elements it raises ``SearchCapExceeded``,
+        and past ``caps.bfs_length`` with the lower bound ``bfs_length + 1``.
+        """
         missing = set(targets)
         lengths: Dict[Element, int] = {}
-        for el, dist in self.iter_ball(caps.bfs_length, caps.bfs_visited):
-            if el in missing:
-                missing.discard(el)
-                lengths[el] = dist
+        k, count = self.dimension, 0
+        for dist, level in enumerate(self._levels(caps.bfs_length)):
+            walked = len(level)
+            for i, mat in enumerate(level.reshape(-1, k, k).tolist()):
+                el = tuple(map(tuple, mat))
+                if el in missing:
+                    missing.discard(el)
+                    lengths[el] = dist
+                    if not missing:
+                        walked = i + 1
+                        break
+            count += walked
+            if dist and count > caps.bfs_visited:  # the identity is always met
+                raise SearchCapExceeded(f"BFS visited more than {caps.bfs_visited} elements")
             if not missing:
                 return lengths
         raise SearchCapExceeded(
@@ -191,7 +303,7 @@ class LatticeSubgroup:
         if any(len(row) != self.n for row in self.matrix):
             raise BadGroup("subgroup matrix must be square")
         self.det = exact.det_int(self.matrix)
-        self._snf = None
+        self._snf = self._reduction = None
 
     @property
     def index(self) -> int:
@@ -213,6 +325,23 @@ class LatticeSubgroup:
         u, diag = self.snf()
         return tuple(sum(map(operator.mul, row, v)) % abs(d) for row, d in zip(u, diag))
 
+    def reduce_codes(self, rows: np.ndarray) -> np.ndarray:
+        """``reduce`` of each int64 vector in ``rows``, as a mixed-radix code over
+        the Smith moduli."""
+        if self.det == 0:
+            raise NotFiniteIndex("subgroup basis matrix is singular")
+        if self._reduction is None:
+            u, diag = self.snf()
+            mods = [abs(d) for d in diag]
+            dtype = np.int64 if self.n * max(mods) < 2 ** 63 else object
+            red = [[x % d for x in row] for row, d in zip(u, mods)]  # U mod d, row by row
+            self._reduction = (self.n * max(mods), np.array(red, dtype=dtype).T,
+                               np.array(mods, dtype=dtype), _place(mods)[0])
+        bound, red, mods, place = self._reduction
+        if bound * int(np.abs(rows).max(initial=1)) >= 2 ** 63:  # each sum is below n d max |v|
+            rows, red, mods = rows.astype(object), red.astype(object), mods.astype(object)
+        return (rows @ red % mods) @ place
+
     def columns(self) -> List[Tuple[int, ...]]:
         return [tuple(self.matrix[i][j] for i in range(self.n)) for j in range(self.n)]
 
@@ -232,6 +361,11 @@ class CongruenceSubgroup:
         """Entrywise reduction mod m: the image of ``mat`` in the quotient."""
         m = self.level
         return tuple(tuple(x % m for x in row) for row in mat)
+
+    def reduce_codes(self, rows: np.ndarray) -> np.ndarray:
+        """``reduce`` of each flattened int64 matrix in ``rows``, as a mixed-radix
+        code of its entries mod m."""
+        return (rows % self.level) @ _place([self.level] * rows.shape[1])[0]
 
     def __repr__(self):
         return f"CongruenceSubgroup(mod {self.level})"
@@ -352,33 +486,28 @@ class CongruenceQuotient(FiniteQuotient):
         # int64 codes, and exact int64 products (below m^2 when k = 1)
         if m ** max(k * k, 2) >= 2 ** 63:
             raise SizeCapExceeded(f"int64 codes of {k}x{k} matrices mod {m}: {m}^{k * k} >= 2^63")
-        self._place = m ** np.arange(k * k, dtype=np.int64).reshape(k, k)
+        self._place, limit = _place([m] * (k * k))
         gens = np.array([subgroup.reduce(g) for g in group.symmetric_generators()], dtype=np.int64)
-        frontier = np.eye(k, dtype=np.int64)[None]
-        mats = [frontier]
-        seen = self._codes(frontier)  # sorted
-        # BFS a frontier at a time; products come frontier-major, generator-minor
-        # and new elements keep their first position, as element by element.
-        # The Cayley graph is vertex-transitive: the BFS depth is its diameter.
-        depth = -1
-        while len(frontier):
-            depth += 1
-            prods = (frontier[:, None] @ gens[None] % m).reshape(-1, k, k)
-            codes, first = np.unique(self._codes(prods), return_index=True)
-            new = ~np.isin(codes, seen, assume_unique=True)
-            if len(seen) + np.count_nonzero(new) > caps.order:
+
+        def step(level, _dist):
+            return (level.reshape(-1, 1, k, k) @ gens % m).reshape(-1, k * k)
+
+        # The BFS depth is the diameter: the Cayley graph is vertex-transitive.
+        levels, self.order = [], 0
+        for level in _bfs_levels(np.eye(k, dtype=np.int64).reshape(1, -1), len(gens), step,
+                                 lambda rows: (rows @ self._place, limit)):
+            self.order += len(level)
+            if self.order > caps.order:
                 raise OrderCapExceeded(f"congruence quotient exceeds order cap {caps.order}")
-            frontier = prods[np.sort(first[new])]
-            mats.append(frontier)
-            seen = np.union1d(seen, codes[new])
-        self._mats = np.concatenate(mats)
-        self.order = len(self._mats)
-        self._sorted_index = np.argsort(self._codes(self._mats))
-        self._sorted = seen
-        self._diameter = depth
+            levels.append(level)
+        self._mats = np.concatenate(levels).reshape(-1, k, k)
+        codes = self._codes(self._mats)
+        self._sorted_index = np.argsort(codes)
+        self._sorted = codes[self._sorted_index]
+        self._diameter = len(levels) - 1
 
     def _codes(self, mats: np.ndarray) -> np.ndarray:
-        return (mats * self._place).sum(axis=(-2, -1))
+        return mats.reshape(len(mats), -1) @ self._place
 
     def _indices(self, mats: np.ndarray, acting) -> np.ndarray:
         """Element indices of the matrices ``mats`` (reduced mod m here)."""
@@ -396,17 +525,22 @@ class CongruenceQuotient(FiniteQuotient):
         return self._indices(self._mats[j] @ self._mats, j)
 
     def element_orders(self) -> np.ndarray:
-        eye = np.eye(self.group.dimension, dtype=np.int64)
+        """Powers of every element at once, compared by code with the identity's;
+        the bases of the pending elements travel with their powers."""
+        one = self._codes(self._mats[:1])[0]
         orders = np.zeros(self.order, dtype=np.int64)
-        pending = np.arange(self.order)
-        power = self._mats
+        pending, base = np.arange(self.order), self._mats
+        power = base
         for e in range(1, self.order + 1):
-            done = (power == eye).all(axis=(1, 2))
-            orders[pending[done]] = e
-            pending, power = pending[~done], power[~done]
-            if not len(pending):
-                return orders
-            power = power @ self._mats[pending] % self.level
+            done = self._codes(power) == one
+            if done.any():
+                orders[pending[done]] = e
+                keep = ~done
+                pending, base, power = pending[keep], base[keep], power[keep]
+                if not len(pending):
+                    return orders
+            power = power @ base
+            power %= self.level
         raise CrossCheckMismatch("element order exceeds group order; broken quotient")
 
     def diameter(self) -> int:
@@ -427,7 +561,8 @@ def short_length(group, sub, caps: Caps = DEFAULT_CAPS):
     Past it, or past ``caps.bfs_visited`` walked elements, it raises
     :class:`SearchCapExceeded` with a certified lower bound: ``cap + 1``
     past the cap, and ``2(L - 1) + 1`` when the walk passes ``bfs_visited``
-    at level L (see below: the levels under L are complete).
+    at level L, or when level L's products could pass int64 (see below: the
+    levels under L are complete).
 
     A subgroup of Z is generated by its determinant.  Otherwise both kinds of
     group meet in the middle: the ball is walked breadth first only to radius
@@ -441,8 +576,19 @@ def short_length(group, sub, caps: Caps = DEFAULT_CAPS):
     walked no pair can beat the best one found.  Certifying ``short > cap``
     therefore needs the ball only to radius ``ceil(cap/2)``, where the walk
     stops.  The walk visits about the square root of the full ball's elements
-    (486 of 118,097 for the Sanov group mod 13), and by pigeonhole at most
+    (485 of 118,097 for the Sanov group mod 13), and by pigeonhole at most
     ``index + 1`` before the first collision.
+
+    The walk takes a level at a time, with the keys as ``reduce_codes``.  On
+    entering level d no pair among the levels below d collides (it would be
+    shorter than ``2d - 1`` and would have stopped the walk), so a level-d key
+    can only meet a key of level d - 1 (a pair of length 2d - 1) or an earlier
+    one of level d (2d): a pair with level j <= d - 2 would be a subgroup word
+    of length at most 2d - 2, whose halves collide below level d.  So keys are
+    compared with the previous level's only.  Within a level the elements
+    count in BFS order, and the walk stops after the first pair of length
+    2d - 1, as element by element; the ``bfs_visited`` refusal falls where
+    that walk would place it.
     """
     if isinstance(group, FreeAbelian):
         if not isinstance(sub, LatticeSubgroup):
@@ -458,22 +604,24 @@ def short_length(group, sub, caps: Caps = DEFAULT_CAPS):
     else:
         raise UnsupportedGroup(f"unsupported group {group!r}")
     half = (cap + 1) // 2
-    first: Dict[Element, int] = {}  # key -> least word length
-    best = math.inf
-    last = 0
-    for count, (el, dist) in enumerate(group.iter_ball(half, math.inf), 1):
-        if 2 * (dist - 1) >= best - 1:
-            break  # levels below dist are complete: no pair can beat best
-        if count > caps.bfs_visited:  # and they hold no pair shorter than 2 (dist - 1) + 1
+    best, last, count, prev = math.inf, 0, 0, np.zeros(0, dtype=np.int64)
+    for dist, level in enumerate(group._levels(half, lambda dist: 2 * (dist - 1) + 1)):
+        keys = sub.reduce_codes(level)
+        ordered = np.sort(np.concatenate([prev, keys]))
+        walked = len(level)
+        if (ordered[1:] == ordered[:-1]).any():  # a pair, so the last level
+            # a key of the previous level makes a pair of length 2 dist - 1, and the
+            # walk stops after the first one; else two keys of this level, 2 dist
+            known = np.sort(prev)
+            stops = np.flatnonzero(known[np.searchsorted(known, keys) % len(known)] == keys)
+            walked, best = (stops[0] + 1, 2 * dist - 1) if len(stops) else (walked, 2 * dist)
+        if count + walked > caps.bfs_visited:  # levels below dist hold no pair shorter
             raise SearchCapExceeded(f"BFS visited more than {caps.bfs_visited} elements",
                                     lower_bound=2 * (dist - 1) + 1)
-        last = dist
-        key = sub.reduce(el)
-        seen = first.get(key)
-        if seen is None:
-            first[key] = dist
-        else:
-            best = min(best, dist + seen)
+        count += walked
+        last, prev = dist, keys
+        if 2 * dist >= best - 1:
+            break  # levels through dist are complete: no pair can beat best
     if best <= cap:
         return best
     if best == math.inf and last < half:
@@ -492,8 +640,10 @@ def ball_volume(group, r: int, caps: Caps = DEFAULT_CAPS) -> int:
         n = group.rank
         return sum((2 ** k) * comb(n, k) * comb(r, k) for k in range(0, min(n, r) + 1))
     count = 0
-    for _el, _dist in group.iter_ball(r, caps.bfs_visited):
-        count += 1
+    for dist, level in enumerate(group._levels(r)):
+        count += len(level)
+        if dist and count > caps.bfs_visited:  # the identity is always met
+            raise SearchCapExceeded(f"BFS visited more than {caps.bfs_visited} elements")
     return count
 
 

@@ -53,7 +53,8 @@ def _character_numerators(quot: AbelianQuotient) -> Tuple[np.ndarray, int]:
     chars = np.zeros((quot.order, quot.group.rank), dtype=np.int64)
     for i, d in enumerate(quot.moduli):
         chars = (chars + (quot._coords[i] * (e // d))[:, None] * u[i]) % e
-    if len(np.unique(chars, axis=0)) != quot.order:
+    rows = chars[np.lexsort(chars.T)]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise CrossCheckMismatch("characters are not distinct")  # pragma: no cover
     for col in quot.subgroup.columns():
         if np.any(chars @ (np.array(col, dtype=object) % e).astype(np.int64) % e):

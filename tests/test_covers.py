@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
                       FreeAbelian, GroupRingElement, GroupRingMatrix, IntegralMatrixGroup,
                       LatticeSubgroup, cosine_density_closed_form, eig_count_bound,
-                      instantiate, quotient, two_cell_complex, verify_trace_equality)
+                      instantiate, quotient, short_length, two_cell_complex,
+                      verify_trace_equality)
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
 from l2growth.covers import _equivariant_eigenvalues, _instantiate_matrix, _left_orbits
@@ -303,6 +304,43 @@ def presentation_complex(group):
     row = [GroupRingElement(group, {g: 1, e: -1}) for g in group.generators]
     return EquivariantChainComplex(group, [1, len(row)], {
         1: GroupRingMatrix(group, [row], shape=(1, len(row)))})
+
+
+def tree_closed_walks(length, degree=4):
+    """W_0, ..., W_length: the closed walks of each length at a vertex of the
+    degree-regular tree, counted by distance from the start (Kesten, Trans.
+    AMS 92, 1959): from the start every step leads out, elsewhere one leads
+    back and degree - 1 lead out."""
+    by_distance, walks = [1], [1]
+    for _ in range(length):
+        nxt = [0] * (len(by_distance) + 1)
+        for r, c in enumerate(by_distance):
+            if r:
+                nxt[r - 1] += c
+            nxt[r + 1] += (degree - 1 if r else degree) * c
+        by_distance = nxt
+        walks.append(by_distance[0])
+    return walks
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_presentation_traces_meet_the_tree_below_short(k):
+    # On the presentation complex of the free Sanov group, Delta_0 = 4 - sum g^(+-1),
+    # so tr(Delta_0^j) / order = sum_i C(j, i) 4^(j - i) (-1)^i W_i, W_i the closed
+    # walks of the quotient's Cayley graph.  They are the tree's for i < short, as no
+    # kernel word is shorter, and a kernel word of length short adds closed walks
+    # the tree lacks: an oracle for short that shares no code with its search.
+    group = IntegralMatrixGroup(2, [[[1, k], [0, 1]], [[1, 0], [k, 1]]])
+    cx = presentation_complex(group)
+    for m in (3, 5, 7, 9, 11, 13):
+        sub = CongruenceSubgroup(m)
+        s = short_length(group, sub)
+        cover = CoverInstance(cx, quotient(group, sub))
+        walks = tree_closed_walks(s)
+        for j in range(1, s + 1):
+            tree = sum(math.comb(j, i) * 4 ** (j - i) * (-1) ** i * walks[i]
+                       for i in range(j + 1))
+            assert (cover.normalized_trace([0] * j + [1], 0) == tree) == (j < s), (m, j)
 
 
 def test_quotient_of_a_smaller_free_abelian_group_is_refused(torus2):

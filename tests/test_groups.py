@@ -156,6 +156,92 @@ def test_abelian_right_mult_matches_tuples(z_two, mat):
         assert q.right_mult_indices(g).tolist() == tuple_right_mult_indices(q, g)
 
 
+def iter_ball(group, max_radius, max_visited):
+    """Reference: breadth-first enumeration of (element, word length), identity
+    first, one tuple product at a time."""
+    gens = group.symmetric_generators()
+    seen = {group.identity}
+    yield group.identity, 0
+    frontier = [group.identity]
+    for dist in range(1, max_radius + 1):
+        nxt = []
+        for el in frontier:
+            for g in gens:
+                w = group.mul(el, g)
+                if w not in seen:
+                    seen.add(w)
+                    if len(seen) > max_visited:
+                        raise SearchCapExceeded(
+                            f"BFS visited more than {max_visited} elements")
+                    yield w, dist
+                    nxt.append(w)
+        if not nxt:
+            return
+        frontier = nxt
+
+
+def tuple_short_length(group, sub, caps=Caps()):
+    """Reference: the meet-in-the-middle search of ``short_length`` over the
+    tuple walk, element by element, with a dict of keys."""
+    if isinstance(group, FreeAbelian):
+        if group.rank == 1:
+            return abs(sub.det)
+        cap = caps.short
+    else:
+        cap = caps.bfs_length
+    half = (cap + 1) // 2
+    first = {}  # key -> least word length
+    best = math.inf
+    last = 0
+    for count, (el, dist) in enumerate(iter_ball(group, half, math.inf), 1):
+        if 2 * (dist - 1) >= best - 1:
+            break
+        if count > caps.bfs_visited:
+            raise SearchCapExceeded(f"BFS visited more than {caps.bfs_visited} elements",
+                                    lower_bound=2 * (dist - 1) + 1)
+        last = dist
+        key = sub.reduce(el)
+        seen = first.get(key)
+        if seen is None:
+            first[key] = dist
+        else:
+            best = min(best, dist + seen)
+    if best <= cap:
+        return best
+    if best == math.inf and last < half:
+        return math.inf
+    raise SearchCapExceeded(
+        f"no subgroup element of word length <= {cap}", lower_bound=cap + 1)
+
+
+def tuple_word_lengths(group, targets, caps=Caps()):
+    """Reference: ``word_lengths`` of a matrix group over the tuple walk."""
+    missing = set(targets)
+    lengths = {}
+    for el, dist in iter_ball(group, caps.bfs_length, caps.bfs_visited):
+        if el in missing:
+            missing.discard(el)
+            lengths[el] = dist
+        if not missing:
+            return lengths
+    raise SearchCapExceeded(
+        f"no word of length <= {caps.bfs_length} reaches {len(missing)} element(s)",
+        lower_bound=caps.bfs_length + 1)
+
+
+def tuple_ball_volume(group, r, caps=Caps()):
+    """Reference: ``ball_volume`` of a matrix group over the tuple walk."""
+    return sum(1 for _ in iter_ball(group, r, caps.bfs_visited))
+
+
+def outcome(call):
+    """A call's value, or its refusal's class, message and lower bound."""
+    try:
+        return call()
+    except SearchCapExceeded as err:
+        return type(err), str(err), err.lower_bound
+
+
 def short_length_full_ball(group, sub, caps=Caps()):
     """Reference: breadth-first search over the whole ball of radius short."""
     cap = caps.bfs_length
@@ -163,7 +249,7 @@ def short_length_full_ball(group, sub, caps=Caps()):
     home = sub.reduce(identity)  # membership: reducing to the identity's image
     exhausted = True
     last = 0
-    for el, dist in group.iter_ball(cap, caps.bfs_visited):
+    for el, dist in iter_ball(group, cap, caps.bfs_visited):
         last = dist
         if el != identity and sub.reduce(el) == home:
             return dist
@@ -244,21 +330,115 @@ def test_short_length_visited_cap(sanov_group):
     assert err.value.lower_bound == 5
 
 
+def level_sizes(monkeypatch, group):
+    """Record (word length, element count) of each level the group's walk yields."""
+    walk, sizes = group._levels, []
+
+    def recording(*args):
+        for dist, level in enumerate(walk(*args)):
+            sizes.append((dist, len(level)))
+            yield level
+
+    monkeypatch.setattr(group, "_levels", recording)
+    return sizes
+
+
 def test_short_length_walks_half_the_ball(monkeypatch):
     group = sanov(2)
-    walk = group.iter_ball
-    count = 0
-
-    def counting(*args):
-        nonlocal count
-        for item in walk(*args):
-            count += 1
-            yield item
-
-    monkeypatch.setattr(group, "iter_ball", counting)
+    sizes = level_sizes(monkeypatch, group)
     assert short_length(group, CongruenceSubgroup(13)) == 10
-    # the full ball of radius 10 has 118,097 elements
-    assert count <= 2000
+    # the full ball of radius 10 has 118,097 elements; the walk stops at radius 5
+    assert sizes == [(0, 1), (1, 4), (2, 12), (3, 36), (4, 108), (5, 324)]
+
+
+ROTATION = IntegralMatrixGroup(2, [[[0, -1], [1, 0]]])
+WALK_CASES = ([(f"sanov{k}-mod{m}", sanov(k), CongruenceSubgroup(m))
+               for k in (2, 3) for m in range(3, 14)]
+              + [(f"SL2Z-mod{m}", SL2Z, CongruenceSubgroup(m)) for m in (3, 4, 5, 7)]
+              + [("rotation-mod5", ROTATION, CongruenceSubgroup(5))])
+MATRIX_CAPS = ([Caps()] + [Caps(bfs_length=b) for b in (1, 2, 3, 4, 5, 7, 9)]
+               + [Caps(bfs_visited=v) for v in (0, 1, 3, 5, 17, 20, 60, 200)])
+
+
+@pytest.mark.parametrize("name, group, sub", WALK_CASES, ids=[c[0] for c in WALK_CASES])
+def test_matrix_walks_match_the_tuple_walk(name, group, sub):
+    # the same value, or the same refusal and lower bound, under every cap
+    rng = np.random.default_rng(sum(map(ord, name)))
+    gens = group.symmetric_generators()
+    words = [functools.reduce(group.mul, [gens[i] for i in rng.integers(0, len(gens), size=n)],
+                              group.identity) for n in (0, 1, 2, 3, 5)]
+    for caps in MATRIX_CAPS:
+        assert outcome(lambda: short_length(group, sub, caps)) == \
+            outcome(lambda: tuple_short_length(group, sub, caps)), caps
+        for targets in (words[:1], words[1:3], words, words[3:]):
+            assert outcome(lambda: group.word_lengths(targets, caps)) == \
+                outcome(lambda: tuple_word_lengths(group, targets, caps)), (caps, targets)
+        for r in range(5):
+            assert outcome(lambda: ball_volume(group, r, caps)) == \
+                outcome(lambda: tuple_ball_volume(group, r, caps)), (caps, r)
+
+
+def hnf_lattices(n, seed, count):
+    """Random lattices of Z^n in Hermite normal form (lower triangular; the
+    columns generate), and elongated ones (a diagonal of ones and one large
+    entry, so one congruence x_n = a . x mod N), of index <= 2000."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        if t % 2:
+            diag = [1] * (n - 1) + [int(rng.integers(50, 2000))]
+        else:
+            diag = [int(rng.integers(1, int(2000 ** (1 / n)) + 1)) for _ in range(n)]
+        mat = [[diag[i] if i == j else int(rng.integers(0, diag[i])) if i > j else 0
+                for j in range(n)] for i in range(n)]
+        out.append(LatticeSubgroup(mat))
+    return out
+
+
+@pytest.mark.parametrize("n, seed", [(2, 11), (3, 12)])
+def test_abelian_walk_matches_the_tuple_walk(n, seed):
+    group = FreeAbelian(n)
+    for sub in hnf_lattices(n, seed, 24):
+        for caps in ([Caps()] + [Caps(short=c) for c in (1, 2, 3, 5, 8)]
+                     + [Caps(bfs_visited=v) for v in (0, 1, 4, 7, 30, 100)]):
+            assert outcome(lambda: short_length(group, sub, caps)) == \
+                outcome(lambda: tuple_short_length(group, sub, caps)), (sub, caps)
+
+
+def test_walk_refuses_products_past_int64():
+    # entries grow by about 2^20 a level: level 3 reaches 2^60, and level 4's
+    # products could pass 2^62, so levels 0-3 are complete
+    big = IntegralMatrixGroup(2, [[[1, 2 ** 20], [0, 1]], [[1, 0], [2 ** 20, 1]]])
+    sub = CongruenceSubgroup(1009)
+    assert tuple_short_length(big, sub) >= 7  # Python integers pass any bound
+    with pytest.raises(SearchCapExceeded, match="could pass int64") as err:
+        short_length(big, sub)
+    assert err.value.lower_bound == 2 * (4 - 1) + 1
+    for call in (lambda: ball_volume(big, 4), lambda: big.word_lengths([((2, 0), (0, 1))])):
+        with pytest.raises(SearchCapExceeded, match="could pass int64"):
+            call()
+    assert ball_volume(big, 3) == tuple_ball_volume(big, 3) == 53
+    # a generator entry past 2^62 is refused at level 1, before any product
+    huge = IntegralMatrixGroup(2, [[[1, 2 ** 70], [0, 1]]])
+    with pytest.raises(SearchCapExceeded, match="level 1 of the ball walk") as err:
+        short_length(huge, CongruenceSubgroup(5))
+    assert err.value.lower_bound == 1
+
+
+def test_walk_levels_are_charged_to_the_byte_budget(monkeypatch):
+    import tracemalloc
+    from l2growth import exact
+    budget = 2 ** 20
+    monkeypatch.setattr(exact, "_DENSE_BYTES", budget)
+    group = sanov(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="breadth-first walk"):
+            ball_volume(group, 20, Caps(bfs_visited=10 ** 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * budget
 
 
 def test_short_length_singular_matrix(z_two):
@@ -294,20 +474,12 @@ def test_short_length_one_past_the_cap_is_refused(z_two):
 
 def test_abelian_search_walks_to_half_the_cap(monkeypatch):
     group = FreeAbelian(3)
-    walk = group.iter_ball
-    radii = []
-
-    def recording(*args):
-        for item in walk(*args):
-            radii.append(item[1])
-            yield item
-
-    monkeypatch.setattr(group, "iter_ball", recording)
+    sizes = level_sizes(monkeypatch, group)
     with pytest.raises(SearchCapExceeded) as err:
         short_length(group, LatticeSubgroup([[40, 0, 0], [0, 40, 0], [0, 0, 40]]),
                      caps=Caps(short=20))
     assert err.value.lower_bound == 21
-    assert max(radii) == 10 and len(radii) == ball_volume(group, 10)
+    assert sizes[-1][0] == 10 and sum(n for _dist, n in sizes) == ball_volume(group, 10)
 
 
 def test_abelian_search_is_bounded_by_the_visited_cap():
