@@ -7,12 +7,16 @@ matrices are computed over the rationals with a certificate:
    columns hold at most two nonzeros each, all within 2**31, from a
    spanning forest (``_forest_rank``): a component of its graph has rank
    |V| - 1 or |V|, and it is |V| unless the tree's one candidate kernel
-   vector satisfies every other row, which a residue modulo a prime past
-   2**31 refutes and exact arithmetic confirms.  No elimination, CRT or
-   Hadamard bound is needed.  The forest regroups the entries by the other
-   index when the storage lines are the heavier ones.  Every other matrix,
-   transposed to the orientation with fewer columns, and every
-   ``kernel_certified`` call, goes on to step 2;
+   vector satisfies every other row.  The forest is hooked together from
+   numpy array operations (``_contract``) in at most 2 * ceil(log2 n) rounds
+   of pointer jumping.  When every edge's two entries have one magnitude the
+   candidate is a vector of signs, found and checked once in int64, exactly;
+   otherwise a residue modulo a prime past 2**31 refutes balance, and the
+   components it leaves balanced are contracted again with ``Fraction``.
+   No elimination, CRT or Hadamard bound is needed.  The forest regroups the
+   entries by the other index when the storage lines are the heavier ones.
+   Every other matrix, transposed to the orientation with fewer columns, and
+   every ``kernel_certified`` call, goes on to step 2;
 2. reduce the matrix mod a large prime to a reduced row echelon form, in
    the form one fill budget B picks: B is twice the nonzeros if the dense
    int64 array fits ``_DENSE_BYTES``, else that budget in dict entries.  The
@@ -57,6 +61,7 @@ from math import gcd, isqrt, lcm, prod
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ReconstructionFailed, SizeCapExceeded, UnsupportedMatrix
 
@@ -66,8 +71,10 @@ _DICT_ENTRY_BYTES = 96       # memory per stored sparse entry (about 93 B under 
 
 _PRODUCT_BOUND = 2 ** 62     # row sums of |a_ij * v_j| below this fit in int64
 _ENTRY_BOUND = 2 ** 31       # entries this small keep int64 row sums of |a_ij| exact
-_BLOCK_ENTRIES = 2 ** 17     # entries per dense block of candidate kernel vectors
-_FOREST_PRIME = 2 ** 31 + 11  # a prime past every entry the forest reads; its squares fit int64
+_BLOCK_ENTRIES = 2 ** 17     # entries per block of elimination updates or of kernel candidates
+# a prime past every entry the forest reads, so that it divides none; a
+# product of two residues is below its square, below 2**63
+_FOREST_PRIME = 2 ** 31 + 11
 
 
 class _FillIn(Exception):
@@ -430,8 +437,9 @@ def _verify_kernel_exact(a, vecs: List[Dict[int, int]]) -> bool:
     ``a`` is the matrix, dense or scipy sparse.  When
     ``max_i sum_j |a_ij| * max_j |v_j| < 2**62`` no partial sum of ``A @ v``
     can leave int64, so the check is one int64 product ``A @ V`` per block of
-    candidates, each block a dense array of at most ``_BLOCK_ENTRIES``
-    entries; otherwise it runs over Python ints on the dict rows of ``a``.
+    candidates, each block a CSC matrix of about ``_BLOCK_ENTRIES`` of their
+    entries, so that its cost follows the stored entries, not the width;
+    otherwise it runs over Python ints on the dict rows of ``a``.
     """
     ncols = a.shape[1]
     a64 = _int64_matrix(a)
@@ -439,13 +447,14 @@ def _verify_kernel_exact(a, vecs: List[Dict[int, int]]) -> bool:
         row_l1 = int(abs(a64).sum(axis=1).max())
         vmax = max((abs(x) for vec in vecs for x in vec.values()), default=0)
         if row_l1 * vmax < _PRODUCT_BOUND:
-            width = max(1, _BLOCK_ENTRIES // ncols)
+            width = max(1, _BLOCK_ENTRIES * len(vecs) // max(1, sum(map(len, vecs))))
             for start in range(0, len(vecs), width):
                 block = vecs[start:start + width]
-                v = np.zeros((ncols, len(block)), dtype=np.int64)
-                for j, vec in enumerate(block):
-                    v[list(vec), j] = list(vec.values())
-                if np.any(a64 @ v):
+                lens = [len(vec) for vec in block]
+                rows = np.fromiter((c for vec in block for c in vec), np.int64, sum(lens))
+                vals = np.fromiter((x for vec in block for x in vec.values()), np.int64, sum(lens))
+                v = sp.csc_matrix((vals, rows, np.cumsum([0] + lens)), shape=(ncols, len(block)))
+                if abs(a64 @ v).max():
                     return False
             return True
     rows = _as_sparse_rows(a)
@@ -504,16 +513,19 @@ def _forest_rank(a):
     its columns, hold at most two nonzeros each; those lines are the edges and
     the other index the vertices.  A line x, y at vertices u, w is the edge
     x v_u + y v_w = 0, and a line with one entry pins its vertex to 0.  A
-    breadth-first tree of a component has triangular lines, so its rank is at
-    least |V| - 1, and it fixes the one candidate kernel vector up to scale:
-    the root is 1 and each vertex is its parent times the gain -x/y of its
-    tree edge.  Every entry of the candidate is nonzero, so a pin gives full
-    rank, and so does a non-tree edge with a nonzero residue modulo
-    ``_FOREST_PRIME``, which divides no entry, so the residues are the
-    candidate's reduction.  Every other component is balanced exactly when its
-    edges vanish on the candidate in rational arithmetic: int64 when every
-    tree gain is 1 or -1, so that the candidate is too, ``Fraction``
-    otherwise.  The rank is the number of vertices less the number of
+    spanning tree of a component has triangular lines, so its rank is at least
+    |V| - 1, and it fixes the one candidate kernel vector up to scale: the
+    root is 1 and each vertex the product of the gains -x/y along its tree
+    path.  ``_contract`` builds the forest by hooking and returns the
+    candidate as each vertex's potential against its root.  Every entry of the
+    candidate is nonzero, so a pin gives full rank, and so does an edge the
+    candidate violates.  When every edge has |x| = |y|, every gain and every
+    potential is a sign, and one contraction on the signs in int64 is exact.
+    Otherwise the contraction runs on residues modulo ``_FOREST_PRIME``,
+    which divides no entry, so the residues are the candidate's reduction and
+    a nonzero one refutes balance; the components it leaves balanced are
+    contracted again with ``Fraction``, and are balanced exactly when every
+    edge holds.  The rank is the number of vertices less the number of
     balanced components.  Only the stored entries and the vertices they touch
     are read, so memory follows the nonzeros, not the shape.
     """
@@ -545,74 +557,100 @@ def _forest_rank(a):
     n = touched.size
     first = starts[counts == 2]
     u, w, x, y = minor[first], minor[first + 1], vals[first], vals[first + 1]
+    pins = minor[starts[counts == 1]]
 
-    # breadth-first spanning forest: the edge into each vertex, -1 at roots
-    ends = np.concatenate((u, w))
-    slots = np.argsort(ends, kind="stable")
-    far = np.concatenate((w, u))[slots].tolist()
-    edge = (slots % u.size).tolist()
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n)))).tolist()
-    into = [-1] * n
-    seen = bytearray(n)
-    for root in range(n):
-        if not seen[root]:
-            seen[root] = 1
-            walk = [root]
-            for v in walk:  # grows as the walk reaches new vertices
-                for j in range(offsets[v], offsets[v + 1]):
-                    t = far[j]
-                    if not seen[t]:
-                        seen[t] = 1
-                        into[t] = edge[j]
-                        walk.append(t)
-    into = np.array(into)
-    child = np.flatnonzero(into >= 0)
-    k = into[child]
-    parent = np.arange(n)
-    parent[child] = u[k] + w[k] - child
-    down = w[k] == child
-    own, other = np.where(down, y[k], x[k]), np.where(down, x[k], y[k])
-
-    p = _FOREST_PRIME
-    values, inverse = np.unique(own % p, return_inverse=True)
-    gain = np.ones(n, dtype=np.int64)
-    gain[child] = -other % p * np.array([pow(v, -1, p) for v in values.tolist()],
-                                        dtype=np.int64)[inverse] % p
-    residue, root = _path_products(gain, parent, p)
-    balanced = parent == np.arange(n)  # one root per component; isolated pins among them
-    balanced[root[minor[starts[counts == 1]]]] = False
-    balanced[root[u[(x % p * residue[u] + y % p * residue[w]) % p != 0]]] = False
-    if not balanced.any():
-        return n
-
-    # the components still balanced, checked in exact arithmetic
-    keep = balanced[root[child]]
-    child, own, other = child[keep], own[keep], other[keep]
-    if np.array_equal(np.abs(own), np.abs(other)):
-        gain = np.ones(n, dtype=np.int64)
-        gain[child] = -np.sign(own) * np.sign(other)
+    signs = np.array_equal(np.abs(x), np.abs(y))
+    if signs:  # every gain -x/y is a sign, and so is every potential: exact in int64
+        root, holds = _contract(n, u, w, np.sign(x), np.sign(y))
     else:
-        gain = np.ones(n, dtype=object)
-        gain[child] = [Fraction(-o, s) for o, s in zip(other.tolist(), own.tolist())]
-    value, _ = _path_products(gain, parent)
-    on = balanced[root[u]]
-    u, w, x, y = u[on], w[on], x[on], y[on]
-    balanced[root[u[x * value[u] + y * value[w] != 0]]] = False
+        root, holds = _contract(n, u, w, x % _FOREST_PRIME, y % _FOREST_PRIME, _FOREST_PRIME)
+    balanced = root == np.arange(n)  # one root per component
+    balanced[root[pins]] = False
+    balanced[root[u[~holds]]] = False
+    if not signs and balanced.any():
+        # the components whose residues all vanish, checked in exact arithmetic
+        on = balanced[root[u]]
+        _, holds = _contract(n, u[on], w[on], x[on].astype(object), y[on].astype(object))
+        balanced[root[u[on][~holds]]] = False
     return n - int(np.count_nonzero(balanced))
+
+
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+
+
+def _contract(n, u, w, x, y, modulus=None):
+    """(the root of each vertex, which edges hold) on a hooking forest of the
+    gain graph whose edges are x v_u + y v_w = 0 on the vertices 0, ..., n - 1.
+
+    Each vertex keeps its root and a potential, a pair (num, den) with
+    v = num / den * v_root: residues modulo ``modulus``, or exact values,
+    int64 signs or, from object arrays of ints, a ``Fraction`` over 1.  In
+    each round every root with a neighbouring root of smaller label hooks
+    onto the smallest such root through one edge, whose equation, composed
+    with the potentials of its two ends, gives the hooked root's potential;
+    ``_path_products`` then points every vertex at its new root.  Hooks go
+    strictly downward, so they form a forest, and the last root of a
+    component is its smallest vertex.
+
+    Rounds: a root R that neither hooks nor is hooked onto has only larger
+    neighbouring roots, and each of them hooks onto a root smaller than R, so
+    R hooks in the next round.  So every root left after two rounds was
+    hooked onto in the first of them, by a root that did not stay: at most
+    half of a component's roots are left, and there are at most
+    2 * ceil(log2 n) rounds, each of at most ceil(log2 n) jumps.  On a path
+    the roots that do not hook are local minima, no two adjacent, so
+    ceil(log2 n) rounds suffice.  Every residue has magnitude below
+    ``modulus``, so a product of two stays below ``modulus**2`` < 2**63.
+    """
+    def times(a, b):
+        return a * b % modulus if modulus is not None else a * b
+
+    def sides(u, w, x, y):  # x v_u + y v_w = 0, times den_u den_w: a v_root(u) + b v_root(w) = 0
+        num, den = pot
+        return times(times(x, num[u]), den[w]), times(times(y, num[w]), den[u])
+
+    root = np.arange(n)
+    pot = np.ones((2, n), dtype=x.dtype)
+    cu, cw, cx, cy, ru, rw = u, w, x, y, u, w  # the edges between two trees, and their roots
+    while cu.size:
+        hi, lo = np.maximum(ru, rw), np.minimum(ru, rw)
+        low = np.full(n, n)
+        np.minimum.at(low, hi, lo)
+        pick = np.flatnonzero(lo == low[hi])
+        slot = np.empty(n, dtype=np.intp)
+        slot[hi[pick]] = pick  # one edge per hooked root, whichever the write keeps
+        e = pick[slot[hi[pick]] == pick]
+        hooked = hi[e]
+        a, b = sides(cu[e], cw[e], cx[e], cy[e])
+        up = ru[e] == hooked  # then v_hooked = -b / a * v_lo, else -a / b
+        num, den = np.where(up, -b, -a), np.where(up, a, b)
+        if num.dtype == object:  # one reduced Fraction, which grows only with its value
+            num, den = _FRACTION(num, den), 1
+        # a root's potential is 1 until it hooks
+        pot[0][hooked], pot[1][hooked], root[hooked] = num, den, lo[e]
+        pot, root = _path_products(pot, root, modulus)
+        ru, rw = root[cu], root[cw]
+        cross = ru != rw
+        cu, cw, cx, cy, ru, rw = cu[cross], cw[cross], cx[cross], cy[cross], ru[cross], rw[cross]
+    a, b = sides(u, w, x, y)
+    return root, (a + b) % modulus == 0 if modulus is not None else a + b == 0
 
 
 def _path_products(gain, parent, modulus=None):
     """(products of ``gain`` from each vertex up to its root, the roots).
 
-    ``parent`` points each vertex at its parent and each root at itself, and a
-    root's gain is 1.  Pointer jumping takes log2 of the depth rounds.
+    ``gain`` holds the values of each vertex along its last axis.  ``parent``
+    points each vertex at its parent and each root at itself, and a root's
+    gain is 1.  Pointer jumping takes log2 of the depth rounds.
     """
-    while not np.array_equal(parent[parent], parent):
-        gain = gain * gain[parent]
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return gain, parent
+        gain = gain * gain.take(parent, axis=-1)
         if modulus is not None:
             gain %= modulus
-        parent = parent[parent]
-    return gain, parent
+        parent = up
 
 
 def kernel_certified(a) -> Tuple[int, List[Dict[int, int]]]:

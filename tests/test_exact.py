@@ -7,6 +7,7 @@ from math import gcd, prod
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 import sympy
 from hypothesis import given, strategies as st
 from sympy.matrices.normalforms import invariant_factors
@@ -303,13 +304,15 @@ def test_kernel_check_rejects_what_int64_would_wrap():
     assert not exact._verify_kernel_exact(sp.csr_matrix(a), [{0: 1, 1: 1}, {0: 1}])
 
 
-def test_kernel_check_blocks_one_candidate_per_block_on_wide_matrices():
+def test_kernel_check_on_wide_matrices():
+    # wider than a block holds entries, sparse or dense
     ncols = 2 ** 17 + 3
     assert exact._BLOCK_ENTRIES // ncols == 0
     a = sp.csr_matrix((np.array([1, -1], dtype=np.int64), ([0, 0], [0, 1])), shape=(1, ncols))
     good = [{0: 1, 1: 1}, {2: 1}, {ncols - 1: 7}]
-    assert exact._verify_kernel_exact(a, good)
-    assert not exact._verify_kernel_exact(a, good + [{0: 1}])
+    for m in (a, a.toarray()):
+        assert exact._verify_kernel_exact(m, good)
+        assert not exact._verify_kernel_exact(m, good + [{0: 1}])
 
 
 _MULTI_PRIME_LIFTS = {
@@ -769,3 +772,162 @@ def test_forest_hands_other_matrices_to_kernel_certified(monkeypatch, rows, rank
     for a in (np.array(rows, dtype=np.int64), sp.csr_matrix(np.array(rows, dtype=np.int64))):
         assert exact.rank_certified(a) == rank
     assert len(calls) == 2
+
+
+def _gain_graph(nvertices, edges, pins=()):
+    """CSR over ``nvertices`` columns with one row per edge (u, w, x, y), x at
+    column u and y at column w, and one row per pinned vertex."""
+    rows, cols, vals = [], [], []
+    for i, (u, w, x, y) in enumerate(edges):
+        rows += [i, i]
+        cols += [u, w]
+        vals += [x, y]
+    for i, v in enumerate(pins, start=len(edges)):
+        rows.append(i)
+        cols.append(v)
+        vals.append(1)
+    return sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)),
+                         shape=(len(edges) + len(pins), nvertices))
+
+
+def test_forest_ranks_equal_magnitude_entries_by_their_signs():
+    # a stripe cover boundary of the suites workload: two 6-cycles whose
+    # entries are 2 and -2, each balanced, so rank 12 - 2
+    n = 12
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.arange(n), np.arange(n)] = -2
+    a[np.arange(n), (np.arange(n) - 2) % n] = 2
+    assert _sympy_rank(sp.csr_matrix(a)) == 10
+    for m in (a, a.T, sp.csr_matrix(a), sp.csc_matrix(a)):
+        assert exact._forest_rank(m) == 10
+    # one magnitude per edge, not one overall: 3 v0 = 3 v1, 5 v1 = -5 v2, 7 v2 = 7 v0
+    b = _gain_graph(3, [(0, 1, 3, -3), (1, 2, 5, 5), (2, 0, 7, -7)])
+    assert exact._forest_rank(b) == _sympy_rank(b) == 3
+    # a 300-cycle of entries 2 and -2 numbered at random, balanced, and with
+    # one edge 2, 2 not: products of the entries themselves, not their
+    # signs, would wrap to 0 in int64 and call both balanced
+    n = 300
+    label = np.random.default_rng(4).permutation(n)
+    cycle = [(label[i], label[(i + 1) % n], 2, -2) for i in range(n)]
+    assert exact._forest_rank(_gain_graph(n, cycle)) == n - 1
+    assert exact._forest_rank(_gain_graph(n, cycle[:-1] + [(label[-1], label[0], 2, 2)])) == n
+
+
+@pytest.mark.parametrize("numbering", ["random", "reverse"])
+def test_forest_ranks_paths_and_cycles_numbered_adversarially(numbering):
+    n = 500
+    label = (np.random.default_rng(3).permutation(n) if numbering == "random"
+             else np.arange(n)[::-1])
+    path = [(label[i], label[i + 1], 1, -1) for i in range(n - 1)]
+    cases = {
+        "path": (path, (), n - 1),
+        "pinned_path": (path, (label[n // 2],), n),
+        "cycle": (path + [(label[-1], label[0], -1, 1)], (), n - 1),
+        # the gains multiply to 2 around the cycle, so it is unbalanced
+        "cycle_product_2": (path + [(label[-1], label[0], 2, -1)], (), n),
+    }
+    for name, (edges, pins, rank) in cases.items():
+        a = _gain_graph(n, edges, pins)
+        assert exact._forest_rank(a) == rank, name
+        assert exact._forest_rank(a.T.tocsr()) == rank, name
+        assert n - exact.kernel_certified(a)[0] == rank, name
+
+
+def test_forest_checks_isolated_vertices_and_fraction_components(monkeypatch):
+    # columns 0-2 hold nothing; 3 and 4 are pinned alone; 5-9 form a path
+    # with gains 2, 3, 1/2 and 5/7 closed into a cycle whose gains multiply
+    # to 1 (balanced, only Fraction confirms it); 10-12 form a triangle whose
+    # gains multiply to 4 (unbalanced); 13-14 are one edge with gain 3/5
+    edges = [(5, 6, 2, -1), (6, 7, 3, -1), (7, 8, 1, -2), (8, 9, 5, -7), (9, 5, 7, -15)]
+    edges += [(10, 11, 2, -1), (11, 12, 2, -1), (12, 10, 1, -1)]
+    edges += [(13, 14, 3, -5)]
+    a = _gain_graph(15, edges, pins=(3, 4))
+    rank = _sympy_rank(a)
+    assert rank == 12 - 2  # 12 touched vertices, two balanced components
+    stages = []
+    contract = exact._contract
+
+    def recording(n, u, w, x, y, modulus=None):
+        stages.append((x.dtype, modulus, u.size))
+        return contract(n, u, w, x, y, modulus)
+
+    monkeypatch.setattr(exact, "_contract", recording)
+    for m in (a, a.T, a.toarray(), a.T.toarray()):
+        assert exact._forest_rank(m) == rank
+    # residues first, then the two balanced components' 6 edges exactly
+    assert stages[:2] == [(np.int64, exact._FOREST_PRIME, 9), (object, None, 6)]
+
+
+def _random_path(n, seed):
+    label = np.random.default_rng(seed).permutation(n)
+    return _gain_graph(n, [(u, w, 1, -1) for u, w in zip(label[:-1], label[1:])])
+
+
+def test_contraction_rounds_stay_within_the_bound(monkeypatch):
+    rounds = []
+    path_products = exact._path_products
+
+    def counting(gain, parent, modulus=None):
+        rounds[-1] += 1
+        return path_products(gain, parent, modulus)
+
+    monkeypatch.setattr(exact, "_path_products", counting)
+    # a path of 2**16 vertices numbered at random: ceil(log2 n) rounds
+    n = 2 ** 16
+    rounds.append(0)
+    assert exact._forest_rank(_random_path(n, 5)) == n - 1
+    assert 1 < rounds[-1] <= 16
+    # random graphs, and stars whose centre has the largest label: at most 2 ceil(log2 n)
+    rng = np.random.default_rng(6)
+    for trial in range(40):
+        n = int(rng.integers(2, 300))
+        m = int(rng.integers(1, 2 * n))
+        u = rng.integers(0, n, m)
+        w = (u + rng.integers(1, n, m)) % n
+        a = _gain_graph(n, [(p, q, 1, -1) for p, q in zip(u, w)])
+        rounds.append(0)
+        # unit gains: every component is balanced
+        assert exact._forest_rank(a) == n - connected_components(abs(a.T) @ abs(a))[0]
+        assert rounds[-1] <= 2 * int(np.ceil(np.log2(n)))
+    for n in (3, 100):
+        rounds.append(0)
+        star = _gain_graph(n, [(n - 1, v, 1, -1) for v in range(n - 1)])
+        assert exact._forest_rank(star) == n - 1
+        assert rounds[-1] == 2
+
+
+def test_large_forest_memory_follows_its_entries():
+    # a path of 2**18 vertices numbered at random, rank n - 1; the
+    # breadth-first walk it replaced peaked at about 28 times the 8 * nnz
+    # bytes of the entries
+    n = 2 ** 18
+    a = _random_path(n, 7)
+    tracemalloc.start()
+    try:
+        rank = exact.rank_certified(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank == n - 1
+    assert peak < 20 * 8 * a.nnz
+
+
+def test_kernel_check_follows_the_stored_entries_on_wide_sparse_matrices(monkeypatch):
+    # one row of two nonzeros over 2**17 + 1 columns: 2**17 kernel vectors,
+    # checked in a few sparse products, not in one dense column block each
+    ncols = 2 ** 17 + 1
+    a = sp.csr_matrix((np.array([1, -1], dtype=np.int64), ([0, 0], [0, 1])), shape=(1, ncols))
+    blocks = []
+    csc = sp.csc_matrix
+
+    def counting(*args, **kwargs):
+        blocks.append(kwargs["shape"])
+        return csc(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "csc_matrix", counting)
+    nullity, vecs = exact.kernel_certified(a)
+    assert nullity == len(vecs) == 2 ** 17
+    assert sorted(vecs, key=min)[0] == {0: 1, 1: 1}
+    assert 1 <= len(blocks) <= 2 and sum(shape[1] for shape in blocks) == 2 ** 17
+    # a wrong candidate in the last block fails the check
+    assert not exact._verify_kernel_exact(a, vecs + [{ncols - 1: 1, 0: 1}])
