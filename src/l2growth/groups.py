@@ -13,9 +13,10 @@ Two kinds of group are supported:
 A finite quotient Gamma/Gamma' is held as its index tables, not as a list of
 elements: its elements are numbered 0, ..., order - 1 with the identity first,
 and the deck group acts through the permutations ``right_mult_indices`` and
-``left_mult_indices`` and the array ``element_orders``.  Abelian quotients
-number Smith normal form coordinates in mixed radix; congruence quotients
-number matrices mod m in BFS order, as int64-coded numpy tables.
+``left_mult_indices`` and the array ``element_orders``.  A subgroup keys a
+parent element only by the int64 code of its image (``reduce_codes``), which
+numbers an abelian quotient's elements (Smith coordinates in mixed radix);
+congruence quotients number matrices mod m in BFS order.
 
 The word metric (``short_length``, ``word_lengths``, ``ball_volume``) walks
 the ball of Gamma a level at a time, as int64 arrays of flattened elements.
@@ -25,7 +26,8 @@ wherever they fit).
 Each level's arrays are charged to the byte budget (``exact.check_bytes``)
 before they are built, and a level whose products could pass 2^62 is refused
 with ``SearchCapExceeded``.  Congruence quotients are realized by the same
-walk taken mod m.
+walk taken mod m, and the diameter of an abelian quotient is the depth of the
+walk of Z^n keyed by its codes.
 
 All constants produced downstream (shortest subgroup elements, ball volumes,
 support radii) depend on these pinned generating sets.
@@ -56,28 +58,22 @@ def _freeze_matrix(rows: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]
 
 
 def _matmul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*b)) for row in a)
 
 
 _INT64_PRODUCTS = 2 ** 62  # entries below this in absolute value are exact in int64
 
 
 def _place(radices) -> Tuple[np.ndarray, int]:
-    """Place values of mixed-radix codes over ``radices`` (the first digit least
-    significant) and the codes' limit, the product of the radices.  The places
-    are int64 when the limit is below 2^63 and Python integers otherwise, so a
-    code is always exact."""
+    """Place values of mixed-radix codes over ``radices`` (the last digit least
+    significant, as in numpy's C order) and the codes' limit, the product of
+    the radices.  The places are int64 when the limit is below 2^63 and Python
+    integers otherwise, so a code is always exact."""
     place = [1]
-    for r in radices:
+    for r in reversed(radices):
         place.append(place[-1] * int(r))
     limit = place.pop()
-    return np.array(place, dtype=np.int64 if limit < 2 ** 63 else object), limit
+    return np.array(place[::-1], dtype=np.int64 if limit < 2 ** 63 else object), limit
 
 
 def _box_codes(rows: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -143,14 +139,26 @@ class _Group:
     def word_length(self, a: Element, caps: Caps = DEFAULT_CAPS) -> int:
         return self.word_lengths([a], caps)[a]
 
-    def _levels(self, radius: int, lower_bound=lambda dist: None):
+    def element_array(self, el) -> np.ndarray:
+        """An element's entries as an object array of Python integers.  Anything
+        but an integer tuple of the rank, or an integer matrix of the dimension
+        as a tuple of rows, is refused with ``RankOutOfRange``."""
+        arr = np.array(el, dtype=object)
+        if not (isinstance(el, tuple) and arr.shape == self._shape
+                and all(isinstance(x, numbers.Integral) for x in arr.flat)):
+            raise RankOutOfRange(f"{el!r} is not an element of {self!r}")
+        return arr
+
+    def _levels(self, radius: int, lower_bound=lambda dist: None, codes=None):
         """The ball of ``radius`` a level at a time, as int64 arrays of elements
         (flattened matrices or vectors), identity first: see ``_bfs_levels``.
         A level the walk cannot build exactly raises ``SearchCapExceeded`` with
-        ``lower_bound`` of its word length."""
+        ``lower_bound`` of its word length.  ``codes`` replaces the walk's own
+        exact codes: a quotient's codes walk the quotient."""
         gens = self.symmetric_generators()
         start = np.array([self.identity], dtype=np.int64).reshape(1, -1)
-        return _bfs_levels(start, len(gens), *self._walk(gens, radius, lower_bound), radius)
+        step, own = self._walk(gens, radius, lower_bound)
+        return _bfs_levels(start, len(gens), step, codes or own, radius)
 
 
 class FreeAbelian(_Group):
@@ -160,6 +168,7 @@ class FreeAbelian(_Group):
         if rank < 1:
             raise BadGroup("rank must be >= 1")
         self.rank = rank
+        self._shape = (rank,)
 
     @property
     def identity(self) -> Element:
@@ -204,6 +213,7 @@ class IntegralMatrixGroup(_Group):
         if dimension < 1:
             raise BadGroup("dimension must be >= 1")
         self.dimension = dimension
+        self._shape = (dimension, dimension)
         gens = [_freeze_matrix(g) for g in generators]
         for g in gens:
             if len(g) != dimension or any(len(row) != dimension for row in g):
@@ -318,18 +328,14 @@ class LatticeSubgroup:
             self._snf = (u, tuple(s[i][i] for i in range(self.n)))
         return self._snf
 
-    def reduce(self, v: Sequence[int]) -> Tuple[int, ...]:
-        """Smith coordinates of ``v``: its image in the quotient."""
-        if self.det == 0:
-            raise NotFiniteIndex("subgroup basis matrix is singular")
-        u, diag = self.snf()
-        return tuple(sum(map(operator.mul, row, v)) % abs(d) for row, d in zip(u, diag))
-
     def reduce_codes(self, rows: np.ndarray) -> np.ndarray:
-        """``reduce`` of each int64 vector in ``rows``, as a mixed-radix code over
-        the Smith moduli."""
+        """Codes of the images of the vectors in ``rows`` (int64, or Python ints in
+        an object array): Smith coordinates U v mod d in mixed radix, the last
+        fastest, so a code is the image's index in ``AbelianQuotient``."""
         if self.det == 0:
             raise NotFiniteIndex("subgroup basis matrix is singular")
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise RankOutOfRange(f"rows of shape {rows.shape} are not elements of Z^{self.n}")
         if self._reduction is None:
             u, diag = self.snf()
             mods = [abs(d) for d in diag]
@@ -357,14 +363,9 @@ class CongruenceSubgroup:
             raise BadGroup("congruence level must be >= 2")
         self.level = int(level)
 
-    def reduce(self, mat: Element) -> Element:
-        """Entrywise reduction mod m: the image of ``mat`` in the quotient."""
-        m = self.level
-        return tuple(tuple(x % m for x in row) for row in mat)
-
     def reduce_codes(self, rows: np.ndarray) -> np.ndarray:
-        """``reduce`` of each flattened int64 matrix in ``rows``, as a mixed-radix
-        code of its entries mod m."""
+        """The image in the quotient of each flattened int64 matrix in ``rows``,
+        entrywise reduction mod m, as a mixed-radix code of its entries."""
         return (rows % self.level) @ _place([self.level] * rows.shape[1])[0]
 
     def __repr__(self):
@@ -382,47 +383,20 @@ class FiniteQuotient:
     instantiation reads the permutation ``right_mult_indices(g)[i]`` = index of
     (element i) * image(g) for a parent element g.  Cover spectra read the
     commuting left action ``left_mult_indices(j)[i]`` = index of
-    (element j) * (element i), and ``element_orders()`` gives each element's order.
+    (element j) * (element i), and ``element_orders()`` gives each element's
+    order.  ``diameter()`` is that of the Cayley graph under the symmetric
+    generator images.
     """
 
     group = None
     subgroup = None
     order: int = 0
 
-    def image(self, parent_element):
-        """The image of a parent-group element: its reduction by the subgroup."""
-        return self.subgroup.reduce(parent_element)
-
-    def right_mult_indices(self, parent_element) -> np.ndarray:
-        raise NotImplementedError
-
-    def left_mult_indices(self, j: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def element_orders(self) -> np.ndarray:
-        """Order of each element, in element order."""
-        raise NotImplementedError
-
     def max_order_element(self) -> Tuple[int, int]:
         """(j, r): the first element j of the largest order r."""
         orders = self.element_orders()
         j = int(np.argmax(orders))
         return j, int(orders[j])
-
-    def diameter(self) -> int:
-        """Diameter of the Cayley graph under the symmetric generator images."""
-        steps = np.array([self.right_mult_indices(g) for g in self.group.symmetric_generators()])
-        seen = np.zeros(self.order, dtype=bool)
-        seen[0] = True
-        frontier, depth = np.zeros(1, dtype=np.intp), -1
-        while len(frontier):
-            depth += 1
-            frontier = np.unique(steps[:, frontier])
-            frontier = frontier[~seen[frontier]]
-            seen[frontier] = True
-        if not seen.all():
-            raise CrossCheckMismatch("generator images do not generate the quotient")
-        return depth
 
 
 def _check_lattice(group: FreeAbelian, sub: LatticeSubgroup) -> None:
@@ -447,9 +421,7 @@ class AbelianQuotient(FiniteQuotient):
         u, diag = subgroup.snf()
         self.moduli = tuple(abs(d) for d in diag)
         self.u = [list(row) for row in u]
-        self.order = 1
-        for d in self.moduli:
-            self.order *= d
+        self.order = math.prod(self.moduli)
         if self.order > caps.order:
             raise OrderCapExceeded(
                 f"quotient order {self.order} exceeds cap {caps.order}")
@@ -458,8 +430,9 @@ class AbelianQuotient(FiniteQuotient):
         self._coords = np.indices(self.moduli).reshape(len(self.moduli), -1)
 
     def right_mult_indices(self, parent_element) -> np.ndarray:
-        # abelian, so x * g = g * x
-        return self.left_mult_indices(np.ravel_multi_index(self.image(parent_element), self.moduli))
+        # abelian, so x * g = g * x; and g's code is the index of its image
+        code = self.subgroup.reduce_codes(np.array([parent_element]))[0]
+        return self.left_mult_indices(int(code))
 
     def left_mult_indices(self, j: int) -> np.ndarray:
         return np.ravel_multi_index(self._coords + self._coords[:, j:j + 1], self.moduli,
@@ -468,6 +441,18 @@ class AbelianQuotient(FiniteQuotient):
     def element_orders(self) -> np.ndarray:
         mods = np.array(self.moduli, dtype=np.int64)[:, None]
         return np.lcm.reduce(mods // np.gcd(mods, self._coords), axis=0)
+
+    def diameter(self) -> int:
+        """The depth of the walk of Z^n keyed by element codes (the Cayley graph
+        is vertex-transitive), checked to reach every element."""
+        count, depth = 0, -1
+        levels = self.group._levels(
+            self.order, codes=lambda rows: (self.subgroup.reduce_codes(rows), self.order))
+        for depth, level in enumerate(levels):
+            count += len(level)
+        if count != self.order:
+            raise CrossCheckMismatch("generator images do not generate the quotient")
+        return depth
 
 
 class CongruenceQuotient(FiniteQuotient):
@@ -487,7 +472,7 @@ class CongruenceQuotient(FiniteQuotient):
         if m ** max(k * k, 2) >= 2 ** 63:
             raise SizeCapExceeded(f"int64 codes of {k}x{k} matrices mod {m}: {m}^{k * k} >= 2^63")
         self._place, limit = _place([m] * (k * k))
-        gens = np.array([subgroup.reduce(g) for g in group.symmetric_generators()], dtype=np.int64)
+        gens = (np.array(group.symmetric_generators(), dtype=object) % m).astype(np.int64)
 
         def step(level, _dist):
             return (level.reshape(-1, 1, k, k) @ gens % m).reshape(-1, k * k)
@@ -518,7 +503,7 @@ class CongruenceQuotient(FiniteQuotient):
         return self._sorted_index[pos]
 
     def right_mult_indices(self, parent_element) -> np.ndarray:
-        g = np.array(self.image(parent_element), dtype=np.int64)
+        g = (self.group.element_array(parent_element) % self.level).astype(np.int64)
         return self._indices(self._mats @ g, parent_element)
 
     def left_mult_indices(self, j: int) -> np.ndarray:
@@ -566,29 +551,28 @@ def short_length(group, sub, caps: Caps = DEFAULT_CAPS):
 
     A subgroup of Z is generated by its determinant.  Otherwise both kinds of
     group meet in the middle: the ball is walked breadth first only to radius
-    about ``short / 2``, keyed by the subgroup's ``reduce`` (Smith coordinates
-    of a lattice, entries mod m of a congruence subgroup), and every collision
-    of two distinct elements ``u != v`` with the same key gives the subgroup
-    element ``u v^-1`` of length at most ``|u| + |v|``.  Conversely a subgroup
-    word of length L splits into halves u, v^-1 with ``|u| = ceil(L/2)`` and
-    ``|v| = floor(L/2)``, so the least ``|u| + |v|`` over colliding pairs is
-    exactly ``short``, and once every level up to ``floor(best/2)`` has been
-    walked no pair can beat the best one found.  Certifying ``short > cap``
-    therefore needs the ball only to radius ``ceil(cap/2)``, where the walk
-    stops.  The walk visits about the square root of the full ball's elements
-    (485 of 118,097 for the Sanov group mod 13), and by pigeonhole at most
-    ``index + 1`` before the first collision.
+    about ``short / 2``, keyed by the subgroup's ``reduce_codes`` (codes of the
+    Smith coordinates of a lattice, of the entries mod m of a congruence
+    subgroup), and every collision of two distinct elements ``u != v`` with the
+    same key gives the subgroup element ``u v^-1`` of length at most
+    ``|u| + |v|``.  Conversely a subgroup word of length L splits into halves
+    u, v^-1 with ``|u| = ceil(L/2)`` and ``|v| = floor(L/2)``, so the least
+    ``|u| + |v|`` over colliding pairs is exactly ``short``, and once every
+    level up to ``floor(best/2)`` has been walked no pair can beat the best one
+    found.  Certifying ``short > cap`` therefore needs the ball only to radius
+    ``ceil(cap/2)``, where the walk stops.  The walk visits about the square
+    root of the full ball's elements (485 of 118,097 for the Sanov group mod
+    13), and by pigeonhole at most ``index + 1`` before the first collision.
 
-    The walk takes a level at a time, with the keys as ``reduce_codes``.  On
-    entering level d no pair among the levels below d collides (it would be
-    shorter than ``2d - 1`` and would have stopped the walk), so a level-d key
-    can only meet a key of level d - 1 (a pair of length 2d - 1) or an earlier
-    one of level d (2d): a pair with level j <= d - 2 would be a subgroup word
-    of length at most 2d - 2, whose halves collide below level d.  So keys are
-    compared with the previous level's only.  Within a level the elements
-    count in BFS order, and the walk stops after the first pair of length
-    2d - 1, as element by element; the ``bfs_visited`` refusal falls where
-    that walk would place it.
+    The walk takes a level at a time.  On entering level d no pair among the
+    levels below d collides (it would be shorter than ``2d - 1`` and would have
+    stopped the walk), so a level-d key can only meet a key of level d - 1 (a
+    pair of length 2d - 1) or an earlier one of level d (2d): a pair with level
+    j <= d - 2 would be a subgroup word of length at most 2d - 2, whose halves
+    collide below level d.  So keys are compared with the previous level's
+    only.  Within a level the elements count in BFS order, and the walk stops
+    after the first pair of length 2d - 1, as element by element; the
+    ``bfs_visited`` refusal falls where that walk would place it.
     """
     if isinstance(group, FreeAbelian):
         if not isinstance(sub, LatticeSubgroup):

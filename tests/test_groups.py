@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from l2growth.errors import (BadCaps, CrossCheckMismatch, L2GrowthError, NotFini
                              OrderCapExceeded, RankOutOfRange, SearchCapExceeded,
                              SizeCapExceeded)
 from l2growth.caps import Caps
-from l2growth.groups import FiniteQuotient
 
 SL2Z = IntegralMatrixGroup(2, [[[0, -1], [1, 0]], [[1, 1], [0, 1]]])  # S, T: has torsion
 
@@ -59,11 +59,22 @@ def tuple_bfs(identity, gens, mul):
     return elements, index, depth
 
 
+def tuple_reduce(sub, el):
+    """Reference: the image of a parent element in the quotient, as a tuple:
+    Smith coordinates U v mod d of a lattice, entries mod m of a congruence
+    subgroup."""
+    if isinstance(sub, CongruenceSubgroup):
+        return tuple(tuple(x % sub.level for x in row) for row in el)
+    assert len(el) == sub.n
+    u, diag = sub.snf()
+    return tuple(sum(map(operator.mul, row, el)) % abs(d) for row, d in zip(u, diag))
+
+
 def tuple_congruence_bfs(group, m):
     """Reference: the BFS over matrix tuples mod m."""
     sub = CongruenceSubgroup(m)
-    return tuple_bfs(sub.reduce(group.identity),
-                     [sub.reduce(g) for g in group.symmetric_generators()],
+    return tuple_bfs(tuple_reduce(sub, group.identity),
+                     [tuple_reduce(sub, g) for g in group.symmetric_generators()],
                      lambda a, b: _matmul_mod(a, b, m))
 
 
@@ -76,7 +87,7 @@ def tuple_quotient(q):
     if isinstance(q.group, FreeAbelian):
         def mul(a, b):
             return tuple((x + y) % m for x, y, m in zip(a, b, q.moduli))
-        gens = [q.image(g) for g in q.group.symmetric_generators()]
+        gens = [tuple_reduce(q.subgroup, g) for g in q.group.symmetric_generators()]
         depth = tuple_bfs((0,) * len(q.moduli), gens, mul)[2]
         return list(itertools.product(*map(range, q.moduli))), mul, depth
     elements, _index, depth = tuple_congruence_bfs(q.group, q.level)
@@ -98,7 +109,7 @@ def tuple_right_mult_indices(q, parent_element):
     """Reference: perm[i] = index of (element i) * image(g), one tuple product each."""
     elements, mul, _depth = tuple_quotient(q)
     index = {el: i for i, el in enumerate(elements)}
-    g = q.image(parent_element)
+    g = tuple_reduce(q.subgroup, parent_element)
     return [index[mul(el, g)] for el in elements]
 
 
@@ -127,7 +138,8 @@ def test_congruence_quotient_matches_tuple_bfs(name, group, m):
         word = group.mul(word, g)
     for g in gens + [word, group.identity]:
         perm = q.right_mult_indices(g)
-        assert perm.tolist() == [index[_matmul_mod(el, q.image(g), m)] for el in elements]
+        image = tuple_reduce(q.subgroup, g)
+        assert perm.tolist() == [index[_matmul_mod(el, image, m)] for el in elements]
 
 
 def test_congruence_code_size_refused():
@@ -200,7 +212,7 @@ def tuple_short_length(group, sub, caps=Caps()):
             raise SearchCapExceeded(f"BFS visited more than {caps.bfs_visited} elements",
                                     lower_bound=2 * (dist - 1) + 1)
         last = dist
-        key = sub.reduce(el)
+        key = tuple_reduce(sub, el)
         seen = first.get(key)
         if seen is None:
             first[key] = dist
@@ -246,12 +258,12 @@ def short_length_full_ball(group, sub, caps=Caps()):
     """Reference: breadth-first search over the whole ball of radius short."""
     cap = caps.bfs_length
     identity = group.identity
-    home = sub.reduce(identity)  # membership: reducing to the identity's image
+    home = tuple_reduce(sub, identity)  # membership: reducing to the identity's image
     exhausted = True
     last = 0
     for el, dist in iter_ball(group, cap, caps.bfs_visited):
         last = dist
-        if el != identity and sub.reduce(el) == home:
+        if el != identity and tuple_reduce(sub, el) == home:
             return dist
         if dist == cap:
             exhausted = False
@@ -282,7 +294,7 @@ def short_length_l1_spheres(group, sub, caps=Caps()):
     upper = min(sum(abs(x) for x in col) for col in sub.columns())
     for r in range(1, min(upper - 1, cap) + 1):
         for v in l1_sphere(group.rank, r):
-            if not any(sub.reduce(v)):  # Smith coordinates all zero
+            if not any(tuple_reduce(sub, v)):  # Smith coordinates all zero
                 return r
     if upper - 1 <= cap:
         return upper
@@ -634,26 +646,38 @@ def test_element_orders_and_the_max_order_element(z_two, sanov_group):
         assert r == orders.max() and h == int(np.flatnonzero(orders == r)[0])
 
 
-class _CyclicStub(FiniteQuotient):
-    """Z/order, the quotient of Z whose generator acts as the given step."""
-
-    def __init__(self, order, step):
-        self.group, self.order, self.step = FreeAbelian(1), order, step
-
-    def right_mult_indices(self, parent_element):
-        return (np.arange(self.order) + parent_element[0] * self.step) % self.order
-
-
-def test_broken_quotients_raise_cross_check_mismatch(sanov_group):
-    assert _CyclicStub(4, 1).diameter() == 2
-    with pytest.raises(CrossCheckMismatch):
-        _CyclicStub(4, 2).diameter()  # 2 generates half of Z/4
+def test_broken_quotients_raise_cross_check_mismatch(z_one, sanov_group, monkeypatch):
+    cyclic = quotient(z_one, LatticeSubgroup([[4]]))
+    assert cyclic.diameter() == 2
+    # codes doubled mod 4: the generator's image would generate half of Z/4
+    codes = cyclic.subgroup.reduce_codes
+    monkeypatch.setattr(cyclic.subgroup, "reduce_codes", lambda rows: codes(rows) * 2 % 4)
+    with pytest.raises(CrossCheckMismatch, match="do not generate"):
+        cyclic.diameter()
     q = quotient(sanov_group, CongruenceSubgroup(3))
     assert element_order(q, sanov_group.generators[0]) == 3
     q._mats = q._mats.copy()
     q._mats[1] = 0  # an element whose powers never return to the identity
     with pytest.raises(CrossCheckMismatch):
         q.element_orders()
+
+
+def test_elements_of_the_wrong_shape_are_refused(z_one, z_two, sanov_group):
+    cyclic = quotient(z_one, LatticeSubgroup([[4]]))
+    torus = quotient(z_two, LatticeSubgroup([[4, 0], [0, 6]]))
+    q = quotient(sanov_group, CongruenceSubgroup(5))
+    calls = [
+        lambda: element_order(cyclic, (1, 0)),  # once read as (1,), of order 4
+        lambda: torus.right_mult_indices((1,)),  # once read as (1, 0)
+        lambda: cyclic.subgroup.reduce_codes(np.zeros((3, 2), dtype=np.int64)),
+        lambda: q.right_mult_indices(((1, 0, 0), (0, 1, 0), (0, 0, 1))),  # once numpy's ValueError
+        lambda: element_order(q, ((1, 0), (0, 1, 0))),
+        lambda: q.right_mult_indices(((1.5, 0), (0, 1))),
+        lambda: q.right_mult_indices([[1, 0], [0, 1]]),  # elements are tuples
+    ]
+    for call in calls:
+        with pytest.raises(RankOutOfRange, match="not (an element|elements) of"):
+            call()
 
 
 def test_matrix_outside_the_quotient_raises_cross_check_mismatch(sanov_group):
@@ -688,7 +712,31 @@ def test_congruence_diameter_from_construction(sanov_group):
     cases = [(sanov_group, m) for m in range(3, 14)] + [(rot, 5)]
     for group, m in cases:
         q = quotient(group, CongruenceSubgroup(m))
-        assert quotient_diameter(q) == FiniteQuotient.diameter(q)
+        assert quotient_diameter(q) == tuple_congruence_bfs(group, m)[2]
+
+
+def index_table_diameter(q):
+    """Reference: breadth-first search over the index tables of the generator
+    images, ``right_mult_indices``, from element 0."""
+    steps = np.array([q.right_mult_indices(g) for g in q.group.symmetric_generators()])
+    seen = np.zeros(q.order, dtype=bool)
+    seen[0] = True
+    frontier, depth = np.zeros(1, dtype=np.intp), -1
+    while len(frontier):
+        depth += 1
+        frontier = np.unique(steps[:, frontier])
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    assert seen.all()
+    return depth
+
+
+@pytest.mark.parametrize("n, seed", [(1, 21), (2, 22), (3, 23)])
+def test_abelian_diameter_matches_the_index_table_walk(n, seed):
+    group = FreeAbelian(n)
+    for sub in hnf_lattices(n, seed, 60):
+        q = quotient(group, sub)
+        assert q.diameter() == index_table_diameter(q), sub
 
 
 def test_short_against_diameter(z_one, z_two, sanov_group):
@@ -868,7 +916,7 @@ def _check_tables(data, group, sub):
     rights = [q.right_mult_indices(g) for g in acting]
     for g, right in zip(acting, rights):
         assert np.array_equal(np.sort(right), every)  # a permutation
-        image = q.image(g)
+        image = tuple_reduce(q.subgroup, g)
         assert right.tolist() == [index[mul(el, image)] for el in elements]
     for j in {0, q.order - 1, q.max_order_element()[0],
               data.draw(st.integers(0, q.order - 1))}:
@@ -878,7 +926,7 @@ def _check_tables(data, group, sub):
         for right in rights:
             assert np.array_equal(right[left], left[right])  # Lambda_j R_g = R_g Lambda_j
     assert q.element_orders().tolist() == repeated_product_orders(elements, mul)
-    assert q.diameter() == FiniteQuotient.diameter(q) == depth
+    assert q.diameter() == depth
 
 
 @PROPERTY_SETTINGS
