@@ -100,8 +100,9 @@ class DimensionTooLow(L2GrowthError):
 
 
 class RankOutOfRange(L2GrowthError):
-    """A rank outside the supported range: a torus rank, or a lattice whose
-    size differs from the rank of its free abelian group."""
+    """A rank outside the supported range: a torus rank, a lattice whose size
+    differs from the rank of its free abelian group, or a group element that is
+    not an integer tuple of the rank or an integer matrix of the dimension."""
 
 
 class DocumentError(L2GrowthError):

@@ -195,8 +195,9 @@ class EquivariantChainComplex:
     """Finite free Z[Gamma]-chain complex: cell counts plus boundary matrices.
 
     ``boundaries[q]`` maps q-chains to (q-1)-chains and has shape
-    (cells[q-1], cells[q]).  The identity d_{q} d_{q+1} = 0 is checked
-    exactly at construction time.
+    (cells[q-1], cells[q]).  Every element in a boundary must be one of the
+    group (``RankOutOfRange`` otherwise), and the identity d_{q} d_{q+1} = 0
+    is checked exactly at construction time.
     """
 
     def __init__(self, group, cells: Sequence[int],
@@ -214,6 +215,9 @@ class EquivariantChainComplex:
                 raise ShapeMismatch(f"boundary {q} has shape {d.shape}, "
                                     f"expected {(self.cells[q - 1], self.cells[q])}")
             self.boundaries[q] = d
+        for g in {g for d in self.boundaries.values() for row in d.entries
+                  for el in row for g in el.terms}:
+            group.element_array(g)  # refuses anything but a group element
         for q in sorted(self.boundaries):
             if q + 1 in self.boundaries:
                 prod = self.boundaries[q] @ self.boundaries[q + 1]

@@ -45,9 +45,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import (BadGroup, CrossCheckMismatch, ForeignQuotient, NotFiniteIndex,
-                     OrderCapExceeded, RankOutOfRange, SearchCapExceeded, SizeCapExceeded,
-                     UnsupportedGroup)
+from .errors import (BadArgument, BadGroup, CrossCheckMismatch, ForeignQuotient,
+                     NotFiniteIndex, OrderCapExceeded, RankOutOfRange, SearchCapExceeded,
+                     SizeCapExceeded, UnsupportedGroup)
 from . import exact
 
 Element = Tuple  # integer tuple (abelian) or tuple of integer tuples (matrix)
@@ -140,12 +140,12 @@ class _Group:
         return self.word_lengths([a], caps)[a]
 
     def element_array(self, el) -> np.ndarray:
-        """An element's entries as an object array of Python integers.  Anything
+        """An element's entries as an object array, exact at any size.  Anything
         but an integer tuple of the rank, or an integer matrix of the dimension
         as a tuple of rows, is refused with ``RankOutOfRange``."""
         arr = np.array(el, dtype=object)
         if not (isinstance(el, tuple) and arr.shape == self._shape
-                and all(isinstance(x, numbers.Integral) for x in arr.flat)):
+                and all(isinstance(x, (int, np.integer)) for x in arr.flat)):
             raise RankOutOfRange(f"{el!r} is not an element of {self!r}")
         return arr
 
@@ -223,6 +223,11 @@ class IntegralMatrixGroup(_Group):
         if not gens:
             raise BadGroup("at least one generator required")
         self.generators = gens
+        self._symmetric: List[Element] = []
+        for g in gens:
+            for h in (g, self.inv(g)):
+                if h not in self._symmetric:
+                    self._symmetric.append(h)
 
     @property
     def identity(self) -> Element:
@@ -237,14 +242,8 @@ class IntegralMatrixGroup(_Group):
         return _freeze_matrix([[det * x for x in row] for row in exact.adjugate(a)])
 
     def symmetric_generators(self) -> List[Element]:
-        out: List[Element] = []
-        for g in self.generators:
-            if g not in out:
-                out.append(g)
-            gi = self.inv(g)
-            if gi not in out:
-                out.append(gi)
-        return out
+        """The generators and their inverses, each once, in that order."""
+        return list(self._symmetric)
 
     def _walk(self, gens, radius, lower_bound):
         """Steps and codes of the ball walk.  Entries grow with the word length,
@@ -679,6 +678,8 @@ class UniformityReport:
 def uniformity_check(group, family: Sequence, c: float,
                      caps: Caps = DEFAULT_CAPS) -> UniformityReport:
     """Check [Gamma:Gamma_i] <= Vol(B(C * short(Gamma_i))) for each member."""
+    if not math.isfinite(c):
+        raise BadArgument(f"c must be finite, got {c}")
     report = UniformityReport(constant=c)
     for sub in family:
         s = short_length(group, sub, caps=caps)

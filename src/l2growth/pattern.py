@@ -137,7 +137,8 @@ def _orbit_ranks(m: GroupRingMatrix, chars: np.ndarray, e: int,
                     if c != int(c):
                         raise NonIntegralCoefficient(
                             f"character ranks require integer coefficients, got {c}")
-                    t = (chars * (np.array(g, dtype=np.int64) % e) % e).sum(axis=1) % e
+                    # exponents mod e in Python ints first: they may pass int64
+                    t = (chars * np.array([x % e for x in g], dtype=np.int64) % e).sum(axis=1) % e
                     stack[:, i, j] = (stack[:, i, j] + int(c) % ell * powers[t]) % ell
         np.maximum.at(ranks, labels, ranks_modp(stack, ell))
         product *= ell

@@ -127,12 +127,16 @@ class DensityEstimate:
 
 
 def cosine_density_closed_form(diag: float, off: float) -> DensityEstimate:
-    """Exact density for a 1x1 symbol diag - off*(g + g^{-1}) over Z."""
+    """Exact density for a 1x1 symbol diag - off*(g + g^{-1}) over Z: a point
+    mass at diag when off = 0."""
     k = diag + 2 * abs(off)
 
     def fn(lam):
-        arg = np.clip((diag - np.asarray(lam, dtype=float)) / (2 * abs(off)), -1.0, 1.0)
-        out = np.arccos(arg) / np.pi
+        lams = np.asarray(lam, dtype=float)
+        if off:
+            out = np.arccos(np.clip((diag - lams) / (2 * abs(off)), -1.0, 1.0)) / np.pi
+        else:
+            out = (lams >= diag).astype(float)
         return float(out) if np.isscalar(lam) else out
 
     return DensityEstimate.from_function(fn, K=k, a=1)

@@ -16,7 +16,8 @@ from .caps import DEFAULT_CAPS, Caps
 from .errors import (BadGroup, CrossCheckMismatch, DimensionTooLow, RankOutOfRange,
                      UnsupportedGroup)
 from .group_ring import EquivariantChainComplex, GroupRingElement, GroupRingMatrix
-from .groups import FiniteQuotient, FreeAbelian, element_order, short_length
+from .groups import (FiniteQuotient, FreeAbelian, check_quotient_of, element_order,
+                     short_length)
 
 
 def two_cell_complex(group, d1_element: GroupRingElement) -> EquivariantChainComplex:
@@ -99,6 +100,7 @@ class StripeSpec:
     dim: int
 
     def __post_init__(self):
+        self.base.group.element_array(self.gamma)  # refuses a loop of the wrong shape
         if self.gamma == self.base.group.identity:
             raise BadGroup("stripe loop must not be the identity")
         lowest = max(2, self.base.top_dim + 1)
@@ -125,6 +127,7 @@ def glue_stripe(spec: StripeSpec) -> EquivariantChainComplex:
 
 def stripe_prediction(spec: StripeSpec, quot: FiniteQuotient) -> int:
     """Closed-form rank of H_q of the cover: index / order of the loop."""
+    check_quotient_of(spec.base.group, quot)
     o = element_order(quot, spec.gamma)
     if quot.order % o:
         raise CrossCheckMismatch("element order does not divide the quotient order")

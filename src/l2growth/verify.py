@@ -17,7 +17,7 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .covers import CoverInstance, verify_trace_equality
-from .errors import FamilyNotLogUniform
+from .errors import BadArgument, FamilyNotLogUniform
 from .group_ring import (EquivariantChainComplex, GroupRingElement,
                          GroupRingMatrix, laplacian, support_radius)
 from .groups import (FreeAbelian, IntegralMatrixGroup, LatticeSubgroup,
@@ -147,6 +147,12 @@ def _random_poly(rng, max_degree: int = 3) -> Poly:
     return Poly(coeffs)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise BadArgument(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _dims_with_cells(cx: EquivariantChainComplex) -> List[int]:
     return [q for q, a in enumerate(cx.cells) if a >= 1]
 
@@ -158,7 +164,7 @@ def _dims_with_cells(cx: EquivariantChainComplex) -> List[int]:
 def suite_traces(trials: int = 500, seed: int = DEFAULT_SEED,
                  caps: Caps = DEFAULT_CAPS) -> SuiteResult:
     """Exact trace equality whenever deg(p) < short/R, plus one violation case."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = SuiteResult("traces")
     while result.total < trials:
         cx = random_complex(rng)
@@ -189,7 +195,7 @@ def suite_traces(trials: int = 500, seed: int = DEFAULT_SEED,
 def suite_sandwich(trials: int = 200, seed: int = DEFAULT_SEED,
                    caps: Caps = DEFAULT_CAPS, max_index: int = 200) -> SuiteResult:
     """Dual-oracle Betti equality, the pattern sandwich, and Euler characteristic."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = SuiteResult("sandwich")
     while result.total < trials:
         cx = random_complex(rng)
@@ -209,7 +215,7 @@ def suite_sandwich(trials: int = 200, seed: int = DEFAULT_SEED,
 def suite_stripes(trials: int = 300, seed: int = DEFAULT_SEED,
                   caps: Caps = DEFAULT_CAPS) -> SuiteResult:
     """Stripe closed form vs chain model, bound check, low dims untouched."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = SuiteResult("stripes")
     while result.total < trials:
         n = int(rng.integers(1, 3))
@@ -244,7 +250,7 @@ def suite_stripes(trials: int = 300, seed: int = DEFAULT_SEED,
 
 def suite_bounds(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> SuiteResult:
     """Theorem bounds dominate exact Betti numbers / eigenvalue counts."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = SuiteResult("bounds")
     z_one = FreeAbelian(1)
     z_two = FreeAbelian(2)

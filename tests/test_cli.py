@@ -31,6 +31,21 @@ def test_betti_circle(capsys):
     assert "agreement=ok" in out
 
 
+def test_betti_with_an_exponent_past_int64(capsys, tmp_path):
+    doc = json.loads((COMPLEXES / "circle.json").read_text())
+    doc["boundaries"][0]["entries"][0][0][0]["element"] = [2 ** 70]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "betti", str(path), "--subgroup", "6", "--dim", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["b=2 index=6 short=6", "characters: b=2 agreement=ok"]
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "-1")
+    assert (code, out, err) == (1, "", "error: seed must be nonnegative, got -1\n")
+
+
 def test_betti_stripe(capsys):
     code, out, _ = run(capsys, "betti", str(COMPLEXES / "stripe_t2_q3.json"),
                        "--subgroup", "2 0; 0 3", "--dim", "3")

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import weakref
@@ -15,6 +16,7 @@ from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex
                       verify_trace_equality)
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
+from l2growth.group_ring import evaluate_polynomial, gamma_trace, laplacian, support_radius
 from l2growth.covers import _equivariant_eigenvalues, _instantiate_matrix, _left_orbits
 from l2growth.errors import (AmbiguousCount, CrossCheckMismatch, ForeignQuotient, L2GrowthError,
                              NonIntegralCoefficient, SizeCapExceeded)
@@ -341,6 +343,42 @@ def test_presentation_traces_meet_the_tree_below_short(k):
             tree = sum(math.comb(j, i) * 4 ** (j - i) * (-1) ** i * walks[i]
                        for i in range(j + 1))
             assert (cover.normalized_trace([0] * j + [1], 0) == tree) == (j < s), (m, j)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_trace_equality_on_random_sanov_complexes(k):
+    # Two-cell complexes whose boundary is a few short words of the Sanov group,
+    # on covers mod 3-13: below deg p < short / R the group trace of p(Delta) is
+    # the cover's normalized trace, and the cover's Euler characteristic is
+    # index * chi (chi = 0 here).
+    group = IntegralMatrixGroup(2, [[[1, k], [0, 1]], [[1, 0], [k, 1]]])
+    gens = group.symmetric_generators()
+    rng = np.random.default_rng(100 + k)
+    quotients, met = {}, 0
+    for _ in range(40):
+        terms = {}
+        for _ in range(int(rng.integers(1, 4))):
+            word = [gens[i] for i in rng.integers(0, len(gens), size=int(rng.integers(0, 3)))]
+            el = functools.reduce(group.mul, word, group.identity)
+            terms[el] = terms.get(el, 0) + int(rng.choice([-2, -1, 1, 2]))
+        if not any(terms.values()):
+            continue
+        cx = two_cell_complex(group, GroupRingElement(group, terms))
+        m = int(rng.integers(3, 14))
+        if m not in quotients:
+            quotients[m] = (quotient(group, CongruenceSubgroup(m)),
+                            short_length(group, CongruenceSubgroup(m)))
+        quot, s = quotients[m]
+        cover = CoverInstance(cx, quot)
+        assert cover.euler_characteristic() == 0
+        q = int(rng.integers(0, 2))
+        p = verify._random_poly(rng)
+        lap = laplacian(cx, q)
+        radius = support_radius(lap)
+        if radius == 0 or p.degree < s / radius:
+            met += 1
+            assert gamma_trace(evaluate_polynomial(p, lap)) == cover.normalized_trace(p, q)
+    assert met >= 20, met
 
 
 def test_quotient_of_a_smaller_free_abelian_group_is_refused(torus2):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
-                      GroupRingMatrix, evaluate_polynomial, gamma_trace,
+                      GroupRingMatrix, IntegralMatrixGroup, evaluate_polynomial, gamma_trace,
                       laplacian, norm_bound, support_radius)
 from l2growth.errors import (BadChainComplex, DimensionOutOfRange, L2GrowthError,
-                             NotSquare, ShapeMismatch)
+                             NotSquare, RankOutOfRange, ShapeMismatch)
 from l2growth.polynomials import Poly
 
 
@@ -201,3 +201,23 @@ def test_every_group_ring_refusal_is_a_library_value_error(z_one):
         with pytest.raises(cls, match=f"^{message}$") as info:
             call()
         assert isinstance(info.value, L2GrowthError) and isinstance(info.value, ValueError)
+
+
+def _one_boundary_complex(group, el):
+    d1 = GroupRingMatrix(group, [[GroupRingElement(group, {el: 1, group.identity: -1})]])
+    return EquivariantChainComplex(group, [1, 1], {1: d1})
+
+
+@pytest.mark.parametrize("rank, el", [(1, (1, 0)), (2, (1,)), (2, (1, 0, 0)), (2, (1.5, 0)),
+                                      (2, "ab")])
+def test_complex_refuses_an_element_not_in_z_n(rank, el):
+    with pytest.raises(RankOutOfRange, match=r"is not an element of FreeAbelian\(%d\)" % rank):
+        _one_boundary_complex(FreeAbelian(rank), el)
+
+
+@pytest.mark.parametrize("el", [((1, 2),), ((1, 2), (0, 1), (0, 0)), ((1, 2, 0), (0, 1, 0)),
+                                ((1, 2), (0,)), ((1, 0.5), (0, 1)), (1, 0)])
+def test_complex_refuses_an_element_not_a_k_by_k_integer_matrix(el):
+    group = IntegralMatrixGroup(2, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
+    with pytest.raises(RankOutOfRange, match="is not an element of IntegralMatrixGroup"):
+        _one_boundary_complex(group, el)

@@ -13,6 +13,7 @@ from l2growth import (CongruenceSubgroup, FreeAbelian, IntegralMatrixGroup,
 from l2growth.errors import (BadCaps, CrossCheckMismatch, L2GrowthError, NotFiniteIndex,
                              OrderCapExceeded, RankOutOfRange, SearchCapExceeded,
                              SizeCapExceeded)
+from l2growth import exact
 from l2growth.caps import Caps
 
 SL2Z = IntegralMatrixGroup(2, [[[0, -1], [1, 0]], [[1, 1], [0, 1]]])  # S, T: has torsion
@@ -667,10 +668,10 @@ def test_elements_of_the_wrong_shape_are_refused(z_one, z_two, sanov_group):
     torus = quotient(z_two, LatticeSubgroup([[4, 0], [0, 6]]))
     q = quotient(sanov_group, CongruenceSubgroup(5))
     calls = [
-        lambda: element_order(cyclic, (1, 0)),  # once read as (1,), of order 4
-        lambda: torus.right_mult_indices((1,)),  # once read as (1, 0)
+        lambda: element_order(cyclic, (1, 0)),  # zip would read it as (1,), of order 4
+        lambda: torus.right_mult_indices((1,)),  # zip would read it as (1, 0)
         lambda: cyclic.subgroup.reduce_codes(np.zeros((3, 2), dtype=np.int64)),
-        lambda: q.right_mult_indices(((1, 0, 0), (0, 1, 0), (0, 0, 1))),  # once numpy's ValueError
+        lambda: q.right_mult_indices(((1, 0, 0), (0, 1, 0), (0, 0, 1))),  # not a numpy error
         lambda: element_order(q, ((1, 0), (0, 1, 0))),
         lambda: q.right_mult_indices(((1.5, 0), (0, 1))),
         lambda: q.right_mult_indices([[1, 0], [0, 1]]),  # elements are tuples
@@ -705,6 +706,21 @@ def test_integral_inverse_round_trip_on_random_words():
             inv = group.inv(el)
             assert group.mul(el, inv) == group.mul(inv, el) == group.identity
             assert group.inv(inv) == el
+
+
+def test_symmetric_generators_are_inverted_once(monkeypatch):
+    group = sanov(2)
+    a, b = group.generators
+    want = [a, group.inv(a), b, group.inv(b)]
+
+    def refuse(_m):
+        raise AssertionError("a generator inverted again")
+
+    monkeypatch.setattr(exact, "adjugate", refuse)
+    gens = group.symmetric_generators()
+    assert gens == want
+    gens.pop()  # the caller's own list
+    assert group.symmetric_generators() == want
 
 
 def test_congruence_diameter_from_construction(sanov_group):

@@ -367,6 +367,16 @@ def test_rank_is_the_orbit_maximum(monkeypatch, torus2):
     assert b == 2 and rep.kernel_characters == [((Fraction(0), Fraction(0)), 2)]
 
 
+def test_exponents_past_int64_are_reduced_before_the_character_ranks(z_one):
+    # t^(2^70) - 1 on Z/6: 2^70 = 4 mod 6, and w^4 = 1 for the sixth roots w = +-1
+    cx = two_cell_complex(z_one, GroupRingElement(z_one, {(2 ** 70,): 1, (0,): -1}))
+    quot = cyclic_quotient(6)
+    assert instantiate(cx, quot).betti(1) == 2
+    assert betti_by_characters(cx, quot, 1)[0] == 2
+    lap = laplacian(cx, 1)
+    assert sum(exact_kernel_dimension(lap, ch) for ch in character_lattice(quot)) == 2
+
+
 def test_pattern_errors_are_library_errors(z_one, sanov_group):
     with pytest.raises(NotAbelian):
         l2_betti(two_cell_complex(sanov_group, GroupRingElement.one(sanov_group)), 0)

@@ -20,8 +20,8 @@ from l2growth import (CongruenceSubgroup, CoverInstance, DensityEstimate,
                       density_by_quotients, density_zn, eig_count_bound,
                       estimate_ns, gap_bound, j_bound, laplacian,
                       luck_polynomial, norm_bound, ns_bound, quotient, sublog_bound,
-                      two_cell_complex, uniform_gap_exponent)
-from l2growth import cli, exact, spectral
+                      two_cell_complex, uniform_gap_exponent, uniformity_check)
+from l2growth import cli, exact, spectral, verify
 from l2growth.covers import eigvalsh_error
 from l2growth.document import parse_complex
 from l2growth.errors import (BadArgument, BadGroup, DegenerateZ, FamilyNotLogUniform,
@@ -406,6 +406,13 @@ def test_density_by_quotients_converges_to_closed_form(circle):
         assert err <= 2.0 / i + 1e-12
 
 
+def test_constant_symbol_density_is_a_point_mass():
+    # off = 0 divides by zero in the arccos form, which reads nan at lam = diag
+    point = cosine_density_closed_form(5, 0)
+    assert [point.F(lam) for lam in (0.0, 4.9, 5.0, 5.1)] == [0.0, 0.0, 1.0, 1.0]
+    assert point.F(np.array([4.0, 5.0, 6.0])).tolist() == [0.0, 1.0, 1.0]
+
+
 # -- gap regime ---------------------------------------------------------------
 
 def test_gap_bound_constants(gap_complex):
@@ -667,6 +674,15 @@ def test_uniform_gap_exponent_rejects_polynomial_growth(z_two):
      lambda o: product_with_circle(two_cell_complex(o.sanov, GroupRingElement.one(o.sanov)))),
     (BadGroup, ValueError, "stripe loop must not be the identity",
      lambda o: StripeSpec(o.torus2, (0, 0), 4)),
+    # not numpy's "expected non-negative integer", which the CLI would print as its error
+    *[(BadArgument, ValueError, "seed must be nonnegative, got -1",
+       (lambda name: lambda o: verify.SUITES[name](seed=-1))(name))
+      for name in sorted(verify.SUITES)],
+    # not the ValueError or OverflowError of floor(c * short)
+    (BadArgument, ValueError, "c must be finite, got nan",
+     lambda o: uniformity_check(FreeAbelian(1), [LatticeSubgroup([[3]])], math.nan)),
+    (BadArgument, ValueError, "c must be finite, got inf",
+     lambda o: uniformity_check(FreeAbelian(1), [LatticeSubgroup([[3]])], math.inf)),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_every_argument_refusal_is_a_library_error(circle, gap_complex, torus2, sanov_group,
                                                    cls, base, message, call):

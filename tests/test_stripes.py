@@ -4,7 +4,7 @@ import pytest
 from l2growth import (FreeAbelian, GroupRingElement, GroupRingMatrix,
                       LatticeSubgroup, element_order, instantiate, quotient,
                       stripe_prediction, torus_complex)
-from l2growth.errors import CrossCheckMismatch, DimensionTooLow, RankOutOfRange
+from l2growth.errors import CrossCheckMismatch, DimensionTooLow, ForeignQuotient, RankOutOfRange
 from l2growth.group_ring import EquivariantChainComplex
 from l2growth.stripes import (StripeSpec, glue_stripe, product_with_circle,
                               stripe_bound_check)
@@ -135,3 +135,16 @@ def test_gluing_preserves_low_dimensions(torus2, stripe_complex, z_two):
         glued_cover = instantiate(stripe_complex, quot)
         for j in range(torus2.top_dim):
             assert glued_cover.betti(j) == base_cover.betti(j)
+
+
+@pytest.mark.parametrize("gamma", [(1,), (1, 0, 0), (1.5, 0), [1, 0]])
+def test_stripe_loop_of_the_wrong_shape_is_refused(gamma):
+    # zip would read (1,) and (1, 0, 0) as (1, 0)
+    with pytest.raises(RankOutOfRange, match="is not an element of FreeAbelian"):
+        StripeSpec(base=torus_complex(2), gamma=gamma, dim=3)
+
+
+def test_stripe_prediction_refuses_a_foreign_quotient():
+    spec = StripeSpec(base=torus_complex(2), gamma=(1, 0), dim=3)
+    with pytest.raises(ForeignQuotient):
+        stripe_prediction(spec, cyclic_quotient(4))  # Z/4 under Z^2
