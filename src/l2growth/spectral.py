@@ -15,6 +15,7 @@ choice of z and in how mu(z) is controlled.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
@@ -59,8 +60,10 @@ class Provenance:
 class DensityEstimate:
     """Nondecreasing estimate of the spectral density F on [0, K].
 
-    Values lie in [0, a].  Backed either by sorted eigenvalue samples with a
-    per-sample weight, or by a closed-form function.
+    Values lie in [0, a].  Backed either by eigenvalue samples with a
+    per-sample weight, or by a closed-form function.  The estimate takes
+    ownership of a samples array: it sorts it in place, flattened, and keeps
+    it without a copy.
     """
 
     def __init__(self, K: float, a: int, provenance: Provenance,
@@ -72,7 +75,10 @@ class DensityEstimate:
         self.K = float(K)
         self.a = int(a)
         self.provenance = provenance
-        self._samples = np.sort(np.asarray(samples, dtype=float)) if samples is not None else None
+        self._samples = None
+        if samples is not None:
+            self._samples = np.asarray(samples, dtype=float).reshape(-1)
+            self._samples.sort()
         self._weight = float(weight) if weight is not None else None
         self._fn = fn
         self.members: List[Tuple[int, "DensityEstimate"]] = []
@@ -81,8 +87,7 @@ class DensityEstimate:
     @classmethod
     def from_samples(cls, eigenvalues, n_points: int, K: float, a: int,
                      provenance: Provenance) -> "DensityEstimate":
-        return cls(K, a, provenance, samples=np.asarray(eigenvalues, dtype=float),
-                   weight=1.0 / n_points)
+        return cls(K, a, provenance, samples=eigenvalues, weight=1.0 / n_points)
 
     @classmethod
     def from_function(cls, fn: Callable, K: float, a: int) -> "DensityEstimate":
@@ -149,19 +154,23 @@ def cosine_density_closed_form(diag: float, off: float) -> DensityEstimate:
 _HALTON_HEAD = 4096     # largest lookup table of leading-digit partial sums
 
 
-def _scrambled_van_der_corput(n: int, base: int, perms: np.ndarray) -> np.ndarray:
-    """Points 0..n-1 of the base-``base`` sequence scrambled by ``perms``.
+# (head, row terms, tail constants) of one scrambled van der Corput sequence
+_DigitTable = Tuple[np.ndarray, List[np.ndarray], np.ndarray]
+
+
+def _van_der_corput_table(n: int, base: int, perms: np.ndarray) -> _DigitTable:
+    """Tables of points 0..n-1 of the base-``base`` sequence scrambled by ``perms``.
 
     Point i is sum_j perms[j, digit_j(i)] * base^-(j+1), accumulated over j
-    in order.  The first k digits come from one table of partial sums over
-    i mod base^k; each later varying digit is constant along a row of
+    in order.  The first k digits come from one head table of partial sums
+    over i mod base^k; each later varying digit is constant along a row of
     base^k consecutive points; past the last digit of n - 1 every digit is
-    0, so each further term is one constant added to all points.
+    0, so each further term is one constant.  Returns the head, the row
+    terms (one value per row) and the tail of constants, each in order.
 
     In base 2 every partial sum is a multiple of 2^-53 below 1, so it is
-    exact and the order of addition changes no bit: the row digits and the
-    tail are summed on the short row axis and added to the table in one
-    broadcast.  Base 3 adds them to every point in order.
+    exact and the order of addition changes no bit: the row terms and the
+    tail are summed into one row term.
     """
     count = perms.shape[0]
     b2r = np.empty(count)
@@ -185,28 +194,60 @@ def _scrambled_van_der_corput(n: int, base: int, perms: np.ndarray) -> np.ndarra
     rows = [terms[j, (hi // base ** (j - k)) % base] for j in range(k, digits)]
     tail = terms[digits:, 0]
     if base == 2:
-        row = sum(rows, np.full(hi.size, tail.sum()))
-        return (row[:, None] + head).ravel()[:n]
-    acc = np.empty((hi.size, width))
-    acc[:] = head
-    for digit in rows:
-        acc += digit[:, None]
+        return head, [sum(rows, np.full(hi.size, tail.sum()))], tail[:0]
+    return head, rows, tail
+
+
+def _read_van_der_corput(table: _DigitTable, s: int, e: int) -> np.ndarray:
+    """Points s..e-1 of the table's sequence, the same bits as when read whole.
+
+    Each point sums its terms in the table's order whatever the range: the
+    rows covering [s, e) start from the head and add each row term, then
+    each tail constant, in turn.
+    """
+    head, rows, tail = table
+    width = head.size
+    first, last = s // width, -(-e // width)
+    block = np.empty((last - first, width))
+    block[:] = head
+    for row in rows:
+        block += row[first:last, None]
     for t in tail:
-        acc += t
-    return acc.ravel()[:n]
+        block += t
+    return block.ravel()[s - first * width:e - first * width]
 
 
-def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
-    """(n, d) Owen-scrambled Halton points, equal to scipy's for the seed."""
+def _halton_tables(d: int, n: int, seed: int) -> List[_DigitTable]:
+    """Digit tables of scipy's first n scrambled Halton points in d dimensions."""
     rng = np.random.default_rng(seed)
-    out = np.empty((d, n))
-    for i, base in enumerate(islice(filter(_is_prime, count(2)), d)):
+    tables = []
+    for base in islice(filter(_is_prime, count(2)), d):
         perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1,
                           axis=0)
         for row in perms:
             rng.shuffle(row)
-        out[i] = _scrambled_van_der_corput(n, base, perms)
+        tables.append(_van_der_corput_table(n, base, perms))
+    return tables
+
+
+def _halton_points(tables: List[_DigitTable], s: int, e: int) -> np.ndarray:
+    """Points s..e-1 as an (e - s, d) array, stored a coordinate at a time as scipy's."""
+    out = np.empty((len(tables), e - s))
+    for i, table in enumerate(tables):
+        out[i] = _read_van_der_corput(table, s, e)
     return out.T
+
+
+def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
+    """(n, d) Owen-scrambled Halton points, equal to scipy's for the seed."""
+    return _halton_points(_halton_tables(d, n, seed), 0, n)
+
+
+def _check_integer(**args) -> None:
+    """Refuse a point count or seed that is not an integer, before numpy does."""
+    for name, value in args.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise BadArgument(f"{name} must be an integer, got {value!r}")
 
 
 def _is_diagonal(lap) -> bool:
@@ -216,11 +257,13 @@ def _is_diagonal(lap) -> bool:
 
 
 def _check_quadrature_budget(count: int, n: int, lap) -> None:
-    """Raise before allocating when the quadrature arrays would pass the budget.
+    """Raise before allocating when the quadrature arrays could pass the budget.
 
-    Counts the character points (count x n floats), the samples (count x a)
+    Charges the character points (count x n floats), the samples (count x a)
     and, for a symbol with an off-diagonal entry, the complex symbol blocks
-    (count x a x a) that ``_symbol_eigenvalues`` builds for it.
+    (count x a x a) that ``_symbol_eigenvalues`` builds for it.  Only the
+    samples are held whole; the points and symbol blocks live one
+    ``_BLOCK`` at a time, so the charge is an upper bound.
     """
     a = lap.nrows
     check_bytes(8 * count * (n + a) + (0 if _is_diagonal(lap) else 16 * count * a * a),
@@ -246,22 +289,31 @@ def _cos_symbol(entry, points: np.ndarray, out: np.ndarray) -> None:
         out += float(c) * cos_e
 
 
-def _symbol_eigenvalues(lap, points: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symbol of ``lap`` at each point, shape (points, a).
+_BLOCK = 2 ** 15   # points per block of the quadrature loop; its arrays stay in cache
 
-    A symbol with no off-diagonal entry (a scalar one among them) has its
-    diagonal entries' cosine sums (``_cos_symbol``) as eigenvalues, unsorted:
-    they are written in place into one (a, points) array, returned
-    transposed.  Any other symbol is evaluated at the characters and handed
-    to ``eigvalsh``.
+
+def _symbol_eigenvalues(lap, count: int, points: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Eigenvalues of the symbol of ``lap`` at points 0..count-1, shape (count, a).
+
+    ``points(s, e)`` returns points s..e-1 as an (e - s, n) array.  They are
+    evaluated ``_BLOCK`` at a time into their rows of one samples array, the
+    only array held whole.  A symbol with no off-diagonal entry (a scalar
+    one among them) has its diagonal entries' cosine sums (``_cos_symbol``)
+    as eigenvalues, unsorted, each added into its column.  Any other symbol
+    is evaluated at the characters and handed to ``eigvalsh``.  A point's
+    eigenvalues depend on its own coordinates only, not on its block.
     """
-    a = lap.nrows
-    if _is_diagonal(lap):
-        vals = np.zeros((a, points.shape[0]))
-        for i in range(a):
-            _cos_symbol(lap.entries[i][i], points, vals[i])
-        return vals.T
-    return np.linalg.eigvalsh(evaluate_matrix_at_characters(lap, points))
+    diagonal = _is_diagonal(lap)
+    samples = np.zeros((count, lap.nrows))
+    for s in range(0, count, _BLOCK):
+        e = min(s + _BLOCK, count)
+        block, out = points(s, e), samples[s:e]
+        if diagonal:
+            for i in range(lap.nrows):
+                _cos_symbol(lap.entries[i][i], block, out[:, i])
+        else:
+            out[:] = np.linalg.eigvalsh(evaluate_matrix_at_characters(lap, block))
+    return samples
 
 
 def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
@@ -270,12 +322,17 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
 
     The characters are Owen-scrambled Halton points generated in-house,
     bit-identical to ``scipy.stats.qmc.Halton(n, scramble=True, seed=seed)``,
-    so the estimate is deterministic for a fixed seed.  Raises
-    ``SizeCapExceeded`` before allocating when the points, samples or symbol
-    blocks would exceed the 1 GiB byte budget of ``exact.check_bytes``.
+    so the estimate is deterministic for a fixed seed.  Points and symbol
+    are evaluated one block at a time (``_symbol_eigenvalues``) into a single
+    (sample_count, a) array, which the estimate sorts in place and keeps:
+    the peak memory is about that array.  Raises ``BadArgument`` for a
+    sample count or seed that is not an integer, and ``SizeCapExceeded``
+    before allocating when the quadrature would exceed the 1 GiB byte
+    budget of ``exact.check_bytes`` (``_check_quadrature_budget``).
     """
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("torus quadrature requires a free abelian deck group")
+    _check_integer(sample_count=sample_count, seed=seed)
     if sample_count < 1000:
         raise BadArgument("sample_count must be at least 1000")
     if seed < 0:
@@ -285,9 +342,9 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
     n = cx.group.rank
     _check_quadrature_budget(sample_count, n, lap)
     k = float(norm_bound(lap))
-    points = _scrambled_halton(n, sample_count, seed)
-    eigs = _symbol_eigenvalues(lap, points).ravel()
-    return DensityEstimate.from_samples(eigs, sample_count, k, a,
+    tables = _halton_tables(n, sample_count, seed)
+    samples = _symbol_eigenvalues(lap, sample_count, lambda s, e: _halton_points(tables, s, e))
+    return DensityEstimate.from_samples(samples, sample_count, k, a,
                                         Provenance("torus_quadrature", sample_count))
 
 
@@ -296,9 +353,9 @@ def density_by_quotients(cx: EquivariantChainComplex, q: int,
     """Density approximation from the spectra of a family of finite abelian covers.
 
     A cover's spectrum is the symbol's eigenvalues at its quotient's
-    characters, so no cover is built.  Returns the estimate from the largest
-    member; the per-member sequence is attached as ``.members`` to exhibit
-    convergence.
+    characters (``_symbol_eigenvalues``), so no cover is built.  Returns the
+    estimate from the largest member; the per-member sequence is attached
+    as ``.members`` to exhibit convergence.
     """
     lap = laplacian(cx, q)
     a = cx.cells[q]
@@ -308,8 +365,8 @@ def density_by_quotients(cx: EquivariantChainComplex, q: int,
         check_quotient_of(cx.group, quot)
         chars, e = _character_numerators(quot)
         _check_quadrature_budget(quot.order, chars.shape[1], lap)
-        eigs = _symbol_eigenvalues(lap, chars / e).ravel()
-        est = DensityEstimate.from_samples(eigs, quot.order, k, a,
+        samples = _symbol_eigenvalues(lap, quot.order, lambda s, t: chars[s:t] / e)
+        est = DensityEstimate.from_samples(samples, quot.order, k, a,
                                            Provenance("quotient_approximation", quot.order))
         members.append((quot.order, est))
     if not members:
@@ -450,12 +507,15 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096) -
     Minimizes the smallest eigenvalue of the evaluated symbol over a uniform
     character grid and subtracts a Lipschitz slack derived from the
     coefficient l1 norms and a float64 rounding term, so the returned level
-    is a true lower bound for the whole torus.  Raises ``SizeCapExceeded``
-    before allocating when the grid arrays would exceed the byte budget of
-    ``exact.check_bytes``.
+    is a true lower bound for the whole torus.  The grid goes through the
+    quadrature's block loop (``_symbol_eigenvalues``).  Raises
+    ``BadArgument`` for a ``grid_per_dim`` that is not a positive integer,
+    and ``SizeCapExceeded`` before allocating when the grid arrays would
+    exceed the byte budget of ``exact.check_bytes``.
     """
     if not isinstance(cx.group, FreeAbelian):
         raise NotAbelian("gap certification requires a free abelian deck group")
+    _check_integer(grid_per_dim=grid_per_dim)
     if grid_per_dim < 1:  # no grid point: the minimum over none is +inf, no floor
         raise BadArgument(f"grid_per_dim must be at least 1, got {grid_per_dim}")
     n = cx.group.rank
@@ -463,10 +523,10 @@ def certify_gap(cx: EquivariantChainComplex, q: int, grid_per_dim: int = 4096) -
     a = cx.cells[q]
     per_dim = grid_per_dim if n == 1 else max(8, int(round(grid_per_dim ** (1.0 / n))))
     _check_quadrature_budget(per_dim ** n, n, lap)
-    axes = [np.arange(per_dim) / per_dim] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    grid_min = float(_symbol_eigenvalues(lap, points).min(initial=math.inf))
+    shape = (per_dim,) * n
+    samples = _symbol_eigenvalues(lap, per_dim ** n, lambda s, e: np.stack(
+        np.unravel_index(np.arange(s, e), shape), axis=-1) / per_dim)
+    grid_min = float(samples.min(initial=math.inf))
     sq_sum = 0.0
     for row in lap.entries:
         for e in row:
@@ -751,17 +811,22 @@ def estimate_ns(density: DensityEstimate) -> NsEstimate:
 
     F is read at 61 geometric grid points of the window [1e-6, 1e-2]; sampled
     estimates ignore those whose increment over F(0) is below 4 samples, to
-    keep quadrature noise out of the fit.  A density that rises above that
-    floor at no point has a gap (``gap_detected``); one whose usable points
-    span less than two decades raises ``InsufficientGrid``, which names the
-    density's provenance (a sample count too small for the fit shows there).
+    keep quadrature noise out of the fit.  A density that does not rise over
+    the window, F(1e-2) = F(0), has a gap (``gap_detected``).  One that
+    rises, but past the floor at no point or over less than two decades,
+    raises ``InsufficientGrid``, which names the density's provenance (a
+    sample count too small for the fit shows there).
     """
     grid = np.geomspace(1e-6, 1e-2, 61)
     vals = np.asarray(density.F(grid), dtype=float) - float(density.F(0.0))
-    usable = vals > (4 * density._weight if density._samples is not None else 0.0)
-    if not np.any(usable):
+    if vals[-1] == 0.0:
         return NsEstimate(alpha_hat=None, gap_detected=True,
                           window=(float(grid[0]), float(grid[-1])))
+    usable = vals > (4 * density._weight if density._samples is not None else 0.0)
+    if not np.any(usable):
+        raise InsufficientGrid(f"none of {grid[0]:.3g}..{grid[-1]:.3g} usable in "
+                               f"{density.provenance}: F rises {vals[-1]:.3g}, within 4 "
+                               "samples; need two decades")
     xs = grid[usable]
     ys = vals[usable]
     if xs.max() / xs.min() < 100.0:

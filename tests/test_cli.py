@@ -182,6 +182,15 @@ def test_density_ns_refusal_names_the_sample_count(capsys):
                    "need two decades\n")
 
 
+def test_density_ns_refuses_a_rise_within_the_sample_floor(capsys):
+    # F rises 4 samples over the window: not a gap, and too few to fit
+    code, out, err = run(capsys, "density", str(COMPLEXES / "torus2.json"), "--dim", "1",
+                         "--samples", "1000", "--seed", "0", "--ns")
+    assert (code, out) == (1, "")
+    assert err == ("error: none of 1e-06..0.01 usable in torus_quadrature(1000): F rises "
+                   "0.004, within 4 samples; need two decades\n")
+
+
 def test_density_usage_errors(capsys):
     code, _, err = run(capsys, "density", str(COMPLEXES / "circle.json"),
                        "--dim", "0", "--samples", "0")

@@ -182,14 +182,19 @@ def _cos_loop(entry, points):
     return vals
 
 
-def _density_samples_reference(cx, q, sample_count, seed):
-    """The quadrature with scipy's points and the per-term cos loop."""
-    lap = laplacian(cx, q)
-    points = qmc.Halton(d=cx.group.rank, scramble=True, seed=seed).random(sample_count)
-    if cx.cells[q] == 1:
+def _samples_reference(lap, points):
+    """Sorted symbol eigenvalues over all points at once: the per-term cos
+    loop for one cell, ``eigvalsh`` of the evaluated blocks otherwise."""
+    if lap.nrows == 1:
         return np.sort(_cos_loop(lap.entries[0][0], points))
     blocks = evaluate_matrix_at_characters(lap, points)
     return np.sort(np.linalg.eigvalsh(blocks).ravel())
+
+
+def _density_samples_reference(cx, q, sample_count, seed):
+    """The quadrature with scipy's points and the per-term cos loop."""
+    points = qmc.Halton(d=cx.group.rank, scramble=True, seed=seed).random(sample_count)
+    return _samples_reference(laplacian(cx, q), points)
 
 
 def _z2_complex(cells, d1_rows):
@@ -204,6 +209,10 @@ G1_MINUS_1 = {(1, 0): 1, (0, 0): -1}
 OFF_DIAGONAL = _z2_complex([1, 2], [[G1_MINUS_1, {(0, 1): 1, (0, 0): -1}]])
 # d_1 = diag(g1 - 1, 3 - g2): Delta_0 and Delta_1 are diagonal with different entries
 DISTINCT_DIAGONAL = _z2_complex([2, 2], [[G1_MINUS_1, {}], [{}, {(0, 0): 3, (0, 1): -1}]])
+# the 3-torus: its third Halton coordinate is in base 5
+Z3 = FreeAbelian(3)
+TORUS3 = EquivariantChainComplex(Z3, [1, 3], {1: GroupRingMatrix(Z3, [[
+    GroupRingElement(Z3, {g: 1, (0, 0, 0): -1}) for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]])})
 
 
 def _is_diagonal(lap):
@@ -224,6 +233,37 @@ def test_density_zn_samples_match_reference(torus2, circle, gap_complex, stripe_
             got = density_zn(cx, q, sample_count, seed=seed)._samples
             expected = _density_samples_reference(cx, q, sample_count, seed)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (q, seed)
+
+
+def test_samples_are_unchanged_across_block_boundaries(torus2):
+    # 100003 is a multiple of neither table width, 2187 = 3^7 nor 4096 = 2^12
+    block = spectral._BLOCK
+    cases = [(torus2, 0), (torus2, 1), (OFF_DIAGONAL, 1), (TORUS3, 0), (TORUS3, 1)]
+    for cx, q in cases:
+        for sample_count in (block - 1, block, block + 1, 100003):
+            got = density_zn(cx, q, sample_count, seed=5)._samples
+            expected = _density_samples_reference(cx, q, sample_count, 5)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (q, sample_count)
+
+
+def test_quotient_spectra_and_gap_grids_are_unchanged_across_block_boundaries(torus2, circle):
+    # references: the characters and the grid evaluated whole, in one pass
+    for cx, dims in ((torus2, (0, 1)), (OFF_DIAGONAL, (1,))):
+        for rows in ([[200, 0], [0, 300]], [[1, 0], [0, 40000]], [[4, 0], [0, 6]]):
+            quot = quotient(FreeAbelian(2), LatticeSubgroup(rows))
+            chars, e = spectral._character_numerators(quot)
+            for q in dims:
+                got = density_by_quotients(cx, q, [quot])._samples
+                expected = _samples_reference(laplacian(cx, q), chars / e)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (rows, q)
+    for cx, q, grid_per_dim in ((torus2, 0, 200000), (torus2, 1, 40000), (OFF_DIAGONAL, 1, 40000),
+                                (circle, 0, 100003), (TORUS3, 0, 10 ** 6)):
+        cert = certify_gap(cx, q, grid_per_dim=grid_per_dim)
+        per_dim, n = cert.grid_per_dim, cx.group.rank
+        assert per_dim ** n > spectral._BLOCK
+        mesh = np.meshgrid(*[np.arange(per_dim) / per_dim] * n, indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=-1)
+        assert cert.grid_minimum == _samples_reference(laplacian(cx, q), points)[0]
 
 
 def test_cos_symbol_unpaired_terms_and_constant_mid_order(z_two):
@@ -313,15 +353,19 @@ def test_luck_log_value_matches_the_two_branch_formula(n, z):
         assert p.log_value(1.0) == -math.inf
 
 
-def _peak_bytes_while_raising(fn):
+def _peak_bytes(fn):
+    """fn's result and the traced peak of the allocations made while it ran."""
     tracemalloc.start()
     try:
-        with pytest.raises(SizeCapExceeded):
-            fn()
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
+    return result, peak
+
+
+def _peak_bytes_while_raising(fn):
+    return _peak_bytes(lambda: pytest.raises(SizeCapExceeded, fn))[1]
 
 
 def test_quadrature_refuses_past_byte_budget_before_allocating(circle, torus2):
@@ -333,6 +377,15 @@ def test_quadrature_refuses_past_byte_budget_before_allocating(circle, torus2):
                lambda: certify_gap(torus2, 0, grid_per_dim=10 ** 12),
                lambda: certify_gap(circle, 0, grid_per_dim=10 ** 10)):
         assert _peak_bytes_while_raising(fn) < 4 * 2 ** 20
+
+
+def test_quadrature_holds_only_the_samples_whole(torus2):
+    # points and symbol temporaries live one block at a time; an off-diagonal
+    # symbol adds one block of complex 2 x 2 symbols
+    d, peak = _peak_bytes(lambda: density_zn(torus2, 0, 1_200_000))
+    assert peak <= 1.25 * d._samples.nbytes
+    d, peak = _peak_bytes(lambda: density_zn(OFF_DIAGONAL, 1, 1_200_000))
+    assert peak <= 1.25 * d._samples.nbytes + 16 * 2 * 2 * spectral._BLOCK
 
 
 def test_import_does_not_load_scipy_stats():
@@ -579,6 +632,16 @@ def test_estimate_ns_gap_detected(gap_complex):
     assert est.gap_detected and est.alpha_hat is None
 
 
+def test_estimate_ns_reports_no_gap_where_the_density_rises(torus2):
+    # F(1e-2) - F(0) = 0.004: four samples inside the window, none usable
+    d = density_zn(torus2, 1, sample_count=1000, seed=0)
+    assert d.F(1e-2) - d.F(0.0) == pytest.approx(0.004)
+    with pytest.raises(InsufficientGrid, match=r"^none of 1e-06\.\.0\.01 usable in "
+                       r"torus_quadrature\(1000\): F rises 0\.004, within 4 samples; "
+                       r"need two decades$"):
+        estimate_ns(d)
+
+
 def test_estimate_ns_guards():
     # F rises above F(0) only past 1e-3: one usable decade of the fixed window
     fn = lambda lam: np.clip(np.asarray(lam, float) - 1e-3, 0, 1)
@@ -662,6 +725,14 @@ def test_uniform_gap_exponent_rejects_polynomial_growth(z_two):
      lambda o: certify_gap(o.torus2, 1, grid_per_dim=-3)),
     (BadArgument, ValueError, "seed must be nonnegative, got -1",
      lambda o: density_zn(o.circle, 0, seed=-1)),
+    # not numpy's or SeedSequence's TypeError
+    (BadArgument, ValueError, "sample_count must be an integer, got 5000.0",
+     lambda o: density_zn(o.circle, 0, sample_count=5000.0)),
+    (BadArgument, ValueError, "seed must be an integer, got 1.5",
+     lambda o: density_zn(o.circle, 0, seed=1.5)),
+    # not numpy's TypeError from the grid's index shape
+    (BadArgument, ValueError, "grid_per_dim must be an integer, got 4096.0",
+     lambda o: certify_gap(o.circle, 0, grid_per_dim=4096.0)),
     (BadArgument, ValueError, "beta must be finite, got nan",
      lambda o: ns_bound(o.circle, cyclic_quotient(7), 1, math.nan, 0.5,
                         cosine_density_closed_form(2, 1))),
