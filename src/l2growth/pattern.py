@@ -7,13 +7,19 @@ exact: the symbols at all characters are evaluated modulo primes l = 1 (mod
 the quotient's exponent), where every character value is an integer, and the
 rank over the cyclotomic field is the largest modular rank over the
 character's Galois orbit once the primes multiply past a Hadamard bound.
+
+The work is numpy's, not a Python loop over characters or terms: the
+exponent of every term at every character is one matrix, formed once; each
+prime's symbols are one gather from the powers of a primitive root of unity
+and one sum per matrix entry; Galois orbits are labelled one orbit at a
+time; and a report builds its kernel characters as fractions only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm, prod
 from typing import List, Optional, Tuple
 
@@ -40,19 +46,24 @@ def _require_abelian(group) -> FreeAbelian:
 # Characters of finite abelian quotients
 # ---------------------------------------------------------------------------
 
+def _require_abelian_quotient(quot) -> AbelianQuotient:
+    if not isinstance(quot, AbelianQuotient):
+        raise NotAbelian("character lattice requires an abelian quotient")
+    return quot
+
+
 def _character_numerators(quot: AbelianQuotient) -> Tuple[np.ndarray, int]:
     """All characters of Z^n trivial on the subgroup as numerators X over the exponent e.
 
     Row y (element order) sends generator k to exp(2 pi i X[y, k] / e), where
     X[y, k] = sum_i y_i u_ik e / d_i over the Smith moduli d_i.
     """
-    if not isinstance(quot, AbelianQuotient):
-        raise NotAbelian("character lattice requires an abelian quotient")
-    e = max(quot.moduli)
+    e = max(_require_abelian_quotient(quot).moduli)
     u = (np.array(quot.u, dtype=object) % e).astype(np.int64)
     chars = np.zeros((quot.order, quot.group.rank), dtype=np.int64)
     for i, d in enumerate(quot.moduli):
-        chars = (chars + (quot._coords[i] * (e // d))[:, None] * u[i]) % e
+        chars += np.multiply.outer(quot._coords[i] * (e // d), u[i])
+        chars %= e
     rows = chars[np.lexsort(chars.T)]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise CrossCheckMismatch("characters are not distinct")  # pragma: no cover
@@ -100,16 +111,64 @@ def evaluate_matrix_at_characters(m: GroupRingMatrix,
 # Once the primes used multiply past H, the orbit's largest modular rank is
 # the exact rank.
 
+@lru_cache(maxsize=256)
+def _prime_divisors(e: int) -> Tuple[int, ...]:
+    """The primes dividing e, by trial division."""
+    primes, p = [], 2
+    while p * p <= e:
+        if e % p == 0:
+            primes.append(p)
+            while e % p == 0:
+                e //= p
+        p += 1
+    return tuple(primes + [e] if e > 1 else primes)
+
+
 def _root_powers(e: int, ell: int) -> np.ndarray:
-    """omega^t mod ell for t < e, with omega a primitive e-th root of unity mod ell."""
+    """omega^t mod ell for t < e, with omega a primitive e-th root of unity mod ell.
+
+    omega is w = h^((ell - 1)/e) for the first h = 1, 2, ... whose w has order
+    e, that is w^(e/p) != 1 for every prime p dividing e (w^e = h^(ell-1) = 1).
+    """
     for h in range(1, ell):
-        w, powers, step = pow(h, (ell - 1) // e, ell), np.ones(e, dtype=np.int64), 1
-        while step < e:
-            powers[step:2 * step] = powers[:min(step, e - step)] * pow(w, step, ell) % ell
-            step *= 2
-        if np.count_nonzero(powers == 1) == 1:
-            return powers
-    raise CrossCheckMismatch(f"{ell} is not a prime = 1 (mod {e})")  # pragma: no cover
+        w = pow(h, (ell - 1) // e, ell)
+        if all(pow(w, e // p, ell) != 1 for p in _prime_divisors(e)):
+            break
+    else:
+        raise CrossCheckMismatch(f"{ell} is not a prime = 1 (mod {e})")  # pragma: no cover
+    powers, step = np.ones(e, dtype=np.int64), 1
+    while step < e:
+        powers[step:2 * step] = powers[:min(step, e - step)] * pow(w, step, ell) % ell
+        step *= 2
+    return powers
+
+
+def _symbol_bytes(m: GroupRingMatrix, count: int) -> int:
+    """Bytes ``_orbit_ranks`` may hold at once for ``count`` characters.
+
+    The (count, terms) exponents stay whole, with one more such array while
+    a stack is filled; ``ranks_modp`` peaks at about 3.6 times the int64
+    stack it is given, which comes on top.
+    """
+    terms = sum(len(el.terms) for row in m.entries for el in row)
+    return 8 * count * (5 * m.nrows * m.ncols + 2 * terms)
+
+
+def _symbol_stack(exponents: np.ndarray, slots: np.ndarray, coefficients: List[int],
+                  powers: np.ndarray, ell: int, shape: Tuple[int, int]) -> np.ndarray:
+    """The symbols at every character mod ell, shape (count, rows, cols).
+
+    Term k sits in slot ``slots[k]`` (row * cols + col, in order) and is
+    c_k * omega^exponents[:, k]; the terms of each slot are summed mod ell.
+    """
+    count = len(exponents)
+    values = powers[exponents]
+    values *= np.array([c % ell for c in coefficients], dtype=np.int64)
+    values %= ell
+    starts = np.flatnonzero(np.diff(slots, prepend=-1))
+    stack = np.zeros((count, shape[0] * shape[1]), dtype=np.int64)
+    stack[:, slots[starts]] = np.add.reduceat(values, starts, axis=1) % ell
+    return stack.reshape(count, *shape)
 
 
 def _orbit_ranks(m: GroupRingMatrix, chars: np.ndarray, e: int,
@@ -117,11 +176,34 @@ def _orbit_ranks(m: GroupRingMatrix, chars: np.ndarray, e: int,
     """Exact symbol rank on each Galois orbit 0, 1, ...
 
     ``chars`` holds numerators over e covering each orbit; ``labels`` is the
-    orbit of each row.  The int64 stack of symbols is refused past the byte
-    budget before it is built: ``ranks_modp`` peaks at about 3.6 times the
-    stack it is given, which comes on top.
+    orbit of each row.  The exponent of every term at every character is
+    formed once, mod e a coordinate at a time; at each prime the stack of
+    symbols is one gather from the root's powers and one sum per entry.
+    What that holds (``_symbol_bytes``) is refused past the byte budget
+    before it is built.
     """
-    check_bytes(5 * 8 * len(chars) * m.nrows * m.ncols, "symbol ranks")
+    check_bytes(_symbol_bytes(m, len(chars)), "symbol ranks")
+    slots, exponents, coefficients = [], [], []
+    for i, row in enumerate(m.entries):
+        for j, el in enumerate(row):
+            for g, c in el.terms.items():
+                if c != int(c):
+                    raise NonIntegralCoefficient(
+                        f"character ranks require integer coefficients, got {c}")
+                slots.append(i * m.ncols + j)
+                # exponents mod e in Python ints first: they may pass int64
+                exponents.append([x % e for x in g])
+                coefficients.append(int(c))
+    by_term = np.array(exponents, dtype=np.int64).reshape(len(exponents), chars.shape[1])
+    # each product reduced mod e, then the sum (below n * e, as a sum of
+    # residues): no value passes e^2 or n * e
+    t = np.zeros((len(chars), len(exponents)), dtype=np.int64)
+    for k in range(chars.shape[1]):
+        term = np.multiply.outer(chars[:, k], by_term[:, k])
+        term %= e
+        t += term
+    t %= e
+    slots = np.array(slots, dtype=np.int64)
     h_squared = prod(max(1, sum(sum(map(abs, el.terms.values())) ** 2 for el in row))
                      for row in m.entries)
     ranks, product, primes = np.zeros(labels.max() + 1, dtype=np.int64), 1, _primes_one_mod(e)
@@ -129,17 +211,8 @@ def _orbit_ranks(m: GroupRingMatrix, chars: np.ndarray, e: int,
         ell = next(primes, None)
         if ell is None:
             raise SizeCapExceeded(f"primes = 1 (mod {e}) below 2^31 stay under the Hadamard bound")
-        powers = _root_powers(e, ell)
-        stack = np.zeros((len(chars), m.nrows, m.ncols), dtype=np.int64)
-        for i, row in enumerate(m.entries):
-            for j, el in enumerate(row):
-                for g, c in el.terms.items():
-                    if c != int(c):
-                        raise NonIntegralCoefficient(
-                            f"character ranks require integer coefficients, got {c}")
-                    # exponents mod e in Python ints first: they may pass int64
-                    t = (chars * np.array([x % e for x in g], dtype=np.int64) % e).sum(axis=1) % e
-                    stack[:, i, j] = (stack[:, i, j] + int(c) % ell * powers[t]) % ell
+        stack = _symbol_stack(t, slots, coefficients, _root_powers(e, ell), ell,
+                              (m.nrows, m.ncols))
         np.maximum.at(ranks, labels, ranks_modp(stack, ell))
         product *= ell
     return ranks
@@ -154,16 +227,26 @@ def _units(d: int) -> np.ndarray:
 def _galois_orbits(quot: AbelianQuotient) -> np.ndarray:
     """Label each element y, and so its character, by its orbit {k*y : k unit mod ord(y)}.
 
-    Each orbit is walked once, from its first element: O(order) work.
+    Orbits are numbered by their first element.  Each is walked once, from
+    that element; the next unlabelled element is found by scanning forward
+    in windows that double, so all scans take O(order + 64 * orbits).
     """
     coords, moduli = quot._coords, np.array(quot.moduli)[:, None]
-    orders = quot.element_orders()
-    labels, count = np.full(quot.order, -1, dtype=np.int64), 0
-    for j, d in enumerate(orders.tolist()):
-        if labels[j] < 0:
-            orbit = coords[:, j:j + 1] * _units(d) % moduli
-            labels[np.ravel_multi_index(orbit, quot.moduli)] = count
-            count += 1
+    # element index of coordinates c: their row-major code over the moduli
+    strides = np.cumprod((quot.moduli[1:] + (1,))[::-1])[::-1]
+    orders = quot.element_orders().tolist()
+    labels, count, j = np.full(quot.order, -1, dtype=np.int64), 0, 0
+    while j < quot.order:
+        labels[strides @ (coords[:, j:j + 1] * _units(orders[j]) % moduli)] = count
+        count += 1
+        width = 64
+        while True:
+            free = labels[j:j + width] < 0
+            k = int(free.argmax())
+            if free[k] or j + width >= quot.order:
+                break
+            j, width = j + width, 2 * width
+        j = j + k if free[k] else quot.order
     return labels
 
 
@@ -185,20 +268,33 @@ def exact_kernel_dimension(m: GroupRingMatrix, char: Character) -> int:
 # Betti numbers through characters
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PatternReport:
-    """Characters on the pattern with their exact kernel dimensions."""
+    """Characters on the pattern with their exact kernel dimensions.
+
+    The characters with a nontrivial kernel are kept as rows of numerators
+    over ``exponent``, beside their kernel dimensions; ``kernel_characters``
+    builds them as rational points when it is first read.
+    """
 
     a: int
     lattice_size: int
-    kernel_characters: List[Tuple[Character, int]] = field(default_factory=list)
+    exponent: int
+    kernel_numerators: np.ndarray
+    kernel_dims: np.ndarray
     betti: int = 0
     exact_betti: Optional[int] = None
 
     @property
     def pattern_count(self) -> int:
         """|Lambda intersect K|: characters with nontrivial kernel."""
-        return len(self.kernel_characters)
+        return len(self.kernel_dims)
+
+    @cached_property
+    def kernel_characters(self) -> List[Tuple[Character, int]]:
+        e = self.exponent
+        return [(tuple(Fraction(v, e) for v in row), d) for row, d in
+                zip(self.kernel_numerators.tolist(), self.kernel_dims.tolist())]
 
 
 def betti_by_characters(cx: EquivariantChainComplex, quot: AbelianQuotient,
@@ -217,13 +313,13 @@ def betti_by_characters(cx: EquivariantChainComplex, quot: AbelianQuotient,
     lap = laplacian(cx, q)
     a = cx.cells[q]
     chars, e = _character_numerators(quot)
-    report = PatternReport(a=a, lattice_size=len(chars))
     labels = _galois_orbits(quot)
     dims = a - _orbit_ranks(lap, chars, e, labels)[labels]
-    for idx in np.flatnonzero(dims).tolist():
-        ch = tuple(Fraction(v, e) for v in chars[idx].tolist())
-        report.kernel_characters.append((ch, int(dims[idx])))
-    report.betti = total = int(dims.sum())
+    kernel = np.flatnonzero(dims)
+    total = int(dims.sum())
+    report = PatternReport(a=a, lattice_size=len(chars), exponent=e,
+                           kernel_numerators=chars[kernel], kernel_dims=dims[kernel],
+                           betti=total)
     if cross_check:
         report.exact_betti = CoverInstance(cx, quot, caps).betti(q)
         if report.exact_betti != total:
@@ -276,7 +372,7 @@ def l2_betti(cx: EquivariantChainComplex, q: int) -> int:
     grid = _symbol_grid(lap)
     order = prod(grid)
     # the quotient's coordinates, numerators and orbit labels take under 8 (4n + 8) B a character
-    check_bytes(8 * order * (5 * lap.nrows * lap.ncols + 4 * group.rank + 8), "character grid")
+    check_bytes(_symbol_bytes(lap, order) + 8 * order * (4 * group.rank + 8), "character grid")
     quot = AbelianQuotient(group, LatticeSubgroup(np.diag(grid).tolist()), Caps(order=order))
     chars, e = _character_numerators(quot)
     return lap.nrows - int(_orbit_ranks(lap, chars, e, _galois_orbits(quot)).max())

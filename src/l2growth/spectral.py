@@ -31,7 +31,8 @@ from .errors import (BadArgument, DegenerateZ, FamilyNotLogUniform, GapNotVerifi
 from .exact import _is_prime, check_bytes
 from .group_ring import EquivariantChainComplex, laplacian, norm_bound, support_radius
 from .groups import FreeAbelian, check_quotient_of, quotient as make_quotient, short_length
-from .pattern import _character_numerators, evaluate_matrix_at_characters, l2_betti
+from .pattern import (_character_numerators, _require_abelian_quotient,
+                      evaluate_matrix_at_characters, l2_betti)
 from .polynomials import Poly, chebyshev_coefficients
 
 __all__ = [
@@ -158,6 +159,18 @@ _HALTON_HEAD = 4096     # largest lookup table of leading-digit partial sums
 _DigitTable = Tuple[np.ndarray, List[np.ndarray], np.ndarray]
 
 
+def _digit_split(n: int, base: int) -> Tuple[int, int]:
+    """(digits, k): the base-``base`` digits of points below n, and how many
+    leading ones one head table of at most ``_HALTON_HEAD`` entries covers."""
+    digits = 0
+    while base ** digits < n:
+        digits += 1
+    k = 0
+    while k < digits and base ** (k + 1) <= _HALTON_HEAD:
+        k += 1
+    return digits, k
+
+
 def _van_der_corput_table(n: int, base: int, perms: np.ndarray) -> _DigitTable:
     """Tables of points 0..n-1 of the base-``base`` sequence scrambled by ``perms``.
 
@@ -179,12 +192,7 @@ def _van_der_corput_table(n: int, base: int, perms: np.ndarray) -> _DigitTable:
         b2r[j] = r
         r /= base
     terms = perms * b2r[:, None]     # terms[j, digit]
-    digits = 0
-    while base ** digits < n:
-        digits += 1
-    k = 0
-    while k < digits and base ** (k + 1) <= _HALTON_HEAD:
-        k += 1
+    digits, k = _digit_split(n, base)
     width = base ** k
     lo = np.arange(width)
     head = np.zeros(width)
@@ -217,17 +225,32 @@ def _read_van_der_corput(table: _DigitTable, s: int, e: int) -> np.ndarray:
     return block.ravel()[s - first * width:e - first * width]
 
 
+def _scrambled_digits(base: int) -> int:
+    """How many digits of a base-``base`` point scipy scrambles."""
+    return math.ceil(54 / math.log2(base)) - 1
+
+
 def _halton_tables(d: int, n: int, seed: int) -> List[_DigitTable]:
     """Digit tables of scipy's first n scrambled Halton points in d dimensions."""
     rng = np.random.default_rng(seed)
     tables = []
     for base in islice(filter(_is_prime, count(2)), d):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1,
-                          axis=0)
+        perms = np.repeat(np.arange(base)[None], _scrambled_digits(base), axis=0)
         for row in perms:
             rng.shuffle(row)
         tables.append(_van_der_corput_table(n, base, perms))
     return tables
+
+
+def _halton_table_bytes(d: int, n: int) -> int:
+    """Bytes of ``_halton_tables(d, n, seed)`` and of the permutations and digit
+    terms each table is built from: a head, then a row of each later digit."""
+    total = 0
+    for base in islice(filter(_is_prime, count(2)), d):
+        digits, k = _digit_split(n, base)
+        width = base ** k
+        total += 8 * (2 * _scrambled_digits(base) * base + width + (digits - k) * -(-n // width))
+    return total
 
 
 def _halton_points(tables: List[_DigitTable], s: int, e: int) -> np.ndarray:
@@ -256,17 +279,19 @@ def _is_diagonal(lap) -> bool:
                for i in range(lap.nrows) for j in range(lap.nrows) if i != j)
 
 
-def _check_quadrature_budget(count: int, n: int, lap) -> None:
+def _check_quadrature_budget(count: int, n: int, lap, held: int = 0) -> None:
     """Raise before allocating when the quadrature arrays could pass the budget.
 
-    Charges the character points (count x n floats), the samples (count x a)
-    and, for a symbol with an off-diagonal entry, the complex symbol blocks
-    (count x a x a) that ``_symbol_eigenvalues`` builds for it.  Only the
-    samples are held whole; the points and symbol blocks live one
-    ``_BLOCK`` at a time, so the charge is an upper bound.
+    Charges what is held whole: the samples (count x a floats) and ``held``
+    bytes the caller keeps beside them.  Points and symbols live one
+    ``_BLOCK`` at a time (``_symbol_eigenvalues``), so one block is charged
+    on top: 8 (4n + 2a) bytes a point for the points, their index and
+    cosine arrays and the eigenvalues, and for a symbol with an off-diagonal
+    entry 32 a^2 more for its complex symbols and the solver's copy.
     """
     a = lap.nrows
-    check_bytes(8 * count * (n + a) + (0 if _is_diagonal(lap) else 16 * count * a * a),
+    per_point = 8 * (4 * n + 2 * a) + (0 if _is_diagonal(lap) else 32 * a * a)
+    check_bytes(8 * count * a + held + min(count, _BLOCK) * per_point,
                 f"quadrature over {count} characters with {a} cells")
 
 
@@ -340,7 +365,7 @@ def density_zn(cx: EquivariantChainComplex, q: int, sample_count: int = 4096,
     lap = laplacian(cx, q)
     a = cx.cells[q]
     n = cx.group.rank
-    _check_quadrature_budget(sample_count, n, lap)
+    _check_quadrature_budget(sample_count, n, lap, _halton_table_bytes(n, sample_count))
     k = float(norm_bound(lap))
     tables = _halton_tables(n, sample_count, seed)
     samples = _symbol_eigenvalues(lap, sample_count, lambda s, e: _halton_points(tables, s, e))
@@ -363,8 +388,10 @@ def density_by_quotients(cx: EquivariantChainComplex, q: int,
     members = []
     for quot in sorted(quotients, key=lambda qq: qq.order):
         check_quotient_of(cx.group, quot)
+        n = _require_abelian_quotient(quot).group.rank
+        # the numerators, and while they are built and checked one more such array and two columns
+        _check_quadrature_budget(quot.order, n, lap, 8 * quot.order * (2 * n + 2))
         chars, e = _character_numerators(quot)
-        _check_quadrature_budget(quot.order, chars.shape[1], lap)
         samples = _symbol_eigenvalues(lap, quot.order, lambda s, t: chars[s:t] / e)
         est = DensityEstimate.from_samples(samples, quot.order, k, a,
                                            Provenance("quotient_approximation", quot.order))

@@ -244,13 +244,25 @@ def test_l2_betti_past_the_byte_budget_is_refused_before_it_builds_the_grid(z_tw
     assert peak < 2 ** 20
 
 
-def test_symbol_ranks_past_the_byte_budget_are_refused(monkeypatch, torus2):
-    # 400 characters of a 2 x 2 symbol charge 64000 bytes
-    monkeypatch.setattr(exact, "_DENSE_BYTES", 63999)
-    with pytest.raises(SizeCapExceeded, match="^symbol ranks needs 64000 bytes"):
+def test_symbol_ranks_past_the_byte_budget_are_refused(monkeypatch, torus2, z_one):
+    # 400 characters of a 2 x 2 symbol of 10 terms charge 8 * 400 * (5 * 4 + 2 * 10)
+    # bytes: the stack and the rank's working arrays, and two exponent arrays
+    assert sum(len(el.terms) for row in laplacian(torus2, 1).entries for el in row) == 10
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 127999)
+    with pytest.raises(SizeCapExceeded, match="^symbol ranks needs 128000 bytes"):
         betti_by_characters(torus2, diag_quotient(20, 20), 1, cross_check=False)
-    monkeypatch.setattr(exact, "_DENSE_BYTES", 64000)
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 128000)
     assert betti_by_characters(torus2, diag_quotient(20, 20), 1, cross_check=False)[0] == 2
+    # a 1 x 1 symbol of 101 terms, the Laplacian of sum_k t^k - 50 over k = 1..50, on
+    # 400 characters: 8 * 400 * (5 + 2 * 101) bytes, over 41 times its stack's charge
+    cx = two_cell_complex(z_one, GroupRingElement(
+        z_one, {(0,): -50, **{(k,): 1 for k in range(1, 51)}}))
+    assert sum(len(el.terms) for el in laplacian(cx, 0).entries[0]) == 101
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 662399)
+    with pytest.raises(SizeCapExceeded, match="^symbol ranks needs 662400 bytes"):
+        betti_by_characters(cx, cyclic_quotient(400), 0, cross_check=False)
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 662400)
+    assert betti_by_characters(cx, cyclic_quotient(400), 0, cross_check=False)[0] == 1
 
 
 def test_coset_count_bound(z_two):

@@ -20,7 +20,8 @@ from l2growth import (CongruenceSubgroup, CoverInstance, DensityEstimate,
                       density_by_quotients, density_zn, eig_count_bound,
                       estimate_ns, gap_bound, j_bound, laplacian,
                       luck_polynomial, norm_bound, ns_bound, quotient, sublog_bound,
-                      two_cell_complex, uniform_gap_exponent, uniformity_check)
+                      torus_complex, two_cell_complex, uniform_gap_exponent,
+                      uniformity_check)
 from l2growth import cli, exact, spectral, verify
 from l2growth.covers import eigvalsh_error
 from l2growth.document import parse_complex
@@ -306,14 +307,49 @@ def test_certify_gap_on_a_dimension_without_cells():
 
 
 def test_quadrature_budget_charges_blocks_only_for_off_diagonal_symbols(monkeypatch, torus2):
-    # at 1000 points a 2x2 symbol of Z^2 takes 32,000 bytes of points and
-    # samples, and its complex blocks 64,000 more: only the off-diagonal one
-    # builds them, so only it passes a 64,000-byte budget
-    monkeypatch.setattr(exact, "_DENSE_BYTES", 64_000)
+    # at 1000 points a 2x2 symbol of Z^2 charges 16,000 bytes of samples,
+    # 29,016 of Halton digit tables and one block of 1000 points at 96 bytes
+    # a point; complex symbol blocks, 128 bytes a point more, come only with
+    # an off-diagonal entry, so only that symbol passes a 141,016-byte budget
+    assert spectral._halton_table_bytes(2, 1000) == 8 * (2 * 53 * 2 + 1024 + 2 * 34 * 3 + 2187)
+    monkeypatch.setattr(exact, "_DENSE_BYTES", 141_016)
     assert _is_diagonal(laplacian(torus2, 1))
     assert density_zn(torus2, 1, sample_count=1000)._samples.size == 2000
-    with pytest.raises(SizeCapExceeded, match=r"needs 96000 bytes"):
+    with pytest.raises(SizeCapExceeded, match=r"needs 269016 bytes"):
         density_zn(OFF_DIAGONAL, 1, sample_count=1000)
+
+
+def test_quadrature_budget_charges_the_samples_and_one_block():
+    # the off-diagonal symbol at 11,184,811 points holds 179 MB of samples and
+    # one block; charging each point's coordinates and symbol, 96 bytes, would
+    # pass 1 GiB
+    count, lap = 11_184_811, laplacian(OFF_DIAGONAL, 1)
+    assert 96 * count > exact._DENSE_BYTES
+    spectral._check_quadrature_budget(count, 2, lap, spectral._halton_table_bytes(2, count))
+    # the samples alone of 2^26 points of a 2 x 2 symbol take the whole budget
+    assert 8 * 2 ** 26 * 2 == exact._DENSE_BYTES
+    with pytest.raises(SizeCapExceeded, match=r"^quadrature over 67108864 characters"):
+        spectral._check_quadrature_budget(2 ** 26, 2, laplacian(torus_complex(2), 1))
+
+
+@pytest.mark.parametrize("cx, q", [(torus_complex(1), 0), (torus_complex(2), 0),
+                                   (torus_complex(2), 1), (OFF_DIAGONAL, 1),
+                                   (TORUS3, 0), (TORUS3, 1)])
+def test_quadrature_charge_bounds_its_traced_peak(monkeypatch, cx, q):
+    # three blocks and a part over the quasi-random points, a grid and a quotient
+    charged = []
+    monkeypatch.setattr(spectral, "check_bytes",
+                        lambda need, what: charged.append(need) if what.startswith("quadrature")
+                        else exact.check_bytes(need, what))
+    n = cx.group.rank
+    per_dim = {1: 100_000, 2: 300, 3: 45}[n]
+    quot = quotient(cx.group, LatticeSubgroup(np.diag([per_dim] * n).tolist()))
+    for run in (lambda: density_zn(cx, q, 3 * spectral._BLOCK + 7),
+                lambda: certify_gap(cx, q, per_dim ** n),
+                lambda: density_by_quotients(cx, q, [quot])):
+        charged.clear()
+        _, peak = _peak_bytes(run)
+        assert len(charged) == 1 and peak <= charged[0]
 
 
 def _log_value_two_branch(p, x):
