@@ -3,8 +3,12 @@
 Each group element in a boundary entry is replaced by the permutation matrix
 of right multiplication by its image in the finite quotient; this is a ring
 homomorphism, so instantiated boundaries still compose to zero and are the
-boundaries of the cover.  No cover Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T is
-formed: spectra and traces work on its two terms, one boundary each.
+boundaries of the cover.  Two elements' tables are equal when their images
+are, and differ at every cell otherwise, so the terms of an entry are merged
+by table and each row of the CSR holds one entry per merged term; the
+composition d_q d_(q+1) = 0 is checked on the merged terms.  No cover
+Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T is formed: spectra and traces work on
+its two terms, one boundary each.
 
 Betti numbers come from certified rational ranks of the integer boundary
 matrices; floating eigensolvers serve spectral statistics only, and the
@@ -55,7 +59,8 @@ from .polynomials import as_poly
 _L1_BOUND = 2 ** 31
 
 # quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None,
-#                             Gram spectrum or None]} (see ``CoverInstance._gram_part``);
+#                             Gram spectrum or None (see ``CoverInstance._gram_part``),
+#                             merged terms (see ``_instantiate_matrix``)]};
 # the entry holds the boundary, so its id is not reused while the quotient lives
 _SHARED = weakref.WeakKeyDictionary()
 
@@ -78,11 +83,15 @@ class CoverInstance:
         self._entries: Dict[int, List] = {}
         for q, d in cx.boundaries.items():
             if id(d) not in shared:
-                shared[id(d)] = [d, _instantiate_matrix(d, quot), None, None]
+                csr, terms = _instantiate_matrix(d, quot)
+                shared[id(d)] = [d, csr, None, None, terms]
             self._entries[q] = shared[id(d)]
-        # instantiation is a ring homomorphism, so d'd' = 0 must survive
+        # instantiation is a ring homomorphism, so d'd' = 0 must survive; the
+        # terms decide it unless a table is no action, and then the product does
         for q in self._entries:
-            if q + 1 in self._entries and np.any((self.boundary(q) @ self.boundary(q + 1)).data):
+            if (q + 1 in self._entries
+                    and not _terms_compose_to_zero(self._entries[q][4], self._entries[q + 1][4])
+                    and np.any((self.boundary(q) @ self.boundary(q + 1)).data)):
                 raise CrossCheckMismatch(
                     f"instantiated boundaries {q},{q + 1} do not compose to zero")
         self._eigs: Dict[int, np.ndarray] = {}
@@ -222,35 +231,109 @@ def eigvalsh_error(size: int, norm: float) -> float:
     return 2 * size * math.ulp(1.0) * norm
 
 
-def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> sp.csr_matrix:
-    """The integer matrix of m on the quotient: each element a right multiplication."""
+def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.csr_matrix, Tuple]:
+    """(The integer matrix of m on the quotient as CSR, its merged terms).
+
+    Element g acts by its table t = ``right_mult_indices(g)``: in the block of
+    its entry, row x holds g's coefficient at column t[x].  The terms of one
+    entry whose tables are equal are merged by adding their coefficients, and
+    zero sums are dropped.  The merged terms are the arrays (rows, cols,
+    coeffs, tables), in row-major order of their entries.  Tables of a group
+    action that differ differ at every cell, so each row of block i holds one
+    entry per merged term of row i: the block is laid out that way and each
+    row sorted once, the term index carried in the sort key.  Two tables that
+    still meet in a row are no group action; that row is summed, so the CSR
+    stays the matrix of the tables either way.
+    """
     l1 = [[entry.l1_norm() for entry in row] for row in m.entries]
     norm = max(max(map(sum, l1), default=0), max(map(sum, zip(*l1)), default=0))
     if norm >= _L1_BOUND:
         raise SizeCapExceeded(f"a boundary row or column of L1 norm {norm} >= 2^31 "
                               "could pass int64 on a cover")
     n = quot.order
-    rows, cols, vals = [], [], []
-    base = np.arange(n, dtype=np.intp)
     distinct = {el for row in m.entries for entry in row for el in entry.terms}
-    perms = {el: quot.right_mult_indices(el) for el in distinct}  # one per element
-    for i in range(m.nrows):
-        for j in range(m.ncols):
-            for el, coeff in m.entries[i][j].terms.items():
+    index, unique, table_of = {}, [], {}  # equal tables get one index
+    for el in distinct:  # one right multiplication per element
+        table = np.asarray(quot.right_mult_indices(el), dtype=np.intp)
+        table_of[el] = index.setdefault(table.tobytes(), len(unique))
+        if table_of[el] == len(unique):
+            unique.append(table)
+    # (i, j, table, coefficient); the number in each row; the pairs in one entry
+    terms, counts, pairs = [], [], []
+    for i, row in enumerate(m.entries):
+        start = len(terms)
+        for j, entry in enumerate(row):
+            merged: Dict[int, int] = {}
+            for el, coeff in entry.terms.items():
                 if coeff != int(coeff):
                     raise NonIntegralCoefficient(
                         f"cover instantiation requires integer coefficients, got {coeff}")
-                rows.append(i * n + base)
-                cols.append(j * n + perms[el])
-                vals.append(np.full(n, int(coeff), dtype=np.int64))
-    shape = (m.nrows * n, m.ncols * n)
-    if not rows:
-        return sp.csr_matrix(shape, dtype=np.int64)
-    out = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape, dtype=np.int64).tocsr()
-    out.eliminate_zeros()  # where terms cancel on the quotient
-    return out
+                merged[table_of[el]] = merged.get(table_of[el], 0) + int(coeff)
+            first = len(terms)
+            terms += [(i, j, t, c) for t, c in merged.items() if c]
+            pairs += [(s, t) for t in range(first, len(terms)) for s in range(first, t)]
+        counts.append(len(terms) - start)
+    shaped = all(table.shape == (n,) for table in unique)
+    unique = np.array(unique if shaped else [], dtype=np.intp).reshape(-1, n)
+    # as unsigned, a negative entry is past n as well
+    if not shaped or unique.size and unique.view(np.uintp).max() >= n:
+        raise CrossCheckMismatch("a right multiplication table does not map the quotient "
+                                 "into itself")
+    rows, cols, which, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 4).T
+    tables = unique[which]
+    # two merged tables of one entry that meet at a cell are no group action
+    summed = bool(pairs) and bool(np.equal(*tables[np.array(pairs).T]).any())
+
+    shift = (len(terms) - 1).bit_length()  # the low bits of a key hold its term
+    keys = (tables + n * cols[:, None]) << shift | np.arange(len(terms))[:, None]
+    blocks, start = [keys[:0].ravel()], 0
+    for k in counts:  # row block i: its keys cell by cell, each cell's row sorted
+        block = keys[start:start + k].T.copy()
+        if k > 1:
+            block.sort(axis=1)
+        blocks.append(block.ravel())
+        start += k
+    keys = np.concatenate(blocks)
+    nnz = n * len(terms)
+    dtype = np.int32 if max(m.nrows * n, m.ncols * n, nnz) < 2 ** 31 else np.int64
+    indptr = np.zeros(m.nrows * n + 1, dtype=dtype)
+    np.array(counts, dtype=dtype).repeat(n).cumsum(out=indptr[1:])
+    out = sp.csr_matrix((coeffs.take(keys & ((1 << shift) - 1)), (keys >> shift).astype(dtype),
+                         indptr), shape=(m.nrows * n, m.ncols * n), copy=False)
+    if summed:  # a table that is no group action
+        out.sum_duplicates()
+        out.eliminate_zeros()
+    else:
+        out.has_canonical_format = True
+    return out, (rows, cols, coeffs, tables)
+
+
+def _terms_compose_to_zero(a, b) -> bool:
+    """True if the product of two instantiated boundaries is zero by their merged terms.
+
+    Block (i, l) of the product sums, over j and the merged terms (s, g) of
+    entry (i, j) of ``a`` and (t, h) of entry (j, l) of ``b``, s*t times the
+    composed table h[g].  These products are merged by block and value at
+    element 0; when each merged group holds equal tables and sums to zero, the
+    product is zero.  Otherwise it is not, unless a table is no group action,
+    which only the product itself can decide.  Each group's |s*t| add up to
+    less than 2^62 under the L1 bound, so int64 sums are exact.
+    """
+    a_rows, a_cols, a_coeffs, a_tables = a
+    b_rows, b_cols, b_coeffs, b_tables = b
+    pa, pb = np.nonzero(a_cols[:, None] == b_rows)  # the pairs that meet at j
+    if not len(pa):
+        return True
+    n = a_tables.shape[1]
+    composed = np.take(b_tables, a_tables[pa] + n * pb[:, None])
+    key = (a_rows[pa] * (b_cols.max() + 1) + b_cols[pb]) * n + composed[:, 0]
+    order = key.argsort()
+    key, composed = key[order], composed[order]
+    new = np.concatenate([[True], key[1:] != key[:-1]])  # the first of each group
+    if np.add.reduceat(a_coeffs[pa[order]] * b_coeffs[pb[order]], new.nonzero()[0]).any():
+        return False
+    # each composed table equals the one before it in its group
+    return bool(((composed[1:] == composed[:-1]).all(axis=1) | new[1:]).all())
 
 
 def _left_orbits(quot: FiniteQuotient):

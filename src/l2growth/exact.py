@@ -553,8 +553,11 @@ def _forest_rank(a):
         if counts.max() > 2:
             return None
     starts = np.cumsum(counts) - counts
-    touched, minor = np.unique(minor, return_inverse=True)
-    n = touched.size
+    n = int(minor.max()) + 1
+    # relabel the touched vertices 0, 1, ... unless they are already all of 0 .. n - 1
+    if n > minor.size or not np.bincount(minor).all():
+        minor = np.unique(minor, return_inverse=True)[1]
+        n = int(minor.max()) + 1
     first = starts[counts == 2]
     u, w, x, y = minor[first], minor[first + 1], vals[first], vals[first + 1]
     pins = minor[starts[counts == 1]]

@@ -40,7 +40,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -390,6 +390,14 @@ class FiniteQuotient:
     group = None
     subgroup = None
     order: int = 0
+    _orders: Optional[np.ndarray] = None
+
+    def element_orders(self) -> np.ndarray:
+        """Each element's order, computed once per quotient and read-only."""
+        if self._orders is None:
+            self._orders = self._element_orders()
+            self._orders.flags.writeable = False
+        return self._orders
 
     def max_order_element(self) -> Tuple[int, int]:
         """(j, r): the first element j of the largest order r."""
@@ -437,7 +445,7 @@ class AbelianQuotient(FiniteQuotient):
         return np.ravel_multi_index(self._coords + self._coords[:, j:j + 1], self.moduli,
                                     mode="wrap")
 
-    def element_orders(self) -> np.ndarray:
+    def _element_orders(self) -> np.ndarray:
         mods = np.array(self.moduli, dtype=np.int64)[:, None]
         return np.lcm.reduce(mods // np.gcd(mods, self._coords), axis=0)
 
@@ -508,7 +516,7 @@ class CongruenceQuotient(FiniteQuotient):
     def left_mult_indices(self, j: int) -> np.ndarray:
         return self._indices(self._mats[j] @ self._mats, j)
 
-    def element_orders(self) -> np.ndarray:
+    def _element_orders(self) -> np.ndarray:
         """Powers of every element at once, compared by code with the identity's;
         the bases of the pending elements travel with their powers."""
         one = self._codes(self._mats[:1])[0]

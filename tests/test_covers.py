@@ -287,8 +287,22 @@ def test_boundaries_that_could_pass_int64_are_refused(z_one):
     with pytest.raises(SizeCapExceeded):
         CoverInstance(column, cyclic_quotient(3))
     below = GroupRingElement(z_one, {(1,): 2 ** 30, (2,): 2 ** 30 - 1})
-    assert _instantiate_matrix(GroupRingMatrix(z_one, [[below]]), cyclic_quotient(1)).data \
+    assert _instantiate_matrix(GroupRingMatrix(z_one, [[below]]), cyclic_quotient(1))[0].data \
         == [2 ** 31 - 1]
+
+
+def test_a_table_that_is_no_group_action_fails_the_composition_check(torus2):
+    # on Z/2 x Z/3 = Z/6, (1, 0) given a table that swaps elements 0 and 1 only:
+    # it no longer commutes with (0, 1), so d_1 d_2 = [x - 1, y - 1] [1 - y; x - 1]
+    # = yx - xy is not zero on the cover
+    quot = diag_quotient(2, 3)
+    act = quot.right_mult_indices
+    swap = np.array([1, 0, 2, 3, 4, 5])
+    quot.right_mult_indices = lambda g: swap if g == (1, 0) else act(g)
+    with pytest.raises(CrossCheckMismatch, match="^instantiated boundaries 1,2 do not "
+                                                 "compose to zero$"):
+        CoverInstance(torus2, quot)
+    assert CoverInstance(torus2, diag_quotient(2, 3)).betti(1) == 2
 
 
 def test_instantiation_stores_no_zeros(circle, z_two):
@@ -296,7 +310,7 @@ def test_instantiation_stores_no_zeros(circle, z_two):
     g_minus_one = GroupRingElement(z_two, {(2, 0): 1, (0, 0): -1})
     for cx, quot in ((circle, cyclic_quotient(1)),
                      (two_cell_complex(z_two, g_minus_one), diag_quotient(2, 3))):
-        d1 = _instantiate_matrix(cx.boundaries[1], quot)
+        d1 = _instantiate_matrix(cx.boundaries[1], quot)[0]
         assert d1.nnz == d1.count_nonzero() == 0
 
 
@@ -734,7 +748,7 @@ def test_a_second_cover_has_the_betti_numbers_of_fresh_instantiations(seed):
     quot = verify.random_quotient(rng, cx.group)
     dims = range(cx.top_dim + 1)
     first = [CoverInstance(cx, quot).betti(q) for q in dims]
-    ranks = {q: exact.rank_certified(_instantiate_matrix(d, quot))
+    ranks = {q: exact.rank_certified(_instantiate_matrix(d, quot)[0])
              for q, d in cx.boundaries.items()}
     fresh = [cx.cells[q] * quot.order - ranks.get(q, 0) - ranks.get(q + 1, 0) for q in dims]
     assert [CoverInstance(cx, quot).betti(q) for q in dims] == fresh == first

@@ -790,6 +790,31 @@ def _gain_graph(nvertices, edges, pins=()):
                          shape=(len(edges) + len(pins), nvertices))
 
 
+def test_forest_relabels_vertices_only_when_one_is_untouched(monkeypatch):
+    relabels = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        relabels.append(bool(kwargs.get("return_inverse")))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    # a balanced 4-cycle plus an unbalanced triangle, on every column, then on
+    # columns 1, 2, 4, 6, 7, 8, 9 of ten; the transposes, as CSR, have rows of
+    # three and more entries and are regrouped by column
+    edges = [(0, 1, 1, -1), (1, 2, 2, -2), (2, 3, 1, 1), (3, 0, 1, 1),
+             (4, 5, 1, -2), (5, 6, 3, -1), (6, 4, 1, 1), (1, 3, 1, -1)]
+    spread = dict(zip(range(7), (1, 2, 4, 6, 7, 8, 9)))
+    full = _gain_graph(7, edges, pins=(3,))
+    sparse = _gain_graph(10, [(spread[u], spread[w], x, y) for u, w, x, y in edges],
+                         pins=(spread[3],))
+    for a, relabelled in ((full, False), (sparse, True)):
+        for m in (a, sp.csr_matrix(a.T), a.toarray(), a.T.toarray()):
+            relabels.clear()
+            assert exact._forest_rank(m) == _sympy_rank(sp.csr_matrix(m)) == 7
+            assert relabels.count(True) == relabelled
+
+
 def test_forest_ranks_equal_magnitude_entries_by_their_signs():
     # a stripe cover boundary of the suites workload: two 6-cycles whose
     # entries are 2 and -2, each balanced, so rank 12 - 2

@@ -657,6 +657,7 @@ def test_broken_quotients_raise_cross_check_mismatch(z_one, sanov_group, monkeyp
         cyclic.diameter()
     q = quotient(sanov_group, CongruenceSubgroup(3))
     assert element_order(q, sanov_group.generators[0]) == 3
+    q = quotient(sanov_group, CongruenceSubgroup(3))  # orders are kept once computed
     q._mats = q._mats.copy()
     q._mats[1] = 0  # an element whose powers never return to the identity
     with pytest.raises(CrossCheckMismatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from l2growth import (FreeAbelian, GroupRingElement, GroupRingMatrix,
-                      LatticeSubgroup, element_order, instantiate, quotient,
+                      LatticeSubgroup, betti_by_characters, element_order, instantiate, quotient,
                       stripe_prediction, torus_complex)
 from l2growth.errors import CrossCheckMismatch, DimensionTooLow, ForeignQuotient, RankOutOfRange
 from l2growth.group_ring import EquivariantChainComplex
@@ -107,6 +107,23 @@ def test_stripe_prediction_rejects_an_order_not_dividing_the_quotient(circle, mo
     monkeypatch.setattr(quot, "element_orders", lambda: np.full(quot.order, 4))  # a broken quotient
     with pytest.raises(CrossCheckMismatch):
         stripe_prediction(StripeSpec(base=circle, gamma=(2,), dim=2), quot)
+
+
+def test_a_stripe_task_computes_the_element_orders_once(stripe_spec, stripe_complex, z_two,
+                                                         monkeypatch):
+    quot = quotient(z_two, LatticeSubgroup([[12, 5], [0, 45]]))
+    calls = []
+    compute = quot._element_orders
+    monkeypatch.setattr(quot, "_element_orders", lambda: calls.append(1) or compute())
+    pred = stripe_prediction(stripe_spec, quot)
+    assert betti_by_characters(stripe_complex, quot, 3, cross_check=False)[0] == pred
+    assert instantiate(stripe_complex, quot).betti(3) == pred
+    assert element_order(quot, (1, 0)) == quot.order // pred
+    assert len(calls) == 1
+    orders = quot.element_orders()
+    assert not orders.flags.writeable
+    with pytest.raises(ValueError):
+        orders[0] = 2
 
 
 def test_no_growth_family_prediction(z_two):
