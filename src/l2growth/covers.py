@@ -26,8 +26,10 @@ of the quotient, so an element h of the largest order r splits every Gram
 matrix: ordering the cells along the orbits <h>x_i and taking the discrete
 Fourier transform along each orbit turns it into r Hermitian blocks of size
 c*n/r, one per character of <h> (Serre, Linear Representations of Finite
-Groups, sec. 2.6).  The characters j and r - j give complex conjugate
-blocks, so only floor(r/2) + 1 of them go to the eigensolver.
+Groups, sec. 2.6).  The Gram's rows at the orbit representatives, built from
+pairs of merged terms, hold all of it; no sparse Gram is formed.  The
+characters j and r - j give complex conjugate blocks, so only
+floor(r/2) + 1 of them go to the eigensolver.
 
 The same left action is transitive, so the diagonal blocks of a polynomial in
 the Laplacian agree at all elements: the cover trace is read at element 0,
@@ -158,14 +160,13 @@ class CoverInstance:
             raise SizeCapExceeded(f"Gram matrix size {size} of boundary {j} exceeds "
                                   f"eigensolver cap {self.caps.eig}")
         if entry[3] is None:
-            d = entry[1]
-            gram = d.T @ d if d.shape[1] <= d.shape[0] else d @ d.T
             if self._orbits is None:
                 self._orbits = _left_orbits(self.quotient)
-            eigs = np.sort(_equivariant_eigenvalues(gram, *self._orbits))
+            table, norm = _gram_table(entry[4], entry[1].shape, *self._orbits)
+            eigs = np.sort(_equivariant_eigenvalues(table))
             zeros = len(eigs) - self._rank(j)
             # the largest absolute row sum bounds the symmetric Gram's 2-norm
-            error = eigvalsh_error(len(eigs), float(abs(gram).sum(axis=1).A1.max(initial=0)))
+            error = eigvalsh_error(len(eigs), float(norm))
             if np.any(np.abs(eigs[:zeros]) > error) or np.any(eigs[zeros:zeros + 1] <= error):
                 raise CrossCheckMismatch(
                     f"the {zeros} lowest Gram eigenvalues of boundary {j} (exact rank "
@@ -356,31 +357,52 @@ def _left_orbits(quot: FiniteQuotient):
         low = np.where(take, far, low)
         back = np.where(take, back[jump] + w, back)
         jump, w = jump[jump], 2 * w
-    # h^back[x] x is the representative, so x = h^(-back[x]) times it
-    return np.unique(low, return_inverse=True)[1], -back % r, r
+    # h^back[x] x is the representative, so x = h^(-back[x]) times it; the
+    # representatives are the x with low[x] = x, numbered in order
+    return (np.cumsum(low == np.arange(quot.order)) - 1)[low], -back % r, r
 
 
-def _equivariant_eigenvalues(lap: sp.csr_matrix, orbit: np.ndarray, offset: np.ndarray,
-                             r: int) -> np.ndarray:
-    """Eigenvalues of a Laplacian that commutes with the left action of <h>, h of order r.
+def _gram_table(terms, shape: Tuple[int, int], orbit: np.ndarray, offset: np.ndarray,
+                r: int) -> Tuple[np.ndarray, int]:
+    """(``table[(c, i), (c', k), t]``, largest absolute row sum) of d's Gram on its smaller side.
 
-    Row (c, x) of the Laplacian is cell c over element x.  Entry
-    ``(c, h^s x_i), (c', h^(s+t) x_k)`` does not depend on s, so the rows at the
-    representatives (s = 0) hold all of it: gathered into
-    ``table[(c, i), (c', k), t]`` and Fourier transformed over t, they give one
-    Hermitian block per character.
+    Gram entry ``(c, h^s x_i), (c', h^(s+t) x_k)`` does not depend on s, so its
+    rows at the representatives (s = 0) hold all of it, and every row has its
+    representative's sum.  Those rows come from pairs of merged terms: for
+    d^T d, terms a, b of one row cell meet at y' = T_b[T_a^-1[y]] for each
+    representative y, with value s_a s_b; for d d^T, terms of one column cell
+    at x' = T_b^-1[T_a[x]].  Sums are exact in int64 (below 2^62 by the L1
+    bound) and made float once.  A table that is no permutation raises.
     """
+    rows, cols, coeffs, tables = terms
     n = len(orbit)
-    k = n // r                      # orbits
-    size = lap.shape[0] // n * k    # block size a * n / r
-    coo = lap.tocoo()
-    cell, x = np.divmod(coo.row, n)
-    rep = offset[x] == 0
-    cell_col, y = np.divmod(coo.col[rep], n)
-    flat = (((cell[rep] * k + orbit[x[rep]]) * size + cell_col * k + orbit[y]) * r
-            + offset[y])
-    table = np.bincount(flat, coo.data[rep].astype(float), size * size * r)
-    blocks = np.fft.rfft(table.reshape(size, size, r), axis=-1)
+    k, size = n // r, min(shape) // r  # orbits; block size a * n / r
+    inverse, term = np.zeros_like(tables), np.arange(len(tables))[:, None]
+    inverse[term, tables] = np.arange(n)
+    if not (tables[term, inverse] == np.arange(n)).all():
+        raise CrossCheckMismatch("a right multiplication table is no permutation of the quotient")
+    cell, meet, via_a, via_b = ((cols, rows, inverse, tables) if shape[1] <= shape[0]
+                                else (rows, cols, tables, inverse))
+    pa, pb = np.nonzero(meet[:, None] == meet)
+    reps = np.flatnonzero(offset == 0)  # orbit[reps] is 0 .. k - 1
+    key = (((cell[pa] * k)[:, None] + np.arange(k)) * size * r + (cell[pb] * k * r)[:, None]
+           + (orbit * r + offset)[via_b[pb[:, None], via_a[pa[:, None], reps]]]).ravel()
+    order = key.argsort()
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))  # each entry's run of pairs
+    sums = np.add.reduceat(np.repeat(coeffs[pa] * coeffs[pb], k)[order], start)
+    table = np.zeros(size * size * r)
+    table[key[start]] = sums
+    norms = np.zeros(size, dtype=np.int64)
+    np.add.at(norms, key[start] // (size * r), np.abs(sums))
+    return table.reshape(size, size, r), int(norms.max(initial=0))
+
+
+def _equivariant_eigenvalues(table: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Gram whose ``_gram_table`` is ``table``: Fourier transformed
+    over t, it gives one Hermitian block per character of <h>."""
+    r = table.shape[2]
+    blocks = np.fft.rfft(table, axis=-1)
     eigs = np.linalg.eigvalsh(np.moveaxis(blocks, -1, 0))
     # characters 1 .. ceil(r/2) - 1 stand for their conjugates r - j as well
     return np.concatenate([eigs.ravel(), eigs[1:(r + 1) // 2].ravel()])

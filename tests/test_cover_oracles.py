@@ -1,4 +1,4 @@
-"""Cover instantiation against its earlier COO builder and sparse-product check.
+"""Cover instantiation and spectra against their earlier sparse-matrix versions.
 
 The references below are the plain versions the term-level code replaced:
 every term of every entry laid out as COO triples, converted to CSR with the
@@ -6,6 +6,12 @@ duplicates summed and the zeros dropped, and d_q d_(q+1) = 0 read off the
 sparse product.  The new CSR must equal the reference's bit for bit (shape,
 ``indices``, ``indptr``, int64 ``data``, canonical format, no stored zeros),
 and a cover must refuse exactly the boundaries whose product is nonzero.
+
+Spectra are checked against the sparse Gram d^T d or d d^T: its rows at the
+orbit representatives gathered from its COO form into the block table, its
+norm the largest absolute row sum over all its rows, and the orbits labelled
+by a sort of their least elements.  Every spectrum, solver error and block
+shape must equal the reference's bit for bit.
 """
 
 import numpy as np
@@ -16,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
                       FreeAbelian, GroupRingElement, GroupRingMatrix, IntegralMatrixGroup,
                       LatticeSubgroup, quotient, torus_complex, two_cell_complex)
-from l2growth.covers import _instantiate_matrix, _terms_compose_to_zero
+from l2growth.covers import (_instantiate_matrix, _left_orbits, _terms_compose_to_zero,
+                             eigvalsh_error)
 from l2growth.errors import CrossCheckMismatch
 from l2growth.stripes import product_with_circle
 from l2growth.verify import random_complex, random_quotient
@@ -114,17 +121,22 @@ def test_the_random_complexes_reach_z_z2_and_z3():
     assert ranks == {1, 2, 3}
 
 
-@pytest.mark.parametrize("m", range(3, 14))
-def test_sl2_presentation_and_gap_complexes_match_the_coo_builder(m):
-    group = IntegralMatrixGroup(2, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
+def _sl2_complexes(k):
+    """<[[1, k], [0, 1]], [[1, 0], [k, 1]]>, its presentation complex and the gap complex 2 - g1."""
+    group = IntegralMatrixGroup(2, [[[1, k], [0, 1]], [[1, 0], [k, 1]]])
     g1, g2 = group.generators
     e = group.identity
     el = lambda terms: GroupRingElement(group, terms)  # noqa: E731
     presentation = EquivariantChainComplex(group, [1, 2], {1: GroupRingMatrix(
         group, [[el({g1: 1, e: -1}), el({g2: 1, e: -1})]], shape=(1, 2))})
-    gap = two_cell_complex(group, el({e: 2, g1: -1}))
+    return group, (presentation, two_cell_complex(group, el({e: 2, g1: -1})))
+
+
+@pytest.mark.parametrize("m", range(3, 14))
+def test_sl2_presentation_and_gap_complexes_match_the_coo_builder(m):
+    group, complexes = _sl2_complexes(2)
     quot = quotient(group, CongruenceSubgroup(m))
-    for cx in (presentation, gap):
+    for cx in complexes:
         assert not _assert_cover_matches_references(cx, quot)
 
 
@@ -216,3 +228,137 @@ def test_a_table_outside_the_quotient_is_refused(z_one):
     for bad in ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, -1], [1, 2, 3]):
         with pytest.raises(CrossCheckMismatch, match="does not map the quotient into itself"):
             CoverInstance(cx, _patched(cyclic_quotient(6), {(1,): bad}))
+
+
+# -- spectra ------------------------------------------------------------------
+
+def _left_orbits_reference(quot):
+    """(orbit, offset, r) by walking each element's whole orbit h^t x: the least
+    element is the representative, orbits are numbered by a sort of their
+    representatives, and x = h^offset[x] times its representative."""
+    h, r = quot.max_order_element()
+    step = quot.left_mult_indices(h)
+    walk = [np.arange(quot.order)]
+    for _ in range(r - 1):
+        walk.append(step[walk[-1]])
+    walk = np.array(walk)  # walk[t, x] = h^t x
+    orbit = np.unique(walk.min(axis=0), return_inverse=True)[1]
+    return orbit, -walk.argmin(axis=0) % r, r
+
+
+def _gram_part_reference(cover, j):
+    """(sorted Gram eigenvalues, norm, (r, block size)) of boundary j from the
+    sparse Gram on its smaller side: the rows at the representatives gathered
+    from its COO form, the norm its largest absolute row sum."""
+    d = cover.boundary(j)
+    gram = d.T @ d if d.shape[1] <= d.shape[0] else d @ d.T
+    orbit, offset, r = _left_orbits_reference(cover.quotient)
+    n = len(orbit)
+    k = n // r
+    size = gram.shape[0] // n * k
+    coo = gram.tocoo()
+    cell, x = np.divmod(coo.row, n)
+    rep = offset[x] == 0
+    cell_col, y = np.divmod(coo.col[rep], n)
+    flat = (((cell[rep] * k + orbit[x[rep]]) * size + cell_col * k + orbit[y]) * r
+            + offset[y])
+    table = np.bincount(flat, coo.data[rep].astype(float), size * size * r)
+    blocks = np.fft.rfft(table.reshape(size, size, r), axis=-1)
+    eigs = np.linalg.eigvalsh(np.moveaxis(blocks, -1, 0))
+    eigs = np.sort(np.concatenate([eigs.ravel(), eigs[1:(r + 1) // 2].ravel()]))
+    return eigs, float(abs(gram).sum(axis=1).A1.max(initial=0)), (r, size)
+
+
+def _assert_spectra_match_the_sparse_gram(cover):
+    """Every spectrum, solver error and block shape of the cover equals the
+    sparse Gram reference's, bit for bit."""
+    parts = {}
+    for j in cover.cx.boundaries:
+        eigs, norm, blocks = _gram_part_reference(cover, j)
+        zeros = len(eigs) - cover._rank(j)
+        parts[j] = eigs[zeros:], eigvalsh_error(len(eigs), norm), blocks
+    for q in range(cover.cx.top_dim + 1):
+        near = [parts[j] for j in (q, q + 1) if j in parts]
+        want = np.sort(np.concatenate([np.zeros(cover.betti(q))] + [p[0] for p in near]))
+        assert cover.eigenvalues(q).tobytes() == want.tobytes()
+        assert cover._eig_errors[q] == max((p[1] for p in near), default=0.0)
+    assert cover.spectrum_blocks == {j: p[2] for j, p in parts.items()}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("m", range(3, 12))
+def test_sl2_spectra_match_the_sparse_gram(k, m):
+    group, complexes = _sl2_complexes(k)
+    quot = quotient(group, CongruenceSubgroup(m))
+    for orbits, want in zip(_left_orbits(quot), _left_orbits_reference(quot)):
+        assert np.array_equal(orbits, want)
+    for cx in complexes:
+        _assert_spectra_match_the_sparse_gram(CoverInstance(cx, quot))
+
+
+def test_abelian_spectra_match_the_sparse_gram(circle, torus2, stripe_complex, zero_complex):
+    lattices = ([[3, 1], [0, 2]], [[4, 2], [1, 3]], [[2, 1], [-1, 3]], [[4, 2], [2, 4]])
+    cases = [(torus2, quotient(FreeAbelian(2), LatticeSubgroup(b))) for b in lattices]
+    cases += [(circle, cyclic_quotient(n)) for n in (1, 2, 5, 300)]
+    # boundaries 1 x 2, 2 x 1 and 1 x 1: Grams on both sides
+    cases += [(stripe_complex, diag_quotient(2, 3)), (stripe_complex, diag_quotient(1, 1)),
+              (zero_complex, cyclic_quotient(7))]
+    for cx, quot in cases:
+        for orbits, want in zip(_left_orbits(quot), _left_orbits_reference(quot)):
+            assert np.array_equal(orbits, want)
+        _assert_spectra_match_the_sparse_gram(CoverInstance(cx, quot))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_random_spectra_match_the_sparse_gram(seed):
+    rng = np.random.default_rng(seed)
+    cx = random_complex(rng)
+    _assert_spectra_match_the_sparse_gram(
+        CoverInstance(cx, random_quotient(rng, cx.group, max_index=80)))
+
+
+def test_gram_entries_past_2_53_are_summed_exactly(z_one):
+    # L1 norm below 2^31, but the Gram's diagonal c0^2 + c1^2 is odd and past
+    # 2^53, and the two squares rounded to float one by one sum to another float
+    c0, c1 = 2 ** 30 + 11, 2 ** 29 + 6
+    assert c0 + c1 < 2 ** 31 and (c0 ** 2 + c1 ** 2) % 2 and c0 ** 2 + c1 ** 2 > 2 ** 53
+    assert float(c0 ** 2) + float(c1 ** 2) != float(c0 ** 2 + c1 ** 2)
+    cx = two_cell_complex(z_one, GroupRingElement(z_one, {(0,): c0, (1,): c1}))
+    for n in (3, 5, 8):
+        _assert_spectra_match_the_sparse_gram(CoverInstance(cx, cyclic_quotient(n)))
+
+
+def test_a_table_that_is_no_permutation_is_refused_before_a_spectrum(gap_complex):
+    # 2 - g has one boundary, so no composition check sees g's table map cells
+    # 0 and 1 both to 1; the Betti numbers are the broken matrix's ranks
+    for bad in ([1, 1, 3, 0], [2, 2, 2, 2]):
+        cover = CoverInstance(gap_complex, _patched(cyclic_quotient(4), {(1,): bad}))
+        assert [cover.betti(q) for q in range(2)] == [0, 0]
+        for q in range(2):
+            with pytest.raises(CrossCheckMismatch, match="no permutation of the quotient"):
+                cover.eigenvalues(q)
+        assert not cover._eigs and not cover.spectrum_blocks
+
+
+def test_spectra_form_no_sparse_gram(torus2, monkeypatch):
+    calls = []
+
+    def counted(name, method):
+        return lambda *args, **kwargs: calls.append(name) or method(*args, **kwargs)
+
+    group, (presentation, _) = _sl2_complexes(2)
+    covers = [CoverInstance(presentation, quotient(group, CongruenceSubgroup(7))),
+              CoverInstance(torus2, diag_quotient(4, 6))]
+    for cover in covers:  # the certified ranks read COO; the spectra must not
+        for q in range(cover.cx.top_dim + 1):
+            cover.betti(q)
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        for name in ("_matmul_dispatch", "_rmatmul_dispatch", "tocoo"):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    for cover in covers:
+        for q in range(cover.cx.top_dim + 1):
+            cover.eigenvalues(q)
+    assert calls == []
+    _gram_part_reference(covers[1], 1)  # the wrapping sees the reference's product
+    assert "_matmul_dispatch" in calls and "tocoo" in calls

@@ -17,7 +17,8 @@ from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
 from l2growth.group_ring import evaluate_polynomial, gamma_trace, laplacian, support_radius
-from l2growth.covers import _equivariant_eigenvalues, _instantiate_matrix, _left_orbits
+from l2growth.covers import (_equivariant_eigenvalues, _gram_table, _instantiate_matrix,
+                             _left_orbits)
 from l2growth.errors import (AmbiguousCount, CrossCheckMismatch, ForeignQuotient, L2GrowthError,
                              NonIntegralCoefficient, SizeCapExceeded)
 from l2growth.polynomials import Poly
@@ -529,30 +530,31 @@ def test_connected_laplacian_spectrum_is_the_dense_one(circle):
         assert cover.spectrum_blocks == {1: (n, 1)}
 
 
-def test_component_eigenvalues_mixed_block_sizes():
-    # a hand-made equivariant matrix on Z^2/(2Z x 4Z), two cells per element:
-    # sum of C_g (x) R_g plus its transpose, with a duplicate coordinate entry
+def test_component_eigenvalues_mixed_block_sizes(z_two):
+    # a hand-made boundary on Z^2/(2Z x 4Z), two cells on either side: entry
+    # (i, j) is the sum of C_g[i, j] g, with a duplicate element among the g
     quot = diag_quotient(2, 4)
-    n = quot.order
     rng = np.random.default_rng(5)
-    rows, cols, vals = [], [], []
+    zero = GroupRingElement.zero(z_two)
+    entries = [[zero, zero], [zero, zero]]
     for g in ((0, 0), (1, 0), (0, 1), (1, 3), (0, 1)):
-        perm = quot.right_mult_indices(g)
         for (i, j), c in np.ndenumerate(rng.integers(-3, 4, size=(2, 2))):
-            rows.append(i * n + np.arange(n))
-            cols.append(j * n + perm)
-            vals.append(np.full(n, float(c)))
-    half = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(2 * n, 2 * n))
-    lap = (half + half.T).tocsr()
+            entries[i][j] = entries[i][j] + GroupRingElement(z_two, {g: int(c)})
+    cx = EquivariantChainComplex(z_two, [2, 2], {1: GroupRingMatrix(z_two, entries,
+                                                                      shape=(2, 2))})
     orbit, offset, r = _left_orbits(quot)
     assert r == 4 and orbit.max() + 1 == 2
-    _assert_dense_spectrum(np.sort(_equivariant_eigenvalues(lap, orbit, offset, r)), lap)
+    cover = instantiate(cx, quot)
+    for q in range(2):
+        _assert_dense_spectrum(cover.eigenvalues(q), _laplacian(cover, q))
+    assert cover.spectrum_blocks == {1: (4, 4)}
 
 
 def test_component_eigenvalues_empty():
-    empty = sp.csr_matrix((0, 0), dtype=np.int64)
-    assert _equivariant_eigenvalues(empty, *_left_orbits(cyclic_quotient(3))).shape == (0,)
+    empty = (np.zeros(0, dtype=np.int64),) * 3 + (np.zeros((0, 3), dtype=np.intp),)
+    table, norm = _gram_table(empty, (0, 0), *_left_orbits(cyclic_quotient(3)))
+    assert table.shape == (0, 0, 3) and norm == 0
+    assert _equivariant_eigenvalues(table).shape == (0,)
 
 
 def _sl2_cases():
@@ -679,13 +681,13 @@ def test_gram_spectra_are_solved_once_per_quotient(sanov_group, gap_complex, mon
     calls = []
     solve = covers._equivariant_eigenvalues
     monkeypatch.setattr(covers, "_equivariant_eigenvalues",
-                        lambda gram, *orbits: calls.append(gram.shape) or solve(gram, *orbits))
+                        lambda table: calls.append(table.shape) or solve(table))
     # three eigenvalue-count bounds on one quotient: one Gram solve
     quot = cyclic_quotient(60)
     density = cosine_density_closed_form(5, 2)
     for lam in (0.5, 2.0, 1.0 - 1e-9):
         eig_count_bound(gap_complex, quot, 1, lam, 1.0, density=density)
-    assert calls == [(60, 60)]
+    assert calls == [(1, 1, 60)]  # 1 x 1 blocks under an element of order 60
     # two covers of one quotient, both Laplacians each: d_1's Gram on the vertices
     calls.clear()
     presentation, _ = _matrix_group_complexes(sanov_group)
@@ -694,7 +696,7 @@ def test_gram_spectra_are_solved_once_per_quotient(sanov_group, gap_complex, mon
         cover = instantiate(presentation, quot)
         for q in range(2):
             cover.eigenvalues(q)
-    assert calls == [(120, 120)]
+    assert calls == [(12, 12, 10)]  # 12 x 12 blocks under an element of order 10
 
 
 def test_instantiation_one_permutation_per_element(sanov_group, monkeypatch):
