@@ -200,9 +200,10 @@ def _one_bound(args, cx, quot, density, caps: Caps):
 
 def _cmd_bounds(args, caps: Caps) -> int:
     cx = _parse_with_dim(args)
-    density = density_zn(cx, args.dim, sample_count=args.samples, seed=args.seed)
     if not args.family and args.subgroup is None:
         raise DocumentError("bounds needs --subgroup or --family")
+    density = (None if args.regime == "sublog"
+               else density_zn(cx, args.dim, sample_count=args.samples, seed=args.seed))
     specs = args.family.split("|") if args.family else [args.subgroup]
     reports = [_one_bound(args, cx, quotient(cx.group, parse_subgroup(cx.group, spec), caps),
                           density, caps) for spec in specs]

@@ -88,12 +88,11 @@ class CoverInstance:
                 csr, terms = _instantiate_matrix(d, quot)
                 shared[id(d)] = [d, csr, None, None, terms]
             self._entries[q] = shared[id(d)]
-        # instantiation is a ring homomorphism, so d'd' = 0 must survive; the
-        # terms decide it unless a table is no action, and then the product does
+        # instantiation is a ring homomorphism, so d'd' = 0 must survive; under
+        # a group action the merged terms decide it exactly
         for q in self._entries:
             if (q + 1 in self._entries
-                    and not _terms_compose_to_zero(self._entries[q][4], self._entries[q + 1][4])
-                    and np.any((self.boundary(q) @ self.boundary(q + 1)).data)):
+                    and not _terms_compose_to_zero(self._entries[q][4], self._entries[q + 1][4])):
                 raise CrossCheckMismatch(
                     f"instantiated boundaries {q},{q + 1} do not compose to zero")
         self._eigs: Dict[int, np.ndarray] = {}
@@ -242,9 +241,9 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
     coeffs, tables), in row-major order of their entries.  Tables of a group
     action that differ differ at every cell, so each row of block i holds one
     entry per merged term of row i: the block is laid out that way and each
-    row sorted once, the term index carried in the sort key.  Two tables that
-    still meet in a row are no group action; that row is summed, so the CSR
-    stays the matrix of the tables either way.
+    row sorted once, the term index carried in the sort key.  Merged tables
+    that meet at a cell (adjacent keys of one column after the sort) are no
+    group action and raise ``CrossCheckMismatch``.
     """
     l1 = [[entry.l1_norm() for entry in row] for row in m.entries]
     norm = max(max(map(sum, l1), default=0), max(map(sum, zip(*l1)), default=0))
@@ -259,8 +258,7 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
         table_of[el] = index.setdefault(table.tobytes(), len(unique))
         if table_of[el] == len(unique):
             unique.append(table)
-    # (i, j, table, coefficient); the number in each row; the pairs in one entry
-    terms, counts, pairs = [], [], []
+    terms, counts = [], []  # (i, j, table, coefficient); the number in each row
     for i, row in enumerate(m.entries):
         start = len(terms)
         for j, entry in enumerate(row):
@@ -270,9 +268,7 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
                     raise NonIntegralCoefficient(
                         f"cover instantiation requires integer coefficients, got {coeff}")
                 merged[table_of[el]] = merged.get(table_of[el], 0) + int(coeff)
-            first = len(terms)
             terms += [(i, j, t, c) for t, c in merged.items() if c]
-            pairs += [(s, t) for t in range(first, len(terms)) for s in range(first, t)]
         counts.append(len(terms) - start)
     shaped = all(table.shape == (n,) for table in unique)
     unique = np.array(unique if shaped else [], dtype=np.intp).reshape(-1, n)
@@ -282,9 +278,6 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
                                  "into itself")
     rows, cols, which, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 4).T
     tables = unique[which]
-    # two merged tables of one entry that meet at a cell are no group action
-    summed = bool(pairs) and bool(np.equal(*tables[np.array(pairs).T]).any())
-
     shift = (len(terms) - 1).bit_length()  # the low bits of a key hold its term
     keys = (tables + n * cols[:, None]) << shift | np.arange(len(terms))[:, None]
     blocks, start = [keys[:0].ravel()], 0
@@ -292,6 +285,9 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
         block = keys[start:start + k].T.copy()
         if k > 1:
             block.sort(axis=1)
+            cells = block >> shift
+            if (cells[:, 1:] == cells[:, :-1]).any():
+                raise CrossCheckMismatch("two tables of one entry meet at a cell: no group action")
         blocks.append(block.ravel())
         start += k
     keys = np.concatenate(blocks)
@@ -301,24 +297,21 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
     np.array(counts, dtype=dtype).repeat(n).cumsum(out=indptr[1:])
     out = sp.csr_matrix((coeffs.take(keys & ((1 << shift) - 1)), (keys >> shift).astype(dtype),
                          indptr), shape=(m.nrows * n, m.ncols * n), copy=False)
-    if summed:  # a table that is no group action
-        out.sum_duplicates()
-        out.eliminate_zeros()
-    else:
-        out.has_canonical_format = True
+    out.has_canonical_format = True
     return out, (rows, cols, coeffs, tables)
 
 
 def _terms_compose_to_zero(a, b) -> bool:
-    """True if the product of two instantiated boundaries is zero by their merged terms.
+    """True if the product of two instantiated boundaries is zero, by their merged terms.
 
     Block (i, l) of the product sums, over j and the merged terms (s, g) of
     entry (i, j) of ``a`` and (t, h) of entry (j, l) of ``b``, s*t times the
-    composed table h[g].  These products are merged by block and value at
-    element 0; when each merged group holds equal tables and sums to zero, the
-    product is zero.  Otherwise it is not, unless a table is no group action,
-    which only the product itself can decide.  Each group's |s*t| add up to
-    less than 2^62 under the L1 bound, so int64 sums are exact.
+    composed table h[g], the table of gh.  Grouped by block and value at
+    element 0, the tables of one group are equal and those of two differ at
+    every cell, so the product is zero exactly when each group holds equal
+    tables and sums to zero; maps that are no group action may fail this, and
+    are refused.  Each group's |s*t| add up to less than 2^62 under the L1
+    bound, so int64 sums are exact.
     """
     a_rows, a_cols, a_coeffs, a_tables = a
     b_rows, b_cols, b_coeffs, b_tables = b

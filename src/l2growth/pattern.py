@@ -55,22 +55,23 @@ def _require_abelian_quotient(quot) -> AbelianQuotient:
 def _character_numerators(quot: AbelianQuotient) -> Tuple[np.ndarray, int]:
     """All characters of Z^n trivial on the subgroup as numerators X over the exponent e.
 
-    Row y (element order) sends generator k to exp(2 pi i X[y, k] / e), where
-    X[y, k] = sum_i y_i u_ik e / d_i over the Smith moduli d_i.
+    Row y (element order) sends generator k to exp(2 pi i X[y, k] / e): X[y] =
+    sum_i y_i g_i mod e over the rows g_i = (e / d_i) u_i of the Smith moduli
+    d_i, so the characters kill the subgroup if the rows do.
     """
     e = max(_require_abelian_quotient(quot).moduli)
-    u = (np.array(quot.u, dtype=object) % e).astype(np.int64)
+    gens = [[(e // d) * (x % e) % e for x in row] for d, row in zip(quot.moduli, quot.u)]
+    if any(sum(g * c for g, c in zip(row, col)) % e
+           for row in gens for col in quot.subgroup.columns()):
+        raise CrossCheckMismatch(
+            "character does not kill a subgroup generator")  # pragma: no cover
     chars = np.zeros((quot.order, quot.group.rank), dtype=np.int64)
-    for i, d in enumerate(quot.moduli):
-        chars += np.multiply.outer(quot._coords[i] * (e // d), u[i])
+    for coords, row in zip(quot._coords, gens):
+        chars += np.multiply.outer(coords, np.array(row, dtype=np.int64))
         chars %= e
     rows = chars[np.lexsort(chars.T)]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise CrossCheckMismatch("characters are not distinct")  # pragma: no cover
-    for col in quot.subgroup.columns():
-        if np.any(chars @ (np.array(col, dtype=object) % e).astype(np.int64) % e):
-            raise CrossCheckMismatch(
-                "character does not kill a subgroup generator")  # pragma: no cover
     return chars, e
 
 
@@ -363,19 +364,20 @@ def l2_betti(cx: EquivariantChainComplex, q: int) -> int:
     spans would not do: a determinant's terms sit in different exponent
     windows).  A nonzero Laurent polynomial with all spans below N_k does not
     vanish on the whole grid of N_k-th roots of unity (induct on the
-    variables: a polynomial of degree below N has fewer than N roots).  A
-    grid past the byte budget is refused with ``SizeCapExceeded`` before it
-    is built.
+    variables: a polynomial of degree below N has fewer than N roots).  The
+    largest rank over all characters is the largest over the Galois orbits,
+    so they are ranked as one group.  A grid past the byte budget is refused
+    with ``SizeCapExceeded`` before it is built.
     """
     group = _require_abelian(cx.group)
     lap = laplacian(cx, q)
     grid = _symbol_grid(lap)
     order = prod(grid)
-    # the quotient's coordinates, numerators and orbit labels take under 8 (4n + 8) B a character
+    # the quotient's coordinates, numerators and labels take under 8 (4n + 8) B a character
     check_bytes(_symbol_bytes(lap, order) + 8 * order * (4 * group.rank + 8), "character grid")
     quot = AbelianQuotient(group, LatticeSubgroup(np.diag(grid).tolist()), Caps(order=order))
     chars, e = _character_numerators(quot)
-    return lap.nrows - int(_orbit_ranks(lap, chars, e, _galois_orbits(quot)).max())
+    return lap.nrows - int(_orbit_ranks(lap, chars, e, np.zeros(len(chars), dtype=np.int64))[0])
 
 
 @dataclass

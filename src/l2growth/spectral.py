@@ -625,15 +625,22 @@ def _chain_degree(short: float, radius: int) -> int:
     return max(math.ceil(short / radius) - 1, 0)
 
 
-def _symbol_constants(cx: EquivariantChainComplex, q: int, caps: Caps):
-    """(a, K, R): cell count, norm bound and support radius of the q-Laplacian."""
+def _symbol_constants(cx: EquivariantChainComplex, q: int, caps: Caps,
+                      density: Optional[DensityEstimate]):
+    """(a, K, R): cell count, norm bound and support radius of the q-Laplacian.
+    A density for another operator, whose K or a differs, is refused."""
     lap = laplacian(cx, q)
-    return cx.cells[q], float(norm_bound(lap)), support_radius(lap, caps)
+    a, k = cx.cells[q], float(norm_bound(lap))
+    if density is not None and (density.K, density.a) != (k, a):
+        raise HypothesisUnverified(f"density for K={density.K:g}, a={density.a} given for "
+                                   f"a Laplacian with K={k:g}, a={a}")
+    return a, k, support_radius(lap, caps)
 
 
-def _constants(cx: EquivariantChainComplex, quot, q: int, caps: Caps) -> dict:
+def _constants(cx: EquivariantChainComplex, quot, q: int, caps: Caps,
+               density: Optional[DensityEstimate]) -> dict:
     """The constants every bound report starts with, in report order."""
-    a, k, r = _symbol_constants(cx, q, caps)
+    a, k, r = _symbol_constants(cx, q, caps, density)
     s = short_length(cx.group, quot.subgroup, caps=caps)
     return {"a": a, "index": quot.order, "short": s, "R": r, "K": k}
 
@@ -648,19 +655,6 @@ def _check_gap_level(lambda0: float) -> None:
 def _gap_rate(lambda0: float, k: float, r: int) -> float:
     """M = (2/R) sqrt(lambda0/K): the decay rate in short under a spectral gap."""
     return (2.0 / r) * math.sqrt(lambda0 / k) if r else math.inf
-
-
-def _check_density(density: DensityEstimate, limit: Callable, hi: float,
-                   window: float, label: str) -> None:
-    """Verify F <= limit on a log grid up to ``hi`` and at the window point."""
-    grid = np.sort(np.append(np.geomspace(max(1e-9, hi * 1e-7), hi, 200), window))
-    vals = np.asarray(density.F(grid), dtype=float)
-    lim = limit(grid)
-    bad = vals > lim  # non-strict domination is all the bound chain needs
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise HypothesisUnverified(
-            f"F({grid[i]:.6g}) = {vals[i]:.6g} is not below {label} = {lim[i]:.6g}")
 
 
 def _check_finite(**args: Optional[float]) -> None:
@@ -686,7 +680,7 @@ def betti_bound_general(cx: EquivariantChainComplex, quot, q: int,
                         density: DensityEstimate, z: float,
                         caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Raw comparison-polynomial bound b_q <= a * index * J(n, mu) at window z."""
-    c = _constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps, density)
     a, index, s, r, _k = c.values()
     n = _chain_degree(s, r)
     jb = j_bound(n, density, z)
@@ -702,7 +696,7 @@ def gap_bound(cx: EquivariantChainComplex, quot, q: int, lambda0: float,
               caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Exponential bound 4a * index * exp(-M short), M = (2/R) sqrt(lambda0/K)."""
     _check_gap_level(lambda0)
-    c = _constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps, density)
     a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
     m = _gap_rate(lambda0, k, r)
@@ -724,7 +718,7 @@ def eig_count_bound(cx: EquivariantChainComplex, quot, q: int, lam: float,
     """
     _check_finite(lam=lam)
     _check_gap_level(lambda0)
-    c = _constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps, density)
     _a, index, s, r, k = c.values()
     mode = _verify_gap(lambda0, density, certificate)
     if lam >= k:
@@ -767,7 +761,7 @@ def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
         c_density, mode = float(np.nanmax(ratios)) * 1.05 + 1e-12, "fitted"
     if beta <= 0 or c_density <= 0:
         raise HypothesisUnverified("beta and C must be positive")
-    c = _constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps, density)
     a, index, s, r, k = c.values()
     n = _chain_degree(s, r)
     if n / beta <= 1.0:
@@ -775,7 +769,14 @@ def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
             f"degree n={n} is too small for decay exponent beta={beta}")
     ratio = n / beta
     z = (math.log(ratio) / ratio) ** 2
-    _check_density(density, lambda g: c_density * g ** beta, k, k * z, "C*lambda^beta")
+    # F <= C lambda^beta on a log grid up to K and at the window point
+    grid = np.sort(np.append(np.geomspace(max(1e-9, k * 1e-7), k, 200), k * z))
+    vals, lim = np.asarray(density.F(grid), dtype=float), c_density * grid ** beta
+    bad = vals > lim  # non-strict domination is all the bound chain needs
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise HypothesisUnverified(f"F({grid[i]:.6g}) = {vals[i]:.6g} is not below "
+                                   f"C*lambda^beta = {lim[i]:.6g}")
     c_mu = c_density * (k ** beta) / a if a else 0.0
     j_val = c_mu * z ** beta + _tail(n, z)
     # C1 * (log(short)/short)^(2 beta) = a * J; that factor is 0 at short = inf
@@ -787,15 +788,18 @@ def ns_bound(cx: EquivariantChainComplex, quot, q: int, beta: float,
 
 
 def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
-                 density: DensityEstimate, caps: Caps = DEFAULT_CAPS) -> BoundReport:
+                 density: Optional[DensityEstimate] = None,
+                 caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Logarithmic-decay bound C * index / log(short).
 
-    Uses the universal density estimate F(lambda) < a log(K) / (-log lambda)
-    (verified empirically on the estimate's grid) and requires a vanishing
-    mass at zero: over Z^n that is b^(2)_q = 0, exactly (``l2_betti``), and
-    over other groups the density's F(0) = 0.
+    Uses the universal estimate F(lambda) <= a log(K) / (-log lambda), a
+    theorem for integer Laplacians (Lueck, GAFA 4, 1994; on a cover, m nonzero
+    eigenvalues in (0, t] and the rest at most K multiply to a nonzero integer,
+    so m log(1/t) <= a * index * log K), and so reads no density.  It needs no
+    mass at zero: over Z^n b^(2)_q = 0, exactly (``l2_betti``), and elsewhere
+    F(0) = 0 of the Laplacian's density, refused when none is given.
     """
-    c = _constants(cx, quot, q, caps)
+    c = _constants(cx, quot, q, caps, None if isinstance(cx.group, FreeAbelian) else density)
     a, index, s, r, k = c.values()
     if s < 3:
         raise ShortTooSmall(f"short={s} must be at least 3")
@@ -806,16 +810,13 @@ def sublog_bound(cx: EquivariantChainComplex, quot, q: int,
         b2 = l2_betti(cx, q)
         if b2:
             raise HypothesisUnverified(f"b^(2)_{q} = {b2} > 0: nonzero harmonic mass")
-    elif density.F(0.0) > 0:
-        raise HypothesisUnverified("density has an atom at zero")
+    elif density is None or density.F(0.0) > 0:
+        raise HypothesisUnverified("F(0) = 0 is not shown: no density, or an atom at zero")
     z = (math.log(math.log(n)) / n) ** 2
     kz = k * z
     if kz >= 1.0:
         raise ShortTooSmall(f"window K*z = {kz:.6g} is not below 1")
-    log_k = math.log(k)
-    _check_density(density, lambda g: a * log_k / (-np.log(g)),
-                   min(0.9, max(0.5, 1.05 * kz)), kz, "a*log(K)/(-log lambda)")
-    j_val = log_k / (-math.log(kz)) + _tail(n, z)
+    j_val = math.log(k) / (-math.log(kz)) + _tail(n, z)
     return _report("sublog", cx, quot, q, caps,
                    {**c, "n": n, "z": z, "C_prime": j_val * math.log(n),
                     "C": a * j_val * math.log(s)},
@@ -911,8 +912,8 @@ def uniform_gap_exponent(group, family: Sequence, lambda0: float,
             f"short/log(index) ratios spread by {spread:.3g} > 4; "
             "family does not track logarithmic growth")
     d_fit = min(ratios)
+    a, k, r = _symbol_constants(cx, q, caps, density)
     mode = _verify_gap(lambda0, density, certificate)
-    a, k, r = _symbol_constants(cx, q, caps)
     m_const = _gap_rate(lambda0, k, r)
     exponent = 1.0 - m_const * d_fit
     c_fit = 4.0 * a

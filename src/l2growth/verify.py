@@ -272,7 +272,7 @@ def suite_bounds(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> SuiteRe
         rep = ns_bound(circle, quot, 1, beta=0.5, c_density=0.5,
                        density=circle_density, caps=caps)
         result.record(rep.satisfied, f"ns bound violated at i={i}")
-        rep2 = sublog_bound(circle, quot, 1, circle_density, caps=caps)
+        rep2 = sublog_bound(circle, quot, 1, caps=caps)
         result.record(rep2.satisfied, f"sublog bound violated at i={i}")
     # raw J bound dominates the direct integral on random windows
     for _ in range(20):

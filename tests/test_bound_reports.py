@@ -24,7 +24,7 @@ from l2growth import (CongruenceSubgroup, DensityEstimate, FreeAbelian,
                       cosine_density_closed_form, density_zn, eig_count_bound,
                       gap_bound, ns_bound, quotient, sublog_bound,
                       two_cell_complex, uniform_gap_exponent)
-from l2growth import spectral
+from l2growth import cli, spectral
 from l2growth.cli import main
 from l2growth.document import parse_complex
 from l2growth.stripes import StripeSpec, glue_stripe
@@ -65,6 +65,8 @@ def o(circle, gap_complex, zero_complex, torus2, stripe_complex, z_one):
         heavy=DensityEstimate.from_function(
             lambda lam: np.clip(np.asarray(lam, float), 0, 4.0) ** 0.05 * 0.9,
             K=4.0, a=1),
+        atom9=DensityEstimate.from_function(
+            lambda lam: np.where(np.asarray(lam, float) >= 0, 0.5, 0.0), K=9.0, a=1),
     )
 
 
@@ -105,6 +107,8 @@ CALLS = {
     "sublog stripe": lambda o: sublog_bound(o.stripe, diag(5, 7), 3, o.d_stripe5),
     "sublog vanishing": lambda o: sublog_bound(o.zero, cyc(50), 1, o.ones),
     "sublog heavy": lambda o: sublog_bound(o.circle, cyc(100), 1, o.heavy),
+    "sublog no density": lambda o: sublog_bound(o.rot_cx, o.rot_q, 1),
+    "sublog atom": lambda o: sublog_bound(o.rot_cx, o.rot_q, 1, o.atom9),
 }
 
 
@@ -193,6 +197,13 @@ REPORTS = {
          "z": 0.00023728285445592763, "C_prime": 1.7857505508332479,
          "C": 1.7896563015800808},
         38.861892813980546, 1, True),
+    # sublog reads no density over Z^n: the heavy one, which once failed the
+    # sampled check of the universal estimate, answers as the closed form does
+    "sublog heavy": ("sublog",
+        {"a": 1, "index": 100, "short": 100, "R": 1, "K": 4.0, "n": 99,
+         "z": 0.00023728285445592763, "C_prime": 1.7857505508332479,
+         "C": 1.7896563015800808},
+        38.861892813980546, 1, True),
     "sublog stripe": ("sublog",
         {"a": 1, "index": 35, "short": 5, "R": 1, "K": 4.0, "n": 4,
          "z": 0.006668121236972451, "C_prime": 3.4156734570899676, "C": 3.9654740814891194},
@@ -269,8 +280,10 @@ ERRORS = {
         "short=2 must be at least 3"),
     "sublog vanishing": (HypothesisUnverified,
         "b^(2)_1 = 1 > 0: nonzero harmonic mass"),
-    "sublog heavy": (HypothesisUnverified,
-        "F(5e-08) = 0.388321 is not below a*log(K)/(-log lambda) = 0.0824623"),
+    "sublog no density": (HypothesisUnverified,
+        "F(0) = 0 is not shown: no density, or an atom at zero"),
+    "sublog atom": (HypothesisUnverified,
+        "F(0) = 0 is not shown: no density, or an atom at zero"),
 }
 
 UNIFORM = {"exponent": 0.3706840391117503, "d_fit": 0.9439739413323746, "c_fit": 4.0,
@@ -432,3 +445,57 @@ def test_cli_bounds_on_a_dimension_without_cells(capsys, tmp_path, regime, line)
     argv = ["bounds", str(path), "--subgroup", "7", "--dim", "2", "--regime"]
     assert main(argv + regime.split()) == 0
     assert capsys.readouterr() == (line + "\n", "")
+
+
+# a density for another operator, whose K or a differs from the Laplacian's, is
+# refused in every regime that reads one (sublog reads one only off Z^n)
+MISMATCHED = {
+    "raw": (lambda o: betti_bound_general(o.circle, cyc(40), 1, o.closed52, z=0.3),
+            "density for K=9, a=1 given for a Laplacian with K=4, a=1"),
+    # this pair once printed gap_mode=closed_form bound=2.10156e-24 betti=1 VIOLATED
+    "gap": (lambda o: gap_bound(o.circle, cyc(60), 1, 1.0, density=o.closed52),
+            "density for K=9, a=1 given for a Laplacian with K=4, a=1"),
+    "eig_count": (lambda o: eig_count_bound(o.gap, cyc(12), 1, 2.0, 1.0, density=o.closed21),
+                  "density for K=4, a=1 given for a Laplacian with K=9, a=1"),
+    "ns": (lambda o: ns_bound(o.torus2, _lattice([[7, 1], [0, 6]]), 0, 1.0, 1.0, o.d_torus4),
+           "density for K=8, a=2 given for a Laplacian with K=8, a=1"),
+    "sublog": (lambda o: sublog_bound(o.rot_cx, o.rot_q, 1, o.closed21),
+               "density for K=4, a=1 given for a Laplacian with K=9, a=1"),
+}
+
+
+@pytest.mark.parametrize("regime", list(MISMATCHED))
+def test_a_density_for_another_operator_is_refused(o, regime):
+    call, message = MISMATCHED[regime]
+    with pytest.raises(HypothesisUnverified) as info:
+        call(o)
+    assert str(info.value) == message
+
+
+def test_uniform_gap_exponent_refuses_a_density_for_another_operator(sanov_group):
+    gap_mat = two_cell_complex(
+        sanov_group, GroupRingElement(sanov_group, {sanov_group.identity: 2,
+                                                    sanov_group.generators[0]: -1}))
+    with pytest.raises(HypothesisUnverified,
+                       match="^density for K=4, a=1 given for a Laplacian with K=9, a=1$"):
+        uniform_gap_exponent(sanov_group, [CongruenceSubgroup(m) for m in (3, 5, 7)],
+                             1.0, gap_mat, 1, density=cosine_density_closed_form(2, 1))
+
+
+def test_sublog_over_z_n_reads_no_density(o):
+    # any density, even one for another operator, is left unread over Z^n
+    for density in (None, o.closed52, o.ones):
+        rep = sublog_bound(o.circle, cyc(100), 1, density)
+        assert (rep.bound, rep.betti) == (REPORTS["sublog circle"][2], 1)
+
+
+@pytest.mark.parametrize("command, code, out, err",
+                         [c for c in CLI if "--regime sublog" in c[0]],
+                         ids=[c[0] for c in CLI if "--regime sublog" in c[0]])
+def test_cli_sublog_runs_no_quadrature(monkeypatch, capsys, command, code, out, err):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sublog regime ran the torus quadrature")
+
+    monkeypatch.setattr(spectral, "density_zn", refuse)
+    monkeypatch.setattr(cli, "density_zn", refuse)
+    test_cli_bounds_output_pinned(capsys, command, code, out, err)

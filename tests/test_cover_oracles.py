@@ -167,17 +167,19 @@ def _patched(quot, tables):
     return quot
 
 
-def test_colliding_tables_are_summed_as_the_coo_builder_sums_them(z_one):
-    # on Z/6, g acts as x + 1; g^2 is given a table that meets g's at cells 0 and 3
+def test_colliding_tables_are_refused_as_no_group_action(z_one):
+    # on Z/6, g acts as x + 1; g^2 is given a table that meets g's at cells 0 and 3,
+    # which no two right multiplications do
     g, g2 = GroupRingElement.monomial(z_one, (1,)), GroupRingElement.monomial(z_one, (2,))
     collide = {(2,): [1, 3, 4, 4, 0, 1]}
     for entry in (g + g2, g - g2, g * 3 - g2, g - g2 + GroupRingElement.one(z_one)):
         cx = two_cell_complex(z_one, entry)
-        quot = _patched(cyclic_quotient(6), collide)
-        csr, _ = _instantiate_matrix(cx.boundaries[1], quot)
-        _assert_same_csr(csr, _coo_reference(cx.boundaries[1], quot))
-    # in g - g^2 + 1, g - g^2 cancels at the two shared cells and leaves 1 there
-    assert np.array_equal(np.diff(csr.indptr), [1, 3, 3, 1, 3, 3])
+        with pytest.raises(CrossCheckMismatch, match="meet at a cell: no group action$"):
+            CoverInstance(cx, _patched(cyclic_quotient(6), collide))
+    # a table that meets no other table of its entry is not refused here
+    quot = _patched(cyclic_quotient(6), collide)
+    d = two_cell_complex(z_one, g2).boundaries[1]
+    _assert_same_csr(_instantiate_matrix(d, quot)[0], _coo_reference(d, quot))
 
 
 def test_a_table_equal_to_another_elements_merges_with_it(z_one):
@@ -191,25 +193,36 @@ def test_a_table_equal_to_another_elements_merges_with_it(z_one):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_random_maps_in_place_of_the_action_are_refused_as_the_product_refuses(seed):
-    # maps of Z/2 x Z/3 into itself, permutations or not, for some elements
+def test_random_maps_in_place_of_the_action_never_pass_a_nonzero_product(seed):
+    # maps of Z/2 x Z/3 into itself, permutations or not, for some elements: the
+    # cover refuses them, or builds the reference's boundaries with zero products
     rng = np.random.default_rng(seed)
     tables = {g: (rng.permutation(6) if rng.random() < 0.5 else rng.integers(0, 6, size=6)).tolist()
               for g in ((0, 0), (1, 0), (0, 1)) if rng.random() < 0.5}
     cx = torus_complex(2) if rng.random() < 0.5 else product_with_circle(torus_complex(1))
-    _assert_cover_matches_references(cx, _patched(diag_quotient(2, 3), tables))
+    quot = _patched(diag_quotient(2, 3), tables)
+    try:
+        cover = CoverInstance(cx, quot)
+    except CrossCheckMismatch:
+        return
+    for q, d in cx.boundaries.items():
+        _assert_same_csr(cover.boundary(q), _coo_reference(d, quot))
+        if q + 1 in cx.boundaries:
+            assert _product_is_zero_reference(cover.boundary(q), cover.boundary(q + 1))
 
 
-def test_broken_tables_reach_both_answers_of_the_product():
-    z_two = FreeAbelian(2)
+def test_broken_tables_are_refused_whatever_their_product():
     swap = {(1, 0): [1, 0, 2, 3, 4, 5]}  # no translation: it moves only 0 and 1
     commuting = {(1, 0): [3, 4, 5, 0, 1, 2], (0, 1): [0, 0, 0, 3, 3, 3]}
-    assert _assert_cover_matches_references(torus_complex(2), _patched(diag_quotient(2, 3), swap))
-    assert not _assert_cover_matches_references(torus_complex(2),
-                                                _patched(diag_quotient(2, 3), commuting))
+    for tables, zero in ((swap, False), (commuting, True)):
+        quot = _patched(diag_quotient(2, 3), tables)
+        d1, d2 = (_coo_reference(torus_complex(2).boundaries[q], quot) for q in (1, 2))
+        assert _product_is_zero_reference(d1, d2) == zero
+        with pytest.raises(CrossCheckMismatch, match="no group action$"):
+            CoverInstance(torus_complex(2), quot)
 
 
-def test_a_product_zero_only_across_merged_groups_is_left_to_the_product():
+def test_a_product_zero_only_across_merged_groups_is_refused(z_one):
     # four maps of two points: [0,0] + [1,1] and [0,1] + [1,0] are both the all-ones
     # matrix, so the product is zero although no two composed tables are equal
     identity = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
@@ -219,6 +232,19 @@ def test_a_product_zero_only_across_merged_groups_is_left_to_the_product():
     assert not _terms_compose_to_zero(identity, maps)
     # sum of coeff times the matrix of the map x -> t[x]
     assert not sum(c * np.eye(2, dtype=np.int64)[t] for c, t in zip(maps[2], maps[3])).any()
+    # the same product from a chain complex over Z on Z/2, one term an entry so that
+    # no two tables meet: d_1 d_2 = x^5 + x^8 - x^5 - x^8 = 0, and the d_2 terms'
+    # patched tables compose with d_1's to the four maps above
+    el = lambda k, c=1: GroupRingElement(z_one, {(k,): c})  # noqa: E731
+    cx = EquivariantChainComplex(z_one, [1, 4, 1], {
+        1: GroupRingMatrix(z_one, [[el(1), el(2), el(7), el(9)]]),
+        2: GroupRingMatrix(z_one, [[el(4)], [el(6)], [el(-2, -1)], [el(-1, -1)]])})
+    quot = _patched(cyclic_quotient(2), {(4,): [0, 0], (6,): [1, 1], (-2,): [1, 0],
+                                         (-1,): [0, 1]})
+    d1, d2 = (_coo_reference(cx.boundaries[q], quot) for q in (1, 2))
+    assert _product_is_zero_reference(d1, d2)
+    with pytest.raises(CrossCheckMismatch, match="do not compose to zero$"):
+        CoverInstance(cx, quot)
 
 
 def test_a_table_outside_the_quotient_is_refused(z_one):
@@ -330,9 +356,10 @@ def test_gram_entries_past_2_53_are_summed_exactly(z_one):
 
 
 def test_a_table_that_is_no_permutation_is_refused_before_a_spectrum(gap_complex):
-    # 2 - g has one boundary, so no composition check sees g's table map cells
-    # 0 and 1 both to 1; the Betti numbers are the broken matrix's ranks
-    for bad in ([1, 1, 3, 0], [2, 2, 2, 2]):
+    # 2 - g has one boundary, so no composition check sees g's table map two
+    # cells to one; it meets the identity's at no cell, so it is instantiated,
+    # and the Betti numbers are the broken matrix's ranks
+    for bad in ([1, 0, 0, 1], [2, 2, 0, 0]):
         cover = CoverInstance(gap_complex, _patched(cyclic_quotient(4), {(1,): bad}))
         assert [cover.betti(q) for q in range(2)] == [0, 0]
         for q in range(2):

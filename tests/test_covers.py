@@ -293,15 +293,23 @@ def test_boundaries_that_could_pass_int64_are_refused(z_one):
 
 
 def test_a_table_that_is_no_group_action_fails_the_composition_check(torus2):
-    # on Z/2 x Z/3 = Z/6, (1, 0) given a table that swaps elements 0 and 1 only:
-    # it no longer commutes with (0, 1), so d_1 d_2 = [x - 1, y - 1] [1 - y; x - 1]
-    # = yx - xy is not zero on the cover
+    # on Z/2 x Z/3 = Z/6, (1, 0) given a table that moves every element, as
+    # (1, 0) does, but no longer commutes with (0, 1): d_1 d_2 = [x - 1, y - 1]
+    # [1 - y; x - 1] = yx - xy is not zero on the cover
+    quot = diag_quotient(2, 3)
+    act = quot.right_mult_indices
+    moved = np.array([3, 4, 5, 1, 2, 0])
+    quot.right_mult_indices = lambda g: moved if g == (1, 0) else act(g)
+    with pytest.raises(CrossCheckMismatch, match="^instantiated boundaries 1,2 do not "
+                                                 "compose to zero$"):
+        CoverInstance(torus2, quot)
+    # a table that swaps elements 0 and 1 only meets the identity's in x - 1
     quot = diag_quotient(2, 3)
     act = quot.right_mult_indices
     swap = np.array([1, 0, 2, 3, 4, 5])
     quot.right_mult_indices = lambda g: swap if g == (1, 0) else act(g)
-    with pytest.raises(CrossCheckMismatch, match="^instantiated boundaries 1,2 do not "
-                                                 "compose to zero$"):
+    with pytest.raises(CrossCheckMismatch, match="^two tables of one entry meet at a cell: "
+                                                 "no group action$"):
         CoverInstance(torus2, quot)
     assert CoverInstance(torus2, diag_quotient(2, 3)).betti(1) == 2
 

@@ -64,6 +64,16 @@ def test_l2_betti_is_the_generic_nullity(d):
     assert [l2_betti(cx, q) for q in (0, 1)] == [_generic_nullity(d, q) for q in (0, 1)]
 
 
+def test_l2_betti_labels_no_galois_orbits(torus2, zero_complex, monkeypatch):
+    # the largest rank over all characters is the largest over the orbits
+    calls = []
+    labels = pattern._galois_orbits
+    monkeypatch.setattr(pattern, "_galois_orbits", lambda quot: calls.append(quot) or labels(quot))
+    assert [l2_betti(torus2, q) for q in range(3)] == [0, 0, 0]
+    assert l2_betti(zero_complex, 1) == 1
+    assert not calls
+
+
 def test_character_path_refuses_fractional_coefficients(z_one):
     # d_1 = (1 + g)/2 on Z: truncating each coefficient read the Laplacian as 0 and
     # gave b_1 = 4 on Z/4, where b_1 is 1; cover instantiation refuses it too

@@ -647,6 +647,24 @@ def test_sublog_reads_l2_betti_past_eight_cells(circle):
     assert rep.satisfied and rep.betti == 9
 
 
+@pytest.mark.parametrize("name, q", [("torus2", 0), ("torus2", 1), ("circle", 0),
+                                     ("stripe_t2_q3", 1)])
+def test_the_universal_estimate_holds_on_exact_cover_spectra(name, q):
+    # sublog reads no density: on a cover the nonzero eigenvalues of the integer
+    # Laplacian multiply to a nonzero integer, so the m of them in (0, t], with
+    # the rest at most K, give m log(1/t) <= a * index * log K
+    cx = parse_complex(COMPLEXES / f"{name}.json")
+    a, k = cx.cells[q], float(norm_bound(laplacian(cx, q)))
+    for m in (5, 11, 20):
+        quot = quotient(cx.group, LatticeSubgroup((m * np.eye(cx.group.rank, dtype=int)).tolist()))
+        cover = CoverInstance(cx, quot)
+        nonzero = cover.eigenvalues(q)[cover.betti(q):]
+        assert nonzero.min() > 0 and np.log(nonzero).sum() > -1e-9 * len(nonzero)
+        for t in (1e-3, 1e-2, 0.1, 0.5, 0.9):
+            count = int(np.count_nonzero(nonzero <= t))
+            assert count <= a * quot.order * math.log(k) / math.log(1 / t)
+
+
 def test_betti_bound_general_stripe(stripe_complex):
     d = density_zn(stripe_complex, 3, sample_count=4096, seed=6)
     rep = betti_bound_general(stripe_complex, diag_quotient(2, 3), 3, d, z=0.25)
