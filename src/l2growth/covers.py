@@ -5,10 +5,10 @@ of right multiplication by its image in the finite quotient; this is a ring
 homomorphism, so instantiated boundaries still compose to zero and are the
 boundaries of the cover.  Two elements' tables are equal when their images
 are, and differ at every cell otherwise, so the terms of an entry are merged
-by table and each row of the CSR holds one entry per merged term; the
-composition d_q d_(q+1) = 0 is checked on the merged terms.  No cover
-Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T is formed: spectra and traces work on
-its two terms, one boundary each.
+by table and each row of the CSR holds one entry per merged term; products
+of boundaries, for d_q d_(q+1) = 0 and the Gram matrices, are taken on the
+merged terms.  No cover Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T is formed:
+spectra and traces work on its two terms, one boundary each.
 
 Betti numbers come from certified rational ranks of the integer boundary
 matrices; floating eigensolvers serve spectral statistics only, and the
@@ -26,9 +26,9 @@ of the quotient, so an element h of the largest order r splits every Gram
 matrix: ordering the cells along the orbits <h>x_i and taking the discrete
 Fourier transform along each orbit turns it into r Hermitian blocks of size
 c*n/r, one per character of <h> (Serre, Linear Representations of Finite
-Groups, sec. 2.6).  The Gram's rows at the orbit representatives, built from
-pairs of merged terms, hold all of it; no sparse Gram is formed.  The
-characters j and r - j give complex conjugate blocks, so only
+Groups, sec. 2.6).  The Gram's rows at the orbit representatives, the
+product of merged terms read there, hold all of it; no sparse Gram is formed.
+The characters j and r - j give complex conjugate blocks, so only
 floor(r/2) + 1 of them go to the eigensolver.
 
 The same left action is transitive, so the diagonal blocks of a polynomial in
@@ -88,11 +88,10 @@ class CoverInstance:
                 csr, terms = _instantiate_matrix(d, quot)
                 shared[id(d)] = [d, csr, None, None, terms]
             self._entries[q] = shared[id(d)]
-        # instantiation is a ring homomorphism, so d'd' = 0 must survive; under
-        # a group action the merged terms decide it exactly
+        # instantiation is a ring homomorphism, so d'd' = 0 must survive on the terms
         for q in self._entries:
             if (q + 1 in self._entries
-                    and not _terms_compose_to_zero(self._entries[q][4], self._entries[q + 1][4])):
+                    and _multiply_terms(self._entries[q][4], self._entries[q + 1][4])[2].size):
                 raise CrossCheckMismatch(
                     f"instantiated boundaries {q},{q + 1} do not compose to zero")
         self._eigs: Dict[int, np.ndarray] = {}
@@ -234,16 +233,17 @@ def eigvalsh_error(size: int, norm: float) -> float:
 def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.csr_matrix, Tuple]:
     """(The integer matrix of m on the quotient as CSR, its merged terms).
 
-    Element g acts by its table t = ``right_mult_indices(g)``: in the block of
-    its entry, row x holds g's coefficient at column t[x].  The terms of one
-    entry whose tables are equal are merged by adding their coefficients, and
-    zero sums are dropped.  The merged terms are the arrays (rows, cols,
-    coeffs, tables), in row-major order of their entries.  Tables of a group
-    action that differ differ at every cell, so each row of block i holds one
-    entry per merged term of row i: the block is laid out that way and each
-    row sorted once, the term index carried in the sort key.  Merged tables
-    that meet at a cell (adjacent keys of one column after the sort) are no
-    group action and raise ``CrossCheckMismatch``.
+    Element g acts by its table t = ``right_mult_indices(g)``, a permutation of
+    the quotient: in the block of its entry, row x holds g's coefficient at
+    column t[x].  The terms of one entry whose tables are equal are merged by
+    adding their coefficients, and zero sums are dropped.  The merged terms are
+    the arrays (rows, cols, coeffs, tables), in row-major order of their
+    entries.  Tables of a group action that differ differ at every cell, so
+    each row of block i holds one entry per merged term of row i: the block is
+    laid out that way and each row sorted once, the term index carried in the
+    sort key.  A table that is no permutation, and merged tables that meet at a
+    cell (adjacent keys of one column after the sort), are no group action and
+    raise ``CrossCheckMismatch``.
     """
     l1 = [[entry.l1_norm() for entry in row] for row in m.entries]
     norm = max(max(map(sum, l1), default=0), max(map(sum, zip(*l1)), default=0))
@@ -272,10 +272,9 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
         counts.append(len(terms) - start)
     shaped = all(table.shape == (n,) for table in unique)
     unique = np.array(unique if shaped else [], dtype=np.intp).reshape(-1, n)
-    # as unsigned, a negative entry is past n as well
-    if not shaped or unique.size and unique.view(np.uintp).max() >= n:
-        raise CrossCheckMismatch("a right multiplication table does not map the quotient "
-                                 "into itself")
+    if not shaped or (np.sort(unique, axis=1) != np.arange(n)).any():
+        raise CrossCheckMismatch("a right multiplication table is no permutation of the quotient: "
+                                 "no group action")
     rows, cols, which, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 4).T
     tables = unique[which]
     shift = (len(terms) - 1).bit_length()  # the low bits of a key hold its term
@@ -301,33 +300,35 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
     return out, (rows, cols, coeffs, tables)
 
 
-def _terms_compose_to_zero(a, b) -> bool:
-    """True if the product of two instantiated boundaries is zero, by their merged terms.
+def _multiply_terms(a, b, at=slice(None)) -> Tuple:
+    """Merged terms (rows, cols, coeffs, tables) of the product of two instantiated matrices.
 
-    Block (i, l) of the product sums, over j and the merged terms (s, g) of
-    entry (i, j) of ``a`` and (t, h) of entry (j, l) of ``b``, s*t times the
-    composed table h[g], the table of gh.  Grouped by block and value at
-    element 0, the tables of one group are equal and those of two differ at
-    every cell, so the product is zero exactly when each group holds equal
-    tables and sums to zero; maps that are no group action may fail this, and
-    are refused.  Each group's |s*t| add up to less than 2^62 under the L1
-    bound, so int64 sums are exact.
+    Block (i, l) sums, over j and the merged terms (s, g) of entry (i, j) of ``a``
+    and (t, h) of entry (j, l) of ``b``, s*t times the composed table h[g] (that
+    of gh), read only at the cells ``at``, element 0 first.  Grouped by block
+    and value at element 0, the tables of one group are equal and those of two
+    differ at every cell under a group action: each group sums to a merged
+    term, zero sums dropped, and a group whose tables differ raises
+    ``CrossCheckMismatch``.  Each group's |s*t| add up to less than 2^62 under
+    the L1 bound, so int64 sums are exact.
     """
     a_rows, a_cols, a_coeffs, a_tables = a
     b_rows, b_cols, b_coeffs, b_tables = b
     pa, pb = np.nonzero(a_cols[:, None] == b_rows)  # the pairs that meet at j
     if not len(pa):
-        return True
-    n = a_tables.shape[1]
-    composed = np.take(b_tables, a_tables[pa] + n * pb[:, None])
+        return a_rows[:0], b_cols[:0], a_coeffs[:0], a_tables[:0, at]
+    n = b_tables.shape[1]
+    composed = np.take(b_tables, a_tables[:, at][pa] + n * pb[:, None])
     key = (a_rows[pa] * (b_cols.max() + 1) + b_cols[pb]) * n + composed[:, 0]
     order = key.argsort()
-    key, composed = key[order], composed[order]
-    new = np.concatenate([[True], key[1:] != key[:-1]])  # the first of each group
-    if np.add.reduceat(a_coeffs[pa[order]] * b_coeffs[pb[order]], new.nonzero()[0]).any():
-        return False
-    # each composed table equals the one before it in its group
-    return bool(((composed[1:] == composed[:-1]).all(axis=1) | new[1:]).all())
+    key, composed, pa, pb = key[order], composed[order], pa[order], pb[order]
+    same = key[1:] == key[:-1]  # a pair in the group of the one before it
+    if not (composed[1:] == composed[:-1])[same].all():
+        raise CrossCheckMismatch("composed tables meet at element 0 and differ: no group action")
+    start = np.flatnonzero(np.concatenate([[True], ~same]))  # the first pair of each group
+    sums = np.add.reduceat(a_coeffs[pa] * b_coeffs[pb], start)
+    start, sums = start[sums != 0], sums[sums != 0]
+    return a_rows[pa[start]], b_cols[pb[start]], sums, composed[start]
 
 
 def _left_orbits(quot: FiniteQuotient):
@@ -361,33 +362,25 @@ def _gram_table(terms, shape: Tuple[int, int], orbit: np.ndarray, offset: np.nda
 
     Gram entry ``(c, h^s x_i), (c', h^(s+t) x_k)`` does not depend on s, so its
     rows at the representatives (s = 0) hold all of it, and every row has its
-    representative's sum.  Those rows come from pairs of merged terms: for
-    d^T d, terms a, b of one row cell meet at y' = T_b[T_a^-1[y]] for each
-    representative y, with value s_a s_b; for d d^T, terms of one column cell
-    at x' = T_b^-1[T_a[x]].  Sums are exact in int64 (below 2^62 by the L1
-    bound) and made float once.  A table that is no permutation raises.
+    representative's sum.  Those rows are the product of d^T (d's terms with
+    rows and columns swapped and the inverse tables) and d, or of d and d^T,
+    read at the representatives, its exact int64 sums made float once.  Each
+    product term holds one entry of each representative row, so a row's
+    absolute sum is the sum of |coeff| over its row cell's terms.
     """
     rows, cols, coeffs, tables = terms
     n = len(orbit)
     k, size = n // r, min(shape) // r  # orbits; block size a * n / r
-    inverse, term = np.zeros_like(tables), np.arange(len(tables))[:, None]
-    inverse[term, tables] = np.arange(n)
-    if not (tables[term, inverse] == np.arange(n)).all():
-        raise CrossCheckMismatch("a right multiplication table is no permutation of the quotient")
-    cell, meet, via_a, via_b = ((cols, rows, inverse, tables) if shape[1] <= shape[0]
-                                else (rows, cols, tables, inverse))
-    pa, pb = np.nonzero(meet[:, None] == meet)
-    reps = np.flatnonzero(offset == 0)  # orbit[reps] is 0 .. k - 1
-    key = (((cell[pa] * k)[:, None] + np.arange(k)) * size * r + (cell[pb] * k * r)[:, None]
-           + (orbit * r + offset)[via_b[pb[:, None], via_a[pa[:, None], reps]]]).ravel()
-    order = key.argsort()
-    key = key[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))  # each entry's run of pairs
-    sums = np.add.reduceat(np.repeat(coeffs[pa] * coeffs[pb], k)[order], start)
+    inverse = np.zeros_like(tables)
+    inverse[np.arange(len(tables))[:, None], tables] = np.arange(n)
+    adjoint, reps = (cols, rows, coeffs, inverse), np.flatnonzero(offset == 0)
+    product = (adjoint, terms) if shape[1] <= shape[0] else (terms, adjoint)
+    cell, cell_b, sums, seen = _multiply_terms(*product, reps)  # orbit[reps] is 0 .. k - 1
     table = np.zeros(size * size * r)
-    table[key[start]] = sums
-    norms = np.zeros(size, dtype=np.int64)
-    np.add.at(norms, key[start] // (size * r), np.abs(sums))
+    table[(((cell * k)[:, None] + np.arange(k)) * size + (cell_b * k)[:, None] + orbit[seen]) * r
+          + offset[seen]] = sums[:, None]
+    norms = np.zeros(min(shape) // n, dtype=np.int64)  # one per row cell
+    np.add.at(norms, cell, np.abs(sums))
     return table.reshape(size, size, r), int(norms.max(initial=0))
 
 

@@ -16,8 +16,8 @@ Document layout::
 
 ``entries`` is a rows x cols nested list of term lists.  For matrix groups a
 term uses ``"word": [1, -2]`` (1-indexed generators, negative for inverses;
-``"word": []`` for the identity) instead of ``"element"``.  A term has no
-other keys.
+``"word": []`` for the identity) instead of ``"element"``.  No object has
+other keys, and no two boundaries share a ``dim``.
 
 Subgroup specs: semicolon-separated rows of integers for abelian basis
 matrices ("2 0; 0 3", or just "12" for rank one), or "mod m" for congruence
@@ -46,16 +46,24 @@ def _is_int_matrix(node) -> bool:
         isinstance(row, list) and all(map(_is_int, row)) for row in node)
 
 
+def _check_keys(node: dict, allowed, where: str) -> None:  # a misspelt key reads as absent
+    unknown = sorted(map(str, set(node) - set(allowed)))
+    if unknown:
+        raise DocumentError(f"{where} takes only the keys {list(allowed)}, not {unknown}")
+
+
 def _parse_group(node):
     if not isinstance(node, dict) or "kind" not in node:
         raise DocumentError("group must be an object with a 'kind'")
     kind = node["kind"]
     if kind == "free_abelian":
+        _check_keys(node, ("kind", "rank"), "free_abelian group")
         rank = node.get("rank")
         if not _is_int(rank) or rank < 1:
             raise DocumentError("free_abelian group needs integer rank >= 1")
         return FreeAbelian(rank)
     if kind == "integral_matrix":
+        _check_keys(node, ("kind", "dimension", "generators"), "integral_matrix group")
         dim = node.get("dimension")
         gens = node.get("generators")
         if (not _is_int(dim) or not isinstance(gens, list) or not gens
@@ -76,9 +84,7 @@ def _parse_term(group, term, where: str) -> GroupRingElement:
     if not _is_int(coeff):
         raise DocumentError(f"coefficient at {where} must be an integer")
     key = "element" if isinstance(group, FreeAbelian) else "word"
-    unknown = sorted(map(str, set(term) - {"coeff", key}))
-    if unknown:
-        raise DocumentError(f"term at {where} takes only 'coeff' and '{key}', not {unknown}")
+    _check_keys(term, ("coeff", key), f"term at {where}")
     if key == "element":
         el = term.get("element")
         if (not isinstance(el, list) or len(el) != group.rank
@@ -122,6 +128,7 @@ def parse_complex(doc: Union[dict, str, Path]) -> EquivariantChainComplex:
             raise DocumentError(f"invalid JSON: {e}")
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
+    _check_keys(doc, ("group", "cells", "boundaries"), "document")
     group = _parse_group(doc.get("group"))
     cells = doc.get("cells")
     if (not isinstance(cells, list) or not cells
@@ -131,10 +138,11 @@ def parse_complex(doc: Union[dict, str, Path]) -> EquivariantChainComplex:
     if not isinstance(nodes, list) or not all(isinstance(node, dict) for node in nodes):
         raise DocumentError("'boundaries' must be a list of objects")
     boundaries = {}
-    for node in nodes:
+    for k, node in enumerate(nodes):
+        _check_keys(node, ("dim", "entries"), f"boundaries[{k}]")
         q = node.get("dim")
-        if not _is_int(q) or not 1 <= q < len(cells):
-            raise DocumentError(f"boundary dim {q!r} out of range")
+        if not _is_int(q) or not 1 <= q < len(cells) or q in boundaries:
+            raise DocumentError(f"boundary dim {q!r} out of range or repeated")
         entries = node.get("entries")
         nrows, ncols = cells[q - 1], cells[q]
         if not isinstance(entries, list) or len(entries) != nrows:

@@ -427,3 +427,31 @@ def test_boolean_for_an_integer_is_refused(capsys, doc):
         parse_complex(doc)
     code, _out, err = run(capsys, "betti", json.dumps(doc), "--subgroup", "3", "--dim", "0")
     assert code == 1 and err.startswith("error: ")
+
+
+# a misspelt or extra key would read as an absent one, and a second boundary
+# of one dim would replace the first: without the boundary, the circle over
+# Z/5 would answer b = [5, 5] in place of [1, 1]
+UNKNOWN_KEYS = [
+    ({"group": CIRCLE["group"], "cells": CIRCLE["cells"], "boundary": CIRCLE["boundaries"]},
+     "document takes only the keys ['group', 'cells', 'boundaries'], not ['boundary']"),
+    (_circle_with(("group", "dimension"), 1),
+     "free_abelian group takes only the keys ['kind', 'rank'], not ['dimension']"),
+    ({"group": dict(MATRIX_GROUP, rank=1), "cells": [1]},
+     "integral_matrix group takes only the keys ['kind', 'dimension', 'generators'], "
+     "not ['rank']"),
+    (_circle_with(("boundaries", 0, "dims"), 1),
+     "boundaries[0] takes only the keys ['dim', 'entries'], not ['dims']"),
+    (_circle_with(TERM + ("extra",), 5),
+     "term at boundary 1 entry (0,0) takes only the keys ['coeff', 'element'], "
+     "not ['extra']"),
+    (dict(CIRCLE, boundaries=CIRCLE["boundaries"] * 2), "boundary dim 1 out of range or repeated"),
+]
+
+
+@pytest.mark.parametrize("doc, message", UNKNOWN_KEYS)
+def test_unknown_keys_and_repeated_dims_are_refused(capsys, doc, message):
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        parse_complex(doc)
+    code, out, err = run(capsys, "betti", json.dumps(doc), "--subgroup", "5", "--dim", "0")
+    assert (code, out, err) == (1, "", f"error: {message}\n")

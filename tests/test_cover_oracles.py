@@ -22,11 +22,11 @@ from hypothesis import given, settings, strategies as st
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
                       FreeAbelian, GroupRingElement, GroupRingMatrix, IntegralMatrixGroup,
                       LatticeSubgroup, quotient, torus_complex, two_cell_complex)
-from l2growth.covers import (_instantiate_matrix, _left_orbits, _terms_compose_to_zero,
+from l2growth.covers import (_instantiate_matrix, _left_orbits, _multiply_terms,
                              eigvalsh_error)
 from l2growth.errors import CrossCheckMismatch
 from l2growth.stripes import product_with_circle
-from l2growth.verify import random_complex, random_quotient
+from l2growth.verify import _random_element, _random_entry, random_complex, random_quotient
 from conftest import cyclic_quotient, diag_quotient
 
 
@@ -79,7 +79,7 @@ def _assert_cover_matches_references(cx, quot):
     for q in built:
         if q + 1 in built:
             zero = _product_is_zero_reference(built[q][0], built[q + 1][0])
-            if _terms_compose_to_zero(built[q][1], built[q + 1][1]):
+            if not _multiply_terms(built[q][1], built[q + 1][1])[2].size:
                 assert zero  # the terms never pass a nonzero product
             nonzero = nonzero or not zero
     if nonzero:
@@ -168,10 +168,10 @@ def _patched(quot, tables):
 
 
 def test_colliding_tables_are_refused_as_no_group_action(z_one):
-    # on Z/6, g acts as x + 1; g^2 is given a table that meets g's at cells 0 and 3,
-    # which no two right multiplications do
+    # on Z/6, g acts as x + 1; g^2 is given a permutation that meets g's table at
+    # cells 0 and 3, which no two right multiplications do
     g, g2 = GroupRingElement.monomial(z_one, (1,)), GroupRingElement.monomial(z_one, (2,))
-    collide = {(2,): [1, 3, 4, 4, 0, 1]}
+    collide = {(2,): [1, 0, 5, 4, 3, 2]}
     for entry in (g + g2, g - g2, g * 3 - g2, g - g2 + GroupRingElement.one(z_one)):
         cx = two_cell_complex(z_one, entry)
         with pytest.raises(CrossCheckMismatch, match="meet at a cell: no group action$"):
@@ -180,6 +180,12 @@ def test_colliding_tables_are_refused_as_no_group_action(z_one):
     quot = _patched(cyclic_quotient(6), collide)
     d = two_cell_complex(z_one, g2).boundaries[1]
     _assert_same_csr(_instantiate_matrix(d, quot)[0], _coo_reference(d, quot))
+    # one that is no permutation is refused whatever it meets
+    for entry in (g2, g + g2):
+        with pytest.raises(CrossCheckMismatch, match="no permutation of the quotient: "
+                                                     "no group action$"):
+            _instantiate_matrix(two_cell_complex(z_one, entry).boundaries[1],
+                                _patched(cyclic_quotient(6), {(2,): [1, 3, 4, 4, 0, 1]}))
 
 
 def test_a_table_equal_to_another_elements_merges_with_it(z_one):
@@ -229,12 +235,14 @@ def test_a_product_zero_only_across_merged_groups_is_refused(z_one):
                 np.ones(1, dtype=np.int64), np.array([[0, 1]]))
     maps = (np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
             np.array([1, 1, -1, -1]), np.array([[0, 0], [1, 1], [0, 1], [1, 0]]))
-    assert not _terms_compose_to_zero(identity, maps)
+    with pytest.raises(CrossCheckMismatch, match="meet at element 0 and differ: no group action$"):
+        _multiply_terms(identity, maps)
     # sum of coeff times the matrix of the map x -> t[x]
     assert not sum(c * np.eye(2, dtype=np.int64)[t] for c, t in zip(maps[2], maps[3])).any()
     # the same product from a chain complex over Z on Z/2, one term an entry so that
     # no two tables meet: d_1 d_2 = x^5 + x^8 - x^5 - x^8 = 0, and the d_2 terms'
-    # patched tables compose with d_1's to the four maps above
+    # patched tables compose with d_1's to the four maps above; two of those
+    # tables are no permutation, so the cover refuses them as it instantiates
     el = lambda k, c=1: GroupRingElement(z_one, {(k,): c})  # noqa: E731
     cx = EquivariantChainComplex(z_one, [1, 4, 1], {
         1: GroupRingMatrix(z_one, [[el(1), el(2), el(7), el(9)]]),
@@ -243,17 +251,85 @@ def test_a_product_zero_only_across_merged_groups_is_refused(z_one):
                                          (-1,): [0, 1]})
     d1, d2 = (_coo_reference(cx.boundaries[q], quot) for q in (1, 2))
     assert _product_is_zero_reference(d1, d2)
-    with pytest.raises(CrossCheckMismatch, match="do not compose to zero$"):
+    with pytest.raises(CrossCheckMismatch, match="no permutation of the quotient: "
+                                                 "no group action$"):
         CoverInstance(cx, quot)
 
 
 def test_a_table_outside_the_quotient_is_refused(z_one):
     # the reference read such a table into a neighbouring block or refused it in
     # scipy's index check; the terms also index tables with it, so it is refused
+    # with the tables that are no permutation
     cx = two_cell_complex(z_one, GroupRingElement(z_one, {(1,): 1, (0,): -1}))
     for bad in ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, -1], [1, 2, 3]):
-        with pytest.raises(CrossCheckMismatch, match="does not map the quotient into itself"):
+        with pytest.raises(CrossCheckMismatch, match="no permutation of the quotient"):
             CoverInstance(cx, _patched(cyclic_quotient(6), {(1,): bad}))
+
+
+# -- products of merged terms -------------------------------------------------
+# Instantiation is a ring homomorphism, so the product of two instantiated
+# matrices' terms must be the instantiation of their group-ring product.
+
+def _sorted_terms(terms):
+    rows, cols, _, tables = terms
+    order = np.lexsort((tables[:, 0], cols, rows))
+    return [x[order] for x in terms]
+
+
+def _assert_products_match_the_group_ring(a, b, quot):
+    """The terms of a b, of a* a and of a a* (a* the adjoint), from the
+    instantiated terms of a and b, equal those of the group-ring products
+    instantiated; the Gram products also read at the orbit representatives."""
+    ta, tb = _instantiate_matrix(a, quot)[1], _instantiate_matrix(b, quot)[1]
+    rows, cols, coeffs, tables = ta
+    adjoint = (cols, rows, coeffs, np.argsort(tables, axis=1))  # the inverse tables
+    reps = np.flatnonzero(_left_orbits(quot)[1] == 0)
+    for got, want in ((_multiply_terms(ta, tb), a @ b),
+                      (_multiply_terms(adjoint, ta), a.adjoint() @ a),
+                      (_multiply_terms(ta, adjoint), a @ a.adjoint()),
+                      (_multiply_terms(adjoint, ta, reps), a.adjoint() @ a),
+                      (_multiply_terms(ta, adjoint, reps), a @ a.adjoint())):
+        want = _instantiate_matrix(want, quot)[1]
+        if got[3].shape[1] < quot.order:
+            want = want[:3] + (want[3][:, reps],)
+        for x, y in zip(_sorted_terms(got), _sorted_terms(want)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_products_of_terms_match_the_group_ring_over_z_and_z2(seed):
+    rng = np.random.default_rng(seed)
+    group = FreeAbelian(int(rng.integers(1, 3)))
+    p, q, r = rng.integers(1, 4, size=3)
+    a, b = (GroupRingMatrix(group, [[_random_entry(rng, group) for _ in range(cols)]
+                                    for _ in range(rows)], shape=(rows, cols))
+            for rows, cols in ((p, q), (q, r)))
+    _assert_products_match_the_group_ring(a, b, random_quotient(rng, group, max_index=60))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("m", range(3, 8))
+def test_products_of_terms_match_the_group_ring_over_sl2(k, m):
+    group, _ = _sl2_complexes(k)
+    quot = quotient(group, CongruenceSubgroup(m))
+    rng = np.random.default_rng(100 * k + m)
+    letters = list(group.generators) + [group.inv(g) for g in group.generators]
+
+    def entry():  # up to three terms, coefficients in -3..3, words of length <= 3
+        acc = GroupRingElement.zero(group)
+        for _ in range(int(rng.integers(0, 4))):
+            word = group.identity
+            for i in rng.integers(0, 4, size=int(rng.integers(0, 4))):
+                word = group.mul(word, letters[i])
+            acc = acc + GroupRingElement(group, {word: _random_element(rng)})
+        return acc
+
+    for _ in range(9):
+        p, q, r = rng.integers(1, 4, size=3)
+        a, b = (GroupRingMatrix(group, [[entry() for _ in range(cols)] for _ in range(rows)],
+                                shape=(rows, cols)) for rows, cols in ((p, q), (q, r)))
+        _assert_products_match_the_group_ring(a, b, quot)
 
 
 # -- spectra ------------------------------------------------------------------
@@ -357,15 +433,11 @@ def test_gram_entries_past_2_53_are_summed_exactly(z_one):
 
 def test_a_table_that_is_no_permutation_is_refused_before_a_spectrum(gap_complex):
     # 2 - g has one boundary, so no composition check sees g's table map two
-    # cells to one; it meets the identity's at no cell, so it is instantiated,
-    # and the Betti numbers are the broken matrix's ranks
+    # cells to one, and it meets the identity's at no cell; instantiation
+    # refuses it, so no Betti number is read from the broken matrix
     for bad in ([1, 0, 0, 1], [2, 2, 0, 0]):
-        cover = CoverInstance(gap_complex, _patched(cyclic_quotient(4), {(1,): bad}))
-        assert [cover.betti(q) for q in range(2)] == [0, 0]
-        for q in range(2):
-            with pytest.raises(CrossCheckMismatch, match="no permutation of the quotient"):
-                cover.eigenvalues(q)
-        assert not cover._eigs and not cover.spectrum_blocks
+        with pytest.raises(CrossCheckMismatch, match="no permutation of the quotient"):
+            CoverInstance(gap_complex, _patched(cyclic_quotient(4), {(1,): bad}))
 
 
 def test_spectra_form_no_sparse_gram(torus2, monkeypatch):

@@ -296,9 +296,19 @@ def test_a_table_that_is_no_group_action_fails_the_composition_check(torus2):
     # on Z/2 x Z/3 = Z/6, (1, 0) given a table that moves every element, as
     # (1, 0) does, but no longer commutes with (0, 1): d_1 d_2 = [x - 1, y - 1]
     # [1 - y; x - 1] = yx - xy is not zero on the cover
+    # here xy and yx agree at element 0 but not elsewhere
     quot = diag_quotient(2, 3)
     act = quot.right_mult_indices
     moved = np.array([3, 4, 5, 1, 2, 0])
+    quot.right_mult_indices = lambda g: moved if g == (1, 0) else act(g)
+    with pytest.raises(CrossCheckMismatch, match="^composed tables meet at "
+                                                 "element 0 and differ: no group action$"):
+        CoverInstance(torus2, quot)
+    # with this table they differ at every cell, so each product group is one
+    # table, and the groups sum to yx - xy
+    quot = diag_quotient(2, 3)
+    act = quot.right_mult_indices
+    moved = np.array([1, 0, 4, 2, 5, 3])
     quot.right_mult_indices = lambda g: moved if g == (1, 0) else act(g)
     with pytest.raises(CrossCheckMismatch, match="^instantiated boundaries 1,2 do not "
                                                  "compose to zero$"):
