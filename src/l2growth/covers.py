@@ -5,14 +5,20 @@ of right multiplication by its image in the finite quotient; this is a ring
 homomorphism, so instantiated boundaries still compose to zero and are the
 boundaries of the cover.  Two elements' tables are equal when their images
 are, and differ at every cell otherwise, so the terms of an entry are merged
-by table and each row of the CSR holds one entry per merged term; products
-of boundaries, for d_q d_(q+1) = 0 and the Gram matrices, are taken on the
-merged terms.  No cover Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T is formed:
-spectra and traces work on its two terms, one boundary each.
+by table; products of boundaries, for d_q d_(q+1) = 0 and the Gram matrices,
+are taken on the merged terms.  The CSR of a boundary, one entry per merged
+term in each row, is laid out only when ``boundary(q)``, a trace or an
+elimination first reads it.  No cover Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T
+is formed: spectra and traces work on its two terms, one boundary each.
 
 Betti numbers come from certified rational ranks of the integer boundary
 matrices; floating eigensolvers serve spectral statistics only, and the
-exact ranks say how many of the lowest eigenvalues are zeros.
+exact ranks say how many of the lowest eigenvalues are zeros.  Over an
+abelian quotient a boundary whose column blocks (or row blocks) hold at most
+two terms each is the lift of a voltage graph on its blocks, and is ranked
+on that graph from the subgroup its cycle voltages generate, with no cover
+matrix (``exact.voltage_rank``); the other ranks read the CSR.  Each cover
+records which engine ranked each boundary in ``rank_engines``.
 
 Spectra are assembled per boundary (the Hodge decomposition; Eckmann, Comment.
 Math. Helv. 17, 1944): the Laplacian d_q^T d_q + d_(q+1) d_(q+1)^T has b_q
@@ -42,7 +48,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,18 +59,39 @@ from .errors import (AmbiguousCount, BadArgument, CrossCheckMismatch, DimensionO
                      NonIntegralCoefficient, OrderCapExceeded, SizeCapExceeded)
 from .group_ring import (EquivariantChainComplex, GroupRingMatrix, evaluate_polynomial,
                          gamma_trace, laplacian, support_radius)
-from .groups import FiniteQuotient, check_quotient_of, short_length
+from .groups import AbelianQuotient, FiniteQuotient, check_quotient_of, short_length
 from .polynomials import as_poly
 
 # a boundary whose row and column L1 norms stay below this keeps every instantiated
 # entry and the products d_q d_(q+1) and d d^T below 2^63
 _L1_BOUND = 2 ** 31
 
-# quotient -> {id(boundary): [boundary, instantiated CSR, certified rank or None,
-#                             Gram spectrum or None (see ``CoverInstance._gram_part``),
-#                             merged terms (see ``_instantiate_matrix``)]};
-# the entry holds the boundary, so its id is not reused while the quotient lives
+# quotient -> {id(boundary): _Shared}; the entry holds the boundary, so its id is
+# not reused while the quotient lives
 _SHARED = weakref.WeakKeyDictionary()
+
+
+class _Shared:
+    """One boundary instantiated on one quotient, shared by that quotient's covers:
+    its merged terms (see ``_instantiate_terms``), and what is read from them
+    at most once: the CSR, laid out on first use; the certified rank and the
+    engine that ranked it (see ``_certified_rank``); the Gram spectrum (see
+    ``CoverInstance._gram_part``)."""
+
+    def __init__(self, boundary: GroupRingMatrix, quot: FiniteQuotient):
+        self.boundary = boundary
+        self.terms = _instantiate_terms(boundary, quot)
+        self.shape = (boundary.nrows * quot.order, boundary.ncols * quot.order)
+        self._csr: Optional[sp.csr_matrix] = None
+        self.rank: Optional[int] = None
+        self.engine: Optional[str] = None
+        self.spectrum = None
+
+    @property
+    def csr(self) -> sp.csr_matrix:
+        if self._csr is None:
+            self._csr = _lay_out(self.terms, self.shape)
+        return self._csr
 
 
 class CoverInstance:
@@ -82,16 +109,15 @@ class CoverInstance:
         self.caps = caps
         self.order = quot.order
         shared = _SHARED.setdefault(quot, {})
-        self._entries: Dict[int, List] = {}
+        self._entries: Dict[int, _Shared] = {}
         for q, d in cx.boundaries.items():
             if id(d) not in shared:
-                csr, terms = _instantiate_matrix(d, quot)
-                shared[id(d)] = [d, csr, None, None, terms]
+                shared[id(d)] = _Shared(d, quot)
             self._entries[q] = shared[id(d)]
         # instantiation is a ring homomorphism, so d'd' = 0 must survive on the terms
         for q in self._entries:
-            if (q + 1 in self._entries
-                    and _multiply_terms(self._entries[q][4], self._entries[q + 1][4])[2].size):
+            if (q + 1 in self._entries and _multiply_terms(
+                    self._entries[q].terms, self._entries[q + 1].terms)[2].size):
                 raise CrossCheckMismatch(
                     f"instantiated boundaries {q},{q + 1} do not compose to zero")
         self._eigs: Dict[int, np.ndarray] = {}
@@ -99,6 +125,8 @@ class CoverInstance:
         self._orbits: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
         # j -> (r, size): the Gram spectrum of boundary j came from r blocks of that size
         self.spectrum_blocks: Dict[int, Tuple[int, int]] = {}
+        # j -> "voltage", "forest" or "elimination": the engine that ranked boundary j
+        self.rank_engines: Dict[int, str] = {}
 
     def _check_dim(self, q: int) -> None:
         if not 0 <= q <= self.cx.top_dim:
@@ -106,14 +134,17 @@ class CoverInstance:
 
     # -- matrices ----------------------------------------------------------
     def boundary(self, q: int) -> Optional[sp.csr_matrix]:
-        return self._entries[q][1] if q in self._entries else None
+        return self._entries[q].csr if q in self._entries else None
 
     # -- exact invariants ----------------------------------------------------
     def _rank(self, q: int) -> int:
-        entry = self._entries.get(q, (None, None, 0))  # no boundary q: rank 0
-        if entry[2] is None:
-            entry[2] = exact.rank_certified(entry[1])
-        return entry[2]
+        if q not in self._entries:
+            return 0
+        entry = self._entries[q]
+        if entry.rank is None:
+            entry.rank, entry.engine = _certified_rank(entry, self.quotient)
+        self.rank_engines[q] = entry.engine
+        return entry.rank
 
     def betti(self, q: int) -> int:
         """Exact q-th Betti number of the cover (rational rank formula)."""
@@ -153,14 +184,14 @@ class CoverInstance:
         0 and the next one above it, or it raises.
         """
         entry = self._entries[j]
-        size = min(entry[1].shape)
+        size = min(entry.shape)
         if size > self.caps.eig:
             raise SizeCapExceeded(f"Gram matrix size {size} of boundary {j} exceeds "
                                   f"eigensolver cap {self.caps.eig}")
-        if entry[3] is None:
+        if entry.spectrum is None:
             if self._orbits is None:
                 self._orbits = _left_orbits(self.quotient)
-            table, norm = _gram_table(entry[4], entry[1].shape, *self._orbits)
+            table, norm = _gram_table(entry.terms, entry.shape, *self._orbits)
             eigs = np.sort(_equivariant_eigenvalues(table))
             zeros = len(eigs) - self._rank(j)
             # the largest absolute row sum bounds the symmetric Gram's 2-norm
@@ -170,9 +201,9 @@ class CoverInstance:
                     f"the {zeros} lowest Gram eigenvalues of boundary {j} (exact rank "
                     f"{len(eigs) - zeros}) are not separated from the rest by {error:.3g}")
             r = self._orbits[2]
-            entry[3] = (eigs[zeros:], error, (r, len(eigs) // r))
-        self.spectrum_blocks[j] = entry[3][2]
-        return entry[3][:2]
+            entry.spectrum = (eigs[zeros:], error, (r, len(eigs) // r))
+        self.spectrum_blocks[j] = entry.spectrum[2]
+        return entry.spectrum[:2]
 
     def count_eigs_below(self, q: int, lam: float) -> int:
         """#{eigenvalues <= lam}, decided only where rounding cannot change it.
@@ -230,19 +261,16 @@ def eigvalsh_error(size: int, norm: float) -> float:
     return 2 * size * math.ulp(1.0) * norm
 
 
-def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.csr_matrix, Tuple]:
-    """(The integer matrix of m on the quotient as CSR, its merged terms).
+def _instantiate_terms(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple:
+    """The merged terms (rows, cols, coeffs, tables) of m on the quotient.
 
     Element g acts by its table t = ``right_mult_indices(g)``, a permutation of
     the quotient: in the block of its entry, row x holds g's coefficient at
     column t[x].  The terms of one entry whose tables are equal are merged by
-    adding their coefficients, and zero sums are dropped.  The merged terms are
-    the arrays (rows, cols, coeffs, tables), in row-major order of their
-    entries.  Tables of a group action that differ differ at every cell, so
-    each row of block i holds one entry per merged term of row i: the block is
-    laid out that way and each row sorted once, the term index carried in the
-    sort key.  A table that is no permutation, and merged tables that meet at a
-    cell (adjacent keys of one column after the sort), are no group action and
+    adding their coefficients, and zero sums are dropped; the merged terms
+    are in row-major order of their entries.  Tables of a group action that
+    differ differ at every cell, so a table that is no permutation, and two
+    merged tables of one entry that meet at a cell, are no group action and
     raise ``CrossCheckMismatch``.
     """
     l1 = [[entry.l1_norm() for entry in row] for row in m.entries]
@@ -258,9 +286,8 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
         table_of[el] = index.setdefault(table.tobytes(), len(unique))
         if table_of[el] == len(unique):
             unique.append(table)
-    terms, counts = [], []  # (i, j, table, coefficient); the number in each row
+    terms, sizes = [], []  # (i, j, table, coefficient); the number in each entry
     for i, row in enumerate(m.entries):
-        start = len(terms)
         for j, entry in enumerate(row):
             merged: Dict[int, int] = {}
             for el, coeff in entry.terms.items():
@@ -268,8 +295,9 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
                     raise NonIntegralCoefficient(
                         f"cover instantiation requires integer coefficients, got {coeff}")
                 merged[table_of[el]] = merged.get(table_of[el], 0) + int(coeff)
+            start = len(terms)
             terms += [(i, j, t, c) for t, c in merged.items() if c]
-        counts.append(len(terms) - start)
+            sizes.append(len(terms) - start)
     shaped = all(table.shape == (n,) for table in unique)
     unique = np.array(unique if shaped else [], dtype=np.intp).reshape(-1, n)
     if not shaped or (np.sort(unique, axis=1) != np.arange(n)).any():
@@ -277,27 +305,63 @@ def _instantiate_matrix(m: GroupRingMatrix, quot: FiniteQuotient) -> Tuple[sp.cs
                                  "no group action")
     rows, cols, which, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 4).T
     tables = unique[which]
-    shift = (len(terms) - 1).bit_length()  # the low bits of a key hold its term
-    keys = (tables + n * cols[:, None]) << shift | np.arange(len(terms))[:, None]
+    starts = np.cumsum([0] + sizes)
+    for k in set(sizes) - {0, 1}:  # the entries of k terms, compared cell by cell
+        group = tables[starts[:-1][np.equal(sizes, k)][:, None] + np.arange(k)]
+        if k > 2:
+            group.sort(axis=1)
+        if (group[:, 1:] == group[:, :-1]).any():
+            raise CrossCheckMismatch("two tables of one entry meet at a cell: no group action")
+    return rows, cols, coeffs, tables
+
+
+def _lay_out(terms, shape: Tuple[int, int]) -> sp.csr_matrix:
+    """The cover matrix of that shape whose merged terms are ``terms``, as canonical CSR.
+
+    Each row of block i holds one entry per merged term of row i (their
+    tables meet at no cell): the block is laid out that way and each row
+    sorted once, on keys column << shift | term.
+    """
+    rows, cols, coeffs, tables = terms
+    n = tables.shape[1]
+    counts = np.bincount(rows, minlength=shape[0] // n)
+    shift = (len(rows) - 1).bit_length()  # the low bits of a key hold its term
+    keys = (tables + n * cols[:, None]) << shift | np.arange(len(rows))[:, None]
     blocks, start = [keys[:0].ravel()], 0
-    for k in counts:  # row block i: its keys cell by cell, each cell's row sorted
+    for k in counts.tolist():  # row block i: its keys cell by cell, each cell's row sorted
         block = keys[start:start + k].T.copy()
         if k > 1:
             block.sort(axis=1)
-            cells = block >> shift
-            if (cells[:, 1:] == cells[:, :-1]).any():
-                raise CrossCheckMismatch("two tables of one entry meet at a cell: no group action")
         blocks.append(block.ravel())
         start += k
     keys = np.concatenate(blocks)
-    nnz = n * len(terms)
-    dtype = np.int32 if max(m.nrows * n, m.ncols * n, nnz) < 2 ** 31 else np.int64
-    indptr = np.zeros(m.nrows * n + 1, dtype=dtype)
-    np.array(counts, dtype=dtype).repeat(n).cumsum(out=indptr[1:])
+    dtype = np.int32 if max(*shape, len(keys)) < 2 ** 31 else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=dtype)
+    counts.astype(dtype).repeat(n).cumsum(out=indptr[1:])
     out = sp.csr_matrix((coeffs.take(keys & ((1 << shift) - 1)), (keys >> shift).astype(dtype),
-                         indptr), shape=(m.nrows * n, m.ncols * n), copy=False)
+                         indptr), shape=shape, copy=False)
     out.has_canonical_format = True
-    return out, (rows, cols, coeffs, tables)
+    return out
+
+
+def _certified_rank(entry: _Shared, quot: FiniteQuotient) -> Tuple[int, str]:
+    """(the exact rank of a shared boundary's cover matrix, the engine that ranked it).
+
+    On an abelian quotient, right multiplication by g is the translation by
+    g's Smith coordinates, so a term's element is its table's value at element
+    0, and a gain graph is ranked on its voltage graph (``exact.voltage_rank``)
+    with no cover matrix.  Other quotients and other boundaries are ranked on
+    the CSR by ``exact.rank_certified``: by its spanning forest when it is a
+    gain graph, by elimination otherwise.
+    """
+    rows, cols, coeffs, tables = entry.terms
+    if isinstance(quot, AbelianQuotient):
+        coords = np.array(np.unravel_index(tables[:, 0], quot.moduli))
+        rank = exact.voltage_rank(rows, cols, coeffs, coords, quot.moduli, entry.boundary.shape)
+        if rank is not None:
+            return rank, "voltage"
+    rank = exact.rank_certified(entry.csr)
+    return rank, "forest" if exact.is_gain_graph(rows, cols) else "elimination"
 
 
 def _multiply_terms(a, b, at=slice(None)) -> Tuple:

@@ -1,7 +1,13 @@
 """Exact integer linear algebra: Smith normal form, certified ranks and kernels.
 
 Betti numbers must be exact integers, so ranks of the instantiated boundary
-matrices are computed over the rationals with a certificate:
+matrices are computed over the rationals with a certificate.  A cover's
+boundary over a finite abelian group G whose column blocks, or else row
+blocks, hold at most two permutation terms each is the lift of a voltage
+graph on its blocks, and ``voltage_rank`` ranks it from that graph alone:
+each balanced base component subtracts the index [G:H] of the subgroup its
+cycle voltages generate, and nothing of the cover's size is formed.  Every
+other matrix is ranked as follows:
 
 1. ``rank_certified`` ranks a gain graph, a matrix whose rows or whose
    columns hold at most two nonzeros each, all within 2**31, from a
@@ -58,7 +64,7 @@ from functools import lru_cache
 from heapq import nlargest
 from itertools import islice
 from math import gcd, isqrt, lcm, prod
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -504,6 +510,145 @@ def rank_certified(a) -> int:
     nr, nc = a.shape  # rank is transpose-invariant; elimination is cheaper on fewer columns
     rank = _forest_rank(a)
     return min(nr, nc) - kernel_certified(a.T if nr < nc else a)[0] if rank is None else rank
+
+
+def is_gain_graph(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether a block matrix of permutation terms, term k in block (rows[k], cols[k]),
+    holds at most two terms in every column block, or else in every row block.
+
+    Each term puts one entry in every row and every column of its block, so
+    these are the matrices whose cover lines hold at most two nonzeros.
+    """
+    return not rows.size or np.bincount(cols).max() <= 2 or np.bincount(rows).max() <= 2
+
+
+def voltage_rank(rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, coords: np.ndarray,
+                 moduli: Sequence[int], shape: Tuple[int, int]) -> Optional[int]:
+    """Exact rank of a block matrix over the finite abelian group G = Z^d / diag(moduli),
+    from its terms alone, or None when it is no gain graph (``is_gain_graph``).
+
+    Term k is ``coeffs[k]`` times the permutation matrix of x -> x + g_k in block
+    (``rows[k]``, ``cols[k]``) of a matrix with ``shape`` blocks, each of size
+    n = |G|; g_k has the coordinates ``coords[:, k]``.  The lines (the column
+    blocks if each holds at most two terms, else the row blocks) are the edges
+    of a voltage graph on the blocks of the other side, the base vertices:
+    - a line with one term pins its base vertex;
+    - a line with terms (c_1, g_1), (c_2, g_2) is a base edge from the first
+      term's vertex to the second's, with voltage g_1 - g_2 (g_2 - g_1 when the
+      lines are rows) and gain -c_1/c_2: on the cover, line x reads
+      c_1 v_(u, x) + c_2 v_(w, x + voltage) = 0.
+    The cover matrix is the lift, a gain graph on the n * |V_B| cells, and its
+    rank is the number of cells less the number of balanced components
+    (Zaslavsky, Discrete Appl. Math. 4, 1982).  A connected base component
+    with cycle voltages V (its cycle space mapped to G by a spanning tree)
+    lifts to [G:H] = prod SNF([V | diag(m)]) components, one per coset of the
+    subgroup H that V generates (Gross and Tucker, Discrete Math. 18, 1977).
+    They are balanced when every cycle of the lift has gain 1; a lifted cycle
+    is a base cycle of voltage 0, so a pin, or a base cycle of gain |gamma| != 1
+    (a multiple of it has voltage 0), unbalances them.  Otherwise the gains are
+    signs, and the lifts are balanced exactly when no cycle of voltage 0 has
+    sign -1: when H holds as many elements as the image of (voltage, sign) in
+    G x Z/2, whose index, with the sign row appended, is then 2 [G:H].  The
+    base graph has a vertex per block, so its walk is in Python, and nothing
+    of size n is formed.
+    """
+    n = prod(moduli)
+    if not rows.size:
+        return 0
+    if np.bincount(cols).max() <= 2:
+        order = np.argsort(cols, kind="stable")
+        line, vertex, sign, count = cols[order], rows[order], 1, shape[0]
+    elif np.bincount(rows).max() <= 2:
+        order = np.arange(rows.size)  # terms come in row-major order
+        line, vertex, sign, count = rows, cols, -1, shape[1]
+    else:
+        return None
+    keep = [i for i, m in enumerate(moduli) if m > 1]  # a trivial coordinate is always 0
+    moduli = [moduli[i] for i in keep]
+    line, vertex, c = line.tolist(), vertex.tolist(), coeffs[order].tolist()
+    g = np.asarray(coords)[keep][:, order].T.tolist()
+    pinned, edges, k = set(), [], 0
+    while k < len(line):
+        if k + 1 < len(line) and line[k + 1] == line[k]:
+            x, y = c[k], c[k + 1]
+            if abs(x) == abs(y):  # a sign, its own inverse
+                gains = (-1, -1) if (x > 0) == (y > 0) else (1, 1)
+            else:
+                gains = (Fraction(-x, y), Fraction(-y, x))
+            voltage = [sign * (a - b) for a, b in zip(g[k], g[k + 1])]
+            edges.append((vertex[k], vertex[k + 1], voltage, gains))
+            k += 2
+        else:
+            pinned.add(vertex[k])
+            k += 1
+    # a spanning forest of the base graph: each vertex's voltage and gain from its root
+    around: Dict[int, List[int]] = {}
+    for e, (u, w, _, _) in enumerate(edges):
+        around.setdefault(u, []).append(e)
+        around.setdefault(w, []).append(e)
+    root, volt, gain, tree = {}, {}, {}, set()
+    for start in around:
+        if start in root:
+            continue
+        root[start], volt[start], gain[start], stack = start, [0] * len(moduli), 1, [start]
+        while stack:
+            x = stack.pop()
+            for e in around[x]:
+                u, w, voltage, (gamma, inverse) = edges[e]
+                y = w if u == x else u
+                if y in root:
+                    continue
+                root[y] = start
+                stack.append(y)
+                if u == x:
+                    volt[y], gain[y] = [a + b for a, b in zip(volt[x], voltage)], gain[x] * gamma
+                else:
+                    volt[y], gain[y] = [a - b for a, b in zip(volt[x], voltage)], gain[x] * inverse
+                tree.add(e)
+    # each component's cycles, one per edge off the forest: (voltage mod m, sign), or
+    # None for a gain gain[u] * gamma / gain[w] off the unit circle
+    cycles: Dict[int, List] = {r: [] for r in set(root.values())}
+    for e, (u, w, voltage, (gamma, _)) in enumerate(edges):
+        if e not in tree:
+            there, back = gain[u] * gamma, gain[w]
+            cycles[root[u]].append(None if abs(there) != abs(back) else (
+                [(a + b - c) % m for a, b, c, m in zip(volt[u], voltage, volt[w], moduli)]
+                + [int(there != back)]))
+    unbalanced = {root.get(v, v) for v in pinned}
+    balanced_cells = n * (count - len(root) - len(pinned - set(root)))  # lone vertices
+    for r, cyc in cycles.items():
+        if r in unbalanced or None in cyc:
+            continue
+        index = _quotient_index([v[:-1] for v in cyc], moduli)
+        if any(v[-1] for v in cyc) and _quotient_index(cyc, moduli + [2]) != 2 * index:
+            continue
+        balanced_cells += index
+    return n * count - balanced_cells
+
+
+def _quotient_index(gens: List[List[int]], moduli: List[int]) -> int:
+    """[G : H] for G = Z^d / diag(moduli) and H generated by ``gens``: the index of
+    the lattice that the gens and diag(moduli) span in Z^d, which is the product
+    of the Smith invariants of [gens^T | diag(moduli)] and of the pivots of any
+    triangular basis.  Row by row, Euclid's steps on pairs of columns leave one
+    column, the pivot, with a nonzero entry in that row."""
+    cols = [list(v) for v in gens] + [[m if i == j else 0 for i in range(len(moduli))]
+                                      for j, m in enumerate(moduli)]
+    index = 1
+    for i in range(len(moduli)):
+        pivot, rest = None, []
+        for col in cols:
+            if col[i] and pivot is not None:
+                while col[i]:
+                    q = pivot[i] // col[i]
+                    pivot, col = col, [a - q * b for a, b in zip(pivot, col)]
+            if col[i]:
+                pivot = col
+            else:
+                rest.append(col)
+        index *= abs(pivot[i])
+        cols = rest
+    return index
 
 
 def _forest_rank(a):

@@ -223,6 +223,7 @@ class IntegralMatrixGroup(_Group):
         if not gens:
             raise BadGroup("at least one generator required")
         self.generators = gens
+        self._inverses: Dict[Element, Element] = {}
         self._symmetric: List[Element] = []
         for g in gens:
             for h in (g, self.inv(g)):
@@ -238,8 +239,12 @@ class IntegralMatrixGroup(_Group):
         return _matmul(a, b)
 
     def inv(self, a: Element) -> Element:
-        det = exact.det_int(a)  # +-1, its own inverse
-        return _freeze_matrix([[det * x for x in row] for row in exact.adjugate(a)])
+        """The inverse, from the adjugate once per element and kept both ways."""
+        if a not in self._inverses:
+            det = exact.det_int(a)  # +-1, its own inverse
+            inverse = _freeze_matrix([[det * x for x in row] for row in exact.adjugate(a)])
+            self._inverses[a], self._inverses[inverse] = inverse, a
+        return self._inverses[a]
 
     def symmetric_generators(self) -> List[Element]:
         """The generators and their inverses, each once, in that order."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,10 +130,25 @@ def _root_powers(e: int, ell: int) -> np.ndarray:
 
     omega is w = h^((ell - 1)/e) for the first h = 1, 2, ... whose w has order
     e, that is w^(e/p) != 1 for every prime p dividing e (w^e = h^(ell-1) = 1).
+    Both w and its powers w^(e/p) are multiplicative in h, so they are powered
+    out at prime h only, and multiplied from the least prime factor and its
+    cofactor at composite h.
     """
+    cofactors = [e // p for p in _prime_divisors(e)]
+    found: Dict[int, Tuple[int, List[int]]] = {}  # h -> (w, [w^(e/p) for each p])
+    primes: List[int] = []
     for h in range(1, ell):
-        w = pow(h, (ell - 1) // e, ell)
-        if all(pow(w, e // p, ell) != 1 for p in _prime_divisors(e)):
+        factor = next((p for p in primes if h % p == 0), None)  # its least prime
+        if factor is None:  # h is 1 or a prime
+            w = pow(h, (ell - 1) // e, ell)
+            symbols = [pow(w, c, ell) for c in cofactors]
+            if h > 1:
+                primes.append(h)
+        else:
+            (u, s), (v, t) = found[factor], found[h // factor]
+            w, symbols = u * v % ell, [a * b % ell for a, b in zip(s, t)]
+        found[h] = w, symbols
+        if 1 not in symbols:
             break
     else:
         raise CrossCheckMismatch(f"{ell} is not a prime = 1 (mod {e})")  # pragma: no cover

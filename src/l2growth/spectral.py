@@ -261,11 +261,6 @@ def _halton_points(tables: List[_DigitTable], s: int, e: int) -> np.ndarray:
     return out.T
 
 
-def _scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
-    """(n, d) Owen-scrambled Halton points, equal to scipy's for the seed."""
-    return _halton_points(_halton_tables(d, n, seed), 0, n)
-
-
 def _check_integer(**args) -> None:
     """Refuse a point count or seed that is not an integer, before numpy does."""
     for name, value in args.items():

@@ -5,6 +5,7 @@ import pytest
 from l2growth import (FreeAbelian, GroupRingElement, IntegralMatrixGroup,
                       LatticeSubgroup, quotient, torus_complex,
                       two_cell_complex)
+from l2growth.covers import _instantiate_terms, _lay_out
 from l2growth.stripes import StripeSpec, glue_stripe
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -64,3 +65,10 @@ def cyclic_quotient(i: int):
 
 def diag_quotient(m: int, n: int):
     return quotient(FreeAbelian(2), LatticeSubgroup([[m, 0], [0, n]]))
+
+
+def instantiated(m, quot):
+    """(The cover matrix of m on the quotient as CSR, its merged terms), as a cover
+    lays them out."""
+    terms = _instantiate_terms(m, quot)
+    return _lay_out(terms, (m.nrows * quot.order, m.ncols * quot.order)), terms

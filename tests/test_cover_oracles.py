@@ -22,12 +22,11 @@ from hypothesis import given, settings, strategies as st
 from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex,
                       FreeAbelian, GroupRingElement, GroupRingMatrix, IntegralMatrixGroup,
                       LatticeSubgroup, quotient, torus_complex, two_cell_complex)
-from l2growth.covers import (_instantiate_matrix, _left_orbits, _multiply_terms,
-                             eigvalsh_error)
+from l2growth.covers import _left_orbits, _multiply_terms, eigvalsh_error
 from l2growth.errors import CrossCheckMismatch
 from l2growth.stripes import product_with_circle
 from l2growth.verify import _random_element, _random_entry, random_complex, random_quotient
-from conftest import cyclic_quotient, diag_quotient
+from conftest import cyclic_quotient, diag_quotient, instantiated
 
 
 def _coo_reference(m, quot):
@@ -72,7 +71,7 @@ def _assert_same_csr(new, old):
 def _assert_cover_matches_references(cx, quot):
     """Every boundary equals its COO reference, and the cover raises exactly
     when some instantiated product d_q d_(q+1) is nonzero."""
-    built = {q: _instantiate_matrix(d, quot) for q, d in cx.boundaries.items()}
+    built = {q: instantiated(d, quot) for q, d in cx.boundaries.items()}
     for q, d in cx.boundaries.items():
         _assert_same_csr(built[q][0], _coo_reference(d, quot))
     nonzero = False
@@ -153,8 +152,7 @@ def test_cancelling_terms_and_zero_boundaries_match_the_coo_builder(z_one, z_two
                  [[2, 0, 0], [0, 1, 0], [0, 0, 1]])))]
     for cx, quot in cases:
         assert not _assert_cover_matches_references(cx, quot)
-    csr, (rows, cols, coeffs, tables) = _instantiate_matrix(cases[1][0].boundaries[1],
-                                                            cases[1][1])
+    csr, (rows, cols, coeffs, tables) = instantiated(cases[1][0].boundaries[1], cases[1][1])
     assert csr.nnz == 0 and rows.size == cols.size == coeffs.size == 0
     assert tables.shape == (0, 6)
 
@@ -179,12 +177,12 @@ def test_colliding_tables_are_refused_as_no_group_action(z_one):
     # a table that meets no other table of its entry is not refused here
     quot = _patched(cyclic_quotient(6), collide)
     d = two_cell_complex(z_one, g2).boundaries[1]
-    _assert_same_csr(_instantiate_matrix(d, quot)[0], _coo_reference(d, quot))
+    _assert_same_csr(instantiated(d, quot)[0], _coo_reference(d, quot))
     # one that is no permutation is refused whatever it meets
     for entry in (g2, g + g2):
         with pytest.raises(CrossCheckMismatch, match="no permutation of the quotient: "
                                                      "no group action$"):
-            _instantiate_matrix(two_cell_complex(z_one, entry).boundaries[1],
+            instantiated(two_cell_complex(z_one, entry).boundaries[1],
                                 _patched(cyclic_quotient(6), {(2,): [1, 3, 4, 4, 0, 1]}))
 
 
@@ -192,7 +190,7 @@ def test_a_table_equal_to_another_elements_merges_with_it(z_one):
     # g^2 given g's table: g - g^2 then vanishes as a whole
     cx = two_cell_complex(z_one, GroupRingElement(z_one, {(1,): 1, (2,): -1}))
     quot = _patched(cyclic_quotient(6), {(2,): [1, 2, 3, 4, 5, 0]})
-    csr, (rows, _, _, _) = _instantiate_matrix(cx.boundaries[1], quot)
+    csr, (rows, _, _, _) = instantiated(cx.boundaries[1], quot)
     _assert_same_csr(csr, _coo_reference(cx.boundaries[1], quot))
     assert csr.nnz == 0 and rows.size == 0
 
@@ -280,7 +278,7 @@ def _assert_products_match_the_group_ring(a, b, quot):
     """The terms of a b, of a* a and of a a* (a* the adjoint), from the
     instantiated terms of a and b, equal those of the group-ring products
     instantiated; the Gram products also read at the orbit representatives."""
-    ta, tb = _instantiate_matrix(a, quot)[1], _instantiate_matrix(b, quot)[1]
+    ta, tb = instantiated(a, quot)[1], instantiated(b, quot)[1]
     rows, cols, coeffs, tables = ta
     adjoint = (cols, rows, coeffs, np.argsort(tables, axis=1))  # the inverse tables
     reps = np.flatnonzero(_left_orbits(quot)[1] == 0)
@@ -289,7 +287,7 @@ def _assert_products_match_the_group_ring(a, b, quot):
                       (_multiply_terms(ta, adjoint), a @ a.adjoint()),
                       (_multiply_terms(adjoint, ta, reps), a.adjoint() @ a),
                       (_multiply_terms(ta, adjoint, reps), a @ a.adjoint())):
-        want = _instantiate_matrix(want, quot)[1]
+        want = instantiated(want, quot)[1]
         if got[3].shape[1] < quot.order:
             want = want[:3] + (want[3][:, reps],)
         for x, y in zip(_sorted_terms(got), _sorted_terms(want)):

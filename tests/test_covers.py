@@ -17,12 +17,12 @@ from l2growth import (CongruenceSubgroup, CoverInstance, EquivariantChainComplex
 from l2growth import covers, exact, verify
 from l2growth.caps import Caps
 from l2growth.group_ring import evaluate_polynomial, gamma_trace, laplacian, support_radius
-from l2growth.covers import (_equivariant_eigenvalues, _gram_table, _instantiate_matrix,
-                             _left_orbits)
+from l2growth.covers import _equivariant_eigenvalues, _gram_table, _left_orbits
 from l2growth.errors import (AmbiguousCount, CrossCheckMismatch, ForeignQuotient, L2GrowthError,
                              NonIntegralCoefficient, SizeCapExceeded)
+from l2growth.pattern import betti_by_characters
 from l2growth.polynomials import Poly
-from conftest import cyclic_quotient, diag_quotient
+from conftest import cyclic_quotient, diag_quotient, instantiated
 
 
 def _laplacian(cover, q):
@@ -288,7 +288,7 @@ def test_boundaries_that_could_pass_int64_are_refused(z_one):
     with pytest.raises(SizeCapExceeded):
         CoverInstance(column, cyclic_quotient(3))
     below = GroupRingElement(z_one, {(1,): 2 ** 30, (2,): 2 ** 30 - 1})
-    assert _instantiate_matrix(GroupRingMatrix(z_one, [[below]]), cyclic_quotient(1))[0].data \
+    assert instantiated(GroupRingMatrix(z_one, [[below]]), cyclic_quotient(1))[0].data \
         == [2 ** 31 - 1]
 
 
@@ -329,7 +329,7 @@ def test_instantiation_stores_no_zeros(circle, z_two):
     g_minus_one = GroupRingElement(z_two, {(2, 0): 1, (0, 0): -1})
     for cx, quot in ((circle, cyclic_quotient(1)),
                      (two_cell_complex(z_two, g_minus_one), diag_quotient(2, 3))):
-        d1 = _instantiate_matrix(cx.boundaries[1], quot)[0]
+        d1 = instantiated(cx.boundaries[1], quot)[0]
         assert d1.nnz == d1.count_nonzero() == 0
 
 
@@ -689,7 +689,7 @@ def test_gram_zeros_not_separated_raise(gap_complex):
     # 2 - g has no root of unity as a root, so its cover boundary has full rank 4;
     # claiming rank 3 asks the Gram for a zero its lowest eigenvalue 1 cannot give
     cover = instantiate(gap_complex, cyclic_quotient(4))
-    cover._entries[1][2] = 3
+    cover._entries[1].rank = 3
     with pytest.raises(CrossCheckMismatch, match=r"^the 1 lowest Gram eigenvalues of "
                                                  r"boundary 1 \(exact rank 3\) are not separated"):
         cover.eigenvalues(0)
@@ -729,25 +729,170 @@ def test_instantiation_one_permutation_per_element(sanov_group, monkeypatch):
 
 
 def test_covers_of_one_quotient_certify_a_shared_boundary_once(monkeypatch, torus2,
-                                                                stripe_complex):
-    shapes = []
-    certified = exact.rank_certified
+                                                                stripe_complex, sanov_group):
+    ranked = []  # (engine, shape of what it read), for each call that gave a rank
 
-    def counting(a):
-        shapes.append(a.shape)
-        return certified(a)
+    def counting(name, engine, shape):
+        def call(*args):
+            rank = engine(*args)
+            if rank is not None:
+                ranked.append((name, shape(*args)))
+            return rank
+        return call
 
-    monkeypatch.setattr(exact, "rank_certified", counting)
+    monkeypatch.setattr(exact, "voltage_rank", counting(
+        "voltage", exact.voltage_rank, lambda *args: args[-1]))
+    monkeypatch.setattr(exact, "rank_certified", counting(
+        "csr", exact.rank_certified, lambda a: a.shape))
     quot = diag_quotient(4, 6)
     glued = instantiate(stripe_complex, quot)
     base = instantiate(torus2, quot)
     # the stripe is glued onto the torus's own boundary objects
     assert glued.boundary(1) is base.boundary(1) and glued.boundary(2) is base.boundary(2)
     assert [glued.betti(j) for j in range(2)] == [base.betti(j) for j in range(2)] == [1, 2]
-    assert shapes == [(24, 48), (48, 24)]  # d_1 and d_2 of the torus, each once
+    # d_1 and d_2 of the torus, each once, on their voltage graphs (block shapes)
+    assert ranked == [("voltage", (1, 2)), ("voltage", (2, 1))]
+    assert glued.rank_engines == base.rank_engines == {1: "voltage", 2: "voltage"}
     # another quotient object of the same lattice shares nothing
     assert instantiate(torus2, diag_quotient(4, 6)).betti(1) == 2
-    assert shapes[2:] == [(24, 48), (48, 24)]
+    assert ranked[2:] == [("voltage", (1, 2)), ("voltage", (2, 1))]
+    # congruence covers rank each shared boundary once on the CSR
+    del ranked[:]
+    cx, quot = presentation_complex(sanov_group), quotient(sanov_group, CongruenceSubgroup(5))
+    first, second = instantiate(cx, quot), instantiate(cx, quot)
+    assert first.betti(0) == second.betti(0) == 1
+    assert ranked == [("csr", (120, 240))]
+    assert first.rank_engines == second.rank_engines == {1: "forest"}
+
+
+# -- ranks on the voltage graph -----------------------------------------------
+
+def _ranked(cx, quot):
+    """(the cover's Betti numbers, its rank engines), each rank checked against
+    ``rank_certified`` of the boundary's cover matrix."""
+    cover = CoverInstance(cx, quot)
+    betti = [cover.betti(q) for q in range(cx.top_dim + 1)]
+    for q in cx.boundaries:
+        assert cover._rank(q) == exact.rank_certified(cover.boundary(q))
+    return betti, cover.rank_engines
+
+
+def _z_one_entry(z_one, terms):
+    return GroupRingElement(z_one, {(k,): c for k, c in terms.items()})
+
+
+def test_a_sign_cycle_lifts_balanced_on_even_orders(z_one):
+    # 1 + t is a loop of voltage -1 and gain -1: its lift has the kernel vector
+    # ((-1)^x) exactly when m is even
+    cx = two_cell_complex(z_one, _z_one_entry(z_one, {0: 1, 1: 1}))
+    for m in range(1, 13):
+        assert _ranked(cx, cyclic_quotient(m)) == ([1 - m % 2] * 2, {1: "voltage"})
+
+
+def test_a_gain_off_the_unit_circle_unbalances_every_lift(gap_complex):
+    for m in range(1, 9):  # 2 - t: the loop's gain is 2
+        assert _ranked(gap_complex, cyclic_quotient(m)) == ([0, 0], {1: "voltage"})
+
+
+def test_a_loop_and_parallel_edges_in_one_boundary(z_one):
+    # vertices 0, 1; a loop t^2 - 1 at 0 (voltage 2, gain 1), and parallel edges
+    # 0 - 1 of voltages 0 and 1 whose cycle has gain -1: H is all of Z/m, and
+    # the lift is balanced when (voltage, sign) generates Z/m x Z/2 no further,
+    # exactly when m is even
+    e = functools.partial(_z_one_entry, z_one)
+    d1 = GroupRingMatrix(z_one, [[e({2: 1, 0: -1}), e({0: 1}), e({1: 1})],
+                                 [e({}), e({0: -1}), e({0: 1})]], shape=(2, 3))
+    cx = EquivariantChainComplex(z_one, [2, 3], {1: d1})
+    for m in range(1, 13):
+        b0 = 1 - m % 2
+        assert _ranked(cx, cyclic_quotient(m)) == ([b0, 3 * m - 2 * m + b0], {1: "voltage"})
+
+
+def test_gains_off_the_unit_circle_that_cancel_around_a_cycle(z_one):
+    # edges 1 -> 2 (gain 1/2), 0 -> 2 (gain 2; the walk from vertex 1 meets it
+    # backwards) and 0 -> 1 (gain 4, voltage 1): the cycle's gain is 1, so its
+    # lift is balanced, and its voltage generates Z/m
+    e = functools.partial(_z_one_entry, z_one)
+    d1 = GroupRingMatrix(z_one, [[e({}), e({0: 2}), e({1: 4})],
+                                 [e({0: 1}), e({}), e({0: -1})],
+                                 [e({0: -2}), e({0: -1}), e({})]], shape=(3, 3))
+    cx = EquivariantChainComplex(z_one, [3, 3], {1: d1})
+    for m in range(1, 8):
+        assert _ranked(cx, cyclic_quotient(m)) == ([1, 1], {1: "voltage"})
+
+
+def test_merged_terms_that_cancel_leave_their_line(z_one):
+    # t^3 - 1 vanishes on Z/3, so its column is empty and t - 1 alone ranks 2
+    e = functools.partial(_z_one_entry, z_one)
+    d1 = GroupRingMatrix(z_one, [[e({3: 1, 0: -1}), e({1: 1, 0: -1})]])
+    cx = EquivariantChainComplex(z_one, [1, 2], {1: d1})
+    assert _ranked(cx, cyclic_quotient(3)) == ([1, 4], {1: "voltage"})
+    assert len(instantiated(d1, cyclic_quotient(3))[1][0]) == 2
+    assert _ranked(cx, cyclic_quotient(4)) == ([1, 5], {1: "voltage"})
+    # t + t^4 - 2 merges to 2t - 2 on Z/3: a loop of gain 1
+    cx = two_cell_complex(z_one, e({1: 1, 4: 1, 0: -2}))
+    assert sorted(instantiated(cx.boundaries[1], cyclic_quotient(3))[1][2]) == [-2, 2]
+    assert _ranked(cx, cyclic_quotient(3)) == ([1, 1], {1: "voltage"})
+
+
+def test_a_zero_boundary_has_voltage_rank_zero(zero_complex):
+    for m in (1, 5):
+        assert _ranked(zero_complex, cyclic_quotient(m)) == ([m, m], {1: "voltage"})
+
+
+def test_three_terms_on_each_side_fall_back_to_elimination(z_one):
+    # 1 + t + t^2 vanishes at the two primitive cube roots of unity; below Z/3
+    # its terms merge to fewer
+    cx = two_cell_complex(z_one, _z_one_entry(z_one, {0: 1, 1: 1, 2: 1}))
+    for m in range(3, 10):
+        b = 2 if m % 3 == 0 else 0
+        assert _ranked(cx, cyclic_quotient(m)) == ([b, b], {1: "elimination"})
+
+
+def test_torus_betti_numbers_at_order_50000_lay_out_no_cover_matrix(torus2, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cover matrix was laid out")
+
+    monkeypatch.setattr(covers, "_lay_out", refuse)
+    cover = CoverInstance(torus2, diag_quotient(200, 250))
+    assert [cover.betti(q) for q in range(3)] == [1, 2, 1]
+    assert cover.rank_engines == {1: "voltage", 2: "voltage"}
+    with pytest.raises(AssertionError, match="laid out"):
+        cover.boundary(1)
+
+
+def _random_z3_case(rng):
+    """A one-boundary complex over Z^3 and an upper triangular lattice of index <= 120."""
+    group = FreeAbelian(3)
+    a0, a1 = (int(x) for x in rng.integers(1, 4, size=2))
+    d1 = GroupRingMatrix(group, [[verify._random_entry(rng, group) for _ in range(a1)]
+                                 for _ in range(a0)], shape=(a0, a1))
+    while True:
+        lattice = np.triu(rng.integers(-3, 4, size=(3, 3)), 1) + np.diag(rng.integers(1, 6, 3))
+        if abs(np.linalg.det(lattice)) <= 120:
+            break
+    return (EquivariantChainComplex(group, [a0, a1], {1: d1}),
+            quotient(group, LatticeSubgroup(lattice.tolist())))
+
+
+def test_voltage_ranks_equal_the_certified_ranks_of_the_cover_matrices():
+    engines = []
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        if seed % 3 == 0:
+            cx, quot = _random_z3_case(rng)
+        else:
+            cx = verify.random_complex(rng)
+            quot = verify.random_quotient(rng, cx.group)
+        betti, ranked = _ranked(cx, quot)
+        cover = CoverInstance(cx, quot)
+        for q, engine in ranked.items():
+            rows, cols = cover._entries[q].terms[:2]
+            assert engine == ("voltage" if exact.is_gain_graph(rows, cols) else "elimination")
+        engines += ranked.values()
+        assert betti == [betti_by_characters(cx, quot, q, cross_check=False)[0]
+                         for q in range(cx.top_dim + 1)]
+    assert engines.count("voltage") > 100 and engines.count("elimination") > 50
 
 
 def test_shared_boundaries_leave_with_their_quotient(circle):
@@ -768,7 +913,7 @@ def test_a_second_cover_has_the_betti_numbers_of_fresh_instantiations(seed):
     quot = verify.random_quotient(rng, cx.group)
     dims = range(cx.top_dim + 1)
     first = [CoverInstance(cx, quot).betti(q) for q in dims]
-    ranks = {q: exact.rank_certified(_instantiate_matrix(d, quot)[0])
+    ranks = {q: exact.rank_certified(instantiated(d, quot)[0])
              for q, d in cx.boundaries.items()}
     fresh = [cx.cells[q] * quot.order - ranks.get(q, 0) - ranks.get(q + 1, 0) for q in dims]
     assert [CoverInstance(cx, quot).betti(q) for q in dims] == fresh == first

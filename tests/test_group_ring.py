@@ -9,6 +9,7 @@ from l2growth import (EquivariantChainComplex, FreeAbelian, GroupRingElement,
                       laplacian, norm_bound, support_radius)
 from l2growth.errors import (BadChainComplex, DimensionOutOfRange, L2GrowthError,
                              NotSquare, RankOutOfRange, ShapeMismatch)
+from l2growth import exact
 from l2growth.polynomials import Poly
 
 
@@ -221,3 +222,27 @@ def test_complex_refuses_an_element_not_a_k_by_k_integer_matrix(el):
     group = IntegralMatrixGroup(2, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
     with pytest.raises(RankOutOfRange, match="is not an element of IntegralMatrixGroup"):
         _one_boundary_complex(group, el)
+
+
+def test_matrix_group_inverses_come_from_one_adjugate_per_element(monkeypatch):
+    adjugates = []
+    adjugate = exact.adjugate
+    monkeypatch.setattr(exact, "adjugate", lambda a: adjugates.append(a) or adjugate(a))
+    group = IntegralMatrixGroup(2, [[[1, 2], [0, 1]], [[1, 0], [2, 1]]])
+    g1, g2 = group.generators
+    e = group.identity
+    el = lambda terms: GroupRingElement(group, terms)  # noqa: E731
+    cx = EquivariantChainComplex(group, [1, 2], {1: GroupRingMatrix(
+        group, [[el({g1: 1, e: -1}), el({group.mul(g1, g2): 3, g2: 1, e: -4})]], shape=(1, 2))})
+    laplacians = [laplacian(cx, q) for q in (0, 1)]
+    assert adjugates and len(adjugates) == len(set(adjugates))
+    seen = len(adjugates)
+    assert [laplacian(cx, q) for q in (0, 1)] == laplacians and len(adjugates) == seen
+    # the same Laplacians from inverses computed afresh at every call
+
+    def afresh(a):
+        det = exact.det_int(a)
+        return tuple(tuple(det * x for x in row) for row in adjugate(a))
+
+    monkeypatch.setattr(group, "inv", afresh)
+    assert [laplacian(cx, q) for q in (0, 1)] == laplacians

@@ -8,6 +8,7 @@ and lists, bit for bit.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -32,6 +33,20 @@ def _root_powers_reference(e, ell):
         if np.count_nonzero(powers == 1) == 1:
             return powers
     raise CrossCheckMismatch(f"{ell} is not a prime = 1 (mod {e})")
+
+
+def _root_powers_trial(e, ell):
+    """omega^t mod ell for t < e: candidates h = 1, 2, ... tried one at a time,
+    each w = h^((ell - 1)/e) tested by its powers w^(e/p) for every prime p | e."""
+    for h in range(1, ell):
+        w = pow(h, (ell - 1) // e, ell)
+        if all(pow(w, e // p, ell) != 1 for p in pattern._prime_divisors(e)):
+            break
+    powers, step = np.ones(e, dtype=np.int64), 1
+    while step < e:
+        powers[step:2 * step] = powers[:min(step, e - step)] * pow(w, step, ell) % ell
+        step *= 2
+    return powers
 
 
 def _stack_reference(m, chars, e, ell):
@@ -114,6 +129,16 @@ def test_root_powers_match_the_trial_loop(e):
 def test_root_powers_match_the_trial_loop_for_any_exponent(e):
     ell = next(exact._primes_one_mod(e))
     assert np.array_equal(pattern._root_powers(e, ell), _root_powers_reference(e, ell))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 3000), st.integers(0, 5))
+def test_root_powers_match_the_candidate_loop_at_random_primes(e, k):
+    # the residue symbols multiplied at composite h pick the h that powering
+    # every candidate picks, and the same table
+    ell = next(islice(exact._primes_one_mod(e), k, None))
+    powers = pattern._root_powers(e, ell)
+    assert powers.dtype == np.int64 and np.array_equal(powers, _root_powers_trial(e, ell))
 
 
 @pytest.mark.parametrize("moduli", [(1,), (7,), (202,), (256,), (2, 2, 2, 2, 2, 2, 2, 2),
